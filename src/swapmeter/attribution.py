@@ -25,7 +25,7 @@ from swapmeter.errors import (
     QuoteUnavailable,
     SnapshotUnavailable,
 )
-from swapmeter.model import Direction, TradeRecord
+from swapmeter.model import Direction, Quote, TradeRecord
 from swapmeter.prices import (
     DecisionVector,
     Price,
@@ -147,10 +147,21 @@ def attribute(
 
 
 def attribute_trade(
-    trade: TradeRecord, baseline: BaselineProvider, offset: int, f_prime: Decimal
+    trade: TradeRecord,
+    baseline: BaselineProvider,
+    offset: int,
+    f_prime: Decimal,
+    *,
+    quote: Quote | None = None,
+    beta1: Decimal | None = None,
 ) -> AttributionResult:
-    """Full per-trade attribution against a baseline provider at one offset."""
+    """Full per-trade attribution against a baseline provider at one offset.
+
+    quote and beta1 are passed to `counterfactual_price`.
+    """
     p = realized_price(trade)
     x = realized_decision_vector(trade)
-    p_prime, x_prime = counterfactual_price(trade, baseline, offset, f_prime)
+    p_prime, x_prime = counterfactual_price(
+        trade, baseline, offset, f_prime, quote=quote, beta1=beta1
+    )
     return attribute(trade, x, x_prime, p, p_prime, offset=offset)

@@ -1,8 +1,8 @@
 """Baseline quote providers: replay of recorded quotes and a synthetic router.
 
 A provider maps (trade, block offset) to a counterfactual quote
-(o', g'). Providers are deterministic and read-only after construction,
-so they may be shared across parallel workers.
+(o', g'). Providers are deterministic: the same request always gets the
+same quote.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import abc
 from decimal import Decimal
 from typing import Mapping, Sequence
 
+from swapmeter.calibration import GasCalibration, correct_gas
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Pool, Quote, TokenAmount, TradeRecord
-from swapmeter.router import route_optimal_split
+from swapmeter.router import RouteResult, route_optimal_split
 
 DEFAULT_OVERHEAD_GAS = 80_000
 
@@ -77,7 +78,6 @@ class ReplayProvider(BaselineProvider):
             out_estimate=TokenAmount(scaled_raw, stored.out_estimate.decimals),
             gas_estimate=stored.gas_estimate,
             provider_id=stored.provider_id,
-            corrected=stored.corrected,
         )
 
 
@@ -87,6 +87,11 @@ class SyntheticRouterProvider(BaselineProvider):
     Gas estimates are the route's hop gas plus a fixed per-transaction
     overhead. The routing objective prices gas at the trade's base fee
     plus the configured baseline priority fee.
+
+    Snapshots with identical contents are interned at construction, and
+    each route is solved once per (snapshot, amount, direction, gas
+    price): offsets that share a snapshot, and re-quotes at the same
+    adjusted input, reuse the solved route.
     """
 
     def __init__(
@@ -97,7 +102,12 @@ class SyntheticRouterProvider(BaselineProvider):
         overhead_gas: int = DEFAULT_OVERHEAD_GAS,
         provider_id: str = "synthetic-router",
     ):
-        self._snapshots = {k: tuple(v) for k, v in snapshots.items()}
+        interned: dict[tuple[Pool, ...], tuple[tuple[Pool, ...], int]] = {}
+        self._snapshots: dict[int, tuple[tuple[Pool, ...], int]] = {}
+        for offset, pools in snapshots.items():
+            pools = tuple(pools)
+            self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
+        self._routes: dict[tuple, RouteResult] = {}
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
         self.provider_id = provider_id
@@ -108,12 +118,17 @@ class SyntheticRouterProvider(BaselineProvider):
     def quote(
         self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
     ) -> Quote:
-        pools = self._snapshots.get(offset)
-        if pools is None:
+        snapshot = self._snapshots.get(offset)
+        if snapshot is None:
             raise SnapshotUnavailable(offset)
+        pools, snapshot_key = snapshot
         amount = trade.amount_in if amount_in is None else amount_in
         gas_price = Decimal(trade.gas.base_fee) + self._f_prime
-        route = route_optimal_split(pools, amount, trade.direction, gas_price)
+        key = (snapshot_key, amount.raw, amount.decimals, trade.direction, gas_price)
+        route = self._routes.get(key)
+        if route is None:
+            route = route_optimal_split(pools, amount, trade.direction, gas_price)
+            self._routes[key] = route
         return Quote(
             trade_id=trade.trade_id,
             offset=offset,
@@ -124,14 +139,11 @@ class SyntheticRouterProvider(BaselineProvider):
 
 
 class CalibratedProvider(BaselineProvider):
-    """Wraps a provider and bias-corrects every served gas estimate."""
+    """Wraps a provider and serves every gas estimate as g'/beta1."""
 
-    def __init__(self, inner: BaselineProvider, calibration):
-        from swapmeter.calibration import correct_gas
-
+    def __init__(self, inner: BaselineProvider, calibration: GasCalibration):
         self._inner = inner
         self._calibration = calibration
-        self._correct = correct_gas
         self.provider_id = inner.provider_id
 
     def supported_offsets(self) -> tuple[int, ...]:
@@ -140,4 +152,4 @@ class CalibratedProvider(BaselineProvider):
     def quote(
         self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
     ) -> Quote:
-        return self._correct(self._inner.quote(trade, offset, amount_in), self._calibration)
+        return correct_gas(self._inner.quote(trade, offset, amount_in), self._calibration)

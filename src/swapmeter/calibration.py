@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Iterable
 
-from swapmeter.errors import AlreadyCorrected, DegenerateRegressor, InsufficientData
-from swapmeter.ingest import QuoteSet
+from swapmeter.errors import DegenerateRegressor, InsufficientData
 from swapmeter.model import Quote
 
 
@@ -88,17 +87,8 @@ def fit_gas_bias(pairs: Iterable[tuple[int | Decimal, Decimal]]) -> GasCalibrati
 
 
 def correct_gas(quote: Quote, cal: GasCalibration) -> Quote:
-    """Replace g' by g'/beta1. Must be applied exactly once per quote."""
-    if quote.corrected:
-        raise AlreadyCorrected(f"quote {quote.key} was already corrected")
-    return replace(quote, gas_estimate=quote.gas_estimate / cal.beta1, corrected=True)
-
-
-def correct_quote_set(quotes: QuoteSet, cal: GasCalibration) -> QuoteSet:
-    """Correct every quote in a set; the set-level flag guards re-application."""
-    if quotes.corrected:
-        raise AlreadyCorrected("quote set was already corrected")
-    return QuoteSet((correct_gas(q, cal) for q in quotes), corrected=True)
+    """The quote with its gas estimate g' replaced by g'/beta1."""
+    return replace(quote, gas_estimate=quote.gas_estimate / cal.beta1)
 
 
 def perturbed_calibrations(

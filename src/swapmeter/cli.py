@@ -12,12 +12,7 @@ import sys
 from pathlib import Path
 
 from swapmeter import pipeline
-from swapmeter.baseline import (
-    BaselineProvider,
-    CalibratedProvider,
-    ReplayProvider,
-    SyntheticRouterProvider,
-)
+from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouterProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias
 from swapmeter.config import RunConfig, build_config, config_hash, parse_config_file
 from swapmeter.errors import (
@@ -158,9 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trades, n_rejects = _load_trades(cfg, require_usd=False)
     provider = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
-    if calibration is not None:
-        provider = CalibratedProvider(provider, calibration)
-    rows = pipeline.analyze_trades(trades, provider, cfg.offsets, cfg.f_prime_wei)
+    rows = pipeline.analyze_trades(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
     write_csv(
         Path(cfg.out_dir) / "attribution.csv",
         pipeline.ATTRIBUTION_COLUMNS,

@@ -56,7 +56,7 @@ class RunConfig:
 
 
 def parse_offsets(text: str) -> tuple[int, ...]:
-    """Parse 'a..b' (inclusive) or a comma-separated list of offsets."""
+    """Parse 'a..b' (inclusive) or a comma-separated list of distinct offsets."""
     text = text.strip()
     try:
         if ".." in text:
@@ -65,9 +65,13 @@ def parse_offsets(text: str) -> tuple[int, ...]:
             if hi < lo:
                 raise ConfigError(f"bad offset range {text!r}: end before start")
             return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
+        offsets = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse offsets {text!r}") from None
+    for i, offset in enumerate(offsets):
+        if offset in offsets[:i]:
+            raise ConfigError(f"duplicate offset {offset}")
+    return offsets
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -55,10 +55,6 @@ class DegenerateRegressor(SwapmeterError):
     """Gas regression cannot be fit (non-positive regressor values)."""
 
 
-class AlreadyCorrected(SwapmeterError):
-    """Gas correction was applied twice to the same quote or quote set."""
-
-
 class ZeroTotalWeight(SwapmeterError):
     """Weighted mean requested with all weights zero."""
 

@@ -90,15 +90,10 @@ class IngestResult:
 
 
 class QuoteSet:
-    """Quotes keyed by (trade_id, offset, provider_id).
+    """Quotes keyed by (trade_id, offset, provider_id)."""
 
-    `corrected` flags that the gas-bias correction has been applied to
-    the whole set (it must be applied exactly once).
-    """
-
-    def __init__(self, quotes: Iterable[Quote] = (), corrected: bool = False):
+    def __init__(self, quotes: Iterable[Quote] = ()):
         self._quotes: dict[tuple[str, int, str], Quote] = {}
-        self.corrected = corrected
         for q in quotes:
             self.add(q)
 

@@ -134,8 +134,7 @@ class Quote:
     """Baseline output for one trade at one block offset.
 
     gas_estimate is a nonnegative decimal: fractional values appear after
-    bias correction. `corrected` tracks that the correction was applied
-    exactly once.
+    bias correction.
     """
 
     trade_id: str
@@ -143,7 +142,6 @@ class Quote:
     out_estimate: TokenAmount
     gas_estimate: Decimal
     provider_id: str
-    corrected: bool = False
 
     def __post_init__(self):
         if self.gas_estimate < 0:

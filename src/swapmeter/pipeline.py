@@ -1,9 +1,10 @@
 """End-to-end analysis passes: per-trade attribution and aggregation.
 
 A pass walks every (trade, offset) pair, attributes price improvement,
-and records exclusions instead of failing. Aggregation runs the pass up
-to three times — nominal, and with the gas-calibration slope shifted up
-and down — to obtain systematic bands.
+and records exclusions instead of failing. Each pair is quoted once; the
+gas-calibration slope only rescales the quoted gas, so aggregation
+prices the same quote at the nominal slope and, for systematic bands,
+at the slope shifted up and down.
 """
 
 from __future__ import annotations
@@ -11,19 +12,22 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
-from swapmeter.attribution import AttributionResult, attribute_trade
-from swapmeter.baseline import BaselineProvider, CalibratedProvider
+from swapmeter.attribution import AttributionResult, attribute_trade, price_improvement
+from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import (
     NonPositiveAdjustedInput,
     NonPositiveBaseline,
     QuoteUnavailable,
     SnapshotUnavailable,
+    ZeroTotalWeight,
 )
-from swapmeter.model import TradeRecord
+from swapmeter.model import Quote, TradeRecord
 from swapmeter.numeric import format_bps
+from swapmeter.prices import Price, counterfactual_price, realized_price
 from swapmeter.stats import WeightedEstimate, weighted_mean_with_stat
 
 EXCLUSION_NON_POSITIVE_BASELINE = "non_positive_baseline"
@@ -37,6 +41,7 @@ _EXCLUSIONS = {
     SnapshotUnavailable: EXCLUSION_SNAPSHOT_UNAVAILABLE,
     NonPositiveAdjustedInput: EXCLUSION_ADJUSTED_INPUT,
 }
+_EXCLUDED = tuple(_EXCLUSIONS)
 
 ATTRIBUTION_COLUMNS = [
     "trade_id",
@@ -73,12 +78,19 @@ ROLLING_COLUMNS = [
 
 @dataclass(frozen=True, slots=True)
 class AnalysisRow:
-    """One (trade, offset) outcome: an attribution or an exclusion reason."""
+    """One (trade, offset) outcome: an attribution or an exclusion reason.
+
+    result is the attribution at the nominal calibration slope. pi_upper
+    and pi_lower are pi with the slope shifted up and down; each is None
+    where that slope excludes the pair or no shift was asked for.
+    """
 
     trade: TradeRecord
     offset: int
     result: AttributionResult | None
     exclusion_reason: str | None
+    pi_upper: Decimal | None = None
+    pi_lower: Decimal | None = None
 
     @property
     def excluded(self) -> bool:
@@ -90,18 +102,54 @@ def analyze_trades(
     provider: BaselineProvider,
     offsets: Sequence[int],
     f_prime: Decimal,
+    calibration: GasCalibration | None = None,
+    shifted: tuple[GasCalibration, GasCalibration] | None = None,
 ) -> list[AnalysisRow]:
-    """Attribute every trade at every offset, ordered by (trade_id, offset)."""
+    """Attribute every trade at every offset, ordered by (trade_id, offset).
+
+    Each pair is quoted once. Its gas is read as g'/beta1 of `calibration`
+    (as served when None) for the attribution, and of each `shifted`
+    (upper, lower) calibration for pi alone.
+    """
+    beta1 = None if calibration is None else calibration.beta1
+    shifted_betas = () if shifted is None else tuple(cal.beta1 for cal in shifted)
     rows: list[AnalysisRow] = []
     for trade in trades:
+        p = realized_price(trade)
         for offset in offsets:
+            quote = result = reason = None
             try:
-                result = attribute_trade(trade, provider, offset, f_prime)
-                rows.append(AnalysisRow(trade, offset, result, None))
-            except tuple(_EXCLUSIONS) as exc:
-                rows.append(AnalysisRow(trade, offset, None, _EXCLUSIONS[type(exc)]))
+                quote = provider.quote(trade, offset)
+                result = attribute_trade(
+                    trade, provider, offset, f_prime, quote=quote, beta1=beta1
+                )
+            except _EXCLUDED as exc:
+                reason = _EXCLUSIONS[type(exc)]
+            shifted_pi = () if quote is None else [
+                _shifted_pi(trade, p, quote, provider, offset, f_prime, b) for b in shifted_betas
+            ]
+            rows.append(AnalysisRow(trade, offset, result, reason, *shifted_pi))
     rows.sort(key=lambda r: (r.trade.trade_id, r.offset))
     return rows
+
+
+def _shifted_pi(
+    trade: TradeRecord,
+    p: Price,
+    quote: Quote,
+    provider: BaselineProvider,
+    offset: int,
+    f_prime: Decimal,
+    beta1: Decimal,
+) -> Decimal | None:
+    """pi of one quoted pair at a shifted slope; None where that slope excludes it."""
+    try:
+        p_prime, _ = counterfactual_price(
+            trade, provider, offset, f_prime, quote=quote, beta1=beta1
+        )
+        return price_improvement(p, p_prime)
+    except _EXCLUDED:
+        return None
 
 
 def attribution_csv_rows(rows: Sequence[AnalysisRow]) -> list[list[str]]:
@@ -163,19 +211,36 @@ def _group_key(row: AnalysisRow, level: str) -> str:
     return row.trade.path if level == "path" else row.trade.interface
 
 
-def _group_mean(rows: Sequence[AnalysisRow], metric) -> dict[tuple[str, str, int], tuple]:
-    """(level, group, offset) -> (mean, sigma, n, total_w); thin groups dropped."""
+def _nominal_pi(row: AnalysisRow) -> Decimal | None:
+    return None if row.result is None else row.result.pi
+
+
+def _group_mean(
+    rows: Sequence[AnalysisRow], pi: Callable[[AnalysisRow], Decimal | None]
+) -> dict[tuple[str, str, int], tuple]:
+    """(level, group, offset) -> (mean, sigma, n, total_w) of the rows' valued pi.
+
+    Groups with fewer than two valued trades, or whose weights are all
+    zero, are skipped with a warning.
+    """
     buckets: dict[tuple[str, str, int], list[tuple[Decimal, Decimal]]] = {}
-    for row in _weighted_rows(rows):
+    for row in rows:
+        value = pi(row)
+        if value is None or row.trade.usd_value is None:
+            continue
         for level in ("path", "interface"):
             key = (level, _group_key(row, level), row.offset)
-            buckets.setdefault(key, []).append((metric(row.result), row.trade.usd_value))
+            buckets.setdefault(key, []).append((value, row.trade.usd_value))
     out = {}
     for key, values in buckets.items():
         if len(values) < 2:
             warnings.warn(f"skipping group {key}: fewer than 2 weighted trades")
             continue
-        mean, sigma = weighted_mean_with_stat(values)
+        try:
+            mean, sigma = weighted_mean_with_stat(values)
+        except ZeroTotalWeight:
+            warnings.warn(f"skipping group {key}: all weights are zero")
+            continue
         out[key] = (mean, sigma, len(values), sum(w for _, w in values))
     return out
 
@@ -190,28 +255,17 @@ def run_aggregate(
     stride: int = 1,
     sys_multiplier: Decimal | int = 1,
 ) -> AggregateReport:
-    """Three-pass aggregation with statistical and systematic uncertainty."""
-
-    def pass_rows(cal: GasCalibration | None) -> list[AnalysisRow]:
-        provider = raw_provider if cal is None else CalibratedProvider(raw_provider, cal)
-        return analyze_trades(trades, provider, offsets, f_prime)
-
-    nominal = pass_rows(calibration)
+    """One-pass aggregation with statistical and systematic uncertainty."""
+    shifted = None
     if calibration is not None and calibration.beta1_se > 0:
-        upper_cal, lower_cal = perturbed_calibrations(calibration, sys_multiplier)
-        upper = pass_rows(upper_cal)
-        lower = pass_rows(lower_cal)
-    else:
-        upper = lower = None
+        shifted = perturbed_calibrations(calibration, sys_multiplier)
+    rows = analyze_trades(trades, raw_provider, offsets, f_prime, calibration, shifted)
 
-    def pi(res: AttributionResult) -> Decimal:
-        return res.pi
+    base_means = _group_mean(rows, _nominal_pi)
+    up_means = _group_mean(rows, attrgetter("pi_upper"))
+    low_means = _group_mean(rows, attrgetter("pi_lower"))
 
-    base_means = _group_mean(nominal, pi)
-    up_means = _group_mean(upper, pi) if upper is not None else {}
-    low_means = _group_mean(lower, pi) if lower is not None else {}
-
-    report = AggregateReport(exclusions=exclusion_counts(nominal))
+    report = AggregateReport(exclusions=exclusion_counts(rows))
     sorted_offsets = sorted(set(offsets))
     report.anchor_offset = 0 if 0 in sorted_offsets else sorted(
         sorted_offsets, key=lambda t: (abs(t), t)
@@ -230,39 +284,42 @@ def run_aggregate(
 
     # Rolling-by-size series at the anchor offset, all groups pooled.
     anchor = report.anchor_offset
-    nominal_anchor = [r for r in _weighted_rows(nominal) if r.offset == anchor]
-    if len(nominal_anchor) >= 2:
-        eff_window = min(window, len(nominal_anchor))
+    anchor_rows = [r for r in _weighted_rows(rows) if r.offset == anchor]
+    if len(anchor_rows) >= 2:
+        eff_window = min(window, len(anchor_rows))
         if eff_window < window:
             warnings.warn(
-                f"rolling window {window} exceeds {len(nominal_anchor)} trades; "
+                f"rolling window {window} exceeds {len(anchor_rows)} trades; "
                 f"using {eff_window}"
             )
-        perturbed_pi = {}
-        for tag, rows in (("up", upper), ("low", lower)):
-            if rows is None:
-                continue
-            perturbed_pi[tag] = {
-                r.trade.trade_id: r.result.pi
-                for r in _weighted_rows(rows)
-                if r.offset == anchor
-            }
-        report.rolling = _rolling_with_bands(nominal_anchor, eff_window, stride, perturbed_pi)
+        report.rolling = _rolling_with_bands(anchor_rows, eff_window, stride)
 
-    report.summary = _summary(nominal, up_means, low_means, base_means, anchor)
+    report.summary = _summary(anchor_rows, up_means, low_means, base_means, anchor)
     return report
 
 
+def _shifted_band(
+    chunk: Sequence[AnalysisRow], pi: Callable[[AnalysisRow], Decimal | None], mean: Decimal
+) -> Decimal:
+    """|shifted mean - mean| over the window members valued at the shifted slope."""
+    members = [(v, r.trade.usd_value) for r in chunk if (v := pi(r)) is not None]
+    if len(members) < 2:
+        return Decimal(0)
+    try:
+        shifted_mean, _ = weighted_mean_with_stat(members)
+    except ZeroTotalWeight:
+        return Decimal(0)
+    return abs(shifted_mean - mean)
+
+
 def _rolling_with_bands(
-    anchor_rows: Sequence[AnalysisRow],
-    window: int,
-    stride: int,
-    perturbed_pi: dict[str, dict[str, Decimal]],
+    anchor_rows: Sequence[AnalysisRow], window: int, stride: int
 ) -> list[tuple[Decimal, WeightedEstimate]]:
     """Rolling series where each window also gets systematic half-widths.
 
-    Window membership is fixed by the nominal pass; perturbed means are
-    taken over the same members (those still valued under perturbation).
+    Window membership is fixed by the nominal slope; shifted means are
+    taken over the same members (those still valued at the shifted
+    slope). A window whose weights are all zero is skipped with a warning.
     """
     ordered = sorted(anchor_rows, key=lambda r: (r.trade.usd_value, r.trade.trade_id))
     out = []
@@ -271,30 +328,24 @@ def _rolling_with_bands(
         sizes = [r.trade.usd_value for r in chunk]
         mid = window // 2
         median = sizes[mid] if window % 2 else (sizes[mid - 1] + sizes[mid]) / 2
-        mean, sigma = weighted_mean_with_stat(
-            [(r.result.pi, r.trade.usd_value) for r in chunk]
-        )
-        bands = {"up": Decimal(0), "low": Decimal(0)}
-        for tag, values in perturbed_pi.items():
-            member = [
-                (values[r.trade.trade_id], r.trade.usd_value)
-                for r in chunk
-                if r.trade.trade_id in values
-            ]
-            if len(member) >= 2:
-                p_mean, _ = weighted_mean_with_stat(member)
-                bands[tag] = abs(p_mean - mean)
-        out.append(
-            (
-                median,
-                WeightedEstimate(mean, sigma, bands["up"], bands["low"], window, sum(sizes)),
+        try:
+            mean, sigma = weighted_mean_with_stat(
+                [(r.result.pi, r.trade.usd_value) for r in chunk]
             )
-        )
+        except ZeroTotalWeight:
+            warnings.warn(f"skipping rolling window at median {median}: all weights are zero")
+            continue
+        sys_up = _shifted_band(chunk, attrgetter("pi_upper"), mean)
+        sys_low = _shifted_band(chunk, attrgetter("pi_lower"), mean)
+        out.append((median, WeightedEstimate(mean, sigma, sys_up, sys_low, window, sum(sizes))))
     return out
 
 
-def _summary(nominal, up_means, low_means, base_means, anchor: int) -> dict:
-    """Per-path and per-interface attribution decomposition at the anchor offset."""
+def _summary(anchor_rows, up_means, low_means, base_means, anchor: int) -> dict:
+    """Per-path and per-interface attribution decomposition at the anchor offset.
+
+    Groups are those with a nominal mean at the anchor (see `_group_mean`).
+    """
     metrics = {
         "pi": lambda r: r.pi,
         "routing": lambda r: r.pi_routing,
@@ -303,13 +354,13 @@ def _summary(nominal, up_means, low_means, base_means, anchor: int) -> dict:
         "remainder": lambda r: r.pi_remainder,
     }
     summary: dict = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
-    anchor_rows = [r for r in _weighted_rows(nominal) if r.offset == anchor]
     for level, bucket in (("path", "by_path"), ("interface", "by_interface")):
         groups = sorted({_group_key(r, level) for r in anchor_rows})
         for group in groups:
-            rows = [r for r in anchor_rows if _group_key(r, level) == group]
-            if len(rows) < 2:
+            key = (level, group, anchor)
+            if key not in base_means:
                 continue
+            rows = [r for r in anchor_rows if _group_key(r, level) == group]
             entry: dict = {}
             for name, metric in metrics.items():
                 mean, sigma = weighted_mean_with_stat(
@@ -318,8 +369,7 @@ def _summary(nominal, up_means, low_means, base_means, anchor: int) -> dict:
                 entry[f"{name}_bps"] = format_bps(mean)
                 if name == "pi":
                     entry["pi_stat_sigma_bps"] = format_bps(sigma)
-            key = (level, group, anchor)
-            if key in base_means and key in up_means:
+            if key in up_means and key in low_means:
                 base = base_means[key][0]
                 entry["pi_sys_upper_bps"] = format_bps(abs(up_means[key][0] - base))
                 entry["pi_sys_lower_bps"] = format_bps(abs(base - low_means[key][0]))

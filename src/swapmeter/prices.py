@@ -21,7 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from swapmeter.errors import NonPositiveAdjustedInput
-from swapmeter.model import Direction, TokenAmount, TradeRecord
+from swapmeter.model import Direction, Quote, TokenAmount, TradeRecord
 from swapmeter.numeric import wei_to_eth
 
 if TYPE_CHECKING:
@@ -97,15 +97,25 @@ def counterfactual_price(
     baseline: "BaselineProvider",
     offset: int,
     f_prime: Decimal,
+    *,
+    quote: Quote | None = None,
+    beta1: Decimal | None = None,
 ) -> tuple[Price, DecisionVector]:
     """Baseline price p' and baseline decision vector x' = (o', g', f').
+
+    `quote` is the pair's quote when the caller already fetched it (else
+    it is fetched here). Its gas is read as g' = g'_quoted/beta1, or as
+    quoted when beta1 is None, so one quote prices every calibration
+    slope. Only internalized WETH-in trades call the provider again, at
+    the gas-adjusted input.
 
     Raises QuoteUnavailable / SnapshotUnavailable if the provider cannot
     quote, and NonPositiveAdjustedInput when an internalized WETH-in
     trade's gas cost reaches the input amount.
     """
-    quote = baseline.quote(trade, offset)
-    g1 = quote.gas_estimate
+    if quote is None:
+        quote = baseline.quote(trade, offset)
+    g1 = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
     cost = gas_cost_eth(g1, Decimal(trade.gas.base_fee) + f_prime)
     i = trade.amount_in.normalized
 

@@ -8,6 +8,7 @@ from swapmeter.baseline import ReplayProvider, SyntheticRouterProvider
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Quote, TokenAmount
+from swapmeter.router import route_optimal_split
 
 from conftest import USDC, WETH, make_pool, make_trade
 
@@ -88,3 +89,37 @@ class TestSyntheticRouterProvider:
         provider = SyntheticRouterProvider(self.snapshots(), F_PRIME)
         trade = make_trade()
         assert provider.quote(trade, 0) == provider.quote(trade, 0)
+
+    def test_route_solved_once_per_snapshot_content(self, monkeypatch):
+        from swapmeter import baseline
+
+        calls = []
+
+        def counting_router(*args, **kwargs):
+            calls.append(args)
+            return route_optimal_split(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "route_optimal_split", counting_router)
+        snapshots = {off: [make_pool()] for off in (-1, 0, 1)}
+        snapshots[2] = [make_pool(weth=1001)]
+        provider = SyntheticRouterProvider(snapshots, F_PRIME)
+        trade = make_trade()
+
+        quotes = [provider.quote(trade, off) for off in (-1, 0, 1)]
+        assert len(calls) == 1
+        fresh = route_optimal_split(
+            [make_pool()], trade.amount_in, trade.direction,
+            Decimal(trade.gas.base_fee) + F_PRIME,
+        )
+        for q in quotes:
+            assert q.out_estimate == fresh.total_out
+            assert q.gas_estimate == Decimal(fresh.total_gas + 80_000)
+
+        provider.quote(trade, 2)
+        assert len(calls) == 2
+        provider.quote(trade, 0, amount_in=TokenAmount(WETH // 2, 18))
+        assert len(calls) == 3
+        provider.quote(make_trade(base_fee=30 * 10**9), 1)
+        assert len(calls) == 4
+        provider.quote(trade, 1, amount_in=TokenAmount(WETH // 2, 18))
+        assert len(calls) == 4

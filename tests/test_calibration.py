@@ -8,12 +8,10 @@ import pytest
 from swapmeter.calibration import (
     GasCalibration,
     correct_gas,
-    correct_quote_set,
     fit_gas_bias,
     perturbed_calibrations,
 )
-from swapmeter.errors import AlreadyCorrected, DegenerateRegressor, InsufficientData
-from swapmeter.ingest import QuoteSet
+from swapmeter.errors import DegenerateRegressor, InsufficientData
 from swapmeter.model import Quote, TokenAmount
 
 
@@ -27,8 +25,8 @@ def noisy_pairs(seed, n, slope=0.95, sigma=5000.0):
     return pairs
 
 
-def quote(gas_estimate, corrected=False):
-    return Quote("T1", 0, TokenAmount(1000, 6), Decimal(gas_estimate), "prov", corrected)
+def quote(gas_estimate):
+    return Quote("T1", 0, TokenAmount(1000, 6), Decimal(gas_estimate), "prov")
 
 
 class TestFit:
@@ -92,27 +90,11 @@ class TestCorrection:
         cal = fit_gas_bias([(g, Decimal(g) * Decimal("0.95")) for g in (100_000, 300_000)])
         fixed = correct_gas(quote(95_000), cal)
         assert fixed.gas_estimate == Decimal(100_000)
-        assert fixed.corrected
 
     def test_identity_calibration_is_noop(self):
         cal = fit_gas_bias([(100_000, Decimal(100_000)), (200_000, Decimal(200_000))])
         fixed = correct_gas(quote(123_456), cal)
         assert fixed.gas_estimate == Decimal(123_456)
-
-    def test_double_correction_guarded(self):
-        cal = fit_gas_bias([(100_000, Decimal(95_000)), (200_000, Decimal(190_000))])
-        once = correct_gas(quote(95_000), cal)
-        with pytest.raises(AlreadyCorrected):
-            correct_gas(once, cal)
-
-    def test_quote_set_correction_and_guard(self):
-        cal = fit_gas_bias([(100_000, Decimal(50_000)), (200_000, Decimal(100_000))])
-        qs = QuoteSet([quote(50_000)])
-        fixed = correct_quote_set(qs, cal)
-        assert fixed.corrected
-        assert next(iter(fixed)).gas_estimate == Decimal(100_000)
-        with pytest.raises(AlreadyCorrected):
-            correct_quote_set(fixed, cal)
 
 
 class TestPerturbed:

@@ -191,6 +191,49 @@ class TestExitCodes:
         bad.write_text('{"path_mix": {"Classic": 0.4}}')
         assert main(["synth", str(bad), "--out", str(tmp_path / "d")]) == 2
 
+    def test_duplicate_offsets_fatal(self, scenario_files, tmp_path, capsys):
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(tmp_path / "o"),
+            "--no-correction",
+        ]
+        assert main(["analyze", *base, "--offsets=0,0"]) == 2
+        assert "error: duplicate offset 0" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("offsets = 1,0,1\n")
+        assert main(["analyze", "--config", str(cfg), *base]) == 2
+        assert "error: duplicate offset 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "attribution.csv").exists()
+
+    def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
+        # X trades all weigh $0: their path group has no weighted mean, so it
+        # is skipped with a warning while the rest of the aggregate is written
+        trades = tmp_path / "trades.csv"
+        lines = (scenario_files / "trades.csv").read_text().splitlines()
+        usd = TRADE_COLUMNS.index("usd_value")
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            if len(fields) == len(TRADE_COLUMNS) and fields[2] == "X":
+                fields[usd] = "0"
+                lines[i] = ",".join(fields)
+        trades.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        base = [
+            "--trades", str(trades),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(out),
+            "--offsets=-1..1",
+        ]
+        assert main(["calibrate", *base]) == 0
+        with pytest.warns(UserWarning, match="all weights are zero"):
+            assert main(["report", *base, "--window", "20"]) == 0
+        curve = (out / "curve.csv").read_text()
+        assert "path:Classic," in curve
+        assert "path:X," not in curve
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["summary"]["by_path"]) == {"Classic"}
+
 
 class TestGoldenValues:
     def test_analyze_file_carries_attribution_values(self, tmp_path):

@@ -1,0 +1,149 @@
+"""Single-pass aggregation against a three-pass reference.
+
+run_aggregate quotes each (trade, offset) once and prices that quote at
+beta1 and beta1 +/- k*SE. The reference below re-runs analyze_trades
+through a CalibratedProvider at each of the three slopes, re-quoting
+every pair (in router mode through a new provider per quote, so no
+route is reused), and aggregates as the pipeline is specified to: its
+curve and rolling rows must equal the pipeline's exactly.
+"""
+
+import json
+from decimal import Decimal as D
+
+import pytest
+
+from swapmeter.baseline import (
+    BaselineProvider,
+    CalibratedProvider,
+    ReplayProvider,
+    SyntheticRouterProvider,
+)
+from swapmeter.calibration import GasCalibration, perturbed_calibrations
+from swapmeter.cli import main
+from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
+from swapmeter.model import Direction
+from swapmeter.pipeline import analyze_trades, run_aggregate
+from swapmeter.stats import weighted_mean_with_stat
+
+F_PRIME = D(100_000_000)
+OFFSETS = [-1, 0, 1]
+WINDOW = 15
+MULTIPLIER = 2
+
+
+@pytest.fixture(scope="module")
+def scenario(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scenario")
+    spec = {
+        "seed": 23,
+        "n_trades": 48,
+        "path_mix": {"Classic": 0.5, "X": 0.5},
+        "ofa_liquidity_bonus_bps": "5",
+        "offsets": OFFSETS,
+    }
+    (root / "scenario.json").write_text(json.dumps(spec))
+    assert main(["synth", str(root / "scenario.json"), "--out", str(root)]) == 0
+    trades = ingest_trades(root / "trades.csv", require_usd=True).records
+    assert any(t.gas_internalized and t.direction is Direction.WETH_IN for t in trades)
+    return root, trades
+
+
+class FreshRouter(BaselineProvider):
+    """Solves every quote's route anew."""
+
+    provider_id = "fresh-router"
+
+    def __init__(self, snapshots):
+        self._snapshots = snapshots
+
+    def supported_offsets(self):
+        return tuple(sorted(self._snapshots))
+
+    def quote(self, trade, offset, amount_in=None):
+        return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset, amount_in)
+
+
+def _provider(root, baseline, memoised=True):
+    if baseline == "quotes":
+        return ReplayProvider(ingest_quotes(root / "quotes.csv")[0])
+    snapshots = ingest_pool_snapshots(root / "pools.csv")[0]
+    return SyntheticRouterProvider(snapshots, F_PRIME) if memoised else FreshRouter(snapshots)
+
+
+def _group_means(rows):
+    buckets = {}
+    for r in rows:
+        if r.excluded:
+            continue
+        for level, group in (("path", r.trade.path), ("interface", r.trade.interface)):
+            key = (level, group, r.offset)
+            buckets.setdefault(key, []).append((r.result.pi, r.trade.usd_value))
+    return {
+        key: (*weighted_mean_with_stat(values), len(values), sum(w for _, w in values))
+        for key, values in buckets.items()
+        if len(values) >= 2
+    }
+
+
+def _three_pass_reference(trades, provider, cal):
+    passes = [
+        analyze_trades(trades, CalibratedProvider(provider, c), OFFSETS, F_PRIME)
+        for c in (cal, *perturbed_calibrations(cal, MULTIPLIER))
+    ]
+    nominal, upper, lower = (_group_means(rows) for rows in passes)
+    curve = []
+    for (level, group, offset), (mean, sigma, n, total) in sorted(nominal.items()):
+        key = (level, group, offset)
+        up = abs(upper[key][0] - mean) if key in upper else D(0)
+        low = abs(mean - lower[key][0]) if key in lower else D(0)
+        curve.append((f"{level}:{group}", offset, mean, sigma, up, low, n, total))
+
+    anchor = [[r for r in rows if r.offset == 0 and not r.excluded] for rows in passes]
+    shifted = [{r.trade.trade_id: r.result.pi for r in rows} for rows in anchor[1:]]
+    ordered = sorted(anchor[0], key=lambda r: (r.trade.usd_value, r.trade.trade_id))
+    rolling = []
+    for start in range(len(ordered) - WINDOW + 1):
+        chunk = ordered[start : start + WINDOW]
+        mean, sigma = weighted_mean_with_stat([(r.result.pi, r.trade.usd_value) for r in chunk])
+        bands = []
+        for values in shifted:
+            members = [
+                (values[r.trade.trade_id], r.trade.usd_value)
+                for r in chunk
+                if r.trade.trade_id in values
+            ]
+            bands.append(
+                abs(weighted_mean_with_stat(members)[0] - mean) if len(members) >= 2 else D(0)
+            )
+        median = chunk[WINDOW // 2].trade.usd_value
+        total = sum(r.trade.usd_value for r in chunk)
+        rolling.append((median, mean, sigma, *bands, WINDOW, total))
+    return curve, rolling
+
+
+@pytest.mark.parametrize("baseline", ["quotes", "pools"])
+def test_single_pass_equals_three_pass_reference(scenario, baseline):
+    root, trades = scenario
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    report = run_aggregate(
+        trades, _provider(root, baseline), cal, OFFSETS, F_PRIME, WINDOW,
+        sys_multiplier=MULTIPLIER,
+    )
+    curve = [
+        (
+            p.group, p.offset, p.estimate.mean, p.estimate.stat_sigma, p.estimate.sys_upper,
+            p.estimate.sys_lower, p.estimate.n, p.estimate.total_weight,
+        )
+        for p in report.curves
+    ]
+    rolling = [
+        (median, e.mean, e.stat_sigma, e.sys_upper, e.sys_lower, e.n, e.total_weight)
+        for median, e in report.rolling
+    ]
+    expected_curve, expected_rolling = _three_pass_reference(
+        trades, _provider(root, baseline, memoised=False), cal
+    )
+    assert curve == expected_curve
+    assert rolling == expected_rolling
+    assert any(row[4] > 0 for row in curve)

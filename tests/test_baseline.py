@@ -10,7 +10,7 @@ from swapmeter.ingest import QuoteSet
 from swapmeter.model import Quote, TokenAmount
 from swapmeter.router import route_optimal_split
 
-from conftest import USDC, WETH, make_pool, make_trade
+from conftest import GWEI, USDC, WETH, make_pool, make_trade
 
 F_PRIME = Decimal(100_000_000)
 
@@ -119,7 +119,7 @@ class TestSyntheticRouterProvider:
         assert len(calls) == 2
         provider.quote(trade, 0, amount_in=TokenAmount(WETH // 2, 18))
         assert len(calls) == 3
-        provider.quote(make_trade(base_fee=30 * 10**9), 1)
+        provider.quote(make_trade(base_fee=30 * GWEI), 1)
         assert len(calls) == 4
         provider.quote(trade, 1, amount_in=TokenAmount(WETH // 2, 18))
         assert len(calls) == 4

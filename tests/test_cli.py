@@ -211,10 +211,10 @@ class TestExitCodes:
         # is skipped with a warning while the rest of the aggregate is written
         trades = tmp_path / "trades.csv"
         lines = (scenario_files / "trades.csv").read_text().splitlines()
-        usd = TRADE_COLUMNS.index("usd_value")
+        path, usd = TRADE_COLUMNS.index("path"), TRADE_COLUMNS.index("usd_value")
         for i, line in enumerate(lines):
             fields = line.split(",")
-            if len(fields) == len(TRADE_COLUMNS) and fields[2] == "X":
+            if len(fields) == len(TRADE_COLUMNS) and fields[path] == "X":
                 fields[usd] = "0"
                 lines[i] = ",".join(fields)
         trades.write_text("\n".join(lines) + "\n")

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from swapmeter.baseline import BaselineProvider
-from swapmeter.errors import (
-    NonPositiveAdjustedInput,
-    NonPositiveBaseline,
-    QuoteUnavailable,
-    SnapshotUnavailable,
-)
+from swapmeter.errors import EXCLUDED, NonPositiveBaseline
 from swapmeter.model import Direction, Quote, TradeRecord
 from swapmeter.prices import (
     DecisionVector,
@@ -79,12 +74,7 @@ def pi_curve(
         try:
             p_prime, _ = counterfactual_price(trade, baseline, offset, f_prime)
             points.append((offset, price_improvement(p, p_prime)))
-        except (
-            QuoteUnavailable,
-            SnapshotUnavailable,
-            NonPositiveAdjustedInput,
-            NonPositiveBaseline,
-        ) as exc:
+        except EXCLUDED as exc:
             gaps.append((offset, type(exc).__name__))
     return points, gaps
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from swapmeter import pipeline
@@ -78,11 +79,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, cli_values)
 
 
+@contextmanager
+def _reading(path):
+    """Report an OS error while reading the input at `path` as a fatal error."""
+    try:
+        yield
+    except OSError as exc:
+        raise SwapmeterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], int]:
     if not cfg.trades_path:
         raise SwapmeterError("no trade file configured (--trades)")
     fmt = "jsonl" if str(cfg.trades_path).endswith(".jsonl") else "csv"
-    result = ingest_trades(cfg.trades_path, fmt, strict=cfg.strict, require_usd=require_usd)
+    with _reading(cfg.trades_path):
+        result = ingest_trades(cfg.trades_path, fmt, strict=cfg.strict, require_usd=require_usd)
     for reject in result.rejects:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
     return result.records, len(result.rejects)
@@ -91,14 +102,16 @@ def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], 
 def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
     cfg.require_provider()
     if cfg.quotes_path:
-        quotes, rejects = ingest_quotes(cfg.quotes_path, strict=cfg.strict)
+        with _reading(cfg.quotes_path):
+            quotes, rejects = ingest_quotes(cfg.quotes_path, strict=cfg.strict)
         for reject in rejects:
             print(f"reject quote line {reject.line}: {reject.reason}", file=sys.stderr)
         orphans = quotes.orphans(trades)
         if orphans:
             print(f"{len(orphans)} quotes reference unknown trades", file=sys.stderr)
         return ReplayProvider(quotes)
-    snapshots, rejects = ingest_pool_snapshots(cfg.pools_path, strict=cfg.strict)
+    with _reading(cfg.pools_path):
+        snapshots, rejects = ingest_pool_snapshots(cfg.pools_path, strict=cfg.strict)
     for reject in rejects:
         print(f"reject pool line {reject.line}: {reject.reason}", file=sys.stderr)
     return SyntheticRouterProvider(
@@ -114,7 +127,7 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
         raise SwapmeterError(
             f"calibration report {path} not found; run `swapmeter calibrate` or pass --no-correction"
         )
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return GasCalibration.from_dict(json.load(fh))
 
 

@@ -69,3 +69,14 @@ class InvalidSpec(SwapmeterError):
 
 class ConfigError(SwapmeterError):
     """Run configuration is missing or inconsistent."""
+
+
+# Errors that exclude one (trade, offset) pair from analysis instead of
+# failing the run, each with the reason recorded for it.
+EXCLUSION_REASONS: dict[type[SwapmeterError], str] = {
+    NonPositiveBaseline: "non_positive_baseline",
+    QuoteUnavailable: "quote_unavailable",
+    SnapshotUnavailable: "snapshot_unavailable",
+    NonPositiveAdjustedInput: "non_positive_adjusted_input",
+}
+EXCLUDED = tuple(EXCLUSION_REASONS)

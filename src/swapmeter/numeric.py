@@ -2,9 +2,11 @@
 
 Onchain quantities (token amounts, gas, wei fees) stay exact integers in
 base units; division only happens at price computation, in decimal
-arithmetic with 60 significant digits and half-even rounding. The policy
-is installed once at import time so every module computes in the same
-context and results are bit-reproducible.
+arithmetic with 60 significant digits and half-even rounding. Statistics
+take their sums exactly (stats.py widens the precision for them), so only
+division and sqrt round there. The policy is installed once at import
+time so every module computes in the same context and results are
+bit-reproducible.
 """
 
 import decimal

@@ -18,30 +18,11 @@ from typing import Callable, Sequence
 from swapmeter.attribution import AttributionResult, attribute_trade, price_improvement
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
-from swapmeter.errors import (
-    NonPositiveAdjustedInput,
-    NonPositiveBaseline,
-    QuoteUnavailable,
-    SnapshotUnavailable,
-    ZeroTotalWeight,
-)
+from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS, ZeroTotalWeight
 from swapmeter.model import Quote, TradeRecord
 from swapmeter.numeric import format_bps
 from swapmeter.prices import Price, counterfactual_price, realized_price
-from swapmeter.stats import WeightedEstimate, weighted_mean_with_stat
-
-EXCLUSION_NON_POSITIVE_BASELINE = "non_positive_baseline"
-EXCLUSION_QUOTE_UNAVAILABLE = "quote_unavailable"
-EXCLUSION_SNAPSHOT_UNAVAILABLE = "snapshot_unavailable"
-EXCLUSION_ADJUSTED_INPUT = "non_positive_adjusted_input"
-
-_EXCLUSIONS = {
-    NonPositiveBaseline: EXCLUSION_NON_POSITIVE_BASELINE,
-    QuoteUnavailable: EXCLUSION_QUOTE_UNAVAILABLE,
-    SnapshotUnavailable: EXCLUSION_SNAPSHOT_UNAVAILABLE,
-    NonPositiveAdjustedInput: EXCLUSION_ADJUSTED_INPUT,
-}
-_EXCLUDED = tuple(_EXCLUSIONS)
+from swapmeter.stats import WeightedEstimate, rolling_by_size, weighted_mean_with_stat
 
 ATTRIBUTION_COLUMNS = [
     "trade_id",
@@ -123,8 +104,8 @@ def analyze_trades(
                 result = attribute_trade(
                     trade, provider, offset, f_prime, quote=quote, beta1=beta1
                 )
-            except _EXCLUDED as exc:
-                reason = _EXCLUSIONS[type(exc)]
+            except EXCLUDED as exc:
+                reason = EXCLUSION_REASONS[type(exc)]
             shifted_pi = () if quote is None else [
                 _shifted_pi(trade, p, quote, provider, offset, f_prime, b) for b in shifted_betas
             ]
@@ -148,7 +129,7 @@ def _shifted_pi(
             trade, provider, offset, f_prime, quote=quote, beta1=beta1
         )
         return price_improvement(p, p_prime)
-    except _EXCLUDED:
+    except EXCLUDED:
         return None
 
 
@@ -284,7 +265,10 @@ def run_aggregate(
 
     # Rolling-by-size series at the anchor offset, all groups pooled.
     anchor = report.anchor_offset
-    anchor_rows = [r for r in _weighted_rows(rows) if r.offset == anchor]
+    anchor_rows = sorted(
+        (r for r in _weighted_rows(rows) if r.offset == anchor),
+        key=lambda r: (r.trade.usd_value, r.trade.trade_id),
+    )
     if len(anchor_rows) >= 2:
         eff_window = min(window, len(anchor_rows))
         if eff_window < window:
@@ -292,53 +276,14 @@ def run_aggregate(
                 f"rolling window {window} exceeds {len(anchor_rows)} trades; "
                 f"using {eff_window}"
             )
-        report.rolling = _rolling_with_bands(anchor_rows, eff_window, stride)
+        report.rolling = rolling_by_size(
+            [(r.trade.usd_value, r.result.pi, r.pi_upper, r.pi_lower) for r in anchor_rows],
+            eff_window,
+            stride,
+        )
 
     report.summary = _summary(anchor_rows, up_means, low_means, base_means, anchor)
     return report
-
-
-def _shifted_band(
-    chunk: Sequence[AnalysisRow], pi: Callable[[AnalysisRow], Decimal | None], mean: Decimal
-) -> Decimal:
-    """|shifted mean - mean| over the window members valued at the shifted slope."""
-    members = [(v, r.trade.usd_value) for r in chunk if (v := pi(r)) is not None]
-    if len(members) < 2:
-        return Decimal(0)
-    try:
-        shifted_mean, _ = weighted_mean_with_stat(members)
-    except ZeroTotalWeight:
-        return Decimal(0)
-    return abs(shifted_mean - mean)
-
-
-def _rolling_with_bands(
-    anchor_rows: Sequence[AnalysisRow], window: int, stride: int
-) -> list[tuple[Decimal, WeightedEstimate]]:
-    """Rolling series where each window also gets systematic half-widths.
-
-    Window membership is fixed by the nominal slope; shifted means are
-    taken over the same members (those still valued at the shifted
-    slope). A window whose weights are all zero is skipped with a warning.
-    """
-    ordered = sorted(anchor_rows, key=lambda r: (r.trade.usd_value, r.trade.trade_id))
-    out = []
-    for start in range(0, len(ordered) - window + 1, stride):
-        chunk = ordered[start : start + window]
-        sizes = [r.trade.usd_value for r in chunk]
-        mid = window // 2
-        median = sizes[mid] if window % 2 else (sizes[mid - 1] + sizes[mid]) / 2
-        try:
-            mean, sigma = weighted_mean_with_stat(
-                [(r.result.pi, r.trade.usd_value) for r in chunk]
-            )
-        except ZeroTotalWeight:
-            warnings.warn(f"skipping rolling window at median {median}: all weights are zero")
-            continue
-        sys_up = _shifted_band(chunk, attrgetter("pi_upper"), mean)
-        sys_low = _shifted_band(chunk, attrgetter("pi_lower"), mean)
-        out.append((median, WeightedEstimate(mean, sigma, sys_up, sys_low, window, sum(sizes))))
-    return out
 
 
 def _summary(anchor_rows, up_means, low_means, base_means, anchor: int) -> dict:

@@ -206,6 +206,27 @@ class TestExitCodes:
         assert "error: duplicate offset 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "attribution.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("flag", ["--trades", "--quotes", "--pools"])
+    def test_unreadable_input_fatal(self, tmp_path, capsys, flag, kind):
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(f"{QUOTE_HEADER}\nT1,0,2995000000,6,150000,prov\n")
+        inputs = {"--trades": trades}
+        if flag != "--pools":
+            inputs["--quotes"] = quotes
+        bad = tmp_path / "nope.csv" if kind == "missing" else tmp_path
+        inputs[flag] = bad
+        argv = [arg for pair in inputs.items() for arg in (pair[0], str(pair[1]))]
+        rc = main(
+            ["analyze", *argv, "--out", str(tmp_path / "o"), "--offsets=0", "--no-correction"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {bad}: " in err
+        assert "Traceback" not in err
+
     def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
         # X trades all weigh $0: their path group has no weighted mean, so it
         # is skipped with a warning while the rest of the aggregate is written

@@ -1,8 +1,11 @@
 """Weighted means, uncertainty bands, rolling series, group identities."""
 
+import warnings
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapmeter.baseline import CalibratedProvider, ReplayProvider
 from swapmeter.calibration import GasCalibration
@@ -82,6 +85,79 @@ class TestRolling:
         assert series[-1][1].mean == D("0.001")
         mids = [est.mean for _, est in series]
         assert mids == sorted(mids)  # monotone transition for this fixture
+
+    def test_all_zero_weight_window_skipped_with_warning(self):
+        # the first window of 3 weighs $0; the other two carry weight
+        points = [(D(0), D(1), D(2), None), (D(0), D(3), D(4), None), (D(0), D(5), None, None)]
+        points += [(D(10), D(7), D(8), D(6))]
+        with pytest.warns(UserWarning, match="all weights are zero"):
+            series = rolling_by_size(points, window=3)
+        assert [median for median, _ in series] == [D(0)]
+        est = series[0][1]
+        assert (est.mean, est.n, est.total_weight) == (D(7), 3, D(10))
+        # two members valued at the upper slope (mean 8), one at the lower
+        assert (est.sys_upper, est.sys_lower) == (D(1), D(0))
+
+
+def _naive(values):
+    """The weighted mean and standard error written out at the 60-digit policy."""
+    total = sum(w for _, w in values)
+    mean = sum(x * w for x, w in values) / total
+    var = sum(w * (mean - x) ** 2 for x, w in values) / (len(values) * total)
+    return mean, var.sqrt()
+
+
+def _window_oracle(chunk, mean_with_stat):
+    """(mean, sigma, sys_upper, sys_lower) of one window, or None if it weighs 0."""
+    if sum(p[0] for p in chunk) == 0:
+        return None
+    mean, sigma = mean_with_stat([(p[1], p[0]) for p in chunk])
+    bands = []
+    for k in (2, 3):
+        valued = [(p[k], p[0]) for p in chunk if p[k] is not None]
+        if len(valued) < 2 or sum(w for _, w in valued) == 0:
+            bands.append(D(0))
+        else:
+            bands.append(abs(mean_with_stat(valued)[0] - mean))
+    return (mean, sigma, *bands)
+
+
+# 60-digit quotients, like the pipeline's price-improvement values
+_values = st.builds(
+    lambda a, b: D(a) / D(b),
+    st.integers(-(10**9), 10**9),
+    st.integers(1, 10**9),
+)
+_weights = st.one_of(st.just(D(0)), st.integers(0, 10**9).map(lambda c: D(c).scaleb(-2)))
+_members = st.tuples(_weights, _values, st.none() | _values, st.none() | _values)
+
+
+class TestSlidingKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_members, min_size=2, max_size=24), st.data())
+    def test_rolling_rows_equal_fresh_means_and_naive_formula(self, points, data):
+        window = data.draw(st.integers(2, len(points)), label="window")
+        stride = data.draw(st.integers(1, 3), label="stride")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series = rolling_by_size(points, window, stride)
+        ordered = sorted(points, key=lambda p: p[0])
+        expected = []
+        for start in range(0, len(ordered) - window + 1, stride):
+            chunk = ordered[start : start + window]
+            exact = _window_oracle(chunk, weighted_mean_with_stat)
+            if exact is None:
+                continue
+            sizes = [p[0] for p in chunk]
+            mid = window // 2
+            median = sizes[mid] if window % 2 else (sizes[mid - 1] + sizes[mid]) / 2
+            expected.append((median, exact, _window_oracle(chunk, _naive), sum(sizes)))
+        assert len(series) == len(expected)
+        for (median, est), (exp_median, exact, naive, total) in zip(series, expected):
+            row = (est.mean, est.stat_sigma, est.sys_upper, est.sys_lower)
+            assert (median, est.n, est.total_weight) == (exp_median, window, total)
+            assert row == exact
+            assert all(abs(got - ref) < D("1e-40") for got, ref in zip(row, naive))
 
 
 class TestGrouping:

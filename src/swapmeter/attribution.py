@@ -24,9 +24,9 @@ from swapmeter.model import Direction, Quote, TradeRecord
 from swapmeter.prices import (
     DecisionVector,
     Price,
+    TradeTerms,
     counterfactual_price,
-    realized_decision_vector,
-    realized_price,
+    trade_terms,
 )
 
 WEI_IN_ETH = Decimal(10) ** -18
@@ -55,9 +55,14 @@ class AttributionResult:
 
 def price_improvement(p: Price, p_prime: Price) -> Decimal:
     """Relative difference (p - p')/p'; requires a positive baseline."""
-    if p_prime.value <= 0:
-        raise NonPositiveBaseline(f"baseline price {p_prime.value} is not positive")
-    return (p.value - p_prime.value) / p_prime.value
+    return improvement(p.value, p_prime.value)
+
+
+def improvement(p: Decimal, p_prime: Decimal) -> Decimal:
+    """`price_improvement` of price values."""
+    if p_prime <= 0:
+        raise NonPositiveBaseline(f"baseline price {p_prime} is not positive")
+    return (p - p_prime) / p_prime
 
 
 def pi_curve(
@@ -67,20 +72,24 @@ def pi_curve(
     f_prime: Decimal,
 ) -> tuple[list[tuple[int, Decimal]], list[tuple[int, str]]]:
     """Price improvement across block offsets; unavailable offsets become gaps."""
-    p = realized_price(trade)
+    terms = trade_terms(trade, f_prime)
     points: list[tuple[int, Decimal]] = []
     gaps: list[tuple[int, str]] = []
     for offset in offsets:
         try:
-            p_prime, _ = counterfactual_price(trade, baseline, offset, f_prime)
-            points.append((offset, price_improvement(p, p_prime)))
+            p_prime, _ = counterfactual_price(trade, baseline, offset, f_prime, terms=terms)
+            points.append((offset, price_improvement(terms.p, p_prime)))
         except EXCLUDED as exc:
             gaps.append((offset, type(exc).__name__))
     return points, gaps
 
 
 def partials_at_baseline(
-    trade: TradeRecord, x_prime: DecisionVector, f_prime: Decimal
+    trade: TradeRecord,
+    x_prime: DecisionVector,
+    f_prime: Decimal,
+    *,
+    terms: TradeTerms | None = None,
 ) -> tuple[Decimal, Decimal, Decimal]:
     """(dp/do, dp/dg, dp/df) of the external-gas price form, evaluated at x'.
 
@@ -88,20 +97,26 @@ def partials_at_baseline(
               dp/do = 1/D, dp/dg = -o'(b+f')*1e-18/D^2, dp/df = -o'g'*1e-18/D^2
     WETH out: dp/do = 1/i, dp/dg = -(b+f')*1e-18/i,     dp/df = -g'*1e-18/i
     """
-    i = trade.amount_in.normalized
-    per_gas = (Decimal(trade.gas.base_fee) + f_prime) * WEI_IN_ETH
-    if trade.direction is Direction.WETH_OUT:
+    terms = trade_terms(trade, f_prime, terms)
+    return _partials(terms, x_prime.g, x_prime.o.normalized)
+
+
+def _partials(terms: TradeTerms, g_prime: Decimal, o_prime: Decimal):
+    """`partials_at_baseline` at x' = (o', g', f'), with o' normalized."""
+    i = terms.i
+    per_gas = terms.per_gas * WEI_IN_ETH
+    if terms.trade.direction is Direction.WETH_OUT:
         return (
             Decimal(1) / i,
             -per_gas / i,
-            -x_prime.g * WEI_IN_ETH / i,
+            -g_prime * WEI_IN_ETH / i,
         )
-    o_prime = x_prime.o.normalized
-    d = i + x_prime.g * per_gas
+    d = i + g_prime * per_gas
+    d2 = d * d
     return (
         Decimal(1) / d,
-        -o_prime * per_gas / (d * d),
-        -o_prime * x_prime.g * WEI_IN_ETH / (d * d),
+        -o_prime * per_gas / d2,
+        -o_prime * g_prime * WEI_IN_ETH / d2,
     )
 
 
@@ -112,12 +127,22 @@ def attribute(
     p: Price,
     p_prime: Price,
     offset: int = 0,
+    *,
+    terms: TradeTerms | None = None,
 ) -> AttributionResult:
-    """Decompose pi into routing / gas / fee contributions plus the residual."""
-    pi = price_improvement(p, p_prime)
-    dp_do, dp_dg, dp_df = partials_at_baseline(trade, x_prime, x_prime.f)
+    """Decompose pi into routing / gas / fee contributions plus the residual.
+
+    x and p are the trade's realized decision vector and price, those of
+    its `trade_terms` at f' = x'.f.
+    """
+    terms = trade_terms(trade, x_prime.f, terms)
+    if (x is not terms.x and x != terms.x) or (p is not terms.p and p != terms.p):
+        raise ValueError(f"x and p must be trade {trade.trade_id!r}'s realized vector and price")
     pv = p_prime.value
-    pi_routing = dp_do * (x.o.normalized - x_prime.o.normalized) / pv
+    pi = improvement(p.value, pv)
+    o_prime = x_prime.o.normalized
+    dp_do, dp_dg, dp_df = _partials(terms, x_prime.g, o_prime)
+    pi_routing = dp_do * (terms.o - o_prime) / pv
     pi_gas = dp_dg * (x.g - x_prime.g) / pv
     pi_fee = dp_df * (x.f - x_prime.f) / pv
     pi_remainder = pi - (pi_routing + pi_gas + pi_fee)
@@ -144,14 +169,14 @@ def attribute_trade(
     *,
     quote: Quote | None = None,
     beta1: Decimal | None = None,
+    terms: TradeTerms | None = None,
 ) -> AttributionResult:
     """Full per-trade attribution against a baseline provider at one offset.
 
-    quote and beta1 are passed to `counterfactual_price`.
+    quote, beta1 and terms are passed to `counterfactual_price`.
     """
-    p = realized_price(trade)
-    x = realized_decision_vector(trade)
+    terms = trade_terms(trade, f_prime, terms)
     p_prime, x_prime = counterfactual_price(
-        trade, baseline, offset, f_prime, quote=quote, beta1=beta1
+        trade, baseline, offset, f_prime, quote=quote, beta1=beta1, terms=terms
     )
-    return attribute(trade, x, x_prime, p, p_prime, offset=offset)
+    return attribute(trade, terms.x, x_prime, terms.p, p_prime, offset=offset, terms=terms)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation, Overflow
 from typing import Iterable
 
-from swapmeter.errors import DegenerateRegressor, InsufficientData
+from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
 from swapmeter.model import Quote
 
 
@@ -44,13 +44,31 @@ class GasCalibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GasCalibration":
-        return cls(
-            beta1=Decimal(d["beta1"]),
-            beta1_se=Decimal(d["beta1_se"]),
-            n_points=int(d["n_points"]),
-            residual_mean=Decimal(d["residual_mean"]),
-            residual_stddev=Decimal(d["residual_stddev"]),
-        )
+        """The calibration `as_dict` wrote; ConfigError if `d` does not hold one."""
+        if not isinstance(d, dict):
+            raise ConfigError("expected a JSON object")
+        try:
+            return cls(
+                beta1=_finite(d["beta1"]),
+                beta1_se=_finite(d["beta1_se"]),
+                n_points=int(d["n_points"]),
+                residual_mean=_finite(d["residual_mean"]),
+                residual_stddev=_finite(d["residual_stddev"]),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+
+
+def _finite(value) -> Decimal:
+    try:
+        number = Decimal(value)
+    except (TypeError, ValueError, InvalidOperation):
+        raise ValueError(f"{value!r} is not a decimal number") from None
+    if not number.is_finite():
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def fit_gas_bias(pairs: Iterable[tuple[int | Decimal, Decimal]]) -> GasCalibration:
@@ -97,10 +115,15 @@ def perturbed_calibrations(
     """Calibrations at beta1 +/- multiplier*beta1_se for systematic bands.
 
     A non-positive lower slope cannot divide gas estimates; it is clamped
-    to beta1/2 with a warning.
+    to beta1/2 with a warning. ConfigError if the shift overflows.
     """
-    delta = Decimal(multiplier) * cal.beta1_se
-    upper = replace(cal, beta1=cal.beta1 + delta)
+    try:
+        delta = Decimal(multiplier) * cal.beta1_se
+        upper = replace(cal, beta1=cal.beta1 + delta)
+    except Overflow:
+        raise ConfigError(
+            f"sys_multiplier {multiplier} times beta1_se {cal.beta1_se} is out of range"
+        ) from None
     low = cal.beta1 - delta
     if low <= 0:
         warnings.warn(

@@ -17,6 +17,7 @@ from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouter
 from swapmeter.calibration import GasCalibration, fit_gas_bias
 from swapmeter.config import RunConfig, build_config, config_hash, parse_config_file
 from swapmeter.errors import (
+    ConfigError,
     InsufficientData,
     QuoteUnavailable,
     SnapshotUnavailable,
@@ -81,11 +82,26 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 @contextmanager
 def _reading(path):
-    """Report an OS error while reading the input at `path` as a fatal error."""
+    """Report an OS or text-decoding error while reading `path` as a fatal error."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SwapmeterError(f"cannot read {path}: not UTF-8 text") from exc
+    except OSError as exc:
+        raise SwapmeterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """Report an OS error while writing under `path` as a fatal error.
+
+    The error names the file or directory that failed, if the OS says.
+    """
     try:
         yield
     except OSError as exc:
-        raise SwapmeterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        failed = exc.filename or path
+        raise SwapmeterError(f"cannot write {failed}: {exc.strerror or exc}") from exc
 
 
 def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], int]:
@@ -127,8 +143,11 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
         raise SwapmeterError(
             f"calibration report {path} not found; run `swapmeter calibrate` or pass --no-correction"
         )
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
-        return GasCalibration.from_dict(json.load(fh))
+    try:
+        with _reading(path), open(path, "r", encoding="utf-8") as fh:
+            return GasCalibration.from_dict(json.load(fh))
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise SwapmeterError(f"bad calibration report {path}: {exc}") from exc
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -154,9 +173,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload = dict(cal.as_dict())
     payload["calibration_filter"] = cfg.calibration_filter
     payload["skipped_unquoted"] = skipped
-    write_json(
-        cfg.effective_calibration_path(), payload, comment=provenance(config_hash(cfg))
-    )
+    path = cfg.effective_calibration_path()
+    with _writing(path):
+        write_json(path, payload, comment=provenance(config_hash(cfg)))
     print(f"beta1={cal.beta1} beta1_se={cal.beta1_se} n={cal.n_points}")
     return EXIT_OK
 
@@ -167,12 +186,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     provider = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
     rows = pipeline.analyze_trades(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
-    write_csv(
-        Path(cfg.out_dir) / "attribution.csv",
-        pipeline.ATTRIBUTION_COLUMNS,
-        pipeline.attribution_csv_rows(rows),
-        comment=provenance(config_hash(cfg)),
-    )
+    path = Path(cfg.out_dir) / "attribution.csv"
+    with _writing(path):
+        write_csv(
+            path,
+            pipeline.ATTRIBUTION_COLUMNS,
+            pipeline.attribution_csv_rows(rows),
+            comment=provenance(config_hash(cfg)),
+        )
     exclusions = pipeline.exclusion_counts(rows)
     for reason, count in exclusions.items():
         print(f"excluded {count} rows: {reason}", file=sys.stderr)
@@ -200,18 +221,19 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         raise SwapmeterError("all groups are empty; nothing to aggregate")
     stamp = provenance(config_hash(cfg))
     out = Path(cfg.out_dir)
-    write_csv(out / "curve.csv", pipeline.CURVE_COLUMNS, pipeline.curve_csv_rows(report), stamp)
-    write_csv(
-        out / "rolling.csv", pipeline.ROLLING_COLUMNS, pipeline.rolling_csv_rows(report), stamp
-    )
     summary = {
         "summary": report.summary,
         "exclusions": report.exclusions,
         "calibration": None if calibration is None else calibration.as_dict(),
     }
-    write_json(out / "summary.json", summary, comment=stamp)
-    if write_markdown:
-        write_text(out / "report.md", _render_markdown(report, stamp))
+    with _writing(out):
+        write_csv(out / "curve.csv", pipeline.CURVE_COLUMNS, pipeline.curve_csv_rows(report), stamp)
+        write_csv(
+            out / "rolling.csv", pipeline.ROLLING_COLUMNS, pipeline.rolling_csv_rows(report), stamp
+        )
+        write_json(out / "summary.json", summary, comment=stamp)
+        if write_markdown:
+            write_text(out / "report.md", _render_markdown(report, stamp))
     return EXIT_PARTIAL if report.exclusions or n_rejects else EXIT_OK
 
 

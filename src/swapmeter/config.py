@@ -127,9 +127,12 @@ def _coerce(key: str, value) -> object:
             raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     if key in _DECIMAL_KEYS:
         try:
-            return Decimal(str(value))
+            number = Decimal(str(value))
         except InvalidOperation:
             raise ConfigError(f"{key}: expected a decimal, got {value!r}") from None
+        if not number.is_finite():
+            raise ConfigError(f"{key}: expected a finite decimal, got {value!r}")
+        return number
     if key in _STR_KEYS:
         return str(value)
     raise ConfigError(f"unknown config key {key!r}")

@@ -12,17 +12,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
-from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
-from swapmeter.attribution import AttributionResult, attribute_trade, price_improvement
+from swapmeter.attribution import AttributionResult, attribute_trade, improvement
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
-from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS, ZeroTotalWeight
+from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
 from swapmeter.model import Quote, TradeRecord
 from swapmeter.numeric import format_bps
-from swapmeter.prices import Price, counterfactual_price, realized_price
-from swapmeter.stats import WeightedEstimate, rolling_by_size, weighted_mean_with_stat
+from swapmeter.prices import TradeTerms, counterfactual_value, trade_terms
+from swapmeter.stats import (
+    WeightedEstimate,
+    grouped_means,
+    rolling_by_size,
+    weighted_mean_with_stat,
+)
 
 ATTRIBUTION_COLUMNS = [
     "trade_id",
@@ -88,47 +92,49 @@ def analyze_trades(
 ) -> list[AnalysisRow]:
     """Attribute every trade at every offset, ordered by (trade_id, offset).
 
-    Each pair is quoted once. Its gas is read as g'/beta1 of `calibration`
-    (as served when None) for the attribution, and of each `shifted`
-    (upper, lower) calibration for pi alone.
+    Each trade's realized terms are taken once and each pair is quoted
+    once. The quote's gas is read as g'/beta1 of `calibration` (as served
+    when None) for the attribution, and of each `shifted` (upper, lower)
+    calibration for pi alone.
     """
     beta1 = None if calibration is None else calibration.beta1
     shifted_betas = () if shifted is None else tuple(cal.beta1 for cal in shifted)
     rows: list[AnalysisRow] = []
     for trade in trades:
-        p = realized_price(trade)
+        terms = trade_terms(trade, f_prime)
         for offset in offsets:
             quote = result = reason = None
             try:
                 quote = provider.quote(trade, offset)
                 result = attribute_trade(
-                    trade, provider, offset, f_prime, quote=quote, beta1=beta1
+                    trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
                 )
             except EXCLUDED as exc:
                 reason = EXCLUSION_REASONS[type(exc)]
-            shifted_pi = () if quote is None else [
-                _shifted_pi(trade, p, quote, provider, offset, f_prime, b) for b in shifted_betas
-            ]
+            shifted_pi = ()
+            if quote is not None and shifted_betas:
+                o_prime = quote.out_estimate.normalized
+                shifted_pi = [
+                    _shifted_pi(provider, offset, terms, quote, o_prime, quote.gas_estimate / b)
+                    for b in shifted_betas
+                ]
             rows.append(AnalysisRow(trade, offset, result, reason, *shifted_pi))
     rows.sort(key=lambda r: (r.trade.trade_id, r.offset))
     return rows
 
 
 def _shifted_pi(
-    trade: TradeRecord,
-    p: Price,
-    quote: Quote,
     provider: BaselineProvider,
     offset: int,
-    f_prime: Decimal,
-    beta1: Decimal,
+    terms: TradeTerms,
+    quote: Quote,
+    o_prime: Decimal,
+    g_prime: Decimal,
 ) -> Decimal | None:
-    """pi of one quoted pair at a shifted slope; None where that slope excludes it."""
+    """pi of one quoted pair at a shifted slope's gas g'; None where it excludes the pair."""
     try:
-        p_prime, _ = counterfactual_price(
-            trade, provider, offset, f_prime, quote=quote, beta1=beta1
-        )
-        return price_improvement(p, p_prime)
+        value, _ = counterfactual_value(provider, offset, terms, quote, o_prime, g_prime)
+        return improvement(terms.p.value, value)
     except EXCLUDED:
         return None
 
@@ -192,40 +198,6 @@ def _group_key(row: AnalysisRow, level: str) -> str:
     return row.trade.path if level == "path" else row.trade.interface
 
 
-def _nominal_pi(row: AnalysisRow) -> Decimal | None:
-    return None if row.result is None else row.result.pi
-
-
-def _group_mean(
-    rows: Sequence[AnalysisRow], pi: Callable[[AnalysisRow], Decimal | None]
-) -> dict[tuple[str, str, int], tuple]:
-    """(level, group, offset) -> (mean, sigma, n, total_w) of the rows' valued pi.
-
-    Groups with fewer than two valued trades, or whose weights are all
-    zero, are skipped with a warning.
-    """
-    buckets: dict[tuple[str, str, int], list[tuple[Decimal, Decimal]]] = {}
-    for row in rows:
-        value = pi(row)
-        if value is None or row.trade.usd_value is None:
-            continue
-        for level in ("path", "interface"):
-            key = (level, _group_key(row, level), row.offset)
-            buckets.setdefault(key, []).append((value, row.trade.usd_value))
-    out = {}
-    for key, values in buckets.items():
-        if len(values) < 2:
-            warnings.warn(f"skipping group {key}: fewer than 2 weighted trades")
-            continue
-        try:
-            mean, sigma = weighted_mean_with_stat(values)
-        except ZeroTotalWeight:
-            warnings.warn(f"skipping group {key}: all weights are zero")
-            continue
-        out[key] = (mean, sigma, len(values), sum(w for _, w in values))
-    return out
-
-
 def run_aggregate(
     trades: Sequence[TradeRecord],
     raw_provider: BaselineProvider,
@@ -242,9 +214,18 @@ def run_aggregate(
         shifted = perturbed_calibrations(calibration, sys_multiplier)
     rows = analyze_trades(trades, raw_provider, offsets, f_prime, calibration, shifted)
 
-    base_means = _group_mean(rows, _nominal_pi)
-    up_means = _group_mean(rows, attrgetter("pi_upper"))
-    low_means = _group_mean(rows, attrgetter("pi_lower"))
+    base_means, up_means, low_means = grouped_means(
+        (
+            (
+                (("path", r.trade.path, r.offset), ("interface", r.trade.interface, r.offset)),
+                r.trade.usd_value,
+                (None if r.result is None else r.result.pi, r.pi_upper, r.pi_lower),
+            )
+            for r in rows
+            if r.trade.usd_value is not None
+        ),
+        3,
+    )
 
     report = AggregateReport(exclusions=exclusion_counts(rows))
     sorted_offsets = sorted(set(offsets))
@@ -252,9 +233,10 @@ def run_aggregate(
         sorted_offsets, key=lambda t: (abs(t), t)
     )[0]
 
-    for (level, group, offset), (mean, sigma, n, total_w) in sorted(base_means.items()):
-        sys_up = abs(up_means[(level, group, offset)][0] - mean) if (level, group, offset) in up_means else Decimal(0)
-        sys_low = abs(mean - low_means[(level, group, offset)][0]) if (level, group, offset) in low_means else Decimal(0)
+    for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
+        level, group, offset = key
+        sys_up = abs(up_means[key][0] - mean) if key in up_means else Decimal(0)
+        sys_low = abs(mean - low_means[key][0]) if key in low_means else Decimal(0)
         report.curves.append(
             CurvePoint(
                 group=f"{level}:{group}",
@@ -289,7 +271,7 @@ def run_aggregate(
 def _summary(anchor_rows, up_means, low_means, base_means, anchor: int) -> dict:
     """Per-path and per-interface attribution decomposition at the anchor offset.
 
-    Groups are those with a nominal mean at the anchor (see `_group_mean`).
+    Groups are those with a nominal mean at the anchor (see `stats.grouped_means`).
     """
     metrics = {
         "pi": lambda r: r.pi,

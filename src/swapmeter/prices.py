@@ -11,6 +11,10 @@ with g(b+f) converted from wei to ETH. Counterfactual prices replace
 (o, g, f) with baseline values (o', g', f'); when gas is internalized
 and WETH is the input, the baseline is re-quoted at the gas-adjusted
 input i' = i - g'(b+f').
+
+What every price of one trade shares (i, b+f', the realized p and x) is
+taken once per trade in `TradeTerms`. `counterfactual_value` holds the
+p' formulas once, for the nominal and the shifted calibration slopes.
 """
 
 from __future__ import annotations
@@ -60,11 +64,6 @@ class DecisionVector:
             raise ValueError("g and f must be nonnegative")
 
 
-def gas_cost_eth(gas_units: Decimal | int, per_gas_wei: Decimal | int) -> Decimal:
-    """gas_units * per_gas_wei, converted wei -> ETH exactly."""
-    return (Decimal(gas_units) * Decimal(per_gas_wei)).scaleb(-18)
-
-
 def realized_price(trade: TradeRecord) -> Price:
     i = trade.amount_in.normalized
     o = trade.amount_out.normalized
@@ -92,6 +91,83 @@ def realized_decision_vector(trade: TradeRecord) -> DecisionVector:
     return DecisionVector(o, Decimal(trade.gas.gas_used), Decimal(trade.gas.priority_fee))
 
 
+@dataclass(frozen=True, slots=True)
+class TradeTerms:
+    """What every price of one trade at baseline priority fee f' shares.
+
+    i is the normalized input, per_gas is b + f' in wei per gas, p and x
+    are the realized price and decision vector, and o is x's normalized
+    output. `trade_terms` builds it once per trade.
+    """
+
+    trade: TradeRecord
+    f_prime: Decimal
+    i: Decimal
+    per_gas: Decimal
+    p: Price
+    x: DecisionVector
+    o: Decimal
+
+
+def trade_terms(
+    trade: TradeRecord, f_prime: Decimal, terms: TradeTerms | None = None
+) -> TradeTerms:
+    """`terms` if given, checked to be those of (trade, f'); else built from the trade."""
+    if terms is not None:
+        if terms.trade is not trade or terms.f_prime != f_prime:
+            raise ValueError(f"terms do not describe trade {trade.trade_id!r} at f' {f_prime}")
+        return terms
+    if f_prime < 0:
+        raise ValueError("g and f must be nonnegative")
+    x = realized_decision_vector(trade)
+    return TradeTerms(
+        trade,
+        f_prime,
+        trade.amount_in.normalized,
+        Decimal(trade.gas.base_fee) + f_prime,
+        realized_price(trade),
+        x,
+        x.o.normalized,
+    )
+
+
+def counterfactual_value(
+    baseline: "BaselineProvider",
+    offset: int,
+    terms: TradeTerms,
+    quote: Quote,
+    o_prime: Decimal,
+    g_prime: Decimal,
+) -> tuple[Decimal, TokenAmount]:
+    """Baseline price value p' at gas g', and the baseline output it prices.
+
+    o_prime is the quote's normalized output. The output is the quote's,
+    or, for an internalized WETH-in trade, that of the provider's re-quote
+    at the gas-adjusted input i' = i - g'(b+f'), whose denominator
+    i' + g'(b+f') collapses back to i.
+
+    Raises NonPositiveAdjustedInput when that gas cost reaches the input
+    amount, and QuoteUnavailable / SnapshotUnavailable if the re-quote fails.
+    """
+    if g_prime < 0:
+        raise ValueError("g and f must be nonnegative")
+    trade = terms.trade
+    cost = (g_prime * terms.per_gas).scaleb(-18)  # g'(b+f') wei -> ETH, exact
+    i = terms.i
+    if trade.direction is Direction.WETH_OUT:
+        return (o_prime - cost) / i, quote.out_estimate
+    if not trade.gas_internalized:
+        return o_prime / (i + cost), quote.out_estimate
+    if i - cost <= 0:
+        raise NonPositiveAdjustedInput(
+            f"trade {trade.trade_id!r}: baseline gas cost {cost} ETH >= input {i} ETH"
+        )
+    cost_wei = int((cost.scaleb(18)).to_integral_value(rounding=ROUND_FLOOR))
+    adjusted_amount = TokenAmount(trade.amount_in.raw - cost_wei, 18)
+    second = baseline.quote(trade, offset, amount_in=adjusted_amount)
+    return second.out_estimate.normalized / i, second.out_estimate
+
+
 def counterfactual_price(
     trade: TradeRecord,
     baseline: "BaselineProvider",
@@ -100,54 +176,29 @@ def counterfactual_price(
     *,
     quote: Quote | None = None,
     beta1: Decimal | None = None,
+    terms: TradeTerms | None = None,
 ) -> tuple[Price, DecisionVector]:
     """Baseline price p' and baseline decision vector x' = (o', g', f').
 
     `quote` is the pair's quote when the caller already fetched it (else
     it is fetched here). Its gas is read as g' = g'_quoted/beta1, or as
     quoted when beta1 is None, so one quote prices every calibration
-    slope. Only internalized WETH-in trades call the provider again, at
-    the gas-adjusted input.
+    slope. `terms` are the trade's `trade_terms` at f_prime.
 
     Raises QuoteUnavailable / SnapshotUnavailable if the provider cannot
     quote, and NonPositiveAdjustedInput when an internalized WETH-in
-    trade's gas cost reaches the input amount.
+    trade's gas cost reaches the input amount (see `counterfactual_value`).
     """
+    terms = trade_terms(trade, f_prime, terms)
     if quote is None:
         quote = baseline.quote(trade, offset)
     g1 = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
-    cost = gas_cost_eth(g1, Decimal(trade.gas.base_fee) + f_prime)
-    i = trade.amount_in.normalized
-
-    if not trade.gas_internalized:
-        if trade.direction is Direction.WETH_OUT:
-            value = (quote.out_estimate.normalized - cost) / i
-        else:
-            value = quote.out_estimate.normalized / (i + cost)
-        return (
-            Price(value, PriceCase.COUNTERFACTUAL_EXTERNAL_GAS),
-            DecisionVector(quote.out_estimate, g1, f_prime),
-        )
-
-    if trade.direction is Direction.WETH_OUT:
-        value = (quote.out_estimate.normalized - cost) / i
-        return (
-            Price(value, PriceCase.COUNTERFACTUAL_INTERNAL_GAS),
-            DecisionVector(quote.out_estimate, g1, f_prime),
-        )
-
-    # Internalized, WETH in: re-quote at the gas-adjusted input. The
-    # denominator i' + g'(b+f') collapses back to i.
-    adjusted = i - cost
-    if adjusted <= 0:
-        raise NonPositiveAdjustedInput(
-            f"trade {trade.trade_id!r}: baseline gas cost {cost} ETH >= input {i} ETH"
-        )
-    cost_wei = int((cost.scaleb(18)).to_integral_value(rounding=ROUND_FLOOR))
-    adjusted_amount = TokenAmount(trade.amount_in.raw - cost_wei, 18)
-    second = baseline.quote(trade, offset, amount_in=adjusted_amount)
-    value = second.out_estimate.normalized / i
-    return (
-        Price(value, PriceCase.COUNTERFACTUAL_INTERNAL_GAS),
-        DecisionVector(second.out_estimate, g1, f_prime),
+    value, o_prime = counterfactual_value(
+        baseline, offset, terms, quote, quote.out_estimate.normalized, g1
     )
+    case = (
+        PriceCase.COUNTERFACTUAL_INTERNAL_GAS
+        if trade.gas_internalized
+        else PriceCase.COUNTERFACTUAL_EXTERNAL_GAS
+    )
+    return Price(value, case), DecisionVector(o_prime, g1, f_prime)

@@ -38,7 +38,7 @@ from decimal import (
     localcontext,
 )
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import InsufficientData, WindowTooLarge, ZeroTotalWeight
@@ -212,30 +212,59 @@ def rolling_by_size(
     return out
 
 
-def grouped_estimates(
-    samples: Iterable[tuple[str, Decimal, Decimal]],
-) -> dict[str, WeightedEstimate]:
-    """Weighted estimate per group from (group, value, weight) triples.
+def grouped_means(
+    members: Iterable[tuple[tuple[Hashable, ...], Decimal, Sequence[Decimal | None]]],
+    series: int,
+) -> list[dict[Hashable, tuple[Decimal, Decimal, int, Decimal]]]:
+    """Weighted mean of every group in each of `series` value series, in one pass.
 
-    Groups with fewer than two members are skipped with a warning.
+    A member (groups, w, values) belongs to each group in `groups` and is
+    valued values[k] in series k, or not at all where that is None. Its
+    w*x and w*x^2 are formed once per series and added to the exact sums
+    of its cell, the members sharing its `groups`; each cell's sums then
+    add to all of its groups. Returns, per series, group -> (mean,
+    weighted standard error, n, sum w), groups in order of first member.
+    A group with fewer than two valued members, or whose weights are all
+    zero, is skipped with a warning.
     """
-    by_group: dict[str, list[tuple[Decimal, Decimal]]] = {}
-    for group, x, w in samples:
-        by_group.setdefault(group, []).append((x, w))
-    out: dict[str, WeightedEstimate] = {}
-    for group in sorted(by_group):
-        values = by_group[group]
-        try:
-            mean, sigma = weighted_mean_with_stat(values)
-        except (InsufficientData, ZeroTotalWeight) as exc:
-            warnings.warn(f"skipping group {group!r}: {exc}", stacklevel=2)
-            continue
-        out[group] = WeightedEstimate(
-            mean=mean,
-            stat_sigma=sigma,
-            sys_upper=ZERO,
-            sys_lower=ZERO,
-            n=len(values),
-            total_weight=sum(w for _, w in values),
-        )
+    cells: list[dict[tuple[Hashable, ...], list]] = [{} for _ in range(series)]
+    group_sums: list[dict[Hashable, list]] = []
+    with localcontext(_EXACT):
+        for groups, w, values in members:
+            if w < 0:
+                raise ValueError("weights must be nonnegative")
+            for by_cell, x in zip(cells, values):
+                if x is None:
+                    continue
+                wx = w * x
+                s = by_cell.get(groups)
+                if s is None:
+                    s = by_cell[groups] = [0, ZERO, ZERO, ZERO]
+                s[0] += 1
+                s[1] += w
+                s[2] += wx
+                s[3] += wx * x
+        for by_cell in cells:
+            by_group: dict[Hashable, list] = {}
+            for groups, sums in by_cell.items():
+                for group in groups:
+                    total = by_group.get(group)
+                    by_group[group] = sums if total is None else [
+                        a + b for a, b in zip(total, sums)
+                    ]
+            group_sums.append(by_group)
+    out = []
+    for by_group in group_sums:
+        means = {}
+        for group, (n, sw, swx, swxx) in by_group.items():
+            if n < 2:
+                warnings.warn(f"skipping group {group}: fewer than 2 weighted trades")
+                continue
+            try:
+                mean, sigma = _finalise(n, sw, swx, swxx)
+            except ZeroTotalWeight:
+                warnings.warn(f"skipping group {group}: all weights are zero")
+                continue
+            means[group] = (mean, sigma, n, sw)
+        out.append(means)
     return out

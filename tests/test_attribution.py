@@ -23,6 +23,7 @@ from swapmeter.prices import (
     counterfactual_price,
     realized_decision_vector,
     realized_price,
+    trade_terms,
 )
 
 from conftest import GWEI, USDC, WETH, make_trade, replay_for
@@ -191,6 +192,22 @@ class TestPartials:
 
 
 class TestAttribute:
+    def test_terms_must_describe_the_trade(self):
+        trade, other = make_trade(), make_trade(trade_id="T2")
+        provider = replay_for("T1", 0, 2990 * USDC, 6, 140_000)
+        terms = trade_terms(trade, F_PRIME)
+        assert attribute_trade(trade, provider, 0, F_PRIME, terms=terms) == attribute_trade(
+            trade, provider, 0, F_PRIME
+        )
+        with pytest.raises(ValueError, match="terms do not describe"):
+            attribute_trade(other, provider, 0, F_PRIME, terms=terms)
+        with pytest.raises(ValueError, match="terms do not describe"):
+            counterfactual_price(trade, provider, 0, F_PRIME + 1, terms=terms)
+        p_prime, x_prime = counterfactual_price(trade, provider, 0, F_PRIME)
+        not_realized = DecisionVector(trade.amount_out, Decimal(1), Decimal(0))
+        with pytest.raises(ValueError, match="realized vector and price"):
+            attribute(trade, not_realized, x_prime, terms.p, p_prime)
+
     def test_identical_vectors_give_zero_components(self):
         trade = make_trade()
         provider = replay_for(

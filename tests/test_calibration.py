@@ -11,7 +11,7 @@ from swapmeter.calibration import (
     fit_gas_bias,
     perturbed_calibrations,
 )
-from swapmeter.errors import DegenerateRegressor, InsufficientData
+from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
 from swapmeter.model import Quote, TokenAmount
 
 
@@ -119,3 +119,36 @@ class TestPerturbed:
         cal = GasCalibration(Decimal("0.9"), Decimal("0.02"), 5, Decimal(1), Decimal(0))
         upper, _ = perturbed_calibrations(cal, 2)
         assert upper.beta1 == Decimal("0.94")
+
+    def test_overflowing_shift_is_a_config_error(self):
+        cal = GasCalibration(Decimal("0.9"), Decimal("0.02"), 5, Decimal(1), Decimal(0))
+        with pytest.raises(ConfigError, match="out of range"):
+            perturbed_calibrations(cal, Decimal("1e999999999"))
+
+
+class TestFromDict:
+    def test_round_trip(self):
+        cal = fit_gas_bias(noisy_pairs(3, 40))
+        assert GasCalibration.from_dict(cal.as_dict()) == cal
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"beta1": None}, "None is not a decimal number"),
+            ({"beta1_se": "Infinity"}, "'Infinity' is not a finite number"),
+            ({"n_points": "many"}, "invalid literal"),
+            ({"beta1": "-1"}, "beta1 must be positive"),
+        ],
+    )
+    def test_bad_values_are_config_errors(self, change, reason):
+        d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), **change}
+        with pytest.raises(ConfigError, match=reason):
+            GasCalibration.from_dict(d)
+
+    def test_missing_key_and_non_object(self):
+        d = fit_gas_bias(noisy_pairs(3, 40)).as_dict()
+        del d["residual_mean"]
+        with pytest.raises(ConfigError, match="missing key 'residual_mean'"):
+            GasCalibration.from_dict(d)
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            GasCalibration.from_dict([])

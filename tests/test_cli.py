@@ -227,6 +227,107 @@ class TestExitCodes:
         assert f"error: cannot read {bad}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--trades", "--quotes", "--pools"])
+    def test_non_utf8_input_fatal(self, tmp_path, capsys, flag):
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(f"{QUOTE_HEADER}\nT1,0,2995000000,6,150000,prov\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe\x00bad\n")
+        inputs = {"--trades": trades, "--quotes": quotes}
+        if flag == "--pools":
+            del inputs["--quotes"]
+        inputs[flag] = bad
+        argv = [arg for pair in inputs.items() for arg in (pair[0], str(pair[1]))]
+        rc = main(
+            ["analyze", *argv, "--out", str(tmp_path / "o"), "--offsets=0", "--no-correction"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_unwritable_out_fatal(self, scenario_files, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        rc = main(
+            [
+                command,
+                "--trades", str(scenario_files / "trades.csv"),
+                "--quotes", str(scenario_files / "quotes.csv"),
+                "--out", str(out),
+                "--offsets=0",
+                "--window", "20",
+                "--no-correction",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{", "Expecting property name"),
+            ('{"beta1": "1"}', "missing key 'beta1_se'"),
+            ("[]", "expected a JSON object"),
+            (
+                '{"beta1": "NaN", "beta1_se": "0", "n_points": 2, '
+                '"residual_mean": "1", "residual_stddev": "0"}',
+                "'NaN' is not a finite number",
+            ),
+            (
+                '{"beta1": "one", "beta1_se": "0", "n_points": 2, '
+                '"residual_mean": "1", "residual_stddev": "0"}',
+                "'one' is not a decimal number",
+            ),
+        ],
+        ids=["corrupt", "missing-key", "not-an-object", "nan", "not-a-decimal"],
+    )
+    def test_bad_calibration_report_fatal(self, scenario_files, tmp_path, capsys, text, reason):
+        report = tmp_path / "calibration.json"
+        report.write_text(text)
+        rc = main(
+            [
+                "analyze",
+                "--trades", str(scenario_files / "trades.csv"),
+                "--quotes", str(scenario_files / "quotes.csv"),
+                "--out", str(tmp_path / "o"),
+                "--calibration", str(report),
+                "--offsets=0",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: bad calibration report {report}: {reason}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "sNaN"])
+    @pytest.mark.parametrize("key", ["sys_multiplier", "f_prime_wei"])
+    def test_non_finite_decimal_fatal(self, scenario_files, tmp_path, capsys, key, value):
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(tmp_path / "o"),
+            "--offsets=0",
+            "--window", "20",
+        ]
+        assert main(["calibrate", *base]) == 0
+        capsys.readouterr()
+        flag = "--" + key.replace("_", "-")
+        assert main(["report", *base, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}: expected a finite decimal, got {value!r}" in err
+        assert "Traceback" not in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["report", "--config", str(cfg), *base]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
         # X trades all weigh $0: their path group has no weighted mean, so it
         # is skipped with a warning while the rest of the aggregate is written

@@ -5,7 +5,9 @@ beta1 and beta1 +/- k*SE. The reference below re-runs analyze_trades
 through a CalibratedProvider at each of the three slopes, re-quoting
 every pair (in router mode through a new provider per quote, so no
 route is reused), and aggregates as the pipeline is specified to: its
-curve and rolling rows must equal the pipeline's exactly.
+curve and rolling rows must equal the pipeline's exactly. A second test
+checks each analyze_trades row against attribute_trade and
+counterfactual_price called for that pair alone.
 """
 
 import json
@@ -13,6 +15,7 @@ from decimal import Decimal as D
 
 import pytest
 
+from swapmeter.attribution import attribute_trade, price_improvement
 from swapmeter.baseline import (
     BaselineProvider,
     CalibratedProvider,
@@ -21,10 +24,19 @@ from swapmeter.baseline import (
 )
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.cli import main
-from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
-from swapmeter.model import Direction
+from swapmeter.errors import (
+    EXCLUDED,
+    EXCLUSION_REASONS,
+    NonPositiveAdjustedInput,
+    NonPositiveBaseline,
+)
+from swapmeter.ingest import QuoteSet, ingest_pool_snapshots, ingest_quotes, ingest_trades
+from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.pipeline import analyze_trades, run_aggregate
+from swapmeter.prices import counterfactual_price, realized_price
 from swapmeter.stats import weighted_mean_with_stat
+
+from conftest import USDC, WETH, make_trade
 
 F_PRIME = D(100_000_000)
 OFFSETS = [-1, 0, 1]
@@ -147,3 +159,102 @@ def test_single_pass_equals_three_pass_reference(scenario, baseline):
     assert curve == expected_curve
     assert rolling == expected_rolling
     assert any(row[4] > 0 for row in curve)
+
+
+def _replay(quotes):
+    return ReplayProvider(
+        QuoteSet(
+            [Quote(t, o, TokenAmount(raw, dec), D(gas), "prov") for t, o, raw, dec, gas in quotes]
+        )
+    )
+
+
+def test_rows_equal_pricing_each_pair_on_its_own():
+    """Each row equals attribute_trade and counterfactual_price run on their own.
+
+    One trade per direction x gas-internalization case, plus an internalized
+    WETH-in trade whose gas-adjusted input is positive except at the lower
+    slope, a WETH-out trade whose baseline price is positive except at the
+    lower slope, and an offset with no quote.
+    """
+    cal = GasCalibration(D(1), D("0.05"), 20, D(1), D(0))
+    shifted = perturbed_calibrations(cal)
+    trades = [
+        make_trade("IN", direction=Direction.WETH_IN),
+        make_trade("OUT", direction=Direction.WETH_OUT),
+        make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True),
+        make_trade("OUT-X", direction=Direction.WETH_OUT, gas_internalized=True),
+        make_trade(
+            "IN-X-SMALL",
+            direction=Direction.WETH_IN,
+            gas_internalized=True,
+            amount_in=TokenAmount(4 * 10**15, 18),
+            amount_out=TokenAmount(12 * USDC, 6),
+        ),
+        make_trade(
+            "OUT-SMALL",
+            direction=Direction.WETH_OUT,
+            amount_in=TokenAmount(12 * USDC, 6),
+            amount_out=TokenAmount(4 * 10**15, 18),
+        ),
+    ]
+    # b + f' = 20.1 gwei: 190,000 gas costs 0.003819 ETH at beta1 and
+    # 200,000 gas (0.00402 ETH) at beta1 - SE, more than 0.004 ETH.
+    provider = _replay(
+        [
+            ("IN", 0, 2990 * USDC, 6, 140_000),
+            ("IN", 1, 2985 * USDC, 6, 160_000),
+            ("OUT", 0, WETH - 10**15, 18, 150_000),
+            ("OUT", 1, WETH - 2 * 10**15, 18, 130_000),
+            ("IN-X", 0, 2995 * USDC, 6, 150_000),
+            ("IN-X", 1, 2993 * USDC, 6, 170_000),
+            ("OUT-X", 0, WETH + 10**15, 18, 150_000),
+            ("IN-X-SMALL", 0, 12 * USDC, 6, 190_000),
+            ("IN-X-SMALL", 1, 11 * USDC, 6, 190_000),
+            ("OUT-SMALL", 0, 4 * 10**15, 18, 190_000),
+            ("OUT-SMALL", 1, 4 * 10**15, 18, 190_000),
+        ]
+    )
+    rows = analyze_trades(trades, provider, [0, 1], F_PRIME, cal, shifted)
+    assert [(r.trade.trade_id, r.offset) for r in rows] == sorted(
+        (t.trade_id, o) for t in trades for o in (0, 1)
+    )
+    for row in rows:
+        trade, offset = row.trade, row.offset
+        try:
+            quote = provider.quote(trade, offset)
+            expected = attribute_trade(
+                trade, provider, offset, F_PRIME, quote=quote, beta1=cal.beta1
+            )
+        except EXCLUDED as exc:
+            expected, reason = None, EXCLUSION_REASONS[type(exc)]
+        else:
+            reason = None
+        assert (row.result, row.exclusion_reason) == (expected, reason)
+        for got, slope in zip((row.pi_upper, row.pi_lower), shifted):
+            try:
+                p_prime, _ = counterfactual_price(
+                    trade, provider, offset, F_PRIME, beta1=slope.beta1
+                )
+                want = price_improvement(realized_price(trade), p_prime)
+            except EXCLUDED:
+                want = None
+            assert got == want
+
+    by_pair = {(r.trade.trade_id, r.offset): r for r in rows}
+    for trade_id in ("IN", "OUT", "IN-X", "OUT-X"):
+        row = by_pair[(trade_id, 0)]
+        assert None not in (row.result, row.pi_upper, row.pi_lower)
+    for trade_id in ("IN-X-SMALL", "OUT-SMALL"):
+        row = by_pair[(trade_id, 0)]
+        assert row.result is not None and row.pi_upper is not None and row.pi_lower is None
+    with pytest.raises(NonPositiveAdjustedInput):
+        counterfactual_price(trades[4], provider, 0, F_PRIME, beta1=shifted[1].beta1)
+    with pytest.raises(NonPositiveBaseline):
+        price_improvement(
+            realized_price(trades[5]),
+            counterfactual_price(trades[5], provider, 0, F_PRIME, beta1=shifted[1].beta1)[0],
+        )
+    missing = by_pair[("OUT-X", 1)]
+    assert (missing.result, missing.exclusion_reason) == (None, "quote_unavailable")
+    assert (missing.pi_upper, missing.pi_lower) == (None, None)

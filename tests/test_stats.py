@@ -14,7 +14,7 @@ from swapmeter.ingest import QuoteSet
 from swapmeter.model import Quote, TokenAmount
 from swapmeter.pipeline import analyze_trades, run_aggregate
 from swapmeter.stats import (
-    grouped_estimates,
+    grouped_means,
     rolling_by_size,
     systematic_band,
     weighted_mean_with_stat,
@@ -160,13 +160,16 @@ class TestSlidingKernel:
             assert all(abs(got - ref) < D("1e-40") for got, ref in zip(row, naive))
 
 
-class TestGrouping:
-    def test_single_group_matches_direct_mean(self):
-        samples = [("A", D(1), D(2)), ("A", D(3), D(2))]
-        est = grouped_estimates(samples)["A"]
-        mean, sigma = weighted_mean_with_stat([(D(1), D(2)), (D(3), D(2))])
-        assert (est.mean, est.stat_sigma) == (mean, sigma)
+# (path group, interface group, weight, values in three series)
+_grouped_members = st.tuples(
+    st.sampled_from(["P1", "P2", "P3"]),
+    st.sampled_from(["I1", "I2"]),
+    _weights,
+    st.tuples(st.none() | _values, st.none() | _values, st.none() | _values),
+)
 
+
+class TestGrouping:
     def test_pooling_identity(self):
         # interface mean equals the weight-blend of its path means
         a = [(D("0.0001"), D(100)), (D("0.0003"), D(300))]
@@ -179,11 +182,51 @@ class TestGrouping:
         blend = (mean_a * wa + mean_b * wb) / (wa + wb)
         assert abs(pooled - blend) < D("1e-40")
 
-    def test_thin_group_skipped_with_warning(self):
-        samples = [("A", D(1), D(2)), ("A", D(3), D(2)), ("B", D(9), D(1))]
-        with pytest.warns(UserWarning, match="skipping group 'B'"):
-            out = grouped_estimates(samples)
-        assert list(out) == ["A"]
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_grouped_members, max_size=16))
+    def test_one_pass_equals_fresh_means_per_group(self, members):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = grouped_means(
+                [((("path", p), ("interface", i)), w, values) for p, i, w, values in members],
+                3,
+            )
+        expected_warnings = []
+        for k in range(3):
+            buckets = {}
+            for p, i, w, values in members:
+                if values[k] is not None:
+                    for group in (("path", p), ("interface", i)):
+                        buckets.setdefault(group, []).append((values[k], w))
+            expected = {}
+            for group, valued in buckets.items():
+                if len(valued) < 2:
+                    expected_warnings.append(
+                        f"skipping group {group}: fewer than 2 weighted trades"
+                    )
+                elif sum(w for _, w in valued) == 0:
+                    expected_warnings.append(f"skipping group {group}: all weights are zero")
+                else:
+                    total = sum(w for _, w in valued)
+                    expected[group] = (*weighted_mean_with_stat(valued), len(valued), total)
+            assert list(out[k].items()) == list(expected.items())
+        assert [str(w.message) for w in caught] == expected_warnings
+
+    def test_thin_and_weightless_groups_warn(self):
+        members = [
+            (("A", "X"), D(2), (D(1),)),
+            (("A", "X"), D(2), (D(3),)),
+            (("B", "X"), D(0), (D(9),)),
+            (("C",), D(0), (D(1),)),
+            (("C",), D(0), (D(2),)),
+        ]
+        with pytest.warns(UserWarning) as caught:
+            (out,) = grouped_means(members, 1)
+        assert list(out) == ["A", "X"]
+        assert [str(w.message) for w in caught] == [
+            "skipping group B: fewer than 2 weighted trades",
+            "skipping group C: all weights are zero",
+        ]
 
 
 def _fixture_trades_and_quotes(n=10):

@@ -104,12 +104,17 @@ def _writing(path):
         raise SwapmeterError(f"cannot write {failed}: {exc.strerror or exc}") from exc
 
 
+def _format(path) -> str:
+    """An input file's format, by its extension: JSONL for `.jsonl`, else CSV."""
+    return "jsonl" if str(path).endswith(".jsonl") else "csv"
+
+
 def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], int]:
     if not cfg.trades_path:
         raise SwapmeterError("no trade file configured (--trades)")
-    fmt = "jsonl" if str(cfg.trades_path).endswith(".jsonl") else "csv"
-    with _reading(cfg.trades_path):
-        result = ingest_trades(cfg.trades_path, fmt, strict=cfg.strict, require_usd=require_usd)
+    path = cfg.trades_path
+    with _reading(path):
+        result = ingest_trades(path, _format(path), strict=cfg.strict, require_usd=require_usd)
     for reject in result.rejects:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
     return result.records, len(result.rejects)
@@ -118,16 +123,21 @@ def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], 
 def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
     cfg.require_provider()
     if cfg.quotes_path:
-        with _reading(cfg.quotes_path):
-            quotes, rejects = ingest_quotes(cfg.quotes_path, strict=cfg.strict)
+        path = cfg.quotes_path
+        with _reading(path):
+            quotes, rejects = ingest_quotes(path, _format(path), strict=cfg.strict)
         for reject in rejects:
             print(f"reject quote line {reject.line}: {reject.reason}", file=sys.stderr)
+        providers = quotes.providers()
+        if len(providers) != 1:
+            raise SwapmeterError(f"quote file {path} has providers {providers}; expected one")
         orphans = quotes.orphans(trades)
         if orphans:
             print(f"{len(orphans)} quotes reference unknown trades", file=sys.stderr)
         return ReplayProvider(quotes)
-    with _reading(cfg.pools_path):
-        snapshots, rejects = ingest_pool_snapshots(cfg.pools_path, strict=cfg.strict)
+    path = cfg.pools_path
+    with _reading(path):
+        snapshots, rejects = ingest_pool_snapshots(path, _format(path), strict=cfg.strict)
     for reject in rejects:
         print(f"reject pool line {reject.line}: {reject.reason}", file=sys.stderr)
     return SyntheticRouterProvider(

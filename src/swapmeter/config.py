@@ -8,6 +8,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from swapmeter.errors import ConfigError
+from swapmeter.model import MAX_UINT128
 
 DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
@@ -35,6 +36,10 @@ class RunConfig:
     def __post_init__(self):
         if self.f_prime_wei < 0:
             raise ConfigError("f_prime_wei must be nonnegative")
+        if self.f_prime_wei > MAX_UINT128:
+            raise ConfigError(
+                f"f_prime_wei: {self.f_prime_wei} wei/gas exceeds the uint128 bound {MAX_UINT128}"
+            )
         if self.window < 2:
             raise ConfigError("window must be >= 2")
         if self.stride < 1:

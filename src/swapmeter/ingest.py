@@ -316,14 +316,14 @@ def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, dict | st
             stream.close()
 
 
-def _ingest(source, fmt, columns, builder, strict, **kwargs) -> IngestResult:
+def _ingest(source, fmt, columns, builder, strict) -> IngestResult:
     result = IngestResult(records=[])
     for line_no, row in _rows(source, fmt, columns):
         if isinstance(row, str):
             reject = MalformedRow(line_no, row)
         else:
             try:
-                result.records.append(builder(row, **kwargs))
+                result.records.append(builder(row))
                 continue
             except (ValueError, KeyError) as exc:
                 reject = MalformedRow(line_no, str(exc) or repr(exc))
@@ -340,22 +340,29 @@ def _ingest(source, fmt, columns, builder, strict, **kwargs) -> IngestResult:
 def ingest_trades(
     source, fmt: str = "csv", *, strict: bool = False, require_usd: bool = False
 ) -> IngestResult:
-    """Parse and validate trade records; rejected rows are reported alongside."""
-    return _ingest(source, fmt, TRADE_COLUMNS, _build_trade, strict, require_usd=require_usd)
+    """Parse and validate trade records; rejected rows are reported alongside.
+
+    A trade_id is accepted once: each later row with an accepted id is rejected.
+    """
+    seen: set[str] = set()
+
+    def build(row: dict) -> TradeRecord:
+        trade = _build_trade(row, require_usd)
+        if trade.trade_id in seen:
+            raise ValueError(f"duplicate trade_id {trade.trade_id}")
+        seen.add(trade.trade_id)
+        return trade
+
+    return _ingest(source, fmt, TRADE_COLUMNS, build, strict)
 
 
 def ingest_quotes(source, fmt: str = "csv", *, strict: bool = False) -> tuple[QuoteSet, list[MalformedRow]]:
     """Parse quotes into a set keyed by (trade_id, offset, provider_id)."""
-    result = _ingest(source, fmt, QUOTE_COLUMNS, lambda row: _build_quote(row), strict)
+    result = _ingest(source, fmt, QUOTE_COLUMNS, _build_quote, strict)
     quote_set = QuoteSet()
     for q in result.records:
         quote_set.add(q)
     return quote_set, result.rejects
-
-
-def ingest_pools(source, fmt: str = "csv", *, strict: bool = False) -> IngestResult:
-    """Parse a plain pool file (no offset column)."""
-    return _ingest(source, fmt, POOL_COLUMNS, lambda row: _build_pool(row), strict)
 
 
 def ingest_pool_snapshots(
@@ -433,13 +440,4 @@ def serialize_trades(trades: Iterable[TradeRecord]) -> str:
     writer.writerow(TRADE_COLUMNS)
     for t in trades:
         writer.writerow(trade_to_row(t))
-    return buf.getvalue()
-
-
-def serialize_quotes(quotes: Iterable[Quote]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(QUOTE_COLUMNS)
-    for q in quotes:
-        writer.writerow(quote_to_row(q))
     return buf.getvalue()

@@ -1,10 +1,12 @@
 """End-to-end analysis passes: per-trade attribution and aggregation.
 
-A pass walks every (trade, offset) pair, attributes price improvement,
-and records exclusions instead of failing. Each pair is quoted once; the
+A pass walks every (trade, offset) pair, prices its improvement and
+records exclusions instead of failing. Each pair is quoted once; the
 gas-calibration slope only rescales the quoted gas, so aggregation
 prices the same quote at the nominal slope and, for systematic bands,
-at the slope shifted up and down.
+at the slope shifted up and down. Aggregation splits pi into its parts
+only at the anchor offset, the one its summary reports; the other
+offsets' pairs are priced for pi alone.
 """
 
 from __future__ import annotations
@@ -63,15 +65,17 @@ ROLLING_COLUMNS = [
 
 @dataclass(frozen=True, slots=True)
 class AnalysisRow:
-    """One (trade, offset) outcome: an attribution or an exclusion reason.
+    """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
 
-    result is the attribution at the nominal calibration slope. pi_upper
-    and pi_lower are pi with the slope shifted up and down; each is None
-    where that slope excludes the pair or no shift was asked for.
+    result is the attribution at the nominal calibration slope, None where
+    the pair is excluded or was priced for pi alone. pi_upper and pi_lower
+    are pi with the slope shifted up and down; each is None where that
+    slope excludes the pair or no shift was asked for.
     """
 
     trade: TradeRecord
     offset: int
+    pi: Decimal | None
     result: AttributionResult | None
     exclusion_reason: str | None
     pi_upper: Decimal | None = None
@@ -79,7 +83,7 @@ class AnalysisRow:
 
     @property
     def excluded(self) -> bool:
-        return self.result is None
+        return self.exclusion_reason is not None
 
 
 def analyze_trades(
@@ -89,12 +93,14 @@ def analyze_trades(
     f_prime: Decimal,
     calibration: GasCalibration | None = None,
     shifted: tuple[GasCalibration, GasCalibration] | None = None,
+    decompose: Sequence[int] | None = None,
 ) -> list[AnalysisRow]:
-    """Attribute every trade at every offset, ordered by (trade_id, offset).
+    """Price every trade at every offset, ordered by (trade_id, offset).
 
     Each trade's realized terms are taken once and each pair is quoted
     once. The quote's gas is read as g'/beta1 of `calibration` (as served
-    when None) for the attribution, and of each `shifted` (upper, lower)
+    when None) for pi and, at the offsets in `decompose` (every offset
+    when None), its attribution; and of each `shifted` (upper, lower)
     calibration for pi alone.
     """
     beta1 = None if calibration is None else calibration.beta1
@@ -103,43 +109,58 @@ def analyze_trades(
     for trade in trades:
         terms = trade_terms(trade, f_prime)
         for offset in offsets:
-            quote = result = reason = None
+            quote = o_prime = pi = result = reason = None
             try:
                 quote = provider.quote(trade, offset)
-                result = attribute_trade(
-                    trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
-                )
+                if decompose is None or offset in decompose:
+                    result = attribute_trade(
+                        trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
+                    )
+                    pi = result.pi
+                else:
+                    o_prime = quote.out_estimate.normalized
+                    g_prime = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
+                    pi = _pi(provider, offset, terms, quote, o_prime, g_prime, nominal=True)
             except EXCLUDED as exc:
                 reason = EXCLUSION_REASONS[type(exc)]
             shifted_pi = ()
             if quote is not None and shifted_betas:
-                o_prime = quote.out_estimate.normalized
+                if o_prime is None:
+                    o_prime = quote.out_estimate.normalized
                 shifted_pi = [
-                    _shifted_pi(provider, offset, terms, quote, o_prime, quote.gas_estimate / b)
+                    _pi(provider, offset, terms, quote, o_prime, quote.gas_estimate / b)
                     for b in shifted_betas
                 ]
-            rows.append(AnalysisRow(trade, offset, result, reason, *shifted_pi))
+            rows.append(AnalysisRow(trade, offset, pi, result, reason, *shifted_pi))
     rows.sort(key=lambda r: (r.trade.trade_id, r.offset))
     return rows
 
 
-def _shifted_pi(
+def _pi(
     provider: BaselineProvider,
     offset: int,
     terms: TradeTerms,
     quote: Quote,
     o_prime: Decimal,
     g_prime: Decimal,
+    nominal: bool = False,
 ) -> Decimal | None:
-    """pi of one quoted pair at a shifted slope's gas g'; None where it excludes the pair."""
+    """pi of one quoted pair at gas g', from the price value alone.
+
+    None where that gas excludes the pair, except at the `nominal` slope,
+    which raises the exclusion so its reason can be recorded.
+    """
     try:
         value, _ = counterfactual_value(provider, offset, terms, quote, o_prime, g_prime)
         return improvement(terms.p.value, value)
     except EXCLUDED:
+        if nominal:
+            raise
         return None
 
 
 def attribution_csv_rows(rows: Sequence[AnalysisRow]) -> list[list[str]]:
+    """CSV rows of a pass that decomposed every offset (`decompose=None`)."""
     out = []
     for row in rows:
         if row.result is None:
@@ -208,18 +229,25 @@ def run_aggregate(
     stride: int = 1,
     sys_multiplier: Decimal | int = 1,
 ) -> AggregateReport:
-    """One-pass aggregation with statistical and systematic uncertainty."""
+    """One-pass aggregation with statistical and systematic uncertainty.
+
+    Only the anchor offset's pairs are split into parts, for the summary;
+    the curves and the rolling series need pi alone.
+    """
+    anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
     shifted = None
     if calibration is not None and calibration.beta1_se > 0:
         shifted = perturbed_calibrations(calibration, sys_multiplier)
-    rows = analyze_trades(trades, raw_provider, offsets, f_prime, calibration, shifted)
+    rows = analyze_trades(
+        trades, raw_provider, offsets, f_prime, calibration, shifted, decompose=(anchor,)
+    )
 
     base_means, up_means, low_means = grouped_means(
         (
             (
                 (("path", r.trade.path, r.offset), ("interface", r.trade.interface, r.offset)),
                 r.trade.usd_value,
-                (None if r.result is None else r.result.pi, r.pi_upper, r.pi_lower),
+                (r.pi, r.pi_upper, r.pi_lower),
             )
             for r in rows
             if r.trade.usd_value is not None
@@ -227,11 +255,7 @@ def run_aggregate(
         3,
     )
 
-    report = AggregateReport(exclusions=exclusion_counts(rows))
-    sorted_offsets = sorted(set(offsets))
-    report.anchor_offset = 0 if 0 in sorted_offsets else sorted(
-        sorted_offsets, key=lambda t: (abs(t), t)
-    )[0]
+    report = AggregateReport(exclusions=exclusion_counts(rows), anchor_offset=anchor)
 
     for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
         level, group, offset = key
@@ -246,7 +270,6 @@ def run_aggregate(
         )
 
     # Rolling-by-size series at the anchor offset, all groups pooled.
-    anchor = report.anchor_offset
     anchor_rows = sorted(
         (r for r in _weighted_rows(rows) if r.offset == anchor),
         key=lambda r: (r.trade.usd_value, r.trade.trade_id),
@@ -259,7 +282,7 @@ def run_aggregate(
                 f"using {eff_window}"
             )
         report.rolling = rolling_by_size(
-            [(r.trade.usd_value, r.result.pi, r.pi_upper, r.pi_lower) for r in anchor_rows],
+            [(r.trade.usd_value, r.pi, r.pi_upper, r.pi_lower) for r in anchor_rows],
             eff_window,
             stride,
         )

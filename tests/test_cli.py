@@ -120,6 +120,30 @@ class TestFlows:
         ]
         assert strip(out_a) == strip(out_b)
 
+    @pytest.mark.parametrize("flag, name", [("--quotes", "quotes"), ("--pools", "pools")])
+    def test_jsonl_baseline_matches_csv(self, scenario_files, tmp_path, flag, name):
+        # the format follows the extension: the same rows as JSONL objects
+        # give the same attribution as the CSV file
+        lines = [
+            line
+            for line in (scenario_files / f"{name}.csv").read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        header = lines[0].split(",")
+        jsonl = tmp_path / f"{name}.jsonl"
+        jsonl.write_text(
+            "".join(json.dumps(dict(zip(header, line.split(",")))) + "\n" for line in lines[1:])
+        )
+        base = ["analyze", "--trades", str(scenario_files / "trades.csv"), "--offsets=-1..1",
+                "--no-correction"]
+        outputs = []
+        for source, out in ((scenario_files / f"{name}.csv", "csv"), (jsonl, "jsonl")):
+            assert main([*base, flag, str(source), "--out", str(tmp_path / out)]) == 0
+            text = (tmp_path / out / "attribution.csv").read_text()
+            outputs.append([line for line in text.splitlines() if not line.startswith("#")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 1 + 60 * 3
+
 
 class TestExitCodes:
     def test_empty_trades_fatal(self, tmp_path):
@@ -327,6 +351,61 @@ class TestExitCodes:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["report", "--config", str(cfg), *base]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_f_prime_above_uint128_fatal(self, scenario_files, tmp_path, capsys):
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(tmp_path / "o"),
+            "--offsets=0",
+            "--no-correction",
+        ]
+        for value in ("1e999999999", str(2**128)):
+            assert main(["analyze", *base, f"--f-prime-wei={value}"]) == 2
+            err = capsys.readouterr().err
+            assert "error: f_prime_wei: " in err and "uint128" in err
+            assert "Traceback" not in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f_prime_wei = 1e999999999\n")
+        assert main(["report", "--config", str(cfg), *base]) == 2
+        assert "error: f_prime_wei: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # the bound itself is accepted and priced without a traceback
+        assert main(["analyze", *base, f"--f-prime-wei={2**128 - 1}"]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_several_quote_providers_fatal(self, scenario_files, tmp_path, capsys):
+        lines = (scenario_files / "quotes.csv").read_text().splitlines()
+        data = next(i for i, line in enumerate(lines) if line.startswith("T"))
+        lines[data] = lines[data].rsplit(",", 1)[0] + ",other"
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["analyze", "--trades", str(scenario_files / "trades.csv"), "--quotes", str(quotes),
+             "--out", str(tmp_path / "o"), "--offsets=0", "--no-correction"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (
+            f"error: quote file {quotes} has providers ['other', 'synthetic-router']; "
+            "expected one" in err
+        )
+        assert "Traceback" not in err
+
+    def test_duplicate_trade_id_rejected(self, tmp_path, capsys):
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n{ROW.replace('T1,', 'T2,')}\n{ROW}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            f"{QUOTE_HEADER}\nT1,0,2995000000,6,150000,prov\nT2,0,2995000000,6,150000,prov\n"
+        )
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        assert main(["analyze", *base, "--out", str(tmp_path / "o")]) == 1
+        assert "reject line 3: duplicate trade_id T1" in capsys.readouterr().err
+        body = (tmp_path / "o" / "attribution.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in body[2:]] == ["T1", "T2"]
+        assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
+        assert "error: line 3: duplicate trade_id T1" in capsys.readouterr().err
 
     def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
         # X trades all weigh $0: their path group has no weighted mean, so it

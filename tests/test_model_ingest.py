@@ -66,6 +66,20 @@ class TestIngestTrades:
         assert result.rejects[0].line == 2
         assert "amount_in" in result.rejects[0].reason
 
+    def test_duplicate_trade_id_rejected(self):
+        # every later row with an accepted id is rejected; a rejected row's
+        # id does not count as seen
+        bad = VALID_ROW.replace("T1,", "T2,").replace("WETH_IN", "SIDEWAYS")
+        rows = [VALID_ROW, bad, VALID_ROW, VALID_ROW.replace("T1,", "T2,"), VALID_ROW]
+        result = ingest_trades(csv_of(*rows))
+        assert [t.trade_id for t in result.records] == ["T1", "T2"]
+        assert [(r.line, r.reason) for r in result.rejects[1:]] == [
+            (3, "duplicate trade_id T1"),
+            (5, "duplicate trade_id T1"),
+        ]
+        with pytest.raises(IngestError, match="line 2: duplicate trade_id T1"):
+            ingest_trades(csv_of(VALID_ROW, VALID_ROW), strict=True)
+
     def test_gas_overflow_rejected(self):
         bad = VALID_ROW.replace("150000,20000000000,1000000000", f"{2**64},{2**63},{2**63}")
         result = ingest_trades(csv_of(bad))

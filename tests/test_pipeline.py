@@ -7,7 +7,9 @@ every pair (in router mode through a new provider per quote, so no
 route is reused), and aggregates as the pipeline is specified to: its
 curve and rolling rows must equal the pipeline's exactly. A second test
 checks each analyze_trades row against attribute_trade and
-counterfactual_price called for that pair alone.
+counterfactual_price called for that pair alone, and two more check that
+decomposing only the anchor offset changes nothing but which rows carry
+an attribution.
 """
 
 import json
@@ -258,3 +260,107 @@ def test_rows_equal_pricing_each_pair_on_its_own():
     missing = by_pair[("OUT-X", 1)]
     assert (missing.result, missing.exclusion_reason) == (None, "quote_unavailable")
     assert (missing.pi_upper, missing.pi_lower) == (None, None)
+
+
+@pytest.mark.parametrize("calibrated", [True, False])
+def test_anchor_only_decomposition_equals_the_full_pass(calibrated):
+    """decompose=(0,) changes only which rows carry an attribution.
+
+    One trade per direction x gas-internalization case, plus a small
+    internalized WETH-in and a small WETH-out trade that only beta1 - SE
+    excludes at offsets 0 and 1 and that beta1 already excludes at offset
+    -1, and an offset with no quote.
+    """
+    cal = GasCalibration(D("0.95"), D("0.05"), 20, D(1), D(0)) if calibrated else None
+    shifted = perturbed_calibrations(cal) if calibrated else None
+    offsets = [-1, 0, 1]
+    trades = [
+        make_trade("IN", direction=Direction.WETH_IN),
+        make_trade("OUT", direction=Direction.WETH_OUT),
+        make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True),
+        make_trade("OUT-X", direction=Direction.WETH_OUT, gas_internalized=True),
+        make_trade(
+            "IN-X-SMALL",
+            direction=Direction.WETH_IN,
+            gas_internalized=True,
+            amount_in=TokenAmount(4 * 10**15, 18),
+            amount_out=TokenAmount(12 * USDC, 6),
+        ),
+        make_trade(
+            "OUT-SMALL",
+            direction=Direction.WETH_OUT,
+            amount_in=TokenAmount(12 * USDC, 6),
+            amount_out=TokenAmount(4 * 10**15, 18),
+        ),
+    ]
+    # b + f' = 20.1 gwei, so more than 199,004 gas costs more than 0.004 ETH.
+    # 185,000 quoted gas reads 194,737 at beta1 = 0.95 and 205,556 at
+    # beta1 - SE; 195,000 reads 205,263 at beta1 and 195,000 at beta1 + SE.
+    provider = _replay(
+        [
+            ("IN", -1, 2992 * USDC, 6, 150_000),
+            ("IN", 0, 2990 * USDC, 6, 140_000),
+            ("IN", 1, 2985 * USDC, 6, 160_000),
+            ("OUT", -1, WETH - 3 * 10**15, 18, 140_000),
+            ("OUT", 0, WETH - 10**15, 18, 150_000),
+            ("OUT", 1, WETH - 2 * 10**15, 18, 130_000),
+            ("IN-X", -1, 2991 * USDC, 6, 160_000),
+            ("IN-X", 0, 2995 * USDC, 6, 150_000),
+            ("IN-X", 1, 2993 * USDC, 6, 170_000),
+            ("OUT-X", -1, WETH + 2 * 10**15, 18, 140_000),
+            ("OUT-X", 0, WETH + 10**15, 18, 150_000),
+            ("IN-X-SMALL", -1, 12 * USDC, 6, 195_000),
+            ("IN-X-SMALL", 0, 12 * USDC, 6, 185_000),
+            ("IN-X-SMALL", 1, 11 * USDC, 6, 185_000),
+            ("OUT-SMALL", -1, 4 * 10**15, 18, 195_000),
+            ("OUT-SMALL", 0, 4 * 10**15, 18, 185_000),
+            ("OUT-SMALL", 1, 4 * 10**15, 18, 185_000),
+        ]
+    )
+    full = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted)
+    anchored = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted, decompose=(0,))
+    assert [(r.trade.trade_id, r.offset) for r in anchored] == [
+        (r.trade.trade_id, r.offset) for r in full
+    ]
+    for got, want in zip(anchored, full):
+        assert want.pi == (None if want.result is None else want.result.pi)
+        assert (got.pi, got.pi_upper, got.pi_lower, got.exclusion_reason) == (
+            want.pi, want.pi_upper, want.pi_lower, want.exclusion_reason
+        )
+        assert got.excluded == want.excluded == (got.pi is None)
+        if got.offset == 0:
+            assert got.result == want.result
+        else:
+            assert got.result is None
+
+    by_pair = {(r.trade.trade_id, r.offset): r for r in anchored}
+    assert by_pair[("OUT-X", 1)].exclusion_reason == "quote_unavailable"
+    assert sum(r.excluded for r in anchored) == (3 if calibrated else 1)
+    if calibrated:
+        assert by_pair[("IN-X-SMALL", -1)].exclusion_reason == "non_positive_adjusted_input"
+        assert by_pair[("OUT-SMALL", -1)].exclusion_reason == "non_positive_baseline"
+        for trade_id in ("IN-X-SMALL", "OUT-SMALL"):
+            assert by_pair[(trade_id, -1)].pi_upper is not None
+            for offset in (0, 1):
+                row = by_pair[(trade_id, offset)]
+                assert None not in (row.pi, row.pi_upper) and row.pi_lower is None
+
+
+@pytest.mark.parametrize("offsets, anchor", [(OFFSETS, 0), ([1, -1], -1)])
+def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offsets, anchor):
+    root, trades = scenario
+    decomposed = []
+
+    def counting(trade, provider, offset, *args, **kwargs):
+        decomposed.append(offset)
+        return attribute_trade(trade, provider, offset, *args, **kwargs)
+
+    monkeypatch.setattr("swapmeter.pipeline.attribute_trade", counting)
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    report = run_aggregate(
+        trades, _provider(root, "quotes"), cal, offsets, F_PRIME, WINDOW,
+        sys_multiplier=MULTIPLIER,
+    )
+    assert report.anchor_offset == anchor
+    assert decomposed == [anchor] * len(trades)
+    assert {p.offset for p in report.curves} == set(offsets)

@@ -195,17 +195,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trades, n_rejects = _load_trades(cfg, require_usd=False)
     provider = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
-    rows = pipeline.analyze_trades(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
+    rows = pipeline.analysis_pass(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
+    exclusions: dict[str, int] = {}
     path = Path(cfg.out_dir) / "attribution.csv"
     with _writing(path):
         write_csv(
             path,
             pipeline.ATTRIBUTION_COLUMNS,
-            pipeline.attribution_csv_rows(rows),
+            pipeline.attribution_csv_rows(pipeline.counting_exclusions(rows, exclusions)),
             comment=provenance(config_hash(cfg)),
         )
-    exclusions = pipeline.exclusion_counts(rows)
-    for reason, count in exclusions.items():
+    for reason, count in sorted(exclusions.items()):
         print(f"excluded {count} rows: {reason}", file=sys.stderr)
     return EXIT_PARTIAL if exclusions or n_rejects else EXIT_OK
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
-from swapmeter.numeric import wei_to_eth
-
 MAX_UINT128 = 2**128 - 1
 
 # Exact representability bound for the 60-digit decimal context.
@@ -89,10 +87,6 @@ class GasTerms:
     def cost_wei(self) -> int:
         return self.gas_used * (self.base_fee + self.priority_fee)
 
-    @property
-    def cost_eth(self) -> Decimal:
-        return wei_to_eth(self.cost_wei)
-
 
 @dataclass(frozen=True, slots=True)
 class TradeRecord:
@@ -133,8 +127,9 @@ class TradeRecord:
 class Quote:
     """Baseline output for one trade at one block offset.
 
-    gas_estimate is a nonnegative decimal: fractional values appear after
-    bias correction.
+    gas_estimate is a decimal in [0, 2^128 - 1]: fractional values appear
+    after bias correction, and the bound keeps g'(b+f') in the decimal
+    range, as GasTerms bounds g(b+f).
     """
 
     trade_id: str
@@ -146,6 +141,8 @@ class Quote:
     def __post_init__(self):
         if self.gas_estimate < 0:
             raise ValueError("gas_estimate must be nonnegative")
+        if self.gas_estimate > MAX_UINT128:
+            raise ValueError("gas_estimate exceeds the uint128 bound 2^128 - 1")
 
     @property
     def key(self) -> tuple[str, int, str]:

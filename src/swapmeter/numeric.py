@@ -6,7 +6,8 @@ arithmetic with 60 significant digits and half-even rounding. Statistics
 take their sums exactly (stats.py widens the precision for them), so only
 division and sqrt round there. The policy is installed once at import
 time so every module computes in the same context and results are
-bit-reproducible.
+bit-reproducible. Code that can run inside a caller's other context,
+such as a generator its consumer drains, enters `POLICY` itself.
 """
 
 import decimal
@@ -17,6 +18,7 @@ PRECISION = 60
 decimal.DefaultContext.prec = PRECISION
 decimal.DefaultContext.rounding = decimal.ROUND_HALF_EVEN
 decimal.setcontext(decimal.DefaultContext.copy())
+POLICY = decimal.DefaultContext.copy()
 
 BPS_FACTOR = Decimal(10) ** 4
 

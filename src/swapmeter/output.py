@@ -3,14 +3,20 @@
 CSV outputs carry a leading '#' comment line with toolkit version and
 config hash; ingestion skips such lines. JSON outputs carry the same
 provenance inside a "meta" object because JSON has no comments.
+
+Every file is written whole or not at all: it is written to a uniquely
+named temporary file next to it and renamed into place, so an error
+while its rows are produced leaves any earlier file untouched.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import swapmeter
 
@@ -19,15 +25,32 @@ def provenance(config_hash: str) -> str:
     return f"swapmeter={swapmeter.__version__} config={config_hash}"
 
 
+@contextmanager
+def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A text file that replaces `path` when the block ends without error.
+
+    On any error the temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(
     path: str | Path,
     columns: Sequence[str],
     rows: Iterable[Sequence[str]],
     comment: str | None = None,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -36,17 +59,13 @@ def write_csv(
 
 
 def write_json(path: str | Path, payload: dict, comment: str | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if comment:
         payload = {"meta": comment, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(text)

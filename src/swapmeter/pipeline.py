@@ -1,10 +1,10 @@
 """End-to-end analysis passes: per-trade attribution and aggregation.
 
-A pass walks every (trade, offset) pair, prices its improvement and
-records exclusions instead of failing. Each pair is quoted once; the
-gas-calibration slope only rescales the quoted gas, so aggregation
-prices the same quote at the nominal slope and, for systematic bands,
-at the slope shifted up and down. Aggregation splits pi into its parts
+A pass walks every (trade, offset) pair, one trade at a time, prices
+its improvement and records exclusions instead of failing. Each pair is
+quoted once; the gas-calibration slope only rescales the quoted gas, so
+aggregation prices the same quote at the nominal slope and, for
+systematic bands, at the slope shifted up and down. Aggregation splits pi into its parts
 only at the anchor offset, the one its summary reports; the other
 offsets' pairs are priced for pi alone.
 """
@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal
-from typing import Sequence
+from decimal import Decimal, localcontext
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from swapmeter.attribution import AttributionResult, attribute_trade, improvement
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
 from swapmeter.model import Quote, TradeRecord
-from swapmeter.numeric import format_bps
+from swapmeter.numeric import POLICY, format_bps
 from swapmeter.prices import TradeTerms, counterfactual_value, trade_terms
 from swapmeter.stats import (
     WeightedEstimate,
@@ -86,27 +88,33 @@ class AnalysisRow:
         return self.exclusion_reason is not None
 
 
-def analyze_trades(
-    trades: Sequence[TradeRecord],
+def analysis_pass(
+    trades: Iterable[TradeRecord],
     provider: BaselineProvider,
     offsets: Sequence[int],
     f_prime: Decimal,
     calibration: GasCalibration | None = None,
     shifted: tuple[GasCalibration, GasCalibration] | None = None,
     decompose: Sequence[int] | None = None,
-) -> list[AnalysisRow]:
-    """Price every trade at every offset, ordered by (trade_id, offset).
+) -> Iterator[AnalysisRow]:
+    """Price every trade at every offset, yielding rows by (trade_id, offset).
 
     Each trade's realized terms are taken once and each pair is quoted
     once. The quote's gas is read as g'/beta1 of `calibration` (as served
     when None) for pi and, at the offsets in `decompose` (every offset
     when None), its attribution; and of each `shifted` (upper, lower)
     calibration for pi alone.
+
+    Trades are walked in stable trade_id order and only one trade_id's
+    rows are held at a time: they are priced in the 60-digit policy
+    context, whatever context the consumer iterates in, then sorted by
+    offset and yielded. The order is that of a stable sort of all rows
+    by (trade_id, offset).
     """
     beta1 = None if calibration is None else calibration.beta1
     shifted_betas = () if shifted is None else tuple(cal.beta1 for cal in shifted)
-    rows: list[AnalysisRow] = []
-    for trade in trades:
+
+    def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
         terms = trade_terms(trade, f_prime)
         for offset in offsets:
             quote = o_prime = pi = result = reason = None
@@ -131,9 +139,40 @@ def analyze_trades(
                     _pi(provider, offset, terms, quote, o_prime, quote.gas_estimate / b)
                     for b in shifted_betas
                 ]
-            rows.append(AnalysisRow(trade, offset, pi, result, reason, *shifted_pi))
-    rows.sort(key=lambda r: (r.trade.trade_id, r.offset))
-    return rows
+            yield AnalysisRow(trade, offset, pi, result, reason, *shifted_pi)
+
+    by_id = attrgetter("trade_id")
+    for _, group in groupby(sorted(trades, key=by_id), key=by_id):
+        with localcontext(POLICY):
+            rows = [row for trade in group for row in priced(trade)]
+        rows.sort(key=attrgetter("offset"))
+        yield from rows
+
+
+def analyze_trades(
+    trades: Sequence[TradeRecord],
+    provider: BaselineProvider,
+    offsets: Sequence[int],
+    f_prime: Decimal,
+    calibration: GasCalibration | None = None,
+    shifted: tuple[GasCalibration, GasCalibration] | None = None,
+    decompose: Sequence[int] | None = None,
+) -> list[AnalysisRow]:
+    """Every row of `analysis_pass`, as a list."""
+    return list(
+        analysis_pass(trades, provider, offsets, f_prime, calibration, shifted, decompose)
+    )
+
+
+def counting_exclusions(
+    rows: Iterable[AnalysisRow], counts: dict[str, int]
+) -> Iterator[AnalysisRow]:
+    """Yield `rows` unchanged, counting each excluded one in counts[reason]."""
+    for row in rows:
+        reason = row.exclusion_reason
+        if reason is not None:
+            counts[reason] = counts.get(reason, 0) + 1
+        yield row
 
 
 def _pi(
@@ -159,38 +198,27 @@ def _pi(
         return None
 
 
-def attribution_csv_rows(rows: Sequence[AnalysisRow]) -> list[list[str]]:
+def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
     """CSV rows of a pass that decomposed every offset (`decompose=None`)."""
-    out = []
     for row in rows:
         if row.result is None:
-            out.append(
-                [row.trade.trade_id, str(row.offset), "", "", "", "", "", "true", row.exclusion_reason]
-            )
+            yield [
+                row.trade.trade_id, str(row.offset), "", "", "", "", "", "true",
+                row.exclusion_reason,
+            ]
         else:
             r = row.result
-            out.append(
-                [
-                    r.trade_id,
-                    str(r.offset),
-                    format_bps(r.pi),
-                    format_bps(r.pi_routing),
-                    format_bps(r.pi_gas),
-                    format_bps(r.pi_fee),
-                    format_bps(r.pi_remainder),
-                    "false",
-                    "",
-                ]
-            )
-    return out
-
-
-def exclusion_counts(rows: Sequence[AnalysisRow]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in rows:
-        if row.exclusion_reason is not None:
-            counts[row.exclusion_reason] = counts.get(row.exclusion_reason, 0) + 1
-    return dict(sorted(counts.items()))
+            yield [
+                r.trade_id,
+                str(r.offset),
+                format_bps(r.pi),
+                format_bps(r.pi_routing),
+                format_bps(r.pi_gas),
+                format_bps(r.pi_fee),
+                format_bps(r.pi_remainder),
+                "false",
+                "",
+            ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,10 +237,6 @@ class AggregateReport:
     summary: dict = field(default_factory=dict)
     exclusions: dict[str, int] = field(default_factory=dict)
     anchor_offset: int = 0
-
-
-def _weighted_rows(rows: Sequence[AnalysisRow]) -> list[AnalysisRow]:
-    return [r for r in rows if not r.excluded and r.trade.usd_value is not None]
 
 
 def _group_key(row: AnalysisRow, level: str) -> str:
@@ -238,24 +262,27 @@ def run_aggregate(
     shifted = None
     if calibration is not None and calibration.beta1_se > 0:
         shifted = perturbed_calibrations(calibration, sys_multiplier)
-    rows = analyze_trades(
-        trades, raw_provider, offsets, f_prime, calibration, shifted, decompose=(anchor,)
-    )
+    exclusions: dict[str, int] = {}
+    anchor_rows: list[AnalysisRow] = []
 
-    base_means, up_means, low_means = grouped_means(
-        (
-            (
+    def members():
+        rows = analysis_pass(
+            trades, raw_provider, offsets, f_prime, calibration, shifted, decompose=(anchor,)
+        )
+        for r in counting_exclusions(rows, exclusions):
+            if r.trade.usd_value is None:
+                continue
+            if r.offset == anchor and not r.excluded:
+                anchor_rows.append(r)
+            yield (
                 (("path", r.trade.path, r.offset), ("interface", r.trade.interface, r.offset)),
                 r.trade.usd_value,
                 (r.pi, r.pi_upper, r.pi_lower),
             )
-            for r in rows
-            if r.trade.usd_value is not None
-        ),
-        3,
-    )
 
-    report = AggregateReport(exclusions=exclusion_counts(rows), anchor_offset=anchor)
+    base_means, up_means, low_means = grouped_means(members(), 3)
+
+    report = AggregateReport(exclusions=dict(sorted(exclusions.items())), anchor_offset=anchor)
 
     for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
         level, group, offset = key
@@ -270,10 +297,7 @@ def run_aggregate(
         )
 
     # Rolling-by-size series at the anchor offset, all groups pooled.
-    anchor_rows = sorted(
-        (r for r in _weighted_rows(rows) if r.offset == anchor),
-        key=lambda r: (r.trade.usd_value, r.trade.trade_id),
-    )
+    anchor_rows.sort(key=lambda r: (r.trade.usd_value, r.trade.trade_id))
     if len(anchor_rows) >= 2:
         eff_window = min(window, len(anchor_rows))
         if eff_window < window:

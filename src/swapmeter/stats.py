@@ -225,7 +225,9 @@ def grouped_means(
     add to all of its groups. Returns, per series, group -> (mean,
     weighted standard error, n, sum w), groups in order of first member.
     A group with fewer than two valued members, or whose weights are all
-    zero, is skipped with a warning.
+    zero, is skipped with a warning. `members` is drained inside the
+    exact context, so a lazy source must do its own arithmetic in a
+    context it enters itself (as `pipeline.analysis_pass` does).
     """
     cells: list[dict[tuple[Hashable, ...], list]] = [{} for _ in range(series)]
     group_sums: list[dict[Hashable, list]] = []

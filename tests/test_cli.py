@@ -1,12 +1,15 @@
 """CLI subcommands: flows, exit codes, determinism."""
 
 import json
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
+from swapmeter.errors import SwapmeterError
 from swapmeter.ingest import TRADE_COLUMNS
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
@@ -407,6 +410,25 @@ class TestExitCodes:
         assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
         assert "error: line 3: duplicate trade_id T1" in capsys.readouterr().err
 
+    def test_gas_estimate_above_uint128_rejected(self, tmp_path, capsys):
+        # g' = 1e999999 used to pass ingest and overflow g'(b+f') in pricing
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n{ROW.replace('T1,', 'T2,')}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            f"{QUOTE_HEADER}\nT1,0,2995000000,6,1e999999,prov\nT2,0,2995000000,6,150000,prov\n"
+        )
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        assert main(["analyze", *base, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "reject quote line 1: gas_estimate exceeds the uint128 bound" in err
+        assert "excluded 1 rows: quote_unavailable" in err
+        assert "Traceback" not in err
+        assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 1: gas_estimate exceeds the uint128 bound" in err
+        assert "Traceback" not in err
+
     def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
         # X trades all weigh $0: their path group has no weighted mean, so it
         # is skipped with a warning while the rest of the aggregate is written
@@ -434,6 +456,73 @@ class TestExitCodes:
         assert "path:X," not in curve
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["summary"]["by_path"]) == {"Classic"}
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_fatal_error_mid_pass_leaves_no_partial_output(
+        self, scenario_files, tmp_path, capsys, monkeypatch, command
+    ):
+        out = tmp_path / "out"
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(out),
+            "--offsets=-1..1",
+            "--window", "20",
+            "--no-correction",
+        ]
+        assert main(["analyze", *base]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert list(before) == ["attribution.csv"]
+        capsys.readouterr()
+
+        served = 0
+        quote = ReplayProvider.quote
+
+        def failing(self, trade, offset, amount_in=None):
+            # a fatal provider error halfway through the 180 pairs
+            nonlocal served
+            served += 1
+            if served == 90:
+                raise SwapmeterError("provider failed")
+            return quote(self, trade, offset, amount_in)
+
+        monkeypatch.setattr(ReplayProvider, "quote", failing)
+        assert main([command, *base]) == 2
+        assert capsys.readouterr().err == "error: provider failed\n"
+        assert served == 90
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_analyze_memory_grows_with_trades_not_pairs(self, tmp_path):
+        # Every offset shares one pool snapshot, so the inputs barely grow
+        # with the offsets while the pairs grow 8x. Holding every pair's row
+        # made the peak grow about 5x; holding one trade's rows, about 1.4x.
+        spec = {
+            "seed": 11,
+            "n_trades": 40,
+            "path_mix": {"Classic": 0.5, "X": 0.5},
+            "offsets": list(range(-32, 32)),
+        }
+        (tmp_path / "scenario.json").write_text(json.dumps(spec))
+        data = tmp_path / "data"
+        assert main(["synth", str(tmp_path / "scenario.json"), "--out", str(data)]) == 0
+        base = [
+            "analyze",
+            "--trades", str(data / "trades.csv"),
+            "--pools", str(data / "pools.csv"),
+            "--out", str(tmp_path / "out"),
+            "--no-correction",
+        ]
+        peaks = []
+        for offsets in ("-4..3", "-32..31"):
+            tracemalloc.start()
+            try:
+                assert main([*base, f"--offsets={offsets}"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 class TestGoldenValues:

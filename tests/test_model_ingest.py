@@ -15,7 +15,14 @@ from swapmeter.ingest import (
     ingest_trades,
     serialize_trades,
 )
-from swapmeter.model import Direction, GasTerms, TokenAmount, canonical_interface, canonical_path
+from swapmeter.model import (
+    Direction,
+    GasTerms,
+    Quote,
+    TokenAmount,
+    canonical_interface,
+    canonical_path,
+)
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
 VALID_ROW = "T1,Uniswap,Classic,18000000,WETH_IN,false,1000000000000000000,18,3000000000,6,150000,20000000000,1000000000,3000,1700000000"
@@ -40,6 +47,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="overflow"):
             GasTerms(2**64, 2**63, 2**63)
         GasTerms(2**64 - 1, 2**63, 2**63 - 1)  # just under the bound
+
+    def test_quote_gas_estimate_bound(self):
+        with pytest.raises(ValueError, match="uint128"):
+            Quote("T1", 0, TokenAmount(1, 6), Decimal("1e999999"), "prov")
+        Quote("T1", 0, TokenAmount(1, 6), Decimal(2**128 - 1), "prov")  # the bound itself
 
     def test_canonical_tags(self):
         assert canonical_interface("oneinch") == "1inch"

@@ -9,13 +9,18 @@ curve and rolling rows must equal the pipeline's exactly. A second test
 checks each analyze_trades row against attribute_trade and
 counterfactual_price called for that pair alone, and two more check that
 decomposing only the anchor offset changes nothing but which rows carry
-an attribution.
+an attribution. The last two check the streamed pass: its order equals
+a stable sort of rows priced one pair at a time, and its values do not
+depend on the decimal context its consumer drains it in.
 """
 
 import json
+from decimal import ROUND_DOWN, Context, localcontext
 from decimal import Decimal as D
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapmeter.attribution import attribute_trade, price_improvement
 from swapmeter.baseline import (
@@ -34,9 +39,9 @@ from swapmeter.errors import (
 )
 from swapmeter.ingest import QuoteSet, ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.model import Direction, Quote, TokenAmount
-from swapmeter.pipeline import analyze_trades, run_aggregate
+from swapmeter.pipeline import analysis_pass, analyze_trades, run_aggregate
 from swapmeter.prices import counterfactual_price, realized_price
-from swapmeter.stats import weighted_mean_with_stat
+from swapmeter.stats import _EXACT, weighted_mean_with_stat
 
 from conftest import USDC, WETH, make_trade
 
@@ -364,3 +369,75 @@ def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offs
     assert report.anchor_offset == anchor
     assert decomposed == [anchor] * len(trades)
     assert {p.offset for p in report.curves} == set(offsets)
+
+
+def _streamed_trade(trade_id, internalized, scale):
+    # One direction per trade_id, so that every trade with that id can
+    # share its quotes.
+    weth, usdc = TokenAmount(scale * 10**15, 18), TokenAmount(scale * 3 * USDC, 6)
+    if trade_id in "AC":
+        return make_trade(
+            trade_id, direction=Direction.WETH_IN, gas_internalized=internalized,
+            amount_in=weth, amount_out=usdc, usd_value=D(scale * 3),
+        )
+    return make_trade(
+        trade_id, direction=Direction.WETH_OUT, gas_internalized=internalized,
+        amount_in=usdc, amount_out=weth, usd_value=D(scale * 3),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            _streamed_trade,
+            st.sampled_from("ABCD"),
+            st.booleans(),
+            st.one_of(st.integers(1, 5), st.integers(1, 2000)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=5),
+    st.sets(st.integers(-2, 2), min_size=3),
+    st.sampled_from([None, (0,)]),
+)
+def test_streamed_pass_equals_a_stable_sort_of_pairs_priced_alone(
+    trades, offsets, quoted, decompose
+):
+    """Trades in any order with repeated trade_ids, offsets out of order or repeated.
+
+    Small trades are excluded at some slopes, unquoted offsets are missing.
+    """
+    cal = GasCalibration(D("0.95"), D("0.05"), 20, D(1), D(0))
+    shifted = perturbed_calibrations(cal)
+    # D's 0.004 ETH quote is worth less than its gas at some slopes and offsets.
+    quotes = {
+        "A": lambda o: ((2990 + o) * USDC, 6, 150_000 + 1000 * o),
+        "B": lambda o: (WETH - 10**15 * (3 + o), 18, 140_000),
+        "C": lambda o: ((3 + o) * USDC, 6, 150_000),
+        "D": lambda o: (4 * 10**15, 18, 185_000 + 5000 * o),
+    }
+    provider = _replay([(t, o, *quote(o)) for t, quote in quotes.items() for o in quoted])
+    rows = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted, decompose)
+    alone = [
+        analyze_trades([t], provider, [o], F_PRIME, cal, shifted, decompose)[0]
+        for t in trades
+        for o in offsets
+    ]
+    assert rows == sorted(alone, key=lambda r: (r.trade.trade_id, r.offset))
+
+
+@pytest.mark.parametrize(
+    "context", [_EXACT, Context(prec=12, rounding=ROUND_DOWN)], ids=["exact", "narrow"]
+)
+def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context):
+    """stats.grouped_means drains the pass inside its exact context."""
+    root, trades = scenario
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    shifted = perturbed_calibrations(cal, MULTIPLIER)
+    provider = _provider(root, "quotes")
+    expected = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, shifted)
+    with localcontext(context):
+        rows = list(analysis_pass(trades, provider, OFFSETS, F_PRIME, cal, shifted))
+    assert rows == expected

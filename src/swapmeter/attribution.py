@@ -15,13 +15,14 @@ via the gross reconstruction in `prices.realized_decision_vector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from swapmeter.baseline import BaselineProvider
-from swapmeter.errors import EXCLUDED, NonPositiveBaseline
-from swapmeter.model import Direction, Quote, TradeRecord
+from swapmeter.errors import NonPositiveBaseline
+from swapmeter.model import Quote, TradeRecord
 from swapmeter.prices import (
+    WEI_IN_ETH,
     DecisionVector,
     Price,
     TradeTerms,
@@ -29,15 +30,14 @@ from swapmeter.prices import (
     trade_terms,
 )
 
-WEI_IN_ETH = Decimal(10) ** -18
 
-
-@dataclass(frozen=True, slots=True)
-class AttributionResult:
+class AttributionResult(NamedTuple):
     """pi and its components for one trade at one offset.
 
     Invariant: pi == pi_routing + pi_gas + pi_fee + pi_remainder exactly
-    (the remainder is defined as the residual).
+    (the remainder is defined as the residual). An immutable record, built
+    once per priced pair: a tuple builds in a third of a frozen
+    dataclass's time.
     """
 
     trade_id: str
@@ -65,25 +65,6 @@ def improvement(p: Decimal, p_prime: Decimal) -> Decimal:
     return (p - p_prime) / p_prime
 
 
-def pi_curve(
-    trade: TradeRecord,
-    baseline: BaselineProvider,
-    offsets: list[int] | tuple[int, ...],
-    f_prime: Decimal,
-) -> tuple[list[tuple[int, Decimal]], list[tuple[int, str]]]:
-    """Price improvement across block offsets; unavailable offsets become gaps."""
-    terms = trade_terms(trade, f_prime)
-    points: list[tuple[int, Decimal]] = []
-    gaps: list[tuple[int, str]] = []
-    for offset in offsets:
-        try:
-            p_prime, _ = counterfactual_price(trade, baseline, offset, f_prime, terms=terms)
-            points.append((offset, price_improvement(terms.p, p_prime)))
-        except EXCLUDED as exc:
-            gaps.append((offset, type(exc).__name__))
-    return points, gaps
-
-
 def partials_at_baseline(
     trade: TradeRecord,
     x_prime: DecisionVector,
@@ -103,15 +84,10 @@ def partials_at_baseline(
 
 def _partials(terms: TradeTerms, g_prime: Decimal, o_prime: Decimal):
     """`partials_at_baseline` at x' = (o', g', f'), with o' normalized."""
-    i = terms.i
-    per_gas = terms.per_gas * WEI_IN_ETH
-    if terms.trade.direction is Direction.WETH_OUT:
-        return (
-            Decimal(1) / i,
-            -per_gas / i,
-            -g_prime * WEI_IN_ETH / i,
-        )
-    d = i + g_prime * per_gas
+    if terms.dp_do is not None:  # WETH out: only dp/df depends on x'
+        return terms.dp_do, terms.dp_dg, -g_prime * WEI_IN_ETH / terms.i
+    per_gas = terms.per_gas_eth
+    d = terms.i + g_prime * per_gas
     d2 = d * d
     return (
         Decimal(1) / d,
@@ -138,6 +114,14 @@ def attribute(
     terms = trade_terms(trade, x_prime.f, terms)
     if (x is not terms.x and x != terms.x) or (p is not terms.p and p != terms.p):
         raise ValueError(f"x and p must be trade {trade.trade_id!r}'s realized vector and price")
+    return _attribute(terms, x, x_prime, p, p_prime, offset)
+
+
+def _attribute(
+    terms: TradeTerms, x: DecisionVector, x_prime: DecisionVector, p: Price, p_prime: Price,
+    offset: int,
+) -> AttributionResult:
+    """`attribute` of (x, p), the realized vector and price of `terms`."""
     pv = p_prime.value
     pi = improvement(p.value, pv)
     o_prime = x_prime.o.normalized
@@ -147,17 +131,8 @@ def attribute(
     pi_fee = dp_df * (x.f - x_prime.f) / pv
     pi_remainder = pi - (pi_routing + pi_gas + pi_fee)
     return AttributionResult(
-        trade_id=trade.trade_id,
-        offset=offset,
-        pi=pi,
-        pi_routing=pi_routing,
-        pi_gas=pi_gas,
-        pi_fee=pi_fee,
-        pi_remainder=pi_remainder,
-        x=x,
-        x_prime=x_prime,
-        p=p,
-        p_prime=p_prime,
+        terms.trade.trade_id, offset, pi, pi_routing, pi_gas, pi_fee, pi_remainder,
+        x, x_prime, p, p_prime,
     )
 
 
@@ -173,10 +148,12 @@ def attribute_trade(
 ) -> AttributionResult:
     """Full per-trade attribution against a baseline provider at one offset.
 
-    quote, beta1 and terms are passed to `counterfactual_price`.
+    quote, beta1 and terms are passed to `counterfactual_price`, which
+    checks that the terms are those of (trade, f').
     """
-    terms = trade_terms(trade, f_prime, terms)
+    if terms is None:
+        terms = trade_terms(trade, f_prime)
     p_prime, x_prime = counterfactual_price(
         trade, baseline, offset, f_prime, quote=quote, beta1=beta1, terms=terms
     )
-    return attribute(trade, terms.x, x_prime, terms.p, p_prime, offset=offset, terms=terms)
+    return _attribute(terms, terms.x, x_prime, terms.p, p_prime, offset)

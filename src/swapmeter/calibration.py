@@ -16,6 +16,13 @@ from typing import Iterable
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
 from swapmeter.model import Quote
 
+# Bounds of the slope beta1 and of its standard error: estimated gas from
+# 1e-18 to 1e18 times realized gas. Far inside them, g'/beta1 * (b+f') and
+# the prices built from it stay in the decimal range for every quoted gas
+# g' <= 2^128 - 1; a slope of 1e-999990 overflowed it.
+MIN_SLOPE = Decimal("1e-18")
+MAX_SLOPE = Decimal("1e18")
+
 
 @dataclass(frozen=True, slots=True)
 class GasCalibration:
@@ -30,8 +37,12 @@ class GasCalibration:
     def __post_init__(self):
         if self.beta1 <= 0:
             raise ValueError("beta1 must be positive")
+        if not MIN_SLOPE <= self.beta1 <= MAX_SLOPE:
+            raise ValueError(f"beta1 {self.beta1} is outside [{MIN_SLOPE}, {MAX_SLOPE}]")
         if self.beta1_se < 0:
             raise ValueError("beta1_se must be nonnegative")
+        if self.beta1_se > MAX_SLOPE:
+            raise ValueError(f"beta1_se {self.beta1_se} exceeds {MAX_SLOPE}")
 
     def as_dict(self) -> dict:
         return {
@@ -57,7 +68,7 @@ class GasCalibration:
             )
         except KeyError as exc:
             raise ConfigError(f"missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -95,13 +106,16 @@ def fit_gas_bias(pairs: Iterable[tuple[int | Decimal, Decimal]]) -> GasCalibrati
     ratios = [q / g for g, q in data]
     mean = sum(ratios) / n
     var = sum((r - mean) ** 2 for r in ratios) / (n - 1)
-    return GasCalibration(
-        beta1=beta1,
-        beta1_se=se,
-        n_points=n,
-        residual_mean=mean,
-        residual_stddev=var.sqrt(),
-    )
+    try:
+        return GasCalibration(
+            beta1=beta1,
+            beta1_se=se,
+            n_points=n,
+            residual_mean=mean,
+            residual_stddev=var.sqrt(),
+        )
+    except ValueError as exc:
+        raise DegenerateRegressor(f"fitted {exc}") from None
 
 
 def correct_gas(quote: Quote, cal: GasCalibration) -> Quote:
@@ -115,11 +129,12 @@ def perturbed_calibrations(
     """Calibrations at beta1 +/- multiplier*beta1_se for systematic bands.
 
     A non-positive lower slope cannot divide gas estimates; it is clamped
-    to beta1/2 with a warning. ConfigError if the shift overflows.
+    to beta1/2 with a warning. ConfigError if the shift overflows or takes
+    a slope outside [MIN_SLOPE, MAX_SLOPE].
     """
     try:
         delta = Decimal(multiplier) * cal.beta1_se
-        upper = replace(cal, beta1=cal.beta1 + delta)
+        upper = cal.beta1 + delta
     except Overflow:
         raise ConfigError(
             f"sys_multiplier {multiplier} times beta1_se {cal.beta1_se} is out of range"
@@ -132,5 +147,7 @@ def perturbed_calibrations(
             stacklevel=2,
         )
         low = cal.beta1 / 2
-    lower = replace(cal, beta1=low)
-    return upper, lower
+    try:
+        return replace(cal, beta1=upper), replace(cal, beta1=low)
+    except ValueError as exc:
+        raise ConfigError(f"beta1 +/- {multiplier}*se: {exc}") from None

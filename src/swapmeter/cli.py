@@ -156,7 +156,7 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
     try:
         with _reading(path), open(path, "r", encoding="utf-8") as fh:
             return GasCalibration.from_dict(json.load(fh))
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except (ValueError, ConfigError) as exc:  # json.JSONDecodeError is a ValueError
         raise SwapmeterError(f"bad calibration report {path}: {exc}") from exc
 
 

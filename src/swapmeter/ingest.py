@@ -95,12 +95,10 @@ class QuoteSet:
     def __init__(self, quotes: Iterable[Quote] = ()):
         self._quotes: dict[tuple[str, int, str], Quote] = {}
         for q in quotes:
-            self.add(q)
-
-    def add(self, quote: Quote) -> None:
-        if quote.key in self._quotes:
-            raise DuplicateQuote(f"duplicate quote key {quote.key}")
-        self._quotes[quote.key] = quote
+            key = (q.trade_id, q.offset, q.provider_id)
+            if key in self._quotes:
+                raise DuplicateQuote(f"duplicate quote key {key}")
+            self._quotes[key] = q
 
     def get(self, trade_id: str, offset: int, provider_id: str) -> Quote | None:
         return self._quotes.get((trade_id, offset, provider_id))
@@ -126,34 +124,38 @@ class QuoteSet:
 
 
 # ---------------------------------------------------------------------------
-# field parsers
+# field parsers: each checks a raw CSV or JSONL value's type and sign, naming
+# the column; the model's __post_init__ checks ranges, for direct
+# construction too.
 
 
 def _uint(value, name: str) -> int:
+    if type(value) is str and value.isdigit():
+        return int(value)
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an unsigned integer")
     if isinstance(value, int):
-        n = value
-    else:
-        s = str(value).strip()
-        if not s or s[0] == "-" or not s.isdigit():
-            raise ValueError(f"{name} must be an unsigned base-10 integer")
-        n = int(s)
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return n
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+        return value
+    s = str(value).strip()
+    if not s.isdigit():
+        raise ValueError(f"{name} must be an unsigned base-10 integer")
+    return int(s)
 
 
 def _int(value, name: str) -> int:
+    # int() strips surrounding whitespace itself
     try:
-        return int(str(value).strip())
+        return int(value if type(value) is str else str(value))
     except ValueError:
         raise ValueError(f"{name} must be an integer") from None
 
 
 def _nonneg_decimal(value, name: str) -> Decimal:
+    # Decimal() strips surrounding whitespace itself
     try:
-        d = Decimal(str(value).strip())
+        d = Decimal(value if type(value) is str else str(value))
     except InvalidOperation:
         raise ValueError(f"{name} must be a decimal number") from None
     if not d.is_finite() or d < 0:
@@ -173,69 +175,64 @@ def _bool(value, name: str) -> bool:
 
 
 def _direction(value) -> Direction:
-    s = str(value).strip()
     try:
-        return Direction(s)
+        return Direction(str(value).strip())
     except ValueError:
         raise ValueError("direction must be WETH_IN or WETH_OUT") from None
 
 
-def _build_trade(row: dict, require_usd: bool) -> TradeRecord:
-    usd_raw = row.get("usd_value")
-    if usd_raw is None or str(usd_raw).strip() == "":
+def _build_trade(row: list, require_usd: bool) -> TradeRecord:
+    (
+        trade_id, interface, path, block_number, direction, gas_internalized,
+        in_raw, in_decimals, out_raw, out_decimals, gas_used, base_fee, priority_fee,
+        usd_value, timestamp,
+    ) = row
+    if usd_value is None or str(usd_value).strip() == "":
         if require_usd:
             raise ValueError("usd_value missing (required for aggregate runs)")
         usd = None
     else:
-        usd = _nonneg_decimal(usd_raw, "usd_value")
+        usd = _nonneg_decimal(usd_value, "usd_value")
     return TradeRecord(
-        trade_id=str(row["trade_id"]).strip(),
-        interface=canonical_interface(str(row["interface"])),
-        path=canonical_path(str(row["path"])),
-        block_number=_uint(row["block_number"], "block_number"),
-        direction=_direction(row["direction"]),
-        gas_internalized=_bool(row["gas_internalized"], "gas_internalized"),
-        amount_in=TokenAmount(
-            _uint(row["amount_in_raw"], "amount_in_raw"),
-            _uint(row["amount_in_decimals"], "amount_in_decimals"),
+        str(trade_id).strip(),
+        canonical_interface(str(interface)),
+        canonical_path(str(path)),
+        _uint(block_number, "block_number"),
+        _direction(direction),
+        _bool(gas_internalized, "gas_internalized"),
+        TokenAmount(_uint(in_raw, "amount_in_raw"), _uint(in_decimals, "amount_in_decimals")),
+        TokenAmount(_uint(out_raw, "amount_out_raw"), _uint(out_decimals, "amount_out_decimals")),
+        GasTerms(
+            _uint(gas_used, "gas_used"),
+            _uint(base_fee, "base_fee_wei"),
+            _uint(priority_fee, "priority_fee_wei"),
         ),
-        amount_out=TokenAmount(
-            _uint(row["amount_out_raw"], "amount_out_raw"),
-            _uint(row["amount_out_decimals"], "amount_out_decimals"),
-        ),
-        gas=GasTerms(
-            _uint(row["gas_used"], "gas_used"),
-            _uint(row["base_fee_wei"], "base_fee_wei"),
-            _uint(row["priority_fee_wei"], "priority_fee_wei"),
-        ),
-        usd_value=usd,
-        timestamp=_int(row["timestamp"], "timestamp"),
+        usd,
+        _int(timestamp, "timestamp"),
     )
 
 
-def _build_quote(row: dict) -> Quote:
+def _build_quote(row: list) -> Quote:
+    trade_id, offset, out_raw, out_decimals, gas_estimate, provider_id = row
     return Quote(
-        trade_id=str(row["trade_id"]).strip(),
-        offset=_int(row["offset"], "offset"),
-        out_estimate=TokenAmount(
-            _uint(row["out_estimate_raw"], "out_estimate_raw"),
-            _uint(row["out_estimate_decimals"], "out_estimate_decimals"),
+        str(trade_id).strip(),
+        _int(offset, "offset"),
+        TokenAmount(
+            _uint(out_raw, "out_estimate_raw"), _uint(out_decimals, "out_estimate_decimals")
         ),
-        gas_estimate=_nonneg_decimal(row["gas_estimate"], "gas_estimate"),
-        provider_id=str(row["provider_id"]).strip(),
+        _nonneg_decimal(gas_estimate, "gas_estimate"),
+        str(provider_id).strip(),
     )
 
 
-def _build_pool(row: dict) -> Pool:
-    return Pool(
-        pool_id=str(row["pool_id"]).strip(),
-        reserve_weth=TokenAmount(_uint(row["reserve_weth_raw"], "reserve_weth_raw"), 18),
-        reserve_token=TokenAmount(
-            _uint(row["reserve_token_raw"], "reserve_token_raw"),
-            _uint(row["token_decimals"], "token_decimals"),
-        ),
-        fee_bps=_int(row["fee_bps"], "fee_bps"),
-        gas_per_hop=_uint(row["gas_per_hop"], "gas_per_hop"),
+def _build_pool(row: list) -> tuple[int, Pool]:
+    offset, pool_id, weth_raw, token_raw, token_decimals, fee_bps, gas_per_hop = row
+    return _int(offset, "offset"), Pool(
+        str(pool_id).strip(),
+        TokenAmount(_uint(weth_raw, "reserve_weth_raw"), 18),
+        TokenAmount(_uint(token_raw, "reserve_token_raw"), _uint(token_decimals, "token_decimals")),
+        _int(fee_bps, "fee_bps"),
+        _uint(gas_per_hop, "gas_per_hop"),
     )
 
 
@@ -266,8 +263,12 @@ def _data_lines(stream: IO[str]) -> Iterator[str]:
         yield line
 
 
-def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, dict | str]]:
-    """Yield (data_line_number, row-dict) or (line, error-string) pairs."""
+def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, list | str]]:
+    """Yield (data_line_number, row) or (line, error-string) pairs.
+
+    A row lists the line's values in column order (None for a JSONL line's
+    missing usd_value).
+    """
     stream, should_close = _open_text(source)
     try:
         lines = _data_lines(stream)
@@ -287,7 +288,7 @@ def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, dict | st
                 if len(record) != len(columns):
                     yield n, f"expected {len(columns)} fields, got {len(record)}"
                     continue
-                yield n, dict(zip(columns, record))
+                yield n, record
             if n == 0:
                 raise EmptyInput("input has no data rows")
         elif fmt == "jsonl":
@@ -299,6 +300,9 @@ def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, dict | st
                 except json.JSONDecodeError as exc:
                     yield n, f"invalid JSON: {exc.msg}"
                     continue
+                except ValueError as exc:  # an integer literal past int()'s digit limit
+                    yield n, f"invalid JSON: {exc}"
+                    continue
                 if not isinstance(obj, dict):
                     yield n, "JSONL line must be an object"
                     continue
@@ -306,7 +310,7 @@ def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, dict | st
                 if missing:
                     yield n, f"missing fields: {', '.join(missing)}"
                     continue
-                yield n, obj
+                yield n, [obj.get(c) for c in columns]
             if n == 0:
                 raise EmptyInput("input has no data rows")
         else:
@@ -325,7 +329,7 @@ def _ingest(source, fmt, columns, builder, strict) -> IngestResult:
             try:
                 result.records.append(builder(row))
                 continue
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 reject = MalformedRow(line_no, str(exc) or repr(exc))
         if strict:
             raise IngestError(f"line {reject.line}: {reject.reason}")
@@ -346,7 +350,7 @@ def ingest_trades(
     """
     seen: set[str] = set()
 
-    def build(row: dict) -> TradeRecord:
+    def build(row: list) -> TradeRecord:
         trade = _build_trade(row, require_usd)
         if trade.trade_id in seen:
             raise ValueError(f"duplicate trade_id {trade.trade_id}")
@@ -359,21 +363,14 @@ def ingest_trades(
 def ingest_quotes(source, fmt: str = "csv", *, strict: bool = False) -> tuple[QuoteSet, list[MalformedRow]]:
     """Parse quotes into a set keyed by (trade_id, offset, provider_id)."""
     result = _ingest(source, fmt, QUOTE_COLUMNS, _build_quote, strict)
-    quote_set = QuoteSet()
-    for q in result.records:
-        quote_set.add(q)
-    return quote_set, result.rejects
+    return QuoteSet(result.records), result.rejects
 
 
 def ingest_pool_snapshots(
     source, fmt: str = "csv", *, strict: bool = False
 ) -> tuple[dict[int, list[Pool]], list[MalformedRow]]:
     """Parse per-offset pool snapshots: the pool schema plus a leading offset."""
-
-    def build(row: dict) -> tuple[int, Pool]:
-        return _int(row["offset"], "offset"), _build_pool(row)
-
-    result = _ingest(source, fmt, SNAPSHOT_COLUMNS, build, strict)
+    result = _ingest(source, fmt, SNAPSHOT_COLUMNS, _build_pool, strict)
     snapshots: dict[int, list[Pool]] = {}
     for offset, pool in result.records:
         snapshots.setdefault(offset, []).append(pool)
@@ -431,13 +428,3 @@ def snapshot_to_rows(snapshots: dict[int, list[Pool]]) -> list[list[str]]:
                 ]
             )
     return rows
-
-
-def serialize_trades(trades: Iterable[TradeRecord]) -> str:
-    """Canonical CSV form; ingest(serialize(ingest(x))) == ingest(x)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRADE_COLUMNS)
-    for t in trades:
-        writer.writerow(trade_to_row(t))
-    return buf.getvalue()

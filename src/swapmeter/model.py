@@ -12,6 +12,7 @@ from decimal import Decimal
 from enum import Enum
 
 MAX_UINT128 = 2**128 - 1
+_ZERO, _MAX_GAS = Decimal(0), Decimal(MAX_UINT128)  # Decimal bounds compare faster
 
 # Exact representability bound for the 60-digit decimal context.
 _MAX_RAW = 10**60
@@ -139,14 +140,10 @@ class Quote:
     provider_id: str
 
     def __post_init__(self):
-        if self.gas_estimate < 0:
+        if self.gas_estimate < _ZERO:
             raise ValueError("gas_estimate must be nonnegative")
-        if self.gas_estimate > MAX_UINT128:
+        if self.gas_estimate > _MAX_GAS:
             raise ValueError("gas_estimate exceeds the uint128 bound 2^128 - 1")
-
-    @property
-    def key(self) -> tuple[str, int, str]:
-        return (self.trade_id, self.offset, self.provider_id)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from swapmeter.attribution import AttributionResult, attribute_trade, improvement
 from swapmeter.baseline import BaselineProvider
@@ -65,14 +65,14 @@ ROLLING_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisRow:
+class AnalysisRow(NamedTuple):
     """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
 
-    result is the attribution at the nominal calibration slope, None where
-    the pair is excluded or was priced for pi alone. pi_upper and pi_lower
-    are pi with the slope shifted up and down; each is None where that
-    slope excludes the pair or no shift was asked for.
+    An immutable record, like `AttributionResult`. result is the
+    attribution at the nominal calibration slope, None where the pair is
+    excluded or was priced for pi alone. pi_upper and pi_lower are pi with
+    the slope shifted up and down; each is None where that slope excludes
+    the pair or no shift was asked for.
     """
 
     trade: TradeRecord

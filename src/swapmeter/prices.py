@@ -12,9 +12,10 @@ with g(b+f) converted from wei to ETH. Counterfactual prices replace
 and WETH is the input, the baseline is re-quoted at the gas-adjusted
 input i' = i - g'(b+f').
 
-What every price of one trade shares (i, b+f', the realized p and x) is
-taken once per trade in `TradeTerms`. `counterfactual_value` holds the
-p' formulas once, for the nominal and the shifted calibration slopes.
+What every price of one trade shares (i, b+f', the realized p and x, the
+partials that x' does not change) is taken once per trade in `TradeTerms`.
+`counterfactual_value` holds the p' formulas once, for the nominal and the
+shifted calibration slopes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from typing import TYPE_CHECKING
 from swapmeter.errors import NonPositiveAdjustedInput
 from swapmeter.model import Direction, Quote, TokenAmount, TradeRecord
 from swapmeter.numeric import wei_to_eth
+
+WEI_IN_ETH = Decimal(10) ** -18
 
 if TYPE_CHECKING:
     from swapmeter.baseline import BaselineProvider
@@ -95,18 +98,24 @@ def realized_decision_vector(trade: TradeRecord) -> DecisionVector:
 class TradeTerms:
     """What every price of one trade at baseline priority fee f' shares.
 
-    i is the normalized input, per_gas is b + f' in wei per gas, p and x
-    are the realized price and decision vector, and o is x's normalized
-    output. `trade_terms` builds it once per trade.
+    i is the normalized input, per_gas is b + f' in wei per gas and
+    per_gas_eth the same in ETH, p and x are the realized price and
+    decision vector, and o is x's normalized output. For a WETH-out trade,
+    dp_do = 1/i and dp_dg = -(b+f')*1e-18/i are the partials that x' does
+    not change (see `attribution.partials_at_baseline`); None otherwise.
+    `trade_terms` builds it once per trade.
     """
 
     trade: TradeRecord
     f_prime: Decimal
     i: Decimal
     per_gas: Decimal
+    per_gas_eth: Decimal
     p: Price
     x: DecisionVector
     o: Decimal
+    dp_do: Decimal | None
+    dp_dg: Decimal | None
 
 
 def trade_terms(
@@ -120,14 +129,16 @@ def trade_terms(
     if f_prime < 0:
         raise ValueError("g and f must be nonnegative")
     x = realized_decision_vector(trade)
+    i = trade.amount_in.normalized
+    per_gas = Decimal(trade.gas.base_fee) + f_prime
+    per_gas_eth = per_gas * WEI_IN_ETH
+    dp_do = dp_dg = None
+    if trade.direction is Direction.WETH_OUT:
+        dp_do = Decimal(1) / i
+        dp_dg = -per_gas_eth / i
     return TradeTerms(
-        trade,
-        f_prime,
-        trade.amount_in.normalized,
-        Decimal(trade.gas.base_fee) + f_prime,
-        realized_price(trade),
-        x,
-        x.o.normalized,
+        trade, f_prime, i, per_gas, per_gas_eth, realized_price(trade), x, x.o.normalized,
+        dp_do, dp_dg,
     )
 
 

@@ -9,13 +9,10 @@ from swapmeter.attribution import (
     attribute,
     attribute_trade,
     partials_at_baseline,
-    pi_curve,
     price_improvement,
 )
 from swapmeter.errors import NonPositiveBaseline
-from swapmeter.ingest import QuoteSet
-from swapmeter.baseline import ReplayProvider
-from swapmeter.model import Direction, Quote, TokenAmount
+from swapmeter.model import Direction, TokenAmount
 from swapmeter.prices import (
     DecisionVector,
     Price,
@@ -84,55 +81,6 @@ class TestPriceImprovement:
         q = Price(Decimal(0), PriceCase.COUNTERFACTUAL_EXTERNAL_GAS)
         with pytest.raises(NonPositiveBaseline):
             price_improvement(p, q)
-
-
-class TestPiCurve:
-    def test_flat_when_baseline_constant(self):
-        trade = make_trade()
-        quotes = QuoteSet(
-            Quote("T1", off, TokenAmount(2995 * USDC, 6), Decimal(140_000), "prov")
-            for off in range(-4, 4)
-        )
-        points, gaps = pi_curve(trade, ReplayProvider(quotes), range(-4, 4), F_PRIME)
-        assert not gaps
-        assert len(points) == 8
-        assert len({rho for _, rho in points}) == 1
-
-    def test_eight_offsets_match_hand_ratios(self):
-        trade = make_trade()
-        p = realized_price(trade).value
-        outs = {off: (2980 + 5 * (off + 4)) * USDC for off in range(-4, 4)}
-        quotes = QuoteSet(
-            Quote("T1", off, TokenAmount(raw, 6), Decimal(140_000), "prov")
-            for off, raw in outs.items()
-        )
-        provider = ReplayProvider(quotes)
-        points, gaps = pi_curve(trade, provider, range(-4, 4), F_PRIME)
-        assert not gaps
-        for off, rho in points:
-            o_prime = Decimal(outs[off]).scaleb(-6)
-            p_prime = external_price(
-                Direction.WETH_IN, Decimal(1), o_prime, Decimal(140_000), F_PRIME,
-                Decimal(trade.gas.base_fee),
-            )
-            assert rho == (p - p_prime) / p_prime
-        # lower baseline at -4 means larger improvement there
-        assert points[0][1] > points[-1][1]
-
-    def test_missing_offsets_become_gaps(self):
-        trade = make_trade()
-        provider = replay_for("T1", 0, 2995 * USDC, 6, 140_000)
-        points, gaps = pi_curve(trade, provider, [-1, 0, 1], F_PRIME)
-        assert [off for off, _ in points] == [0]
-        assert [off for off, _ in gaps] == [-1, 1]
-        assert all(reason == "QuoteUnavailable" for _, reason in gaps)
-
-    def test_rho_at_zero_equals_price_improvement(self):
-        trade = make_trade()
-        provider = replay_for("T1", 0, 2995 * USDC, 6, 140_000)
-        points, _ = pi_curve(trade, provider, [0], F_PRIME)
-        p_prime, _ = counterfactual_price(trade, provider, 0, F_PRIME)
-        assert points[0][1] == price_improvement(realized_price(trade), p_prime)
 
 
 class TestPartials:

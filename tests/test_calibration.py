@@ -61,6 +61,10 @@ class TestFit:
         with pytest.raises(DegenerateRegressor):
             fit_gas_bias([(0, Decimal(0)), (0, Decimal(0))])
 
+    def test_slope_outside_bounds_is_degenerate(self):
+        with pytest.raises(DegenerateRegressor, match=r"fitted beta1 .* is outside \[1E-18, 1E\+18\]"):
+            fit_gas_bias([(100_000, Decimal("1e-20")), (200_000, Decimal("2e-20"))])
+
     def test_scale_equivariance(self):
         pairs = noisy_pairs(1, 50)
         scaled = [(g * 7, q * 7) for g, q in pairs]
@@ -120,6 +124,21 @@ class TestPerturbed:
         upper, _ = perturbed_calibrations(cal, 2)
         assert upper.beta1 == Decimal("0.94")
 
+    @pytest.mark.parametrize(
+        "beta1, se, multiplier, reason",
+        [
+            ("0.9", "0.02", Decimal("1e20"), r"beta1 2000000000000000000\.9 is outside"),
+            ("1", "0.99999999999999999999", 1, r"beta1 1E-20 is outside"),
+            ("1.5E-18", "1", 1, r"beta1 7\.5E-19 is outside"),
+        ],
+        ids=["upper-above", "lower-below", "clamped-below"],
+    )
+    @pytest.mark.filterwarnings("ignore:beta1 - .* is non-positive")
+    def test_shifted_slope_outside_bounds_is_a_config_error(self, beta1, se, multiplier, reason):
+        cal = GasCalibration(Decimal(beta1), Decimal(se), 5, Decimal(1), Decimal(0))
+        with pytest.raises(ConfigError, match=reason):
+            perturbed_calibrations(cal, multiplier)
+
     def test_overflowing_shift_is_a_config_error(self):
         cal = GasCalibration(Decimal("0.9"), Decimal("0.02"), 5, Decimal(1), Decimal(0))
         with pytest.raises(ConfigError, match="out of range"):
@@ -141,6 +160,19 @@ class TestFromDict:
         ],
     )
     def test_bad_values_are_config_errors(self, change, reason):
+        d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), **change}
+        with pytest.raises(ConfigError, match=reason):
+            GasCalibration.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"beta1": "1e-999990"}, r"beta1 1E-999990 is outside \[1E-18, 1E\+18\]"),
+            ({"beta1": "1e19"}, r"beta1 1E\+19 is outside"),
+            ({"beta1_se": "1e19"}, r"beta1_se 1E\+19 exceeds 1E\+18"),
+        ],
+    )
+    def test_slopes_outside_bounds_are_config_errors(self, change, reason):
         d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), **change}
         with pytest.raises(ConfigError, match=reason):
             GasCalibration.from_dict(d)

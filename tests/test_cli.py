@@ -1,11 +1,16 @@
 """CLI subcommands: flows, exit codes, determinism."""
 
+import csv
+import io
 import json
+import tempfile
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
@@ -312,8 +317,17 @@ class TestExitCodes:
                 '"residual_mean": "1", "residual_stddev": "0"}',
                 "'one' is not a decimal number",
             ),
+            (
+                '{"beta1": "1", "beta1_se": "0", "n_points": Infinity, '
+                '"residual_mean": "1", "residual_stddev": "0"}',
+                "cannot convert float infinity to integer",
+            ),
+            ('{"n_points": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
         ],
-        ids=["corrupt", "missing-key", "not-an-object", "nan", "not-a-decimal"],
+        ids=[
+            "corrupt", "missing-key", "not-an-object", "nan", "not-a-decimal",
+            "infinite-count", "overlong-int-literal",
+        ],
     )
     def test_bad_calibration_report_fatal(self, scenario_files, tmp_path, capsys, text, reason):
         report = tmp_path / "calibration.json"
@@ -428,6 +442,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: line 1: gas_estimate exceeds the uint128 bound" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "beta1, beta1_se, reason",
+        [
+            ("1e-999990", "0", "beta1 1E-999990 is outside [1E-18, 1E+18]"),
+            ("1e-19", "0", "beta1 1E-19 is outside [1E-18, 1E+18]"),
+            ("1e19", "0", "beta1 1E+19 is outside [1E-18, 1E+18]"),
+            ("1", "1e999990", "beta1_se 1E+999990 exceeds 1E+18"),
+        ],
+        ids=["tiny-beta1", "beta1-below-bound", "beta1-above-bound", "huge-se"],
+    )
+    def test_calibration_slope_out_of_bounds_fatal(self, tmp_path, capsys, beta1, beta1_se, reason):
+        # g'/beta1 at beta1 = 1e-999990 used to overflow in pricing (exit 1, traceback)
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n{ROW.replace('T1,', 'T2,')}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            f"{QUOTE_HEADER}\nT1,0,2995000000,6,150000,prov\nT2,0,2995000000,6,150000,prov\n"
+        )
+        report = tmp_path / "cal.json"
+        report.write_text(
+            json.dumps(
+                {"beta1": beta1, "beta1_se": beta1_se, "n_points": 2,
+                 "residual_mean": "1", "residual_stddev": "0"}
+            )
+        )
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--calibration", str(report)]
+        for command in (["analyze", "--offsets=0"], ["report", "--offsets=0", "--window", "2"]):
+            assert main([*command, *base, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: bad calibration report {report}: {reason}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_zero_weight_group_skipped(self, scenario_files, tmp_path):
         # X trades all weigh $0: their path group has no weighted mean, so it
@@ -657,3 +703,100 @@ class TestDeterminism:
         # CLI --out wins over the file value
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
         assert (tmp_path / "cli" / "attribution.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one corrupted field never ends in a traceback
+
+FUZZ_TEXT = [
+    "", "-1", "0", "-0", "1.5", " 7 ", "1e999999", "1e-999990", "NaN", "sNaN", "-Infinity",
+    "²", "true", "WETH_OUT", str(2**64), str(2**128), str(10**60), "9" * 5000, '"', "a,b",
+]
+# raw JSON literals for a calibration value
+FUZZ_JSON = [
+    "null", "true", "[]", "{}", "0", "-1", "1e999999", "1e-999990", "NaN", "Infinity",
+    "9" * 5000, '"1e-999990"', '"1e999990"', '"-0"', '"0"', '""',
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A small synth dataset (quotes and pools) plus its calibration report."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = root / "scenario.json"
+    spec.write_text(
+        json.dumps(
+            {"seed": 11, "n_trades": 10, "path_mix": {"Classic": 0.5, "X": 0.5},
+             "offsets": [-1, 0, 1]}
+        )
+    )
+    assert main(["synth", str(spec), "--out", str(root)]) == 0
+    args = ["--trades", str(root / "trades.csv"), "--quotes", str(root / "quotes.csv")]
+    assert main(["calibrate", *args, "--out", str(root)]) == 0
+    return {name: (root / name).read_text() for name in ("trades.csv", "quotes.csv", "pools.csv")} | {
+        "calibration.json": (root / "calibration.json").read_text()
+    }
+
+
+def _corrupt_csv(text: str, row: int, column: int, value: str) -> str:
+    """`text` with field (row, column) of its data rows, both taken modulo, set to value."""
+    lines = text.splitlines(keepends=True)
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")][1:]
+    i = data[row % len(data)]
+    record = next(csv.reader([lines[i]]))
+    record[column % len(record)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(record)
+    lines[i] = buf.getvalue()
+    return "".join(lines)
+
+
+def _corrupt_json(text: str, key: int, literal: str) -> str:
+    """The JSON object `text` with its key-th key, taken modulo, set to a raw JSON literal."""
+    obj = json.loads(text)
+    obj[sorted(obj)[key % len(obj)]] = "\0"
+    return json.dumps(obj).replace('"\\u0000"', literal)
+
+
+class TestFuzz:
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        name=st.sampled_from(["trades.csv", "quotes.csv", "pools.csv", "calibration.json"]),
+        row=st.integers(0, 10**6),
+        column=st.integers(0, 10**6),
+        text_value=st.one_of(st.sampled_from(FUZZ_TEXT), st.text(max_size=6)),
+        json_value=st.sampled_from(FUZZ_JSON),
+        baseline=st.sampled_from(["--quotes", "--pools"]),
+    )
+    def test_one_corrupted_field_exits_cleanly(
+        self, fuzz_files, capsys, name, row, column, text_value, json_value, baseline
+    ):
+        files = dict(fuzz_files)
+        if name == "calibration.json":
+            files[name] = _corrupt_json(files[name], column, json_value)
+        else:
+            files[name] = _corrupt_csv(files[name], row, column, text_value)
+        if name == "quotes.csv":
+            baseline = "--quotes"
+        elif name == "pools.csv":
+            baseline = "--pools"
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for file_name, text in files.items():
+                (root / file_name).write_text(text, encoding="utf-8")
+            baseline_file = "quotes.csv" if baseline == "--quotes" else "pools.csv"
+            rc = main(
+                [
+                    "analyze",
+                    "--trades", str(root / "trades.csv"),
+                    baseline, str(root / baseline_file),
+                    "--calibration", str(root / "calibration.json"),
+                    "--offsets=-1..1",
+                    "--out", str(root / "out"),
+                ]
+            )
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err

@@ -1,6 +1,8 @@
 """Trade/quote/pool types and file ingestion."""
 
+import csv
 import io
+import json
 from decimal import Decimal
 
 import pytest
@@ -9,20 +11,25 @@ from hypothesis import strategies as st
 
 from swapmeter.errors import DuplicateQuote, EmptyInput, IngestError
 from swapmeter.ingest import (
+    QUOTE_COLUMNS,
+    SNAPSHOT_COLUMNS,
     TRADE_COLUMNS,
     ingest_pool_snapshots,
     ingest_quotes,
     ingest_trades,
-    serialize_trades,
 )
 from swapmeter.model import (
+    MAX_UINT128,
     Direction,
     GasTerms,
+    Pool,
     Quote,
     TokenAmount,
     canonical_interface,
     canonical_path,
 )
+
+from conftest import WETH, make_trade
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
 VALID_ROW = "T1,Uniswap,Classic,18000000,WETH_IN,false,1000000000000000000,18,3000000000,6,150000,20000000000,1000000000,3000,1700000000"
@@ -136,8 +143,6 @@ class TestIngestTrades:
 
     def test_jsonl_roundtrip_fields(self):
         obj = dict(zip(TRADE_COLUMNS, VALID_ROW.split(","))) | {"gas_internalized": False}
-        import json
-
         result = ingest_trades(io.StringIO(json.dumps(obj) + "\n"), fmt="jsonl")
         assert result.records[0].trade_id == "T1"
         assert result.records[0].direction is Direction.WETH_IN
@@ -168,6 +173,16 @@ class TestIngestQuotes:
         quotes, _ = ingest_quotes(io.StringIO(text))
         trades = ingest_trades(csv_of(VALID_ROW)).records
         assert quotes.orphans(trades) == [("GHOST", 0, "prov")]
+
+    def test_overlong_jsonl_integer_is_a_reject(self):
+        # json.loads raises a plain ValueError past int()'s 4300-digit limit
+        lines = ['{"trade_id": ' + "9" * 5000 + "}", '{"trade_id": "T1"}']
+        _, rejects = ingest_quotes(io.StringIO("\n".join(lines) + "\n"), "jsonl")
+        assert [r.line for r in rejects] == [1, 2]
+        assert rejects[0].reason.startswith(
+            "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"
+        )
+        assert rejects[1].reason.startswith("missing fields: offset")
 
 
 class TestIngestPools:
@@ -223,19 +238,291 @@ def trade_rows(draw):
 
 
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(trade_rows(), min_size=1, max_size=6))
-    def test_serialize_ingest_identity(self, rows):
-        text = "\n".join([VALID_HEADER] + [",".join(r) for r in rows]) + "\n"
-        first = ingest_trades(io.StringIO(text))
-        canonical = serialize_trades(first.records)
-        second = ingest_trades(io.StringIO(canonical)) if first.records else None
-        if first.records:
-            assert second.records == first.records
-            assert not second.rejects
-
     def test_ingestion_is_deterministic(self):
         text = f"{VALID_HEADER}\n{VALID_ROW}\n{VALID_ROW.replace('T1', 'T2')}\n"
         a = ingest_trades(io.StringIO(text))
         b = ingest_trades(io.StringIO(text))
         assert a.records == b.records
+
+
+# ---------------------------------------------------------------------------
+# reject reasons, pinned per column
+
+# Bad values put into every column, in this order: text in both formats,
+# then JSON-native values in JSONL only.
+BAD_TEXT = ("", "-1", "1.5", " 7 ", "1e999999", "NaN", "²")
+BAD_JSON = (True, 7, -1)
+
+# Reason per bad value, formatted with the column name; None = accepted.
+_B10 = "{} must be an unsigned base-10 integer"
+_INT = "{} must be an integer"
+_SUPERSCRIPT = "invalid literal for int() with base 10: '²'"
+_DIRECTION = "direction must be WETH_IN or WETH_OUT"
+_BOOL = "{} must be 'true' or 'false'"
+_DEC = "{} must be a decimal number"
+_NONNEG_DEC = "{} must be a finite nonnegative decimal"
+TEXT = (None,) * 10
+UINT = (
+    _B10, _B10, _B10, None, _B10, _B10, _SUPERSCRIPT,
+    "{} must be an unsigned integer", None, "{} must be nonnegative",
+)
+INT = (_INT, None, _INT, None, _INT, _INT, _INT, _INT, None, None)
+
+EXPECTED_REASONS = {
+    "trades": {
+        "trade_id": (None,) * 8 + ("duplicate trade_id 7", "duplicate trade_id -1"),
+        "interface": TEXT,
+        "path": TEXT,
+        "block_number": UINT,
+        "direction": (_DIRECTION,) * 10,
+        "gas_internalized": (_BOOL,) * 7 + (None, _BOOL, _BOOL),
+        "amount_in_raw": UINT,
+        "amount_in_decimals": UINT[:3]
+        + ("WETH_IN trade requires amount_in decimals = 18",)
+        + UINT[4:8]
+        + ("WETH_IN trade requires amount_in decimals = 18", UINT[9]),
+        "amount_out_raw": UINT,
+        "amount_out_decimals": UINT,
+        "gas_used": UINT,
+        "base_fee_wei": UINT,
+        "priority_fee_wei": UINT,
+        "usd_value": (
+            "usd_value missing (required for aggregate runs)", _NONNEG_DEC, None, None, None,
+            _NONNEG_DEC, _DEC, _DEC, None, _NONNEG_DEC,
+        ),
+        "timestamp": INT,
+    },
+    "quotes": {
+        "trade_id": TEXT,
+        "offset": INT,
+        "out_estimate_raw": UINT,
+        "out_estimate_decimals": UINT,
+        "gas_estimate": (
+            _DEC, _NONNEG_DEC, None, None, "gas_estimate exceeds the uint128 bound 2^128 - 1",
+            _NONNEG_DEC, _DEC, _DEC, None, _NONNEG_DEC,
+        ),
+        "provider_id": TEXT,
+    },
+    "pools": {
+        "offset": INT,
+        "pool_id": TEXT,
+        "reserve_weth_raw": UINT,
+        "reserve_token_raw": UINT,
+        "token_decimals": UINT,
+        "fee_bps": (_INT, "fee_bps must be in [0, 10000)") + INT[2:9] + ("fee_bps must be in [0, 10000)",),
+        "gas_per_hop": UINT,
+    },
+}
+
+SCHEMA_COLUMNS = {"trades": TRADE_COLUMNS, "quotes": QUOTE_COLUMNS, "pools": SNAPSHOT_COLUMNS}
+
+
+def _valid_row(schema: str, k: int) -> list:
+    """Valid row number k; its trade_id, offset and pool_id differ from every other row's."""
+    if schema == "trades":
+        return [f"T{k}", *VALID_ROW.split(",")[1:]]
+    if schema == "quotes":
+        return [f"T{k}", str(k), "2995000000", "6", "150000", "prov"]
+    return [str(k), f"P{k}", "1000000000000000000", "3000000000", "6", "30", "120000"]
+
+
+def _ingest_rejects(schema: str, text: str, fmt: str) -> list[tuple[int, str]]:
+    source = io.StringIO(text)
+    if schema == "trades":
+        rejects = ingest_trades(source, fmt, require_usd=True).rejects
+    elif schema == "quotes":
+        rejects = ingest_quotes(source, fmt)[1]
+    else:
+        rejects = ingest_pool_snapshots(source, fmt)[1]
+    return [(r.line, r.reason) for r in rejects]
+
+
+class TestRejectReasons:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
+    def test_each_column_rejects_with_its_reason(self, schema, fmt):
+        # one row per (column, bad value), the rest of the row valid
+        columns = SCHEMA_COLUMNS[schema]
+        assert list(EXPECTED_REASONS[schema]) == columns
+        values = BAD_TEXT if fmt == "csv" else BAD_TEXT + BAD_JSON
+        rows, expected = [], []
+        for column, reasons in EXPECTED_REASONS[schema].items():
+            for value, reason in zip(values, reasons):
+                row = _valid_row(schema, len(rows) + 1)
+                row[columns.index(column)] = value
+                rows.append(row)
+                if reason is not None:
+                    expected.append((len(rows), reason.format(column)))
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+        assert _ingest_rejects(schema, text, fmt) == expected
+
+
+# ---------------------------------------------------------------------------
+# CSV/JSONL parity and model guards
+
+_NUMERIC_COLUMNS = {
+    "block_number", "amount_in_raw", "amount_in_decimals", "amount_out_raw",
+    "amount_out_decimals", "gas_used", "base_fee_wei", "priority_fee_wei", "usd_value",
+    "timestamp", "offset", "out_estimate_raw", "out_estimate_decimals", "gas_estimate",
+    "reserve_weth_raw", "reserve_token_raw", "token_decimals", "fee_bps", "gas_per_hop",
+}
+
+
+@st.composite
+def jsonl_objects(draw, columns, rows):
+    """Each row as a JSON object; numbers and booleans drawn as strings or as JSON values."""
+    objects = []
+    for row in rows:
+        obj = {}
+        for column, value in zip(columns, row):
+            if column == "usd_value" and value == "":
+                form = draw(st.sampled_from(["omit", "null", "text"]))
+                if form != "omit":
+                    obj[column] = None if form == "null" else value
+                continue
+            if column in _NUMERIC_COLUMNS and value.lstrip("-").isdigit() and draw(st.booleans()):
+                value = int(value)
+            elif column == "gas_internalized" and draw(st.booleans()):
+                value = value == "true"
+            obj[column] = value
+        objects.append(obj)
+    return objects
+
+
+@st.composite
+def quote_rows(draw):
+    return [
+        draw(st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=8)),
+        str(draw(st.integers(-10, 10))),
+        str(draw(st.integers(0, 10**30))),
+        str(draw(st.integers(0, 36))),
+        draw(st.one_of(st.integers(0, 10**7).map(str), st.sampled_from(["150000.5", "0.25"]))),
+        "prov",
+    ]
+
+
+@st.composite
+def pool_rows(draw):
+    return [
+        str(draw(st.integers(-10, 10))),
+        draw(st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=8)),
+        str(draw(st.integers(1, 10**30))),
+        str(draw(st.integers(1, 10**30))),
+        str(draw(st.integers(0, 36))),
+        str(draw(st.integers(0, 9999))),
+        str(draw(st.integers(0, 10**6))),
+    ]
+
+
+def _csv_text(columns, rows) -> str:
+    return "\n".join([",".join(columns)] + [",".join(r) for r in rows]) + "\n"
+
+
+def _jsonl_text(objects) -> str:
+    return "".join(json.dumps(obj) + "\n" for obj in objects)
+
+
+class TestCsvJsonlParity:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_trades(self, data):
+        rows = data.draw(st.lists(trade_rows(), min_size=1, max_size=5))
+        objects = data.draw(jsonl_objects(TRADE_COLUMNS, rows))
+        for require_usd in (False, True):
+            a = ingest_trades(io.StringIO(_csv_text(TRADE_COLUMNS, rows)), require_usd=require_usd)
+            b = ingest_trades(
+                io.StringIO(_jsonl_text(objects)), "jsonl", require_usd=require_usd
+            )
+            assert a.records == b.records
+            assert a.rejects == b.rejects
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_quotes(self, data):
+        rows = data.draw(
+            st.lists(quote_rows(), min_size=1, max_size=5, unique_by=lambda r: (r[0], int(r[1])))
+        )
+        objects = data.draw(jsonl_objects(QUOTE_COLUMNS, rows))
+        a, a_rejects = ingest_quotes(io.StringIO(_csv_text(QUOTE_COLUMNS, rows)))
+        b, b_rejects = ingest_quotes(io.StringIO(_jsonl_text(objects)), "jsonl")
+        assert not a_rejects and not b_rejects
+        assert list(a) == list(b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_pools(self, data):
+        rows = data.draw(st.lists(pool_rows(), min_size=1, max_size=5))
+        objects = data.draw(jsonl_objects(SNAPSHOT_COLUMNS, rows))
+        a, a_rejects = ingest_pool_snapshots(io.StringIO(_csv_text(SNAPSHOT_COLUMNS, rows)))
+        b, b_rejects = ingest_pool_snapshots(io.StringIO(_jsonl_text(objects)), "jsonl")
+        assert not a_rejects and not b_rejects
+        assert a == b
+
+
+_NEGATIVE = st.integers(max_value=-1)
+_NOT_INT = st.sampled_from([Decimal(1), 1.0, "1"])
+_DECIMALS_OUT_OF_RANGE = st.one_of(st.integers(max_value=-1), st.integers(min_value=37))
+_NOT_18 = st.integers(0, 36).filter(lambda d: d != 18)
+
+
+def _pool(reserve_weth=TokenAmount(WETH, 18), reserve_token=TokenAmount(10**9, 6),
+          fee_bps=30, gas_per_hop=120_000):
+    return Pool("P1", reserve_weth, reserve_token, fee_bps, gas_per_hop)
+
+
+def _quote(gas_estimate):
+    return Quote("T1", 0, TokenAmount(1, 6), gas_estimate, "prov")
+
+
+# (constructor of one out-of-range field value, strategy of such values)
+MODEL_GUARDS = {
+    "token-raw-negative": (lambda v: TokenAmount(v, 18), _NEGATIVE),
+    "token-raw-not-int": (lambda v: TokenAmount(v, 18), _NOT_INT),
+    "token-raw-inexact": (lambda v: TokenAmount(v, 18), st.integers(min_value=10**60)),
+    "token-decimals": (lambda v: TokenAmount(1, v), _DECIMALS_OUT_OF_RANGE),
+    "gas-used": (lambda v: GasTerms(v, 1, 1), st.one_of(_NEGATIVE, _NOT_INT)),
+    "base-fee": (lambda v: GasTerms(1, v, 1), st.one_of(_NEGATIVE, _NOT_INT)),
+    "priority-fee": (lambda v: GasTerms(1, 1, v), st.one_of(_NEGATIVE, _NOT_INT)),
+    "gas-cost-overflow": (lambda v: GasTerms(v, 2**64, 0), st.integers(2**64, 2**80)),
+    "quote-gas-negative": (lambda v: _quote(Decimal(v)), _NEGATIVE),
+    "quote-gas-above-uint128": (
+        lambda v: _quote(Decimal(v)), st.integers(MAX_UINT128 + 1, 2 * MAX_UINT128)
+    ),
+    "pool-weth-reserve": (lambda v: _pool(reserve_weth=TokenAmount(v, 18)), st.just(0)),
+    "pool-token-reserve": (lambda v: _pool(reserve_token=TokenAmount(v, 6)), st.just(0)),
+    "pool-weth-decimals": (lambda v: _pool(reserve_weth=TokenAmount(WETH, v)), _NOT_18),
+    "pool-fee-bps": (
+        lambda v: _pool(fee_bps=v), st.one_of(_NEGATIVE, st.integers(min_value=10000))
+    ),
+    "pool-gas-per-hop": (lambda v: _pool(gas_per_hop=v), _NEGATIVE),
+    "trade-amount-in": (lambda v: make_trade(amount_in=TokenAmount(v, 18)), st.just(0)),
+    "trade-amount-out": (lambda v: make_trade(amount_out=TokenAmount(v, 6)), st.just(0)),
+    "trade-weth-in-decimals": (
+        lambda v: make_trade(amount_in=TokenAmount(WETH, v)), _NOT_18
+    ),
+    "trade-weth-out-decimals": (
+        lambda v: make_trade(direction=Direction.WETH_OUT, amount_out=TokenAmount(WETH, v)),
+        _NOT_18,
+    ),
+    "trade-block-number": (lambda v: make_trade(block_number=v), _NEGATIVE),
+    "trade-usd-value": (lambda v: make_trade(usd_value=Decimal(v)), _NEGATIVE),
+}
+
+
+class TestModelGuards:
+    """Direct construction checks every range, whatever ingest checks first."""
+
+    @pytest.mark.parametrize("guard", sorted(MODEL_GUARDS))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_field_raises(self, guard, data):
+        build, values = MODEL_GUARDS[guard]
+        with pytest.raises(ValueError):
+            build(data.draw(values))

@@ -53,13 +53,8 @@ class AttributionResult(NamedTuple):
     p_prime: Price
 
 
-def price_improvement(p: Price, p_prime: Price) -> Decimal:
-    """Relative difference (p - p')/p'; requires a positive baseline."""
-    return improvement(p.value, p_prime.value)
-
-
 def improvement(p: Decimal, p_prime: Decimal) -> Decimal:
-    """`price_improvement` of price values."""
+    """Relative difference (p - p')/p' of price values; requires a positive baseline."""
     if p_prime <= 0:
         raise NonPositiveBaseline(f"baseline price {p_prime} is not positive")
     return (p - p_prime) / p_prime
@@ -69,8 +64,6 @@ def partials_at_baseline(
     trade: TradeRecord,
     x_prime: DecisionVector,
     f_prime: Decimal,
-    *,
-    terms: TradeTerms | None = None,
 ) -> tuple[Decimal, Decimal, Decimal]:
     """(dp/do, dp/dg, dp/df) of the external-gas price form, evaluated at x'.
 
@@ -78,8 +71,7 @@ def partials_at_baseline(
               dp/do = 1/D, dp/dg = -o'(b+f')*1e-18/D^2, dp/df = -o'g'*1e-18/D^2
     WETH out: dp/do = 1/i, dp/dg = -(b+f')*1e-18/i,     dp/df = -g'*1e-18/i
     """
-    terms = trade_terms(trade, f_prime, terms)
-    return _partials(terms, x_prime.g, x_prime.o.normalized)
+    return _partials(trade_terms(trade, f_prime), x_prime.g, x_prime.o.normalized)
 
 
 def _partials(terms: TradeTerms, g_prime: Decimal, o_prime: Decimal):
@@ -96,32 +88,14 @@ def _partials(terms: TradeTerms, g_prime: Decimal, o_prime: Decimal):
     )
 
 
-def attribute(
-    trade: TradeRecord,
-    x: DecisionVector,
-    x_prime: DecisionVector,
-    p: Price,
-    p_prime: Price,
-    offset: int = 0,
-    *,
-    terms: TradeTerms | None = None,
+def _attribute(
+    terms: TradeTerms, x_prime: DecisionVector, p_prime: Price, offset: int
 ) -> AttributionResult:
     """Decompose pi into routing / gas / fee contributions plus the residual.
 
-    x and p are the trade's realized decision vector and price, those of
-    its `trade_terms` at f' = x'.f.
+    The realized side (x, p) is that of `terms`.
     """
-    terms = trade_terms(trade, x_prime.f, terms)
-    if (x is not terms.x and x != terms.x) or (p is not terms.p and p != terms.p):
-        raise ValueError(f"x and p must be trade {trade.trade_id!r}'s realized vector and price")
-    return _attribute(terms, x, x_prime, p, p_prime, offset)
-
-
-def _attribute(
-    terms: TradeTerms, x: DecisionVector, x_prime: DecisionVector, p: Price, p_prime: Price,
-    offset: int,
-) -> AttributionResult:
-    """`attribute` of (x, p), the realized vector and price of `terms`."""
+    x, p = terms.x, terms.p
     pv = p_prime.value
     pi = improvement(p.value, pv)
     o_prime = x_prime.o.normalized
@@ -156,4 +130,4 @@ def attribute_trade(
     p_prime, x_prime = counterfactual_price(
         trade, baseline, offset, f_prime, quote=quote, beta1=beta1, terms=terms
     )
-    return _attribute(terms, terms.x, x_prime, terms.p, p_prime, offset)
+    return _attribute(terms, x_prime, p_prime, offset)

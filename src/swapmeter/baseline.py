@@ -8,10 +8,11 @@ same quote.
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from decimal import Decimal
 from typing import Mapping, Sequence
 
-from swapmeter.calibration import GasCalibration, correct_gas
+from swapmeter.calibration import GasCalibration
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Pool, Quote, TokenAmount, TradeRecord
@@ -36,10 +37,6 @@ class BaselineProvider(abc.ABC):
         trade's own amount.
         """
 
-    @abc.abstractmethod
-    def supported_offsets(self) -> tuple[int, ...]:
-        ...
-
 
 class ReplayProvider(BaselineProvider):
     """Serves quotes recorded in a quote file.
@@ -49,19 +46,12 @@ class ReplayProvider(BaselineProvider):
     exactly linear through the recorded point.
     """
 
-    def __init__(self, quotes: QuoteSet, provider_id: str | None = None):
+    def __init__(self, quotes: QuoteSet):
         providers = quotes.providers()
-        if provider_id is None:
-            if len(providers) != 1:
-                raise ValueError(
-                    f"quote set has providers {providers}; pass provider_id explicitly"
-                )
-            provider_id = providers[0]
-        self.provider_id = provider_id
+        if len(providers) != 1:
+            raise ValueError(f"quote set has providers {providers}; expected one")
+        self.provider_id = providers[0]
         self._quotes = quotes
-
-    def supported_offsets(self) -> tuple[int, ...]:
-        return tuple(self._quotes.offsets(self.provider_id))
 
     def quote(
         self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
@@ -100,7 +90,6 @@ class SyntheticRouterProvider(BaselineProvider):
         f_prime_wei: Decimal,
         *,
         overhead_gas: int = DEFAULT_OVERHEAD_GAS,
-        provider_id: str = "synthetic-router",
     ):
         interned: dict[tuple[Pool, ...], tuple[tuple[Pool, ...], int]] = {}
         self._snapshots: dict[int, tuple[tuple[Pool, ...], int]] = {}
@@ -110,10 +99,7 @@ class SyntheticRouterProvider(BaselineProvider):
         self._routes: dict[tuple, RouteResult] = {}
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
-        self.provider_id = provider_id
-
-    def supported_offsets(self) -> tuple[int, ...]:
-        return tuple(sorted(self._snapshots))
+        self.provider_id = "synthetic-router"
 
     def quote(
         self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
@@ -146,10 +132,8 @@ class CalibratedProvider(BaselineProvider):
         self._calibration = calibration
         self.provider_id = inner.provider_id
 
-    def supported_offsets(self) -> tuple[int, ...]:
-        return self._inner.supported_offsets()
-
     def quote(
         self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
     ) -> Quote:
-        return correct_gas(self._inner.quote(trade, offset, amount_in), self._calibration)
+        quote = self._inner.quote(trade, offset, amount_in)
+        return replace(quote, gas_estimate=quote.gas_estimate / self._calibration.beta1)

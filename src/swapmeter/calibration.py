@@ -14,7 +14,6 @@ from decimal import Decimal, InvalidOperation, Overflow
 from typing import Iterable
 
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
-from swapmeter.model import Quote
 
 # Bounds of the slope beta1 and of its standard error: estimated gas from
 # 1e-18 to 1e18 times realized gas. Far inside them, g'/beta1 * (b+f') and
@@ -116,11 +115,6 @@ def fit_gas_bias(pairs: Iterable[tuple[int | Decimal, Decimal]]) -> GasCalibrati
         )
     except ValueError as exc:
         raise DegenerateRegressor(f"fitted {exc}") from None
-
-
-def correct_gas(quote: Quote, cal: GasCalibration) -> Quote:
-    """The quote with its gas estimate g' replaced by g'/beta1."""
-    return replace(quote, gas_estimate=quote.gas_estimate / cal.beta1)
 
 
 def perturbed_calibrations(

@@ -62,21 +62,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    keys = (
-        "trades",
-        "quotes",
-        "pools",
-        "out",
-        "offsets",
-        "f_prime_wei",
-        "window",
-        "strict",
-        "no_correction",
-        "sys_multiplier",
-        "calibration",
-        "calibration_filter",
-    )
-    cli_values = {k: getattr(args, k, None) for k in keys}
+    cli_values = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
     return build_config(file_values, cli_values)
 
 
@@ -104,17 +90,12 @@ def _writing(path):
         raise SwapmeterError(f"cannot write {failed}: {exc.strerror or exc}") from exc
 
 
-def _format(path) -> str:
-    """An input file's format, by its extension: JSONL for `.jsonl`, else CSV."""
-    return "jsonl" if str(path).endswith(".jsonl") else "csv"
-
-
 def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], int]:
     if not cfg.trades_path:
         raise SwapmeterError("no trade file configured (--trades)")
     path = cfg.trades_path
     with _reading(path):
-        result = ingest_trades(path, _format(path), strict=cfg.strict, require_usd=require_usd)
+        result = ingest_trades(path, strict=cfg.strict, require_usd=require_usd)
     for reject in result.rejects:
         print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
     return result.records, len(result.rejects)
@@ -125,7 +106,7 @@ def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
     if cfg.quotes_path:
         path = cfg.quotes_path
         with _reading(path):
-            quotes, rejects = ingest_quotes(path, _format(path), strict=cfg.strict)
+            quotes, rejects = ingest_quotes(path, strict=cfg.strict)
         for reject in rejects:
             print(f"reject quote line {reject.line}: {reject.reason}", file=sys.stderr)
         providers = quotes.providers()
@@ -137,7 +118,7 @@ def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
         return ReplayProvider(quotes)
     path = cfg.pools_path
     with _reading(path):
-        snapshots, rejects = ingest_pool_snapshots(path, _format(path), strict=cfg.strict)
+        snapshots, rejects = ingest_pool_snapshots(path, strict=cfg.strict)
     for reject in rejects:
         print(f"reject pool line {reject.line}: {reject.reason}", file=sys.stderr)
     return SyntheticRouterProvider(

@@ -14,6 +14,8 @@ DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
 DEFAULT_WINDOW = 200
 DEFAULT_CALIBRATION_FILTER = "Classic"
+# Most offsets one run may ask for; checked before any offset is built.
+MAX_OFFSETS = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +63,7 @@ class RunConfig:
 
 
 def parse_offsets(text: str) -> tuple[int, ...]:
-    """Parse 'a..b' (inclusive) or a comma-separated list of distinct offsets."""
+    """Parse 'a..b' (inclusive) or a comma list: at most MAX_OFFSETS distinct offsets."""
     text = text.strip()
     try:
         if ".." in text:
@@ -69,13 +71,20 @@ def parse_offsets(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ConfigError(f"bad offset range {text!r}: end before start")
+            if hi - lo >= MAX_OFFSETS:
+                raise ConfigError(f"bad offset range {text!r}: over {MAX_OFFSETS} offsets")
             return tuple(range(lo, hi + 1))
-        offsets = tuple(int(part) for part in text.split(","))
+        parts = text.split(",")
+        if len(parts) > MAX_OFFSETS:
+            raise ConfigError(f"bad offset list: over {MAX_OFFSETS} offsets")
+        offsets = tuple(int(part) for part in parts)
     except ValueError:
         raise ConfigError(f"cannot parse offsets {text!r}") from None
-    for i, offset in enumerate(offsets):
-        if offset in offsets[:i]:
+    seen: set[int] = set()
+    for offset in offsets:
+        if offset in seen:
             raise ConfigError(f"duplicate offset {offset}")
+        seen.add(offset)
     return offsets
 
 

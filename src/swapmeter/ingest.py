@@ -1,20 +1,22 @@
 """Ingestion and serialization of the external file formats.
 
-Trade, quote, and pool-snapshot files are CSV (exact column order,
-header required) or JSONL (same field names). Malformed rows are
+Trade, quote, and pool-snapshot files are JSONL (one object per line)
+when their name ends in `.jsonl`, and CSV otherwise (exact column order,
+header required; JSONL uses the same field names). Malformed rows are
 collected, not fatal, unless strict mode is on. Lines starting with '#'
-are provenance comments and are skipped.
+before the first row are provenance comments and are skipped, as are
+blank lines.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from swapmeter.errors import DuplicateQuote, EmptyInput, IngestError
 from swapmeter.model import (
@@ -82,12 +84,6 @@ class IngestResult:
     records: list
     rejects: list[MalformedRow] = field(default_factory=list)
 
-    def __iter__(self) -> Iterator:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 class QuoteSet:
     """Quotes keyed by (trade_id, offset, provider_id)."""
@@ -105,11 +101,6 @@ class QuoteSet:
 
     def providers(self) -> list[str]:
         return sorted({k[2] for k in self._quotes})
-
-    def offsets(self, provider_id: str | None = None) -> list[int]:
-        return sorted(
-            {k[1] for k in self._quotes if provider_id is None or k[2] == provider_id}
-        )
 
     def orphans(self, trades: Iterable[TradeRecord]) -> list[tuple[str, int, str]]:
         """Quote keys whose trade_id matches no trade in the given set."""
@@ -237,63 +228,22 @@ def _build_pool(row: list) -> tuple[int, Pool]:
 
 
 # ---------------------------------------------------------------------------
-# stream plumbing
+# file reading
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Return a text stream and whether the caller should close it."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise IngestError(f"unsupported source type: {type(source)!r}")
-
-
-def _data_lines(stream: IO[str]) -> Iterator[str]:
-    for line in stream:
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            continue
-        yield line
-
-
-def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, list | str]]:
+def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | str]]:
     """Yield (data_line_number, row) or (line, error-string) pairs.
 
     A row lists the line's values in column order (None for a JSONL line's
     missing usd_value).
     """
-    stream, should_close = _open_text(source)
-    try:
-        lines = _data_lines(stream)
-        if fmt == "csv":
-            reader = csv.reader(lines)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyInput("input has no rows") from None
-            if header != columns:
-                raise IngestError(
-                    f"bad header: expected {','.join(columns)!r}, got {','.join(header)!r}"
-                )
-            n = 0
-            for record in reader:
-                n += 1
-                if len(record) != len(columns):
-                    yield n, f"expected {len(columns)} fields, got {len(record)}"
-                    continue
-                yield n, record
-            if n == 0:
-                raise EmptyInput("input has no data rows")
-        elif fmt == "jsonl":
-            n = 0
+    with open(path, "r", encoding="utf-8", newline="") as stream:
+        lines = itertools.dropwhile(lambda line: line.startswith("#") or not line.strip(), stream)
+        n = 0
+        if str(path).endswith(".jsonl"):
             for line in lines:
+                if not line.strip():
+                    continue
                 n += 1
                 try:
                     obj = json.loads(line)
@@ -311,18 +261,30 @@ def _rows(source, fmt: str, columns: list[str]) -> Iterator[tuple[int, list | st
                     yield n, f"missing fields: {', '.join(missing)}"
                     continue
                 yield n, [obj.get(c) for c in columns]
-            if n == 0:
-                raise EmptyInput("input has no data rows")
         else:
-            raise IngestError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
-    finally:
-        if should_close:
-            stream.close()
+            reader = csv.reader(lines)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInput("input has no rows")
+            if header != columns:
+                raise IngestError(
+                    f"bad header: expected {','.join(columns)!r}, got {','.join(header)!r}"
+                )
+            for record in reader:
+                if len(record) <= 1 and not "".join(record).strip():
+                    continue  # a blank line
+                n += 1
+                if len(record) != len(columns):
+                    yield n, f"expected {len(columns)} fields, got {len(record)}"
+                    continue
+                yield n, record
+        if n == 0:
+            raise EmptyInput("input has no data rows")
 
 
-def _ingest(source, fmt, columns, builder, strict) -> IngestResult:
+def _ingest(path, columns, builder, strict) -> IngestResult:
     result = IngestResult(records=[])
-    for line_no, row in _rows(source, fmt, columns):
+    for line_no, row in _rows(path, columns):
         if isinstance(row, str):
             reject = MalformedRow(line_no, row)
         else:
@@ -342,7 +304,7 @@ def _ingest(source, fmt, columns, builder, strict) -> IngestResult:
 
 
 def ingest_trades(
-    source, fmt: str = "csv", *, strict: bool = False, require_usd: bool = False
+    path: str | Path, *, strict: bool = False, require_usd: bool = False
 ) -> IngestResult:
     """Parse and validate trade records; rejected rows are reported alongside.
 
@@ -357,20 +319,22 @@ def ingest_trades(
         seen.add(trade.trade_id)
         return trade
 
-    return _ingest(source, fmt, TRADE_COLUMNS, build, strict)
+    return _ingest(path, TRADE_COLUMNS, build, strict)
 
 
-def ingest_quotes(source, fmt: str = "csv", *, strict: bool = False) -> tuple[QuoteSet, list[MalformedRow]]:
+def ingest_quotes(
+    path: str | Path, *, strict: bool = False
+) -> tuple[QuoteSet, list[MalformedRow]]:
     """Parse quotes into a set keyed by (trade_id, offset, provider_id)."""
-    result = _ingest(source, fmt, QUOTE_COLUMNS, _build_quote, strict)
+    result = _ingest(path, QUOTE_COLUMNS, _build_quote, strict)
     return QuoteSet(result.records), result.rejects
 
 
 def ingest_pool_snapshots(
-    source, fmt: str = "csv", *, strict: bool = False
+    path: str | Path, *, strict: bool = False
 ) -> tuple[dict[int, list[Pool]], list[MalformedRow]]:
     """Parse per-offset pool snapshots: the pool schema plus a leading offset."""
-    result = _ingest(source, fmt, SNAPSHOT_COLUMNS, _build_pool, strict)
+    result = _ingest(path, SNAPSHOT_COLUMNS, _build_pool, strict)
     snapshots: dict[int, list[Pool]] = {}
     for offset, pool in result.records:
         snapshots.setdefault(offset, []).append(pool)

@@ -27,11 +27,12 @@ BPS_FACTOR = Decimal(10) ** 4
 _BPS_QUANTUM = Decimal("0.0001")
 
 
-def wei_to_eth(wei: int | Decimal) -> Decimal:
-    """Exact wei -> ETH conversion (divide by 10^18, no float intermediate)."""
-    return Decimal(wei).scaleb(-18)
-
-
 def format_bps(x: Decimal) -> str:
-    """Render a dimensionless ratio as basis points, half-even at 4 dp."""
-    return str((x * BPS_FACTOR).quantize(_BPS_QUANTUM))
+    """Render a dimensionless ratio as basis points, half-even at 4 dp, every digit kept."""
+    bps = x * BPS_FACTOR
+    try:
+        return str(bps.quantize(_BPS_QUANTUM))
+    except decimal.InvalidOperation:  # more digits than the precision holds
+        context = decimal.getcontext().copy()
+        context.prec = bps.adjusted() + 5  # the integer digits and 4 decimals
+        return str(bps.quantize(_BPS_QUANTUM, context=context))

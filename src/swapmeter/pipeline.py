@@ -4,9 +4,9 @@ A pass walks every (trade, offset) pair, one trade at a time, prices
 its improvement and records exclusions instead of failing. Each pair is
 quoted once; the gas-calibration slope only rescales the quoted gas, so
 aggregation prices the same quote at the nominal slope and, for
-systematic bands, at the slope shifted up and down. Aggregation splits pi into its parts
-only at the anchor offset, the one its summary reports; the other
-offsets' pairs are priced for pi alone.
+systematic bands, at the slope shifted up and down. Aggregation splits
+pi into its parts only at the anchor offset, the one its summary
+reports; every other (offset, slope) is priced for pi alone.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from swapmeter.attribution import AttributionResult, attribute_trade, improvemen
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
-from swapmeter.model import Quote, TradeRecord
+from swapmeter.model import TradeRecord
 from swapmeter.numeric import POLICY, format_bps
-from swapmeter.prices import TradeTerms, counterfactual_value, trade_terms
+from swapmeter.prices import counterfactual_value, trade_terms
 from swapmeter.stats import (
     WeightedEstimate,
     grouped_means,
@@ -100,10 +100,12 @@ def analysis_pass(
     """Price every trade at every offset, yielding rows by (trade_id, offset).
 
     Each trade's realized terms are taken once and each pair is quoted
-    once. The quote's gas is read as g'/beta1 of `calibration` (as served
-    when None) for pi and, at the offsets in `decompose` (every offset
-    when None), its attribution; and of each `shifted` (upper, lower)
-    calibration for pi alone.
+    once. The quote is priced at each slope in turn: g'/beta1 of
+    `calibration` (g' as served when None), then of each `shifted`
+    (upper, lower) calibration. At the offsets in `decompose` (every
+    offset when None) the first slope's pi is split into its parts. An
+    exclusion at the first slope is the row's reason; one at a later
+    slope leaves that slope's pi None.
 
     Trades are walked in stable trade_id order and only one trade_id's
     rows are held at a time: they are priced in the 60-digit policy
@@ -111,35 +113,40 @@ def analysis_pass(
     offset and yielded. The order is that of a stable sort of all rows
     by (trade_id, offset).
     """
-    beta1 = None if calibration is None else calibration.beta1
-    shifted_betas = () if shifted is None else tuple(cal.beta1 for cal in shifted)
+    betas = [None if calibration is None else calibration.beta1]
+    if shifted is not None:
+        betas += [cal.beta1 for cal in shifted]
 
     def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
         terms = trade_terms(trade, f_prime)
         for offset in offsets:
-            quote = o_prime = pi = result = reason = None
             try:
                 quote = provider.quote(trade, offset)
-                if decompose is None or offset in decompose:
-                    result = attribute_trade(
-                        trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
-                    )
-                    pi = result.pi
-                else:
-                    o_prime = quote.out_estimate.normalized
-                    g_prime = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
-                    pi = _pi(provider, offset, terms, quote, o_prime, g_prime, nominal=True)
             except EXCLUDED as exc:
-                reason = EXCLUSION_REASONS[type(exc)]
-            shifted_pi = ()
-            if quote is not None and shifted_betas:
-                if o_prime is None:
-                    o_prime = quote.out_estimate.normalized
-                shifted_pi = [
-                    _pi(provider, offset, terms, quote, o_prime, quote.gas_estimate / b)
-                    for b in shifted_betas
-                ]
-            yield AnalysisRow(trade, offset, pi, result, reason, *shifted_pi)
+                yield AnalysisRow(trade, offset, None, None, EXCLUSION_REASONS[type(exc)])
+                continue
+            split = decompose is None or offset in decompose
+            result = reason = o_prime = None
+            pis = []
+            for beta1 in betas:
+                pi = None
+                try:
+                    if split and not pis:
+                        result = attribute_trade(
+                            trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
+                        )
+                        pi = result.pi
+                    else:
+                        if o_prime is None:
+                            o_prime = quote.out_estimate.normalized
+                        g = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
+                        value, _ = counterfactual_value(provider, offset, terms, quote, o_prime, g)
+                        pi = improvement(terms.p.value, value)
+                except EXCLUDED as exc:
+                    if not pis:
+                        reason = EXCLUSION_REASONS[type(exc)]
+                pis.append(pi)
+            yield AnalysisRow(trade, offset, pis[0], result, reason, *pis[1:])
 
     by_id = attrgetter("trade_id")
     for _, group in groupby(sorted(trades, key=by_id), key=by_id):
@@ -173,29 +180,6 @@ def counting_exclusions(
         if reason is not None:
             counts[reason] = counts.get(reason, 0) + 1
         yield row
-
-
-def _pi(
-    provider: BaselineProvider,
-    offset: int,
-    terms: TradeTerms,
-    quote: Quote,
-    o_prime: Decimal,
-    g_prime: Decimal,
-    nominal: bool = False,
-) -> Decimal | None:
-    """pi of one quoted pair at gas g', from the price value alone.
-
-    None where that gas excludes the pair, except at the `nominal` slope,
-    which raises the exclusion so its reason can be recorded.
-    """
-    try:
-        value, _ = counterfactual_value(provider, offset, terms, quote, o_prime, g_prime)
-        return improvement(terms.p.value, value)
-    except EXCLUDED:
-        if nominal:
-            raise
-        return None
 
 
 def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
@@ -237,10 +221,6 @@ class AggregateReport:
     summary: dict = field(default_factory=dict)
     exclusions: dict[str, int] = field(default_factory=dict)
     anchor_offset: int = 0
-
-
-def _group_key(row: AnalysisRow, level: str) -> str:
-    return row.trade.path if level == "path" else row.trade.interface
 
 
 def run_aggregate(
@@ -311,45 +291,35 @@ def run_aggregate(
             stride,
         )
 
-    report.summary = _summary(anchor_rows, up_means, low_means, base_means, anchor)
+    report.summary = _summary(anchor_rows, base_means, up_means, low_means, anchor)
     return report
 
 
-def _summary(anchor_rows, up_means, low_means, base_means, anchor: int) -> dict:
+def _summary(anchor_rows, base_means, up_means, low_means, anchor: int) -> dict:
     """Per-path and per-interface attribution decomposition at the anchor offset.
 
-    Groups are those with a nominal mean at the anchor (see `stats.grouped_means`).
+    Groups are those with a nominal mean at the anchor (see `stats.grouped_means`),
+    which gives pi's mean, sigma, n and weight; the four parts are averaged
+    over the group's anchor rows.
     """
-    metrics = {
-        "pi": lambda r: r.pi,
-        "routing": lambda r: r.pi_routing,
-        "gas": lambda r: r.pi_gas,
-        "fee": lambda r: r.pi_fee,
-        "remainder": lambda r: r.pi_remainder,
-    }
     summary: dict = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
-    for level, bucket in (("path", "by_path"), ("interface", "by_interface")):
-        groups = sorted({_group_key(r, level) for r in anchor_rows})
-        for group in groups:
-            key = (level, group, anchor)
-            if key not in base_means:
-                continue
-            rows = [r for r in anchor_rows if _group_key(r, level) == group]
-            entry: dict = {}
-            for name, metric in metrics.items():
-                mean, sigma = weighted_mean_with_stat(
-                    [(metric(r.result), r.trade.usd_value) for r in rows]
-                )
-                entry[f"{name}_bps"] = format_bps(mean)
-                if name == "pi":
-                    entry["pi_stat_sigma_bps"] = format_bps(sigma)
-            if key in up_means and key in low_means:
-                base = base_means[key][0]
-                entry["pi_sys_upper_bps"] = format_bps(abs(up_means[key][0] - base))
-                entry["pi_sys_lower_bps"] = format_bps(abs(base - low_means[key][0]))
-            entry["n"] = len(rows)
-            entry["total_weight_usd"] = str(sum(r.trade.usd_value for r in rows))
-            summary[bucket][group] = entry
+    for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
+        level, group, offset = key
+        if offset != anchor:
+            continue
+        rows = [r for r in anchor_rows if getattr(r.trade, level) == group]
+        entry: dict = {"pi_bps": format_bps(mean), "pi_stat_sigma_bps": format_bps(sigma)}
+        for part in ("routing", "gas", "fee", "remainder"):
+            part_mean, _ = weighted_mean_with_stat(
+                [(getattr(r.result, f"pi_{part}"), r.trade.usd_value) for r in rows]
+            )
+            entry[f"{part}_bps"] = format_bps(part_mean)
+        if key in up_means and key in low_means:
+            entry["pi_sys_upper_bps"] = format_bps(abs(up_means[key][0] - mean))
+            entry["pi_sys_lower_bps"] = format_bps(abs(mean - low_means[key][0]))
+        entry["n"] = n
+        entry["total_weight_usd"] = str(total_w)
+        summary[f"by_{level}"][group] = entry
     return summary
 
 

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from swapmeter.errors import NonPositiveAdjustedInput
 from swapmeter.model import Direction, Quote, TokenAmount, TradeRecord
-from swapmeter.numeric import wei_to_eth
 
 WEI_IN_ETH = Decimal(10) ** -18
 
@@ -35,23 +33,15 @@ if TYPE_CHECKING:
     from swapmeter.baseline import BaselineProvider
 
 
-class PriceCase(Enum):
-    REALIZED_EXTERNAL_GAS = "realized_external_gas"
-    REALIZED_INTERNAL_GAS = "realized_internal_gas"
-    COUNTERFACTUAL_EXTERNAL_GAS = "counterfactual_external_gas"
-    COUNTERFACTUAL_INTERNAL_GAS = "counterfactual_internal_gas"
-
-
 @dataclass(frozen=True, slots=True)
 class Price:
-    """A signed price plus the formula case that produced it.
+    """A signed price.
 
     Negative values are valid only for WETH-out trades whose gas cost
     exceeds the output.
     """
 
     value: Decimal
-    case_tag: PriceCase
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,13 +61,13 @@ def realized_price(trade: TradeRecord) -> Price:
     i = trade.amount_in.normalized
     o = trade.amount_out.normalized
     if trade.gas_internalized:
-        return Price(o / i, PriceCase.REALIZED_INTERNAL_GAS)
-    cost = wei_to_eth(trade.gas.cost_wei)
+        return Price(o / i)
+    cost = Decimal(trade.gas.cost_wei).scaleb(-18)  # wei -> ETH, exact
     if trade.direction is Direction.WETH_OUT:
         value = (o - cost) / i
     else:
         value = o / (i + cost)
-    return Price(value, PriceCase.REALIZED_EXTERNAL_GAS)
+    return Price(value)
 
 
 def realized_decision_vector(trade: TradeRecord) -> DecisionVector:
@@ -207,9 +197,4 @@ def counterfactual_price(
     value, o_prime = counterfactual_value(
         baseline, offset, terms, quote, quote.out_estimate.normalized, g1
     )
-    case = (
-        PriceCase.COUNTERFACTUAL_INTERNAL_GAS
-        if trade.gas_internalized
-        else PriceCase.COUNTERFACTUAL_EXTERNAL_GAS
-    )
-    return Price(value, case), DecisionVector(o_prime, g1, f_prime)
+    return Price(value), DecisionVector(o_prime, g1, f_prime)

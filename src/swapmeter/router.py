@@ -26,7 +26,8 @@ from typing import Sequence
 from swapmeter.errors import NoPools
 from swapmeter.model import Direction, Pool, TokenAmount
 
-SHARE_FLOOR = Decimal("1e-6")
+# Hops carrying less than this share of the input are dropped from a split.
+SHARE_FLOOR = 1e-6
 
 # Exhaustive subset enumeration up to this many pools; greedy prefixes after.
 EXHAUSTIVE_LIMIT = 8
@@ -139,8 +140,6 @@ def route_optimal_split(
     amount_in: TokenAmount,
     direction: Direction,
     gas_price_wei: Decimal,
-    *,
-    share_floor: Decimal = SHARE_FLOOR,
 ) -> RouteResult:
     """Split an input across pools maximizing output net of hop gas costs."""
     if not pools:
@@ -169,8 +168,7 @@ def route_optimal_split(
     subset, xs = best
 
     # Drop economically null hops, then renormalize the remaining shares.
-    floor = float(share_floor)
-    kept = [(c, x) for c, x in zip(subset, xs) if x / x_total >= floor]
+    kept = [(c, x) for c, x in zip(subset, xs) if x / x_total >= SHARE_FLOOR]
     if not kept:
         kept = [max(zip(subset, xs), key=lambda cx: cx[1])]
     kept_total = sum(x for _, x in kept)

@@ -5,18 +5,12 @@ from decimal import Decimal
 
 import pytest
 
-from swapmeter.attribution import (
-    attribute,
-    attribute_trade,
-    partials_at_baseline,
-    price_improvement,
-)
+from swapmeter.attribution import attribute_trade, improvement, partials_at_baseline
 from swapmeter.errors import NonPositiveBaseline
 from swapmeter.model import Direction, TokenAmount
 from swapmeter.prices import (
     DecisionVector,
     Price,
-    PriceCase,
     counterfactual_price,
     realized_decision_vector,
     realized_price,
@@ -67,20 +61,20 @@ def random_provider(rng, trade):
 
 class TestPriceImprovement:
     def test_zero_when_equal(self):
-        p = Price(Decimal(3000), PriceCase.REALIZED_EXTERNAL_GAS)
-        q = Price(Decimal(3000), PriceCase.COUNTERFACTUAL_EXTERNAL_GAS)
-        assert price_improvement(p, q) == 0
+        p = Price(Decimal(3000))
+        q = Price(Decimal(3000))
+        assert improvement(p.value, q.value) == 0
 
     def test_five_bps(self):
-        p = Price(Decimal("3001.5"), PriceCase.REALIZED_EXTERNAL_GAS)
-        q = Price(Decimal(3000), PriceCase.COUNTERFACTUAL_EXTERNAL_GAS)
-        assert price_improvement(p, q) == Decimal("0.0005")
+        p = Price(Decimal("3001.5"))
+        q = Price(Decimal(3000))
+        assert improvement(p.value, q.value) == Decimal("0.0005")
 
     def test_non_positive_baseline_guard(self):
-        p = Price(Decimal(1), PriceCase.REALIZED_EXTERNAL_GAS)
-        q = Price(Decimal(0), PriceCase.COUNTERFACTUAL_EXTERNAL_GAS)
+        p = Price(Decimal(1))
+        q = Price(Decimal(0))
         with pytest.raises(NonPositiveBaseline):
-            price_improvement(p, q)
+            improvement(p.value, q.value)
 
 
 class TestPartials:
@@ -151,22 +145,14 @@ class TestAttribute:
             attribute_trade(other, provider, 0, F_PRIME, terms=terms)
         with pytest.raises(ValueError, match="terms do not describe"):
             counterfactual_price(trade, provider, 0, F_PRIME + 1, terms=terms)
-        p_prime, x_prime = counterfactual_price(trade, provider, 0, F_PRIME)
-        not_realized = DecisionVector(trade.amount_out, Decimal(1), Decimal(0))
-        with pytest.raises(ValueError, match="realized vector and price"):
-            attribute(trade, not_realized, x_prime, terms.p, p_prime)
 
     def test_identical_vectors_give_zero_components(self):
         trade = make_trade()
         provider = replay_for(
             "T1", 0, trade.amount_out.raw, 6, trade.gas.gas_used
         )
-        p = realized_price(trade)
-        p_prime, x_prime = counterfactual_price(
-            trade, provider, 0, Decimal(trade.gas.priority_fee)
-        )
-        x = realized_decision_vector(trade)
-        res = attribute(trade, x, x_prime, p, p_prime)
+        res = attribute_trade(trade, provider, 0, Decimal(trade.gas.priority_fee))
+        assert res.x == realized_decision_vector(trade) and res.p == realized_price(trade)
         assert res.pi == res.pi_routing == res.pi_gas == res.pi_fee == res.pi_remainder == 0
 
     def test_exact_sum_identity_randomized(self):
@@ -213,31 +199,20 @@ class TestAttribute:
     def test_sign_contracts(self):
         trade = make_trade()
         base_provider = replay_for("T1", 0, trade.amount_out.raw, 6, trade.gas.gas_used)
-        p = realized_price(trade)
-        x = realized_decision_vector(trade)
-        _, x_eq = counterfactual_price(trade, base_provider, 0, Decimal(trade.gas.priority_fee))
+        f = Decimal(trade.gas.priority_fee)
 
         # o > o', others equal -> positive routing term
         worse_out = replay_for("T1", 0, trade.amount_out.raw - 5 * USDC, 6, trade.gas.gas_used)
-        p_prime, x_prime = counterfactual_price(
-            trade, worse_out, 0, Decimal(trade.gas.priority_fee)
-        )
-        res = attribute(trade, x, x_prime, p, p_prime)
+        res = attribute_trade(trade, worse_out, 0, f)
         assert res.pi_routing > 0 and res.pi_gas == 0 and res.pi_fee == 0
 
         # g < g' -> positive gas term
         more_gas = replay_for("T1", 0, trade.amount_out.raw, 6, trade.gas.gas_used + 40_000)
-        p_prime, x_prime = counterfactual_price(
-            trade, more_gas, 0, Decimal(trade.gas.priority_fee)
-        )
-        res = attribute(trade, x, x_prime, p, p_prime)
+        res = attribute_trade(trade, more_gas, 0, f)
         assert res.pi_gas > 0 and res.pi_routing == 0
 
         # f < f' -> positive fee term
-        p_prime, x_prime = counterfactual_price(
-            trade, base_provider, 0, Decimal(trade.gas.priority_fee + GWEI)
-        )
-        res = attribute(trade, x, x_prime, p, p_prime)
+        res = attribute_trade(trade, base_provider, 0, f + GWEI)
         assert res.pi_fee > 0 and res.pi_routing == 0
 
     def test_routing_only_difference_dominates(self):

@@ -34,12 +34,8 @@ class TestReplayProvider:
 
     def test_two_providers_disambiguated(self):
         quotes = QuoteSet([quote(provider="alpha"), quote(provider="beta", out_raw=1 * USDC)])
-        with pytest.raises(ValueError, match="provider_id"):
+        with pytest.raises(ValueError, match="expected one"):
             ReplayProvider(quotes)
-        alpha = ReplayProvider(quotes, "alpha")
-        beta = ReplayProvider(quotes, "beta")
-        assert alpha.quote(make_trade(), 0).out_estimate.raw == 2995 * USDC
-        assert beta.quote(make_trade(), 0).out_estimate.raw == 1 * USDC
 
     def test_adjusted_input_rescaled_linearly(self):
         provider = ReplayProvider(QuoteSet([quote(out_raw=3000 * USDC)]))
@@ -47,10 +43,6 @@ class TestReplayProvider:
         scaled = provider.quote(trade, 0, amount_in=TokenAmount(WETH // 2, 18))
         assert scaled.out_estimate.raw == 1500 * USDC
         assert scaled.gas_estimate == Decimal(140_000)
-
-    def test_supported_offsets(self):
-        quotes = QuoteSet([quote(offset=-2), quote(offset=0), quote(offset=3)])
-        assert ReplayProvider(quotes).supported_offsets() == (-2, 0, 3)
 
 
 class TestSyntheticRouterProvider:

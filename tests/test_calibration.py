@@ -5,14 +5,11 @@ from decimal import Decimal
 
 import pytest
 
-from swapmeter.calibration import (
-    GasCalibration,
-    correct_gas,
-    fit_gas_bias,
-    perturbed_calibrations,
-)
+from swapmeter.baseline import CalibratedProvider
+from swapmeter.calibration import GasCalibration, fit_gas_bias, perturbed_calibrations
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
-from swapmeter.model import Quote, TokenAmount
+
+from conftest import make_trade, replay_for
 
 
 def noisy_pairs(seed, n, slope=0.95, sigma=5000.0):
@@ -25,8 +22,10 @@ def noisy_pairs(seed, n, slope=0.95, sigma=5000.0):
     return pairs
 
 
-def quote(gas_estimate):
-    return Quote("T1", 0, TokenAmount(1000, 6), Decimal(gas_estimate), "prov")
+def corrected_gas(gas_estimate, cal):
+    """The gas estimate a `CalibratedProvider` serves for a quoted `gas_estimate`."""
+    provider = CalibratedProvider(replay_for("T1", 0, 1000, 6, gas_estimate), cal)
+    return provider.quote(make_trade(), 0).gas_estimate
 
 
 class TestFit:
@@ -90,15 +89,13 @@ class TestFit:
 
 
 class TestCorrection:
-    def test_correct_gas_arithmetic(self):
+    def test_calibrated_gas_arithmetic(self):
         cal = fit_gas_bias([(g, Decimal(g) * Decimal("0.95")) for g in (100_000, 300_000)])
-        fixed = correct_gas(quote(95_000), cal)
-        assert fixed.gas_estimate == Decimal(100_000)
+        assert corrected_gas(95_000, cal) == Decimal(100_000)
 
     def test_identity_calibration_is_noop(self):
         cal = fit_gas_bias([(100_000, Decimal(100_000)), (200_000, Decimal(200_000))])
-        fixed = correct_gas(quote(123_456), cal)
-        assert fixed.gas_estimate == Decimal(123_456)
+        assert corrected_gas(123_456, cal) == Decimal(123_456)
 
 
 class TestPerturbed:

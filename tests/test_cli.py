@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
-from swapmeter.errors import SwapmeterError
+from swapmeter.config import MAX_OFFSETS, parse_offsets
+from swapmeter.errors import ConfigError, SwapmeterError
 from swapmeter.ingest import TRADE_COLUMNS
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
@@ -237,6 +238,39 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(cfg), *base]) == 2
         assert "error: duplicate offset 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "attribution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "offsets, error",
+        [
+            (
+                "-99999999999..99999999999",
+                "bad offset range '-99999999999..99999999999': over 10000 offsets",
+            ),
+            ("-1000000..1000000", "bad offset range '-1000000..1000000': over 10000 offsets"),
+            ("0..10000", "bad offset range '0..10000': over 10000 offsets"),
+            (",".join(map(str, range(MAX_OFFSETS + 1))), "bad offset list: over 10000 offsets"),
+        ],
+        ids=["huge-range", "two-million-range", "range-one-over", "list-one-over"],
+    )
+    def test_too_many_offsets_fatal(self, scenario_files, tmp_path, capsys, offsets, error):
+        # the huge range used to end in a MemoryError, as it was built before
+        # any check, and a two-million range was priced at every trade
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(tmp_path / "o"),
+            "--no-correction",
+        ]
+        assert main(["analyze", *base, f"--offsets={offsets}"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_offsets_at_the_limit_parse(self):
+        assert parse_offsets(f"1..{MAX_OFFSETS}") == tuple(range(1, MAX_OFFSETS + 1))
+        many = ",".join(str(i) for i in range(MAX_OFFSETS, 0, -1))
+        assert parse_offsets(many) == tuple(range(MAX_OFFSETS, 0, -1))
+        with pytest.raises(ConfigError, match="^duplicate offset 7$"):
+            parse_offsets(many.replace(f"{MAX_OFFSETS},", "7,", 1))
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("flag", ["--trades", "--quotes", "--pools"])
@@ -648,6 +682,33 @@ class TestGoldenValues:
         body = (out / "attribution.csv").read_text()
         assert "true,non_positive_baseline" in body
 
+    def test_pi_beyond_the_decimal_precision_written_in_full(self, tmp_path, capsys):
+        # a 1-wei WETH input against a 10^59-unit output: pi is about 10^59 bps,
+        # more digits than 4-dp quantizing at 60 digits allowed (InvalidOperation)
+        row = ROW.replace("1000000000000000000,18,3000000000,6", f"1,18,{10**59},0")
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{row}\n{ROW.replace('T1,', 'T2,')}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(f"{QUOTE_HEADER}\nT1,0,1,0,150000,prov\nT2,0,2995000000,6,150000,prov\n")
+        out = tmp_path / "out"
+        rc = main(
+            ["analyze", "--trades", str(trades), "--quotes", str(quotes),
+             "--out", str(out), "--offsets=0", "--no-correction"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        body = (out / "attribution.csv").read_text().splitlines()
+        assert body[2].split(",") == [
+            "T1", "0",
+            "957142857142857156462585034013601122988878090920278416229167000.0000",
+            "999999999999999999999999999999999999999999999999999999999991000.0000",
+            "-0.0000",
+            "-447.7612",
+            "-42857142857142843537414965986398877011121909079721583770824000.0000",
+            "false", "",
+        ]
+        assert body[3].startswith("T2,0,15.3465,")
+
 
 class TestDeterminism:
     def test_pipeline_reruns_byte_identical(self, tmp_path, monkeypatch):
@@ -717,6 +778,23 @@ FUZZ_JSON = [
     "null", "true", "[]", "{}", "0", "-1", "1e999999", "1e-999990", "NaN", "Infinity",
     "9" * 5000, '"1e-999990"', '"1e999990"', '"-0"', '"0"', '""',
 ]
+
+
+# --offsets pieces: small offsets, offsets far beyond any quote, and strings
+# int() rejects
+_OFFSET_TOKEN = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.integers(-(10**12), 10**12).map(str),
+    st.sampled_from(["", " ", "x", "1.5", "0x1", "²", "-99999999999", "99999999999", "9" * 5000]),
+)
+OFFSETS_TEXT = st.one_of(
+    st.tuples(_OFFSET_TOKEN, _OFFSET_TOKEN).map("..".join),
+    st.lists(_OFFSET_TOKEN, min_size=1, max_size=6).map(",".join),
+    st.integers(MAX_OFFSETS - 1, MAX_OFFSETS + 1).map(lambda n: ",".join(map(str, range(n)))),
+    st.text(max_size=12),
+)
+# Offsets lists longer than this are checked by parsing alone, to keep the fuzz fast.
+FUZZ_MAX_RUN_OFFSETS = 9
 
 
 @pytest.fixture(scope="module")
@@ -794,6 +872,35 @@ class TestFuzz:
                     baseline, str(root / baseline_file),
                     "--calibration", str(root / "calibration.json"),
                     "--offsets=-1..1",
+                    "--out", str(root / "out"),
+                ]
+            )
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(offsets=OFFSETS_TEXT)
+    def test_offsets_text_exits_cleanly(self, fuzz_files, capsys, offsets):
+        try:
+            n_offsets = len(parse_offsets(offsets))
+        except ConfigError:
+            n_offsets = 0
+        if n_offsets > FUZZ_MAX_RUN_OFFSETS:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for file_name, text in fuzz_files.items():
+                (root / file_name).write_text(text, encoding="utf-8")
+            rc = main(
+                [
+                    "analyze",
+                    "--trades", str(root / "trades.csv"),
+                    "--quotes", str(root / "quotes.csv"),
+                    "--calibration", str(root / "calibration.json"),
+                    f"--offsets={offsets}",
                     "--out", str(root / "out"),
                 ]
             )

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,15 @@ VALID_ROW = "T1,Uniswap,Classic,18000000,WETH_IN,false,1000000000000000000,18,30
 
 
 def csv_of(*rows):
-    return io.StringIO("\n".join([VALID_HEADER, *rows]) + "\n")
+    return "\n".join([VALID_HEADER, *rows]) + "\n"
+
+
+def write_input(directory, text, suffix=".csv") -> Path:
+    """A new file in `directory` holding `text`; its suffix picks the ingest format."""
+    fd, name = tempfile.mkstemp(suffix=suffix, dir=directory)
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return Path(name)
 
 
 class TestTypes:
@@ -70,80 +81,87 @@ class TestTypes:
 
 
 class TestIngestTrades:
-    def test_valid_rows_pass_through(self):
+    def test_valid_rows_pass_through(self, tmp_path):
         rows = [VALID_ROW, VALID_ROW.replace("T1", "T2"), VALID_ROW.replace("T1", "T3")]
-        result = ingest_trades(csv_of(*rows))
+        result = ingest_trades(write_input(tmp_path, csv_of(*rows)))
         assert len(result.records) == 3
         assert not result.rejects
         assert [t.trade_id for t in result.records] == ["T1", "T2", "T3"]
 
-    def test_zero_amount_rejected(self):
+    def test_zero_amount_rejected(self, tmp_path):
         bad = VALID_ROW.replace("1000000000000000000", "0")
-        result = ingest_trades(csv_of(VALID_ROW, bad))
+        result = ingest_trades(write_input(tmp_path, csv_of(VALID_ROW, bad)))
         assert len(result.records) == 1
         assert len(result.rejects) == 1
         assert result.rejects[0].line == 2
         assert "amount_in" in result.rejects[0].reason
 
-    def test_duplicate_trade_id_rejected(self):
+    def test_duplicate_trade_id_rejected(self, tmp_path):
         # every later row with an accepted id is rejected; a rejected row's
         # id does not count as seen
         bad = VALID_ROW.replace("T1,", "T2,").replace("WETH_IN", "SIDEWAYS")
         rows = [VALID_ROW, bad, VALID_ROW, VALID_ROW.replace("T1,", "T2,"), VALID_ROW]
-        result = ingest_trades(csv_of(*rows))
+        result = ingest_trades(write_input(tmp_path, csv_of(*rows)))
         assert [t.trade_id for t in result.records] == ["T1", "T2"]
         assert [(r.line, r.reason) for r in result.rejects[1:]] == [
             (3, "duplicate trade_id T1"),
             (5, "duplicate trade_id T1"),
         ]
         with pytest.raises(IngestError, match="line 2: duplicate trade_id T1"):
-            ingest_trades(csv_of(VALID_ROW, VALID_ROW), strict=True)
+            ingest_trades(write_input(tmp_path, csv_of(VALID_ROW, VALID_ROW)), strict=True)
 
-    def test_gas_overflow_rejected(self):
+    def test_gas_overflow_rejected(self, tmp_path):
         bad = VALID_ROW.replace("150000,20000000000,1000000000", f"{2**64},{2**63},{2**63}")
-        result = ingest_trades(csv_of(bad))
+        result = ingest_trades(write_input(tmp_path, csv_of(bad)))
         assert not result.records
         assert "overflow" in result.rejects[0].reason
 
-    def test_weth_side_decimals_enforced(self):
+    def test_weth_side_decimals_enforced(self, tmp_path):
         bad = VALID_ROW.replace("1000000000000000000,18", "1000000000000000000,17")
-        result = ingest_trades(csv_of(bad))
+        result = ingest_trades(write_input(tmp_path, csv_of(bad)))
         assert "decimals" in result.rejects[0].reason
 
-    def test_empty_input_fatal(self):
+    def test_empty_input_fatal(self, tmp_path):
         with pytest.raises(EmptyInput):
-            ingest_trades(csv_of())
+            ingest_trades(write_input(tmp_path, csv_of()))
         with pytest.raises(EmptyInput):
-            ingest_trades(io.StringIO(""))
+            ingest_trades(write_input(tmp_path, ""))
 
-    def test_bad_header_fatal(self):
+    def test_bad_header_fatal(self, tmp_path):
         with pytest.raises(IngestError, match="header"):
-            ingest_trades(io.StringIO("a,b,c\n1,2,3\n"))
+            ingest_trades(write_input(tmp_path, "a,b,c\n1,2,3\n"))
 
-    def test_strict_mode_raises(self):
+    def test_strict_mode_raises(self, tmp_path):
         bad = VALID_ROW.replace("WETH_IN", "SIDEWAYS")
         with pytest.raises(IngestError, match="line 1"):
-            ingest_trades(csv_of(bad), strict=True)
+            ingest_trades(write_input(tmp_path, csv_of(bad)), strict=True)
 
-    def test_missing_usd_accepted_unless_required(self):
+    def test_missing_usd_accepted_unless_required(self, tmp_path):
         row = VALID_ROW.replace(",3000,", ",,")
-        result = ingest_trades(csv_of(row))
+        result = ingest_trades(write_input(tmp_path, csv_of(row)))
         assert result.records[0].usd_value is None
-        result = ingest_trades(csv_of(row), require_usd=True)
+        result = ingest_trades(write_input(tmp_path, csv_of(row)), require_usd=True)
         assert not result.records
         assert "usd_value" in result.rejects[0].reason
 
-    def test_comment_lines_skipped(self):
-        stream = io.StringIO(f"# provenance line\n{VALID_HEADER}\n{VALID_ROW}\n")
-        assert len(ingest_trades(stream).records) == 1
+    def test_comment_lines_skipped(self, tmp_path):
+        path = write_input(tmp_path, f"# provenance line\n{VALID_HEADER}\n{VALID_ROW}\n")
+        assert len(ingest_trades(path).records) == 1
 
-    def test_bytes_source(self):
-        data = f"{VALID_HEADER}\n{VALID_ROW}\n".encode()
-        assert len(ingest_trades(data).records) == 1
+    def test_comment_line_inside_a_quoted_field_is_data(self, tmp_path):
+        # only the lines before the header are comments; blank lines after it
+        # are skipped and do not count as data lines
+        quoted = VALID_ROW.replace("Uniswap", '"Uni\n#swap"')
+        bad = VALID_ROW.replace("T1,", "T2,").replace("WETH_IN", "SIDEWAYS")
+        result = ingest_trades(write_input(tmp_path, csv_of(quoted, "", bad)))
+        assert [t.interface for t in result.records] == ["Uni\n#swap"]
+        assert [(r.line, r.reason) for r in result.rejects] == [
+            (2, "direction must be WETH_IN or WETH_OUT")
+        ]
 
-    def test_jsonl_roundtrip_fields(self):
+    def test_jsonl_roundtrip_fields(self, tmp_path):
         obj = dict(zip(TRADE_COLUMNS, VALID_ROW.split(","))) | {"gas_internalized": False}
-        result = ingest_trades(io.StringIO(json.dumps(obj) + "\n"), fmt="jsonl")
+        result = ingest_trades(write_input(tmp_path, json.dumps(obj) + "\n", ".jsonl"))
         assert result.records[0].trade_id == "T1"
         assert result.records[0].direction is Direction.WETH_IN
 
@@ -151,33 +169,33 @@ class TestIngestTrades:
 class TestIngestQuotes:
     HEADER = "trade_id,offset,out_estimate_raw,out_estimate_decimals,gas_estimate,provider_id"
 
-    def test_two_offsets(self):
+    def test_two_offsets(self, tmp_path):
         text = f"{self.HEADER}\nT1,-1,1,6,100,prov\nT1,0,2,6,100,prov\n"
-        quotes, rejects = ingest_quotes(io.StringIO(text))
+        quotes, rejects = ingest_quotes(write_input(tmp_path, text))
         assert len(quotes) == 2 and not rejects
 
-    def test_duplicate_key_fatal(self):
+    def test_duplicate_key_fatal(self, tmp_path):
         text = f"{self.HEADER}\nT1,0,1,6,100,prov\nT1,0,2,6,100,prov\n"
         with pytest.raises(DuplicateQuote):
-            ingest_quotes(io.StringIO(text))
+            ingest_quotes(write_input(tmp_path, text))
 
-    def test_same_key_different_provider_ok(self):
+    def test_same_key_different_provider_ok(self, tmp_path):
         text = f"{self.HEADER}\nT1,0,1,6,100,prov_a\nT1,0,2,6,100,prov_b\n"
-        quotes, _ = ingest_quotes(io.StringIO(text))
+        quotes, _ = ingest_quotes(write_input(tmp_path, text))
         assert quotes.providers() == ["prov_a", "prov_b"]
         assert quotes.get("T1", 0, "prov_a").out_estimate.raw == 1
         assert quotes.get("T1", 0, "prov_b").out_estimate.raw == 2
 
-    def test_orphan_flagged_during_join(self):
+    def test_orphan_flagged_during_join(self, tmp_path):
         text = f"{self.HEADER}\nT1,0,1,6,100,prov\nGHOST,0,1,6,100,prov\n"
-        quotes, _ = ingest_quotes(io.StringIO(text))
-        trades = ingest_trades(csv_of(VALID_ROW)).records
+        quotes, _ = ingest_quotes(write_input(tmp_path, text))
+        trades = ingest_trades(write_input(tmp_path, csv_of(VALID_ROW))).records
         assert quotes.orphans(trades) == [("GHOST", 0, "prov")]
 
-    def test_overlong_jsonl_integer_is_a_reject(self):
+    def test_overlong_jsonl_integer_is_a_reject(self, tmp_path):
         # json.loads raises a plain ValueError past int()'s 4300-digit limit
         lines = ['{"trade_id": ' + "9" * 5000 + "}", '{"trade_id": "T1"}']
-        _, rejects = ingest_quotes(io.StringIO("\n".join(lines) + "\n"), "jsonl")
+        _, rejects = ingest_quotes(write_input(tmp_path, "\n".join(lines) + "\n", ".jsonl"))
         assert [r.line for r in rejects] == [1, 2]
         assert rejects[0].reason.startswith(
             "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"
@@ -186,24 +204,24 @@ class TestIngestQuotes:
 
 
 class TestIngestPools:
-    def test_snapshot_grouped_by_offset(self):
+    def test_snapshot_grouped_by_offset(self, tmp_path):
         text = (
             "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop\n"
             "0,P1,1000000000000000000,3000000000,6,30,120000\n"
             "-1,P1,1000000000000000000,3000000000,6,30,120000\n"
             "0,P2,2000000000000000000,6000000000,6,5,120000\n"
         )
-        snapshots, rejects = ingest_pool_snapshots(io.StringIO(text))
+        snapshots, rejects = ingest_pool_snapshots(write_input(tmp_path, text))
         assert not rejects
         assert sorted(snapshots) == [-1, 0]
         assert [p.pool_id for p in snapshots[0]] == ["P1", "P2"]
 
-    def test_zero_reserve_rejected(self):
+    def test_zero_reserve_rejected(self, tmp_path):
         text = (
             "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop\n"
             "0,P1,0,3000000000,6,30,120000\n"
         )
-        snapshots, rejects = ingest_pool_snapshots(io.StringIO(text))
+        snapshots, rejects = ingest_pool_snapshots(write_input(tmp_path, text))
         assert not snapshots and len(rejects) == 1
 
 
@@ -238,10 +256,10 @@ def trade_rows(draw):
 
 
 class TestRoundTrip:
-    def test_ingestion_is_deterministic(self):
+    def test_ingestion_is_deterministic(self, tmp_path):
         text = f"{VALID_HEADER}\n{VALID_ROW}\n{VALID_ROW.replace('T1', 'T2')}\n"
-        a = ingest_trades(io.StringIO(text))
-        b = ingest_trades(io.StringIO(text))
+        a = ingest_trades(write_input(tmp_path, text))
+        b = ingest_trades(write_input(tmp_path, text))
         assert a.records == b.records
 
 
@@ -326,25 +344,24 @@ def _valid_row(schema: str, k: int) -> list:
     return [str(k), f"P{k}", "1000000000000000000", "3000000000", "6", "30", "120000"]
 
 
-def _ingest_rejects(schema: str, text: str, fmt: str) -> list[tuple[int, str]]:
-    source = io.StringIO(text)
+def _ingest_rejects(schema: str, path: Path) -> list[tuple[int, str]]:
     if schema == "trades":
-        rejects = ingest_trades(source, fmt, require_usd=True).rejects
+        rejects = ingest_trades(path, require_usd=True).rejects
     elif schema == "quotes":
-        rejects = ingest_quotes(source, fmt)[1]
+        rejects = ingest_quotes(path)[1]
     else:
-        rejects = ingest_pool_snapshots(source, fmt)[1]
+        rejects = ingest_pool_snapshots(path)[1]
     return [(r.line, r.reason) for r in rejects]
 
 
 class TestRejectReasons:
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
     @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
-    def test_each_column_rejects_with_its_reason(self, schema, fmt):
+    def test_each_column_rejects_with_its_reason(self, schema, kind, tmp_path):
         # one row per (column, bad value), the rest of the row valid
         columns = SCHEMA_COLUMNS[schema]
         assert list(EXPECTED_REASONS[schema]) == columns
-        values = BAD_TEXT if fmt == "csv" else BAD_TEXT + BAD_JSON
+        values = BAD_TEXT if kind == "csv" else BAD_TEXT + BAD_JSON
         rows, expected = [], []
         for column, reasons in EXPECTED_REASONS[schema].items():
             for value, reason in zip(values, reasons):
@@ -353,7 +370,7 @@ class TestRejectReasons:
                 rows.append(row)
                 if reason is not None:
                     expected.append((len(rows), reason.format(column)))
-        if fmt == "csv":
+        if kind == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(columns)
@@ -361,7 +378,7 @@ class TestRejectReasons:
             text = buf.getvalue()
         else:
             text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
-        assert _ingest_rejects(schema, text, fmt) == expected
+        assert _ingest_rejects(schema, write_input(tmp_path, text, f".{kind}")) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +452,14 @@ class TestCsvJsonlParity:
     def test_trades(self, data):
         rows = data.draw(st.lists(trade_rows(), min_size=1, max_size=5))
         objects = data.draw(jsonl_objects(TRADE_COLUMNS, rows))
-        for require_usd in (False, True):
-            a = ingest_trades(io.StringIO(_csv_text(TRADE_COLUMNS, rows)), require_usd=require_usd)
-            b = ingest_trades(
-                io.StringIO(_jsonl_text(objects)), "jsonl", require_usd=require_usd
-            )
-            assert a.records == b.records
-            assert a.rejects == b.rejects
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = write_input(tmp, _csv_text(TRADE_COLUMNS, rows))
+            jsonl_path = write_input(tmp, _jsonl_text(objects), ".jsonl")
+            for require_usd in (False, True):
+                a = ingest_trades(csv_path, require_usd=require_usd)
+                b = ingest_trades(jsonl_path, require_usd=require_usd)
+                assert a.records == b.records
+                assert a.rejects == b.rejects
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -450,8 +468,9 @@ class TestCsvJsonlParity:
             st.lists(quote_rows(), min_size=1, max_size=5, unique_by=lambda r: (r[0], int(r[1])))
         )
         objects = data.draw(jsonl_objects(QUOTE_COLUMNS, rows))
-        a, a_rejects = ingest_quotes(io.StringIO(_csv_text(QUOTE_COLUMNS, rows)))
-        b, b_rejects = ingest_quotes(io.StringIO(_jsonl_text(objects)), "jsonl")
+        with tempfile.TemporaryDirectory() as tmp:
+            a, a_rejects = ingest_quotes(write_input(tmp, _csv_text(QUOTE_COLUMNS, rows)))
+            b, b_rejects = ingest_quotes(write_input(tmp, _jsonl_text(objects), ".jsonl"))
         assert not a_rejects and not b_rejects
         assert list(a) == list(b)
 
@@ -460,8 +479,9 @@ class TestCsvJsonlParity:
     def test_pools(self, data):
         rows = data.draw(st.lists(pool_rows(), min_size=1, max_size=5))
         objects = data.draw(jsonl_objects(SNAPSHOT_COLUMNS, rows))
-        a, a_rejects = ingest_pool_snapshots(io.StringIO(_csv_text(SNAPSHOT_COLUMNS, rows)))
-        b, b_rejects = ingest_pool_snapshots(io.StringIO(_jsonl_text(objects)), "jsonl")
+        with tempfile.TemporaryDirectory() as tmp:
+            a, a_rejects = ingest_pool_snapshots(write_input(tmp, _csv_text(SNAPSHOT_COLUMNS, rows)))
+            b, b_rejects = ingest_pool_snapshots(write_input(tmp, _jsonl_text(objects), ".jsonl"))
         assert not a_rejects and not b_rejects
         assert a == b
 

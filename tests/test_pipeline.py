@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapmeter.attribution import attribute_trade, price_improvement
+from swapmeter.attribution import attribute_trade, improvement
 from swapmeter.baseline import (
     BaselineProvider,
     CalibratedProvider,
@@ -75,9 +75,6 @@ class FreshRouter(BaselineProvider):
 
     def __init__(self, snapshots):
         self._snapshots = snapshots
-
-    def supported_offsets(self):
-        return tuple(sorted(self._snapshots))
 
     def quote(self, trade, offset, amount_in=None):
         return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset, amount_in)
@@ -243,7 +240,7 @@ def test_rows_equal_pricing_each_pair_on_its_own():
                 p_prime, _ = counterfactual_price(
                     trade, provider, offset, F_PRIME, beta1=slope.beta1
                 )
-                want = price_improvement(realized_price(trade), p_prime)
+                want = improvement(realized_price(trade).value, p_prime.value)
             except EXCLUDED:
                 want = None
             assert got == want
@@ -258,9 +255,9 @@ def test_rows_equal_pricing_each_pair_on_its_own():
     with pytest.raises(NonPositiveAdjustedInput):
         counterfactual_price(trades[4], provider, 0, F_PRIME, beta1=shifted[1].beta1)
     with pytest.raises(NonPositiveBaseline):
-        price_improvement(
-            realized_price(trades[5]),
-            counterfactual_price(trades[5], provider, 0, F_PRIME, beta1=shifted[1].beta1)[0],
+        improvement(
+            realized_price(trades[5]).value,
+            counterfactual_price(trades[5], provider, 0, F_PRIME, beta1=shifted[1].beta1)[0].value,
         )
     missing = by_pair[("OUT-X", 1)]
     assert (missing.result, missing.exclusion_reason) == (None, "quote_unavailable")

@@ -8,7 +8,6 @@ import pytest
 from swapmeter.errors import NonPositiveAdjustedInput, QuoteUnavailable
 from swapmeter.model import Direction, TokenAmount
 from swapmeter.prices import (
-    PriceCase,
     counterfactual_price,
     realized_decision_vector,
     realized_price,
@@ -25,7 +24,6 @@ class TestRealizedPrice:
         # oracle: 3000 / (1 + 150000 * 21e9 * 1e-18) = 3000 / 1.00315
         trade = make_trade()
         p = realized_price(trade)
-        assert p.case_tag is PriceCase.REALIZED_EXTERNAL_GAS
         expected = Decimal(3000) / Decimal("1.00315")
         assert abs(p.value - expected) < Decimal("1e-40")
         assert p.value.quantize(Decimal("0.0001")) == Decimal("2990.5797")
@@ -69,7 +67,6 @@ class TestCounterfactualPrice:
         trade = make_trade()
         provider = replay_for("T1", 0, 2995 * USDC, 6, 140_000)
         p, x = counterfactual_price(trade, provider, 0, F_PRIME)
-        assert p.case_tag is PriceCase.COUNTERFACTUAL_EXTERNAL_GAS
         expected = Decimal(2995) / (Decimal(1) + Decimal(140_000 * 20_100_000_000) * Decimal("1e-18"))
         assert abs(p.value - expected) < Decimal("1e-40")
         assert p.value.quantize(Decimal("0.1")) == Decimal("2986.6")

@@ -15,35 +15,38 @@ from typing import Mapping, Sequence
 from swapmeter.calibration import GasCalibration
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
-from swapmeter.model import Pool, Quote, TokenAmount, TradeRecord
-from swapmeter.router import RouteResult, route_optimal_split
+from swapmeter.model import Direction, Pool, Quote, TokenAmount, TradeRecord
+from swapmeter.router import route_optimal_split
 
 DEFAULT_OVERHEAD_GAS = 80_000
+_WETH_IN = Direction.WETH_IN
 
 
 class BaselineProvider(abc.ABC):
-    """Contract for the baseline function mapping (input, offset) -> (o', g')."""
+    """Contract for the baseline function mapping (input, offset) -> (o', g').
+
+    `quote` serves the trade's own input. `output_at` re-quotes the output
+    alone at another input: the gas-adjusted input of a gas-internalized
+    WETH-in trade, whose price reads only the re-quoted output.
+    """
 
     provider_id: str
 
     @abc.abstractmethod
-    def quote(
-        self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
-    ) -> Quote:
-        """Quote the trade at the given offset.
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        """Quote the trade's input at the given offset."""
 
-        amount_in overrides the trade's input (used for the gas-adjusted
-        re-quote of gas-internalized WETH-in trades); None means the
-        trade's own amount.
-        """
+    @abc.abstractmethod
+    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
+        """The baseline output o'' for the trade's swap at input amount_in."""
 
 
 class ReplayProvider(BaselineProvider):
     """Serves quotes recorded in a quote file.
 
     Re-quotes at an adjusted input are served by linear rescaling of the
-    stored output (o'' = o' * i''/i, gas unchanged): the replay curve is
-    exactly linear through the recorded point.
+    stored output (o'' = o' * i''/i): the replay curve is exactly linear
+    through the recorded point.
     """
 
     def __init__(self, quotes: QuoteSet):
@@ -53,22 +56,18 @@ class ReplayProvider(BaselineProvider):
         self.provider_id = providers[0]
         self._quotes = quotes
 
-    def quote(
-        self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
-    ) -> Quote:
+    def _stored(self, trade: TradeRecord, offset: int) -> Quote:
         stored = self._quotes.get(trade.trade_id, offset, self.provider_id)
         if stored is None:
             raise QuoteUnavailable(trade.trade_id, offset, f"provider {self.provider_id!r}")
-        if amount_in is None or amount_in.raw == trade.amount_in.raw:
-            return stored
-        scaled_raw = stored.out_estimate.raw * amount_in.raw // trade.amount_in.raw
-        return Quote(
-            trade_id=stored.trade_id,
-            offset=stored.offset,
-            out_estimate=TokenAmount(scaled_raw, stored.out_estimate.decimals),
-            gas_estimate=stored.gas_estimate,
-            provider_id=stored.provider_id,
-        )
+        return stored
+
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        return self._stored(trade, offset)
+
+    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
+        out = self._stored(trade, offset).out_estimate
+        return TokenAmount(out.raw * amount_in.raw // trade.amount_in.raw, out.decimals)
 
 
 class SyntheticRouterProvider(BaselineProvider):
@@ -79,9 +78,9 @@ class SyntheticRouterProvider(BaselineProvider):
     plus the configured baseline priority fee.
 
     Snapshots with identical contents are interned at construction, and
-    each route is solved once per (snapshot, amount, direction, gas
-    price): offsets that share a snapshot, and re-quotes at the same
-    adjusted input, reuse the solved route.
+    each route is solved once per (snapshot, amount, direction, base fee):
+    offsets that share a snapshot, and re-quotes at the same adjusted
+    input, reuse the solved route's output and gas.
     """
 
     def __init__(
@@ -96,32 +95,36 @@ class SyntheticRouterProvider(BaselineProvider):
         for offset, pools in snapshots.items():
             pools = tuple(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
-        self._routes: dict[tuple, RouteResult] = {}
+        # (snapshot id, amount raw, amount decimals, WETH in, base fee) -> (o', g')
+        self._routes: dict[tuple, tuple[TokenAmount, Decimal]] = {}
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
         self.provider_id = "synthetic-router"
 
-    def quote(
-        self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
-    ) -> Quote:
+    def _served(
+        self, trade: TradeRecord, offset: int, amount: TokenAmount
+    ) -> tuple[TokenAmount, Decimal]:
+        """The routed output and gas estimate of the trade's swap at `amount`."""
         snapshot = self._snapshots.get(offset)
         if snapshot is None:
             raise SnapshotUnavailable(offset)
-        pools, snapshot_key = snapshot
-        amount = trade.amount_in if amount_in is None else amount_in
-        gas_price = Decimal(trade.gas.base_fee) + self._f_prime
-        key = (snapshot_key, amount.raw, amount.decimals, trade.direction, gas_price)
-        route = self._routes.get(key)
-        if route is None:
+        pools, snapshot_id = snapshot
+        base_fee = trade.gas.base_fee
+        key = (snapshot_id, amount.raw, amount.decimals, trade.direction is _WETH_IN, base_fee)
+        served = self._routes.get(key)
+        if served is None:
+            gas_price = Decimal(base_fee) + self._f_prime
             route = route_optimal_split(pools, amount, trade.direction, gas_price)
-            self._routes[key] = route
-        return Quote(
-            trade_id=trade.trade_id,
-            offset=offset,
-            out_estimate=route.total_out,
-            gas_estimate=Decimal(route.total_gas + self._overhead),
-            provider_id=self.provider_id,
-        )
+            served = (route.total_out, Decimal(route.total_gas + self._overhead))
+            self._routes[key] = served
+        return served
+
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        out, gas = self._served(trade, offset, trade.amount_in)
+        return Quote(trade.trade_id, offset, out, gas, self.provider_id)
+
+    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
+        return self._served(trade, offset, amount_in)[0]
 
 
 class CalibratedProvider(BaselineProvider):
@@ -132,8 +135,9 @@ class CalibratedProvider(BaselineProvider):
         self._calibration = calibration
         self.provider_id = inner.provider_id
 
-    def quote(
-        self, trade: TradeRecord, offset: int, amount_in: TokenAmount | None = None
-    ) -> Quote:
-        quote = self._inner.quote(trade, offset, amount_in)
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        quote = self._inner.quote(trade, offset)
         return replace(quote, gas_estimate=quote.gas_estimate / self._calibration.beta1)
+
+    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
+        return self._inner.output_at(trade, offset, amount_in)

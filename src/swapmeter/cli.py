@@ -130,7 +130,9 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
     if cfg.no_correction:
         return None
     path = cfg.effective_calibration_path()
-    if not path.exists():
+    with _reading(path):
+        found = path.exists()
+    if not found:
         raise SwapmeterError(
             f"calibration report {path} not found; run `swapmeter calibrate` or pass --no-correction"
         )

@@ -8,7 +8,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from swapmeter.errors import ConfigError
-from swapmeter.model import MAX_UINT128
+from swapmeter.model import MAX_UINT64, MAX_UINT128
 
 DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
@@ -48,6 +48,8 @@ class RunConfig:
             raise ConfigError("stride must be >= 1")
         if self.sys_multiplier <= 0:
             raise ConfigError("sys_multiplier must be positive")
+        if not 0 <= self.overhead_gas <= MAX_UINT64:
+            raise ConfigError(f"overhead_gas: {self.overhead_gas} is outside [0, 2^64 - 1]")
 
     def require_provider(self) -> None:
         have = [p for p in (self.quotes_path, self.pools_path) if p]

@@ -12,6 +12,7 @@ from decimal import Decimal
 from enum import Enum
 
 MAX_UINT128 = 2**128 - 1
+MAX_UINT64 = 2**64 - 1  # EVM gas amounts are 64-bit
 _ZERO, _MAX_GAS = Decimal(0), Decimal(MAX_UINT128)  # Decimal bounds compare faster
 
 # Exact representability bound for the 60-digit decimal context.
@@ -148,7 +149,11 @@ class Quote:
 
 @dataclass(frozen=True, slots=True)
 class Pool:
-    """A constant-product WETH/token pool snapshot."""
+    """A constant-product WETH/token pool snapshot.
+
+    gas_per_hop is bounded to 64 bits, as EVM gas is, so a route's hop gas
+    plus a 64-bit overhead stays within a quote's uint128 gas bound.
+    """
 
     pool_id: str
     reserve_weth: TokenAmount
@@ -165,3 +170,5 @@ class Pool:
             raise ValueError("fee_bps must be in [0, 10000)")
         if self.gas_per_hop < 0:
             raise ValueError("gas_per_hop must be nonnegative")
+        if self.gas_per_hop > MAX_UINT64:
+            raise ValueError("gas_per_hop exceeds the uint64 bound 2^64 - 1")

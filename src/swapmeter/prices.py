@@ -143,8 +143,8 @@ def counterfactual_value(
     """Baseline price value p' at gas g', and the baseline output it prices.
 
     o_prime is the quote's normalized output. The output is the quote's,
-    or, for an internalized WETH-in trade, that of the provider's re-quote
-    at the gas-adjusted input i' = i - g'(b+f'), whose denominator
+    or, for an internalized WETH-in trade, the provider's re-quoted output
+    (`output_at`) at the gas-adjusted input i' = i - g'(b+f'), whose denominator
     i' + g'(b+f') collapses back to i.
 
     Raises NonPositiveAdjustedInput when that gas cost reaches the input
@@ -165,8 +165,8 @@ def counterfactual_value(
         )
     cost_wei = int((cost.scaleb(18)).to_integral_value(rounding=ROUND_FLOOR))
     adjusted_amount = TokenAmount(trade.amount_in.raw - cost_wei, 18)
-    second = baseline.quote(trade, offset, amount_in=adjusted_amount)
-    return second.out_estimate.normalized / i, second.out_estimate
+    out = baseline.output_at(trade, offset, adjusted_amount)
+    return out.normalized / i, out
 
 
 def counterfactual_price(

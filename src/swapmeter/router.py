@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from swapmeter.errors import NoPools
 from swapmeter.model import Direction, Pool, TokenAmount
@@ -69,70 +69,97 @@ def marginal_price(pool: Pool, direction: Direction) -> Decimal:
 
 
 class _PoolCurve:
-    """Float view of one pool's normalized output curve (for the solver only)."""
+    """Float view of one pool's normalized output curve (for the solver only).
 
-    __slots__ = ("index", "r_in", "r_out", "c", "gas")
+    out(x) = rc*x / (r_in + c*x) with rc = R_out*c; s = sqrt(R_out*R_in/c) and
+    t = R_in/c are the pool's terms of the equal-marginal-price split.
+    """
+
+    __slots__ = ("index", "pool", "r_in", "c", "rc", "s", "t", "gas")
 
     def __init__(self, index: int, pool: Pool, direction: Direction):
         r_in_raw, r_out_raw, out_decimals = _oriented(pool, direction)
         in_decimals = 18 if direction is Direction.WETH_IN else pool.reserve_token.decimals
+        r_in = r_in_raw / 10.0**in_decimals
+        r_out = r_out_raw / 10.0**out_decimals
+        c = 1.0 - pool.fee_bps / 10000.0
         self.index = index
-        self.r_in = r_in_raw / 10.0**in_decimals
-        self.r_out = r_out_raw / 10.0**out_decimals
-        self.c = 1.0 - pool.fee_bps / 10000.0
+        self.pool = pool
+        self.r_in = r_in
+        self.c = c
+        self.rc = r_out * c
+        self.s = math.sqrt(r_out * r_in / c)
+        self.t = r_in / c
         self.gas = pool.gas_per_hop
 
-    def out(self, x: float) -> float:
-        return self.r_out * self.c * x / (self.r_in + self.c * x)
 
-    def marginal_at_zero(self) -> float:
-        return self.r_out * self.c / self.r_in
+class _Tables(NamedTuple):
+    """What every route over one snapshot in one direction shares.
 
-
-def _equalized_split(curves: Sequence[_PoolCurve], x_total: float) -> list[float] | None:
-    """Closed-form equal-marginal-price allocation; None if a leg is negative.
-
-    Cancellation noise (tiny inputs against huge reserves) is clamped to
-    zero: a subset with a zeroed leg still pays that hop's gas in the
-    score, so it is dominated by the smaller subset enumerated separately
-    and can never win incorrectly.
+    The candidate subsets in enumeration order: first the one-pool ones
+    (`singles`), then each larger one with the sums its split and score
+    need (`multis`: curves, sum of t, sum of s, max of t, hop gas).
     """
-    if len(curves) == 1:
-        return [x_total]
-    s = [math.sqrt(c.r_out * c.r_in / c.c) for c in curves]
-    t = [c.r_in / c.c for c in curves]
-    scale = (x_total + sum(t)) / sum(s)
-    noise = 1e-9 * (x_total + max(t))
-    xs = []
-    for s_j, t_j in zip(s, t):
-        x = s_j * scale - t_j
-        if x < -noise:
-            return None
-        xs.append(max(x, 0.0))
-    if sum(xs) <= 0.0:
-        return None
-    return xs
 
-
-def _gas_to_out_units(
-    pools: Sequence[Pool], direction: Direction, gas_price_wei: Decimal
-) -> float:
-    """Value of one gas unit in output-token units (float, solver-side)."""
-    gas_eth = float(gas_price_wei) * 1e-18
-    if direction is Direction.WETH_OUT:
-        return gas_eth
-    anchor = max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
-    return gas_eth * float(marginal_price(anchor, direction))
+    singles: tuple[_PoolCurve, ...]
+    multis: tuple[tuple[tuple[_PoolCurve, ...], float, float, float, int], ...]
+    anchor_price: float | None  # the anchor pool's marginal price; None when WETH is out
+    out_decimals: int
 
 
 def _candidate_subsets(curves: list[_PoolCurve]) -> list[tuple[_PoolCurve, ...]]:
+    """Every subset up to EXHAUSTIVE_LIMIT pools, by size; else the greedy prefixes."""
     if len(curves) <= EXHAUSTIVE_LIMIT:
         subsets: list[tuple[_PoolCurve, ...]] = []
         for size in range(1, len(curves) + 1):
             subsets.extend(combinations(curves, size))
         return subsets
-    ranked = sorted(curves, key=lambda c: (-c.marginal_at_zero(), c.index))
+    ranked = sorted(curves, key=lambda c: (-(c.rc / c.r_in), c.index))  # zero-size price
     return [tuple(ranked[: k + 1]) for k in range(len(ranked))]
+
+
+def _build_tables(pools: tuple[Pool, ...], direction: Direction) -> _Tables:
+    curves = [_PoolCurve(i, p, direction) for i, p in enumerate(pools)]
+    singles, multis = [], []
+    for subset in _candidate_subsets(curves):
+        if len(subset) == 1:
+            singles.append(subset[0])
+            continue
+        t = [c.t for c in subset]
+        multis.append(
+            (subset, sum(t), sum([c.s for c in subset]), max(t), sum([c.gas for c in subset]))
+        )
+    # Gas is valued at the zero-size price of the pool with the largest WETH reserve.
+    anchor_price = None
+    if direction is Direction.WETH_IN:
+        anchor = max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
+        anchor_price = float(marginal_price(anchor, direction))
+    return _Tables(tuple(singles), tuple(multis), anchor_price, _oriented(pools[0], direction)[2])
+
+
+# Solver tables by (id of the pools sequence, WETH is the input), with the
+# pools they were built from. A cache only: an entry serves a call only when
+# those pools equal the caller's, so no caller sees another's state, and a
+# sequence changed in place gets new tables. Callers that route over many
+# snapshots pass each as one object (the router provider interns them), so
+# identity finds the entry without hashing the pools. Oldest entries are
+# dropped beyond _TABLES_KEPT.
+_TABLES: dict[tuple[int, bool], tuple[tuple[Pool, ...], _Tables]] = {}
+_TABLES_KEPT = 64
+
+
+def _tables(pools: Sequence[Pool], direction: Direction) -> _Tables:
+    """The tables of (pools, direction), built on first use and then reused."""
+    key = (id(pools), direction is Direction.WETH_IN)
+    cached = _TABLES.get(key)
+    contents = tuple(pools)
+    if cached is not None and cached[0] == contents:
+        return cached[1]
+    if len(_TABLES) >= _TABLES_KEPT:
+        del _TABLES[next(iter(_TABLES))]
+    tables = _build_tables(contents, direction)
+    _TABLES[key] = (contents, tables)
+    return tables
 
 
 def route_optimal_split(
@@ -141,59 +168,82 @@ def route_optimal_split(
     direction: Direction,
     gas_price_wei: Decimal,
 ) -> RouteResult:
-    """Split an input across pools maximizing output net of hop gas costs."""
+    """Split an input across pools maximizing output net of hop gas costs.
+
+    What depends only on the pools and the direction is taken from their
+    tables (see `_tables`); a call computes the subsets' splits and scores
+    and realizes the winner exactly.
+    """
     if not pools:
         raise NoPools("route_optimal_split requires at least one pool")
     if amount_in.raw <= 0:
         raise ValueError("amount_in must be positive")
 
-    curves = [_PoolCurve(i, p, direction) for i, p in enumerate(pools)]
+    tables = _tables(pools, direction)
     x_total = float(amount_in.normalized)
-    gas_unit_value = _gas_to_out_units(pools, direction, gas_price_wei)
+    gas_unit_value = float(gas_price_wei) * 1e-18  # one gas unit in output-token units
+    if tables.anchor_price is not None:
+        gas_unit_value = gas_unit_value * tables.anchor_price
 
     best_net = -math.inf
     best: tuple[tuple[_PoolCurve, ...], list[float]] | None = None
-    for subset in _candidate_subsets(curves):
-        xs = _equalized_split(subset, x_total)
-        if xs is None:
-            continue
-        net = sum(c.out(x) for c, x in zip(subset, xs))
-        net -= gas_unit_value * sum(c.gas for c in subset)
+    for c in tables.singles:
+        net = c.rc * x_total / (c.r_in + c.c * x_total) - gas_unit_value * c.gas
         if net > best_net:
             best_net = net
-            best = (subset, xs)
+            best = ((c,), [x_total])
+    # A larger subset's split equalizes after-fee marginal prices in closed
+    # form. Cancellation noise (tiny inputs against huge reserves) is clamped
+    # to zero: a subset with a zeroed leg still pays that hop's gas in the
+    # score, so it is dominated by the smaller subset enumerated separately
+    # and can never win incorrectly. A subset with a negative leg is skipped.
+    for curves, sum_t, sum_s, max_t, gas in tables.multis:
+        scale = (x_total + sum_t) / sum_s
+        noise = 1e-9 * (x_total + max_t)
+        xs = [c.s * scale - c.t for c in curves]
+        if min(xs) < -noise:
+            continue
+        xs = [max(x, 0.0) for x in xs]
+        if sum(xs) <= 0.0:
+            continue
+        net = sum([c.rc * x / (c.r_in + c.c * x) for c, x in zip(curves, xs)])
+        net -= gas_unit_value * gas
+        if net > best_net:
+            best_net = net
+            best = (curves, xs)
 
     if best is None:  # defensive: single-pool splits are always feasible
         raise NoPools("no feasible split found")
-    subset, xs = best
+    curves, xs = best
 
     # Drop economically null hops, then renormalize the remaining shares.
-    kept = [(c, x) for c, x in zip(subset, xs) if x / x_total >= SHARE_FLOOR]
+    kept = [(c, x) for c, x in zip(curves, xs) if x / x_total >= SHARE_FLOOR]
     if not kept:
-        kept = [max(zip(subset, xs), key=lambda cx: cx[1])]
-    kept_total = sum(x for _, x in kept)
-
-    # Integer allocation by largest remainder, in exact integer arithmetic
-    # so the raws sum to the input even when they exceed float precision.
+        kept = [max(zip(curves, xs), key=lambda cx: cx[1])]
     raw_total = amount_in.raw
-    weights = [round(x / kept_total * (1 << 60)) for _, x in kept]
-    weight_sum = sum(weights)
-    raws = [raw_total * w // weight_sum for w in weights]
-    remainder = raw_total - sum(raws)  # 0 <= remainder < len(kept)
-    order = sorted(
-        range(len(kept)), key=lambda j: (-(raw_total * weights[j] % weight_sum), j)
-    )
-    for j in order[:remainder]:
-        raws[j] += 1
+    if len(kept) == 1:  # the allocation below gives one leg the whole input
+        raws = [raw_total]
+    else:
+        # Integer allocation by largest remainder, in exact integer arithmetic
+        # so the raws sum to the input even when they exceed float precision.
+        kept_total = sum([x for _, x in kept])
+        weights = [round(x / kept_total * (1 << 60)) for _, x in kept]
+        weight_sum = sum(weights)
+        raws = [raw_total * w // weight_sum for w in weights]
+        remainder = raw_total - sum(raws)  # 0 <= remainder < len(kept)
+        order = sorted(
+            range(len(kept)), key=lambda j: (-(raw_total * weights[j] % weight_sum), j)
+        )
+        for j in order[:remainder]:
+            raws[j] += 1
 
     total_out_raw = 0
-    out_decimals = _oriented(pools[0], direction)[2]
     splits = []
     total_gas = 0
     for (curve, _), raw in zip(kept, raws):
         if raw == 0:
             continue
-        pool = pools[curve.index]
+        pool = curve.pool
         leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
         total_out_raw += leg.raw
         splits.append((pool.pool_id, Decimal(raw) / Decimal(raw_total)))
@@ -201,6 +251,6 @@ def route_optimal_split(
 
     return RouteResult(
         splits=tuple(splits),
-        total_out=TokenAmount(total_out_raw, out_decimals),
+        total_out=TokenAmount(total_out_raw, tables.out_decimals),
         total_gas=total_gas,
     )

@@ -30,7 +30,15 @@ from swapmeter.ingest import (
     snapshot_to_rows,
     trade_to_row,
 )
-from swapmeter.model import Direction, GasTerms, Pool, Quote, TokenAmount, TradeRecord
+from swapmeter.model import (
+    MAX_UINT64,
+    Direction,
+    GasTerms,
+    Pool,
+    Quote,
+    TokenAmount,
+    TradeRecord,
+)
 from swapmeter.output import write_csv
 from swapmeter.router import route_optimal_split
 
@@ -185,6 +193,13 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         raise InvalidSpec("all pools must share the token's decimals")
     if not offsets:
         raise InvalidSpec("offsets must be nonempty")
+    seen: set[int] = set()
+    for offset in offsets:
+        if offset in seen:  # quote files key on (trade, offset): one quote per pair
+            raise InvalidSpec(f"duplicate offset {offset}")
+        seen.add(offset)
+    if not 0 <= overhead <= MAX_UINT64:
+        raise InvalidSpec(f"overhead_gas: {overhead} is outside [0, 2^64 - 1]")
     if not 0.0 <= weth_in_fraction <= 1.0:
         raise InvalidSpec("weth_in_fraction must be in [0, 1]")
     if f_prime < 0:

@@ -40,9 +40,18 @@ class TestReplayProvider:
     def test_adjusted_input_rescaled_linearly(self):
         provider = ReplayProvider(QuoteSet([quote(out_raw=3000 * USDC)]))
         trade = make_trade()
-        scaled = provider.quote(trade, 0, amount_in=TokenAmount(WETH // 2, 18))
-        assert scaled.out_estimate.raw == 1500 * USDC
-        assert scaled.gas_estimate == Decimal(140_000)
+        scaled = provider.output_at(trade, 0, TokenAmount(WETH // 2, 18))
+        assert scaled == TokenAmount(1500 * USDC, 6)
+
+    def test_requote_is_the_floor_of_the_linear_rescale(self):
+        out_raw, adjusted = 2_995_123_457, WETH - 12_345_678_901
+        provider = ReplayProvider(QuoteSet([quote(out_raw=out_raw)]))
+        trade = make_trade()
+        requoted = provider.output_at(trade, 0, TokenAmount(adjusted, 18))
+        assert requoted == TokenAmount(out_raw * adjusted // trade.amount_in.raw, 6)
+        assert provider.output_at(trade, 0, trade.amount_in) == quote(out_raw=out_raw).out_estimate
+        with pytest.raises(QuoteUnavailable):
+            provider.output_at(trade, -1, TokenAmount(adjusted, 18))
 
 
 class TestSyntheticRouterProvider:
@@ -109,9 +118,40 @@ class TestSyntheticRouterProvider:
 
         provider.quote(trade, 2)
         assert len(calls) == 2
-        provider.quote(trade, 0, amount_in=TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, 0, TokenAmount(WETH // 2, 18))
         assert len(calls) == 3
         provider.quote(make_trade(base_fee=30 * GWEI), 1)
         assert len(calls) == 4
-        provider.quote(trade, 1, amount_in=TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, 1, TokenAmount(WETH // 2, 18))
         assert len(calls) == 4
+
+    def test_requote_equals_a_fresh_solve_and_hits_the_memo(self, monkeypatch):
+        from swapmeter import baseline
+
+        calls = []
+
+        def counting_router(*args, **kwargs):
+            calls.append(args)
+            return route_optimal_split(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "route_optimal_split", counting_router)
+        pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]
+        provider = SyntheticRouterProvider({0: pools, 1: list(pools)}, F_PRIME)
+        trade = make_trade(amount_in=TokenAmount(25 * WETH, 18))
+        adjusted = TokenAmount(25 * WETH - 4 * 10**15, 18)
+
+        requoted = provider.output_at(trade, 0, adjusted)
+        fresh = route_optimal_split(
+            pools, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
+        )
+        assert requoted == fresh.total_out
+        assert len(calls) == 1
+        # the same adjusted input at an offset sharing the snapshot is served from the memo
+        assert provider.output_at(trade, 1, adjusted) == requoted
+        assert len(calls) == 1
+        # so is a quote after a re-quote at the trade's own input
+        own_input = provider.output_at(trade, 0, trade.amount_in)
+        assert own_input == provider.quote(trade, 1).out_estimate
+        assert len(calls) == 2
+        with pytest.raises(SnapshotUnavailable):
+            provider.output_at(trade, 5, adjusted)

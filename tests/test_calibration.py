@@ -8,6 +8,7 @@ import pytest
 from swapmeter.baseline import CalibratedProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias, perturbed_calibrations
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
+from swapmeter.model import TokenAmount
 
 from conftest import make_trade, replay_for
 
@@ -96,6 +97,13 @@ class TestCorrection:
     def test_identity_calibration_is_noop(self):
         cal = fit_gas_bias([(100_000, Decimal(100_000)), (200_000, Decimal(200_000))])
         assert corrected_gas(123_456, cal) == Decimal(123_456)
+
+    def test_requote_is_the_inner_providers(self):
+        cal = fit_gas_bias([(g, Decimal(g) * Decimal("0.95")) for g in (100_000, 300_000)])
+        inner = replay_for("T1", 0, 3000 * 10**6, 6, 150_000)
+        adjusted = TokenAmount(10**18 - 7 * 10**15, 18)
+        requoted = CalibratedProvider(inner, cal).output_at(make_trade(), 0, adjusted)
+        assert requoted == inner.output_at(make_trade(), 0, adjusted)
 
 
 class TestPerturbed:

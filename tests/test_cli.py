@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
-from swapmeter.config import MAX_OFFSETS, parse_offsets
+from swapmeter.config import MAX_OFFSETS, RunConfig, parse_offsets
 from swapmeter.errors import ConfigError, SwapmeterError
 from swapmeter.ingest import TRADE_COLUMNS
 
@@ -477,6 +480,77 @@ class TestExitCodes:
         assert "error: line 1: gas_estimate exceeds the uint128 bound" in err
         assert "Traceback" not in err
 
+    def test_pool_gas_per_hop_above_uint64_rejected(self, tmp_path, capsys):
+        # a route's gas of 2 x 10^40 used to overflow the quote's uint128 gas bound
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n")
+        pools = tmp_path / "pools.csv"
+        header = "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop"
+        rows = [f"0,P{k},{1000 * 10**18},{3 * 10**12},6,30,{10**40}" for k in (1, 2)]
+        pools.write_text("\n".join([header, *rows]) + "\n")
+        base = ["--trades", str(trades), "--pools", str(pools), "--offsets=0", "--no-correction"]
+        assert main(["analyze", *base, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        for line in (1, 2):
+            assert f"reject pool line {line}: gas_per_hop exceeds the uint64 bound 2^64 - 1" in err
+        assert "excluded 1 rows: snapshot_unavailable" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1000000", str(2**128), str(2**64)])
+    def test_overhead_gas_out_of_range_fatal(self, scenario_files, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"overhead_gas = {value}\n")
+        base = [
+            "--config", str(cfg),
+            "--trades", str(scenario_files / "trades.csv"),
+            "--pools", str(scenario_files / "pools.csv"),
+            "--out", str(tmp_path / "o"),
+            "--offsets=0",
+            "--no-correction",
+        ]
+        for command in ("analyze", "report"):
+            assert main([command, *base]) == 2
+            assert capsys.readouterr().err == (
+                f"error: overhead_gas: {value} is outside [0, 2^64 - 1]\n"
+            )
+        # at the bound the gas prices some pairs out, which is a partial run
+        cfg.write_text(f"overhead_gas = {2**64 - 1}\n")
+        assert main(["analyze", *base]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("overhead_gas", -1000000, "overhead_gas: -1000000 is outside [0, 2^64 - 1]"),
+            ("offsets", [0, 0], "duplicate offset 0"),
+            ("offsets", [-1, 0, 1, 0], "duplicate offset 0"),
+        ],
+    )
+    def test_bad_synth_spec_fatal(self, tmp_path, capsys, field, value, error):
+        # duplicate offsets used to write a quotes.csv every later stage rejects
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps({"seed": 1, "n_trades": 5, field: value}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--calibration"])
+    def test_unreadable_calibration_path_fatal(self, scenario_files, tmp_path, capsys, flag):
+        # the default report path sits under --out; a name the OS refuses
+        # used to end in an OSError traceback
+        name = tmp_path / ("n" * 300)
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--offsets=0",
+        ]
+        if flag == "--calibration":
+            base += ["--out", str(tmp_path / "o")]
+        path = name / "calibration.json" if flag == "--out" else name
+        for command in ("analyze", "report"):
+            assert main([command, *base, flag, str(name)]) == 2
+            assert capsys.readouterr().err == f"error: cannot read {path}: File name too long\n"
+
     @pytest.mark.parametrize(
         "beta1, beta1_se, reason",
         [
@@ -560,13 +634,13 @@ class TestStreaming:
         served = 0
         quote = ReplayProvider.quote
 
-        def failing(self, trade, offset, amount_in=None):
+        def failing(self, trade, offset):
             # a fatal provider error halfway through the 180 pairs
             nonlocal served
             served += 1
             if served == 90:
                 raise SwapmeterError("provider failed")
-            return quote(self, trade, offset, amount_in)
+            return quote(self, trade, offset)
 
         monkeypatch.setattr(ReplayProvider, "quote", failing)
         assert main([command, *base]) == 2
@@ -796,6 +870,15 @@ OFFSETS_TEXT = st.one_of(
 # Offsets lists longer than this are checked by parsing alone, to keep the fuzz fast.
 FUZZ_MAX_RUN_OFFSETS = 9
 
+# A flag, or a config-file key (every field of RunConfig), and a value for it.
+FUZZ_SETTINGS = [
+    "--window", "--sys-multiplier", "--f-prime-wei", "--calibration-filter", "--calibration",
+    "--out", *(f.name for f in fields(RunConfig)),
+]
+FUZZ_SETTING_VALUES = st.one_of(
+    st.sampled_from(FUZZ_TEXT), st.sampled_from(["n" * 300, "d/" + "n" * 300])
+)
+
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
@@ -907,3 +990,44 @@ class TestFuzz:
         err = capsys.readouterr().err
         assert rc in (0, 1, 2)
         assert "Traceback" not in err
+
+    @settings(
+        max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(target=st.sampled_from(FUZZ_SETTINGS), value=FUZZ_SETTING_VALUES)
+    def test_one_flag_or_config_value_exits_cleanly(self, fuzz_files, capsys, target, value):
+        # The calibration report sits where --out puts it by default, so a
+        # fuzzed --out also moves the path analyze and report read it from.
+        with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+            root = Path(tmp)
+            (root / "out").mkdir()
+            for file_name, text in fuzz_files.items():
+                path = root / ("out" if file_name == "calibration.json" else "") / file_name
+                path.write_text(text, encoding="utf-8")
+            setting = [f"{target}={value}"]
+            if not target.startswith("--"):
+                (root / "run.cfg").write_text(f"{target} = {value}\n", encoding="utf-8")
+                setting = ["--config", "run.cfg"]
+            for command in ("analyze", "report"):
+                for baseline in ("--quotes=quotes.csv", "--pools=pools.csv"):
+                    argv = [command, "--trades=trades.csv", baseline, "--offsets=-1..1"]
+                    if target != "--out":
+                        argv.append("--out=out")
+                    try:
+                        rc = main(argv + setting)
+                    except SystemExit as exc:  # argparse rejects a flag's type
+                        rc = exc.code
+                    err = capsys.readouterr().err
+                    assert rc in (0, 1, 2), (argv + setting, err)
+                    assert "Traceback" not in err
+
+
+@contextmanager
+def _inside(directory):
+    """Run with `directory` as the working directory, so relative outputs land in it."""
+    before = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(before)

@@ -22,6 +22,7 @@ from swapmeter.ingest import (
     ingest_trades,
 )
 from swapmeter.model import (
+    MAX_UINT64,
     MAX_UINT128,
     Direction,
     GasTerms,
@@ -522,6 +523,9 @@ MODEL_GUARDS = {
         lambda v: _pool(fee_bps=v), st.one_of(_NEGATIVE, st.integers(min_value=10000))
     ),
     "pool-gas-per-hop": (lambda v: _pool(gas_per_hop=v), _NEGATIVE),
+    "pool-gas-per-hop-above-uint64": (
+        lambda v: _pool(gas_per_hop=v), st.integers(MAX_UINT64 + 1, MAX_UINT128)
+    ),
     "trade-amount-in": (lambda v: make_trade(amount_in=TokenAmount(v, 18)), st.just(0)),
     "trade-amount-out": (lambda v: make_trade(amount_out=TokenAmount(v, 6)), st.just(0)),
     "trade-weth-in-decimals": (

@@ -76,8 +76,11 @@ class FreshRouter(BaselineProvider):
     def __init__(self, snapshots):
         self._snapshots = snapshots
 
-    def quote(self, trade, offset, amount_in=None):
-        return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset, amount_in)
+    def quote(self, trade, offset):
+        return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset)
+
+    def output_at(self, trade, offset, amount_in):
+        return SyntheticRouterProvider(self._snapshots, F_PRIME).output_at(trade, offset, amount_in)
 
 
 def _provider(root, baseline, memoised=True):

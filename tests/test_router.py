@@ -3,15 +3,177 @@
 import math
 import random
 from decimal import Decimal
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapmeter.errors import NoPools
 from swapmeter.model import Direction, Pool, TokenAmount
-from swapmeter.router import cpmm_swap_out, marginal_price, route_optimal_split
+from swapmeter.router import (
+    EXHAUSTIVE_LIMIT,
+    SHARE_FLOOR,
+    RouteResult,
+    cpmm_swap_out,
+    marginal_price,
+    route_optimal_split,
+)
 
 from conftest import GWEI, WETH, make_pool
+
+# ---------------------------------------------------------------------------
+# Reference solver: the router as it was before its per-snapshot tables,
+# every part rebuilt on each call. The kernel must return equal routes.
+
+
+def _ref_oriented(pool: Pool, direction: Direction) -> tuple[int, int, int]:
+    if direction is Direction.WETH_IN:
+        return pool.reserve_weth.raw, pool.reserve_token.raw, pool.reserve_token.decimals
+    return pool.reserve_token.raw, pool.reserve_weth.raw, 18
+
+
+class _RefCurve:
+    """Float view of one pool's normalized output curve (for the solver only)."""
+
+    __slots__ = ("index", "r_in", "r_out", "c", "gas")
+
+    def __init__(self, index: int, pool: Pool, direction: Direction):
+        r_in_raw, r_out_raw, out_decimals = _ref_oriented(pool, direction)
+        in_decimals = 18 if direction is Direction.WETH_IN else pool.reserve_token.decimals
+        self.index = index
+        self.r_in = r_in_raw / 10.0**in_decimals
+        self.r_out = r_out_raw / 10.0**out_decimals
+        self.c = 1.0 - pool.fee_bps / 10000.0
+        self.gas = pool.gas_per_hop
+
+    def out(self, x: float) -> float:
+        return self.r_out * self.c * x / (self.r_in + self.c * x)
+
+    def marginal_at_zero(self) -> float:
+        return self.r_out * self.c / self.r_in
+
+
+def _ref_equalized_split(curves: Sequence[_RefCurve], x_total: float) -> list[float] | None:
+    """Closed-form equal-marginal-price allocation; None if a leg is negative.
+
+    Cancellation noise (tiny inputs against huge reserves) is clamped to
+    zero: a subset with a zeroed leg still pays that hop's gas in the
+    score, so it is dominated by the smaller subset enumerated separately
+    and can never win incorrectly.
+    """
+    if len(curves) == 1:
+        return [x_total]
+    s = [math.sqrt(c.r_out * c.r_in / c.c) for c in curves]
+    t = [c.r_in / c.c for c in curves]
+    scale = (x_total + sum(t)) / sum(s)
+    noise = 1e-9 * (x_total + max(t))
+    xs = []
+    for s_j, t_j in zip(s, t):
+        x = s_j * scale - t_j
+        if x < -noise:
+            return None
+        xs.append(max(x, 0.0))
+    if sum(xs) <= 0.0:
+        return None
+    return xs
+
+
+def _ref_gas_to_out_units(
+    pools: Sequence[Pool], direction: Direction, gas_price_wei: Decimal
+) -> float:
+    """Value of one gas unit in output-token units (float, solver-side)."""
+    gas_eth = float(gas_price_wei) * 1e-18
+    if direction is Direction.WETH_OUT:
+        return gas_eth
+    anchor = max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
+    return gas_eth * float(marginal_price(anchor, direction))
+
+
+def _ref_candidate_subsets(curves: list[_RefCurve]) -> list[tuple[_RefCurve, ...]]:
+    if len(curves) <= EXHAUSTIVE_LIMIT:
+        subsets: list[tuple[_RefCurve, ...]] = []
+        for size in range(1, len(curves) + 1):
+            subsets.extend(combinations(curves, size))
+        return subsets
+    ranked = sorted(curves, key=lambda c: (-c.marginal_at_zero(), c.index))
+    return [tuple(ranked[: k + 1]) for k in range(len(ranked))]
+
+
+def reference_route(
+    pools: Sequence[Pool],
+    amount_in: TokenAmount,
+    direction: Direction,
+    gas_price_wei: Decimal,
+) -> RouteResult:
+    """Split an input across pools maximizing output net of hop gas costs."""
+    if not pools:
+        raise NoPools("reference_route requires at least one pool")
+    if amount_in.raw <= 0:
+        raise ValueError("amount_in must be positive")
+
+    curves = [_RefCurve(i, p, direction) for i, p in enumerate(pools)]
+    x_total = float(amount_in.normalized)
+    gas_unit_value = _ref_gas_to_out_units(pools, direction, gas_price_wei)
+
+    best_net = -math.inf
+    best: tuple[tuple[_RefCurve, ...], list[float]] | None = None
+    for subset in _ref_candidate_subsets(curves):
+        xs = _ref_equalized_split(subset, x_total)
+        if xs is None:
+            continue
+        net = sum(c.out(x) for c, x in zip(subset, xs))
+        net -= gas_unit_value * sum(c.gas for c in subset)
+        if net > best_net:
+            best_net = net
+            best = (subset, xs)
+
+    if best is None:  # defensive: single-pool splits are always feasible
+        raise NoPools("no feasible split found")
+    subset, xs = best
+
+    # Drop economically null hops, then renormalize the remaining shares.
+    kept = [(c, x) for c, x in zip(subset, xs) if x / x_total >= SHARE_FLOOR]
+    if not kept:
+        kept = [max(zip(subset, xs), key=lambda cx: cx[1])]
+    kept_total = sum(x for _, x in kept)
+
+    # Integer allocation by largest remainder, in exact integer arithmetic
+    # so the raws sum to the input even when they exceed float precision.
+    raw_total = amount_in.raw
+    weights = [round(x / kept_total * (1 << 60)) for _, x in kept]
+    weight_sum = sum(weights)
+    raws = [raw_total * w // weight_sum for w in weights]
+    remainder = raw_total - sum(raws)  # 0 <= remainder < len(kept)
+    order = sorted(
+        range(len(kept)), key=lambda j: (-(raw_total * weights[j] % weight_sum), j)
+    )
+    for j in order[:remainder]:
+        raws[j] += 1
+
+    total_out_raw = 0
+    out_decimals = _ref_oriented(pools[0], direction)[2]
+    splits = []
+    total_gas = 0
+    for (curve, _), raw in zip(kept, raws):
+        if raw == 0:
+            continue
+        pool = pools[curve.index]
+        leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
+        total_out_raw += leg.raw
+        splits.append((pool.pool_id, Decimal(raw) / Decimal(raw_total)))
+        total_gas += pool.gas_per_hop
+
+    return RouteResult(
+        splits=tuple(splits),
+        total_out=TokenAmount(total_out_raw, out_decimals),
+        total_gas=total_gas,
+    )
+
+
+# ---------------------------------------------------------------------------
 
 
 def net_output(route, pools, direction, gas_price_wei):
@@ -213,3 +375,57 @@ class TestOptimalSplit:
         a = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(15 * GWEI))
         b = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(15 * GWEI))
         assert a == b
+
+
+@st.composite
+def snapshots(draw):
+    """1-10 pools sharing one token's decimals, reserves from 10^3 to 10^27 raw units."""
+    decimals = draw(st.sampled_from([0, 6, 8, 18]))
+    n = draw(st.integers(1, 10))
+    return tuple(
+        Pool(
+            f"P{j}",
+            TokenAmount(draw(st.integers(10**3, 10**27)), 18),
+            TokenAmount(draw(st.integers(10**3, 10**27)), decimals),
+            draw(st.sampled_from([0, 1, 5, 30, 100, 9999])),
+            draw(st.integers(0, 10**6)),
+        )
+        for j in range(n)
+    )
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(pools=snapshots(), data=st.data())
+    def test_routes_equal_the_reference(self, pools, data):
+        # Several calls per snapshot and direction, so the tables are reused.
+        for _ in range(data.draw(st.integers(1, 4))):
+            direction = data.draw(st.sampled_from(list(Direction)))
+            decimals = 18 if direction is Direction.WETH_IN else pools[0].reserve_token.decimals
+            reserve_in = max(
+                p.reserve_weth.raw if direction is Direction.WETH_IN else p.reserve_token.raw
+                for p in pools
+            )
+            amount = TokenAmount(data.draw(st.integers(1, reserve_in)), decimals)
+            gas_price = Decimal(data.draw(st.integers(0, 10**12)))
+            route = route_optimal_split(pools, amount, direction, gas_price)
+            assert route == reference_route(pools, amount, direction, gas_price)
+
+    def test_greedy_branch_beyond_the_exhaustive_limit(self):
+        rng = random.Random(23)
+        pools = [random_pool(rng, f"P{j}") for j in range(EXHAUSTIVE_LIMIT + 2)]
+        for k in range(1, 40):
+            amount = TokenAmount(k * k * 7 * WETH, 18)
+            gas_price = Decimal(rng.randrange(0, 100) * GWEI)
+            expected = reference_route(pools, amount, Direction.WETH_IN, gas_price)
+            assert route_optimal_split(pools, amount, Direction.WETH_IN, gas_price) == expected
+
+    def test_tables_follow_a_changed_pool_list(self):
+        pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]
+        amount = TokenAmount(40 * WETH, 18)
+        gas_price = Decimal(20 * GWEI)
+        before = route_optimal_split(pools, amount, Direction.WETH_IN, gas_price)
+        pools[1] = make_pool("B", weth=5000, token=16_000_000, fee_bps=5)
+        after = route_optimal_split(pools, amount, Direction.WETH_IN, gas_price)
+        assert after == reference_route(pools, amount, Direction.WETH_IN, gas_price)
+        assert after != before

@@ -243,22 +243,28 @@ def run_aggregate(
     if calibration is not None and calibration.beta1_se > 0:
         shifted = perturbed_calibrations(calibration, sys_multiplier)
     exclusions: dict[str, int] = {}
-    anchor_rows: list[AnalysisRow] = []
+    # Of each valued anchor pair: its rolling point, and its parts for the
+    # summary under its path and interface groups.
+    points: list[tuple] = []
+    parts: dict[tuple, list[tuple]] = {}
 
     def members():
         rows = analysis_pass(
             trades, raw_provider, offsets, f_prime, calibration, shifted, decompose=(anchor,)
         )
         for r in counting_exclusions(rows, exclusions):
-            if r.trade.usd_value is None:
+            trade = r.trade
+            usd = trade.usd_value
+            if usd is None:
                 continue
+            groups = (("path", trade.path, r.offset), ("interface", trade.interface, r.offset))
             if r.offset == anchor and not r.excluded:
-                anchor_rows.append(r)
-            yield (
-                (("path", r.trade.path, r.offset), ("interface", r.trade.interface, r.offset)),
-                r.trade.usd_value,
-                (r.pi, r.pi_upper, r.pi_lower),
-            )
+                points.append((usd, r.pi, r.pi_upper, r.pi_lower))
+                res = r.result
+                member = (usd, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
+                for key in groups:
+                    parts.setdefault(key, []).append(member)
+            yield groups, usd, (r.pi, r.pi_upper, r.pi_lower)
 
     base_means, up_means, low_means = grouped_means(members(), 3)
 
@@ -276,43 +282,36 @@ def run_aggregate(
             )
         )
 
-    # Rolling-by-size series at the anchor offset, all groups pooled.
-    anchor_rows.sort(key=lambda r: (r.trade.usd_value, r.trade.trade_id))
-    if len(anchor_rows) >= 2:
-        eff_window = min(window, len(anchor_rows))
+    # Rolling-by-size series at the anchor offset, all groups pooled. The pass
+    # yields trade_id order, so a stable sort by usd orders by (usd, trade_id).
+    if len(points) >= 2:
+        eff_window = min(window, len(points))
         if eff_window < window:
             warnings.warn(
-                f"rolling window {window} exceeds {len(anchor_rows)} trades; "
-                f"using {eff_window}"
+                f"rolling window {window} exceeds {len(points)} trades; using {eff_window}"
             )
-        report.rolling = rolling_by_size(
-            [(r.trade.usd_value, r.pi, r.pi_upper, r.pi_lower) for r in anchor_rows],
-            eff_window,
-            stride,
-        )
+        report.rolling = rolling_by_size(points, eff_window, stride)
 
-    report.summary = _summary(anchor_rows, base_means, up_means, low_means, anchor)
+    report.summary = _summary(parts, base_means, up_means, low_means, anchor)
     return report
 
 
-def _summary(anchor_rows, base_means, up_means, low_means, anchor: int) -> dict:
+def _summary(parts, base_means, up_means, low_means, anchor: int) -> dict:
     """Per-path and per-interface attribution decomposition at the anchor offset.
 
     Groups are those with a nominal mean at the anchor (see `stats.grouped_means`),
-    which gives pi's mean, sigma, n and weight; the four parts are averaged
-    over the group's anchor rows.
+    which gives pi's mean, sigma, n and weight; each of the four parts is
+    averaged over the group's (usd, routing, gas, fee, remainder) members.
     """
     summary: dict = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
     for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
         level, group, offset = key
         if offset != anchor:
             continue
-        rows = [r for r in anchor_rows if getattr(r.trade, level) == group]
+        members = parts[key]
         entry: dict = {"pi_bps": format_bps(mean), "pi_stat_sigma_bps": format_bps(sigma)}
-        for part in ("routing", "gas", "fee", "remainder"):
-            part_mean, _ = weighted_mean_with_stat(
-                [(getattr(r.result, f"pi_{part}"), r.trade.usd_value) for r in rows]
-            )
+        for k, part in enumerate(("routing", "gas", "fee", "remainder"), 1):
+            part_mean, _ = weighted_mean_with_stat([(m[k], m[0]) for m in members])
             entry[f"{part}_bps"] = format_bps(part_mean)
         if key in up_means and key in low_means:
             entry["pi_sys_upper_bps"] = format_bps(abs(up_means[key][0] - mean))

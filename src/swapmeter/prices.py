@@ -88,18 +88,17 @@ def realized_decision_vector(trade: TradeRecord) -> DecisionVector:
 class TradeTerms:
     """What every price of one trade at baseline priority fee f' shares.
 
-    i is the normalized input, per_gas is b + f' in wei per gas and
-    per_gas_eth the same in ETH, p and x are the realized price and
-    decision vector, and o is x's normalized output. For a WETH-out trade,
-    dp_do = 1/i and dp_dg = -(b+f')*1e-18/i are the partials that x' does
-    not change (see `attribution.partials_at_baseline`); None otherwise.
+    i is the normalized input, per_gas_eth is b + f' in ETH per gas, p
+    and x are the realized price and decision vector, and o is x's
+    normalized output. For a WETH-out trade, dp_do = 1/i and dp_dg =
+    -(b+f')*1e-18/i are the partials that x' does not change (see
+    `attribution.partials_at_baseline`); None otherwise.
     `trade_terms` builds it once per trade.
     """
 
     trade: TradeRecord
     f_prime: Decimal
     i: Decimal
-    per_gas: Decimal
     per_gas_eth: Decimal
     p: Price
     x: DecisionVector
@@ -120,14 +119,13 @@ def trade_terms(
         raise ValueError("g and f must be nonnegative")
     x = realized_decision_vector(trade)
     i = trade.amount_in.normalized
-    per_gas = Decimal(trade.gas.base_fee) + f_prime
-    per_gas_eth = per_gas * WEI_IN_ETH
+    per_gas_eth = (Decimal(trade.gas.base_fee) + f_prime) * WEI_IN_ETH
     dp_do = dp_dg = None
     if trade.direction is Direction.WETH_OUT:
         dp_do = Decimal(1) / i
         dp_dg = -per_gas_eth / i
     return TradeTerms(
-        trade, f_prime, i, per_gas, per_gas_eth, realized_price(trade), x, x.o.normalized,
+        trade, f_prime, i, per_gas_eth, realized_price(trade), x, x.o.normalized,
         dp_do, dp_dg,
     )
 
@@ -153,7 +151,7 @@ def counterfactual_value(
     if g_prime < 0:
         raise ValueError("g and f must be nonnegative")
     trade = terms.trade
-    cost = (g_prime * terms.per_gas).scaleb(-18)  # g'(b+f') wei -> ETH, exact
+    cost = g_prime * terms.per_gas_eth  # g'(b+f') in ETH
     i = terms.i
     if trade.direction is Direction.WETH_OUT:
         return (o_prime - cost) / i, quote.out_estimate

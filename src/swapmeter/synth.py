@@ -118,9 +118,16 @@ class GeneratedScenario:
     quotes_path: Path
 
 
+def _integer(name: str, value) -> int:
+    """A JSON integer or base-10 integer string as an int; a bool or float is refused."""
+    if isinstance(value, (bool, float)):
+        raise InvalidSpec(f"bad scenario field: {name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _pool_from_dict(d: dict) -> Pool:
     weth = Decimal(str(d["reserve_weth"])).scaleb(18)
-    token_decimals = int(d["token_decimals"])
+    token_decimals = _integer("token_decimals", d["token_decimals"])
     token = Decimal(str(d["reserve_token"])).scaleb(token_decimals)
     if weth != weth.to_integral_value() or token != token.to_integral_value():
         raise InvalidSpec(f"pool {d.get('pool_id')}: reserves must be integral in base units")
@@ -128,8 +135,8 @@ def _pool_from_dict(d: dict) -> Pool:
         pool_id=str(d["pool_id"]),
         reserve_weth=TokenAmount(int(weth), 18),
         reserve_token=TokenAmount(int(token), token_decimals),
-        fee_bps=int(d["fee_bps"]),
-        gas_per_hop=int(d["gas_per_hop"]),
+        fee_bps=_integer("fee_bps", d["fee_bps"]),
+        gas_per_hop=_integer("gas_per_hop", d["gas_per_hop"]),
     )
 
 
@@ -147,8 +154,8 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         raise InvalidSpec("scenario spec must be a JSON object")
 
     try:
-        seed = int(raw.get("seed", 0))
-        n_trades = int(raw.get("n_trades", 100))
+        seed = _integer("seed", raw.get("seed", 0))
+        n_trades = _integer("n_trades", raw.get("n_trades", 100))
         dist = raw.get("size_distribution", {})
         if dist.get("type", "log_uniform") != "log_uniform":
             raise InvalidSpec(f"unsupported size distribution {dist.get('type')!r}")
@@ -169,9 +176,9 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
             lo, hi = (float(x) for x in p["priority_fee_gwei"])
             profiles[path] = GasProfile(float(p["gas_noise_rel"]), (lo, hi))
         pools = tuple(_pool_from_dict(d) for d in raw.get("pools", _DEFAULT_POOLS))
-        offsets = tuple(int(x) for x in raw.get("offsets", range(-4, 4)))
+        offsets = tuple(_integer("offsets", x) for x in raw.get("offsets", range(-4, 4)))
         f_prime = Decimal(str(raw.get("f_prime_wei", 100_000_000)))
-        overhead = int(raw.get("overhead_gas", 80_000))
+        overhead = _integer("overhead_gas", raw.get("overhead_gas", 80_000))
     except InvalidSpec:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -14,6 +14,7 @@ a stable sort of rows priced one pair at a time, and its values do not
 depend on the decimal context its consumer drains it in.
 """
 
+import dataclasses
 import json
 from decimal import ROUND_DOWN, Context, localcontext
 from decimal import Decimal as D
@@ -36,9 +37,11 @@ from swapmeter.errors import (
     EXCLUSION_REASONS,
     NonPositiveAdjustedInput,
     NonPositiveBaseline,
+    QuoteUnavailable,
 )
 from swapmeter.ingest import QuoteSet, ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.model import Direction, Quote, TokenAmount
+from swapmeter.numeric import format_bps
 from swapmeter.pipeline import analysis_pass, analyze_trades, run_aggregate
 from swapmeter.prices import counterfactual_price, realized_price
 from swapmeter.stats import _EXACT, weighted_mean_with_stat
@@ -441,3 +444,57 @@ def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context)
     with localcontext(context):
         rows = list(analysis_pass(trades, provider, OFFSETS, F_PRIME, cal, shifted))
     assert rows == expected
+
+
+class WithholdingProvider(BaselineProvider):
+    """A provider that has no quote for one trade at one offset."""
+
+    provider_id = "withholding"
+
+    def __init__(self, inner, trade_id, offset):
+        self._inner, self._missing = inner, (trade_id, offset)
+
+    def quote(self, trade, offset):
+        if (trade.trade_id, offset) == self._missing:
+            raise QuoteUnavailable(trade.trade_id, offset)
+        return self._inner.quote(trade, offset)
+
+    def output_at(self, trade, offset, amount_in):
+        return self._inner.output_at(trade, offset, amount_in)
+
+
+@pytest.mark.parametrize("baseline", ["quotes", "pools"])
+def test_summary_parts_equal_fresh_means_over_each_groups_anchor_rows(scenario, baseline):
+    """Each summary part is the weighted mean of that part over the group's valued anchor rows.
+
+    The run is calibrated with SE > 0; one trade has no anchor quote and
+    another has no usd_value, so neither may enter any group's parts.
+    """
+    root, trades = scenario
+    trades = list(trades)
+    excluded, unweighted = trades[0].trade_id, trades[1].trade_id
+    trades[1] = dataclasses.replace(trades[1], usd_value=None)
+    provider = WithholdingProvider(_provider(root, baseline), excluded, 0)
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    report = run_aggregate(
+        trades, provider, cal, OFFSETS, F_PRIME, WINDOW, sys_multiplier=MULTIPLIER
+    )
+    assert report.exclusions == {"quote_unavailable": 1}
+
+    rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal)
+    anchor = [r for r in rows if r.offset == 0 and not r.excluded and r.trade.usd_value is not None]
+    assert excluded not in {r.trade.trade_id for r in anchor}
+    assert unweighted not in {r.trade.trade_id for r in anchor}
+    for level in ("path", "interface"):
+        groups = {}
+        for r in anchor:
+            groups.setdefault(getattr(r.trade, level), []).append(r)
+        entries = report.summary[f"by_{level}"]
+        assert set(entries) == {group for group, members in groups.items() if len(members) >= 2}
+        for group, entry in entries.items():
+            assert "pi_sys_upper_bps" in entry
+            for part in ("routing", "gas", "fee", "remainder"):
+                mean, _ = weighted_mean_with_stat(
+                    [(getattr(r.result, f"pi_{part}"), r.trade.usd_value) for r in groups[group]]
+                )
+                assert entry[f"{part}_bps"] == format_bps(mean)

@@ -208,8 +208,11 @@ class TestGrouping:
                     expected_warnings.append(f"skipping group {group}: all weights are zero")
                 else:
                     total = sum(w for _, w in valued)
-                    expected[group] = (*weighted_mean_with_stat(valued), len(valued), total)
+                    mean, sigma = weighted_mean_with_stat(valued)
+                    # only the first series is spread into a standard error
+                    expected[group] = (mean, sigma if k == 0 else None, len(valued), total)
             assert list(out[k].items()) == list(expected.items())
+            assert repr(list(out[k].items())) == repr(list(expected.items()))  # bit for bit
         assert [str(w.message) for w in caught] == expected_warnings
 
     def test_thin_and_weightless_groups_warn(self):

@@ -1,9 +1,11 @@
 """Synthetic scenario generation: determinism, validity, branch coverage."""
 
+import json
 from decimal import Decimal
 
 import pytest
 
+from swapmeter.cli import main
 from swapmeter.errors import InvalidSpec
 from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.synth import generate, load_scenario
@@ -45,6 +47,53 @@ class TestLoadScenario:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InvalidSpec):
             load_scenario(tmp_path / "nope.json")
+
+
+def _pool(**overrides):
+    pool = {"pool_id": "P", "reserve_weth": "100", "reserve_token": "300000",
+            "token_decimals": 6, "fee_bps": 30, "gas_per_hop": 120000}
+    return {**pool, **overrides}
+
+
+class TestIntegerFields:
+    """Integer spec fields take JSON integers and integer strings, never bools or floats."""
+
+    def test_truncating_spec_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": 1, "n_trades": 5.9, "offsets": [0, 1.7]}')
+        assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad scenario field: n_trades must be an integer, got 5.9\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n_trades": True}, "n_trades must be an integer, got true"),
+            ({"n_trades": 5.0}, "n_trades must be an integer, got 5.0"),
+            ({"offsets": [0, 1.7]}, "offsets must be an integer, got 1.7"),
+            ({"offsets": [0, False]}, "offsets must be an integer, got false"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"overhead_gas": 8e4}, "overhead_gas must be an integer, got 80000.0"),
+            ({"pools": [_pool(token_decimals=6.0)]}, "token_decimals must be an integer, got 6.0"),
+            ({"pools": [_pool(fee_bps=True)]}, "fee_bps must be an integer, got true"),
+            ({"pools": [_pool(gas_per_hop=1.2e5)]}, "gas_per_hop must be an integer, got 120000.0"),
+        ],
+    )
+    def test_bools_and_floats_rejected(self, spec, message):
+        with pytest.raises(InvalidSpec) as caught:
+            load_scenario(json.loads(json.dumps(spec)))
+        assert str(caught.value) == f"bad scenario field: {message}"
+
+    def test_integer_strings_accepted(self):
+        spec = load_scenario(
+            {"seed": "3", "n_trades": "7", "offsets": ["-1", 2], "overhead_gas": "90000",
+             "pools": [_pool(token_decimals="6", fee_bps="5", gas_per_hop="110000")]}
+        )
+        assert (spec.seed, spec.n_trades, spec.offsets, spec.overhead_gas) == (3, 7, (-1, 2), 90000)
+        (pool,) = spec.pools
+        assert (pool.reserve_token.decimals, pool.fee_bps, pool.gas_per_hop) == (6, 5, 110000)
 
 
 class TestGenerate:

@@ -13,12 +13,12 @@ from decimal import Decimal
 from typing import Mapping, Sequence
 
 from swapmeter.calibration import GasCalibration
+from swapmeter.config import DEFAULT_OVERHEAD_GAS
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Pool, Quote, TokenAmount, TradeRecord
 from swapmeter.router import route_optimal_split
 
-DEFAULT_OVERHEAD_GAS = 80_000
 _WETH_IN = Direction.WETH_IN
 
 

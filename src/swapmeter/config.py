@@ -6,15 +6,17 @@ import hashlib
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import Sequence
 
 from swapmeter.errors import ConfigError
 from swapmeter.model import MAX_UINT64, MAX_UINT128
 
 DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
+DEFAULT_OVERHEAD_GAS = 80_000  # gas a routed swap spends beyond its hops
 DEFAULT_WINDOW = 200
 DEFAULT_CALIBRATION_FILTER = "Classic"
-# Most offsets one run may ask for; checked before any offset is built.
+# Most offsets one run may ask for; an offset range is checked before it is built.
 MAX_OFFSETS = 10_000
 
 
@@ -33,23 +35,16 @@ class RunConfig:
     sys_multiplier: Decimal = Decimal(1)
     calibration_filter: str = DEFAULT_CALIBRATION_FILTER
     calibration_path: str | None = None
-    overhead_gas: int = 80_000
+    overhead_gas: int = DEFAULT_OVERHEAD_GAS
 
     def __post_init__(self):
-        if self.f_prime_wei < 0:
-            raise ConfigError("f_prime_wei must be nonnegative")
-        if self.f_prime_wei > MAX_UINT128:
-            raise ConfigError(
-                f"f_prime_wei: {self.f_prime_wei} wei/gas exceeds the uint128 bound {MAX_UINT128}"
-            )
+        check_run_values(self.offsets, self.f_prime_wei, self.overhead_gas)
         if self.window < 2:
             raise ConfigError("window must be >= 2")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if self.sys_multiplier <= 0:
             raise ConfigError("sys_multiplier must be positive")
-        if not 0 <= self.overhead_gas <= MAX_UINT64:
-            raise ConfigError(f"overhead_gas: {self.overhead_gas} is outside [0, 2^64 - 1]")
 
     def require_provider(self) -> None:
         have = [p for p in (self.quotes_path, self.pools_path) if p]
@@ -64,6 +59,33 @@ class RunConfig:
         return Path(self.out_dir) / "calibration.json"
 
 
+def _check_offsets(offsets: Sequence[int]) -> None:
+    if len(offsets) > MAX_OFFSETS:
+        raise ConfigError(f"bad offset list: over {MAX_OFFSETS} offsets")
+    seen: set[int] = set()
+    for offset in offsets:
+        if offset in seen:
+            raise ConfigError(f"duplicate offset {offset}")
+        seen.add(offset)
+
+
+def check_run_values(offsets: Sequence[int], f_prime_wei: Decimal, overhead_gas: int) -> None:
+    """Raise ConfigError unless a run, or a synth scenario, may use these values.
+
+    At most MAX_OFFSETS distinct offsets (quote files key on trade and
+    offset), 0 <= f' <= 2^128 - 1 wei/gas and overhead gas in [0, 2^64 - 1].
+    """
+    _check_offsets(offsets)
+    if f_prime_wei < 0:
+        raise ConfigError("f_prime_wei must be nonnegative")
+    if f_prime_wei > MAX_UINT128:
+        raise ConfigError(
+            f"f_prime_wei: {f_prime_wei} wei/gas exceeds the uint128 bound {MAX_UINT128}"
+        )
+    if not 0 <= overhead_gas <= MAX_UINT64:
+        raise ConfigError(f"overhead_gas: {overhead_gas} is outside [0, 2^64 - 1]")
+
+
 def parse_offsets(text: str) -> tuple[int, ...]:
     """Parse 'a..b' (inclusive) or a comma list: at most MAX_OFFSETS distinct offsets."""
     text = text.strip()
@@ -76,17 +98,10 @@ def parse_offsets(text: str) -> tuple[int, ...]:
             if hi - lo >= MAX_OFFSETS:
                 raise ConfigError(f"bad offset range {text!r}: over {MAX_OFFSETS} offsets")
             return tuple(range(lo, hi + 1))
-        parts = text.split(",")
-        if len(parts) > MAX_OFFSETS:
-            raise ConfigError(f"bad offset list: over {MAX_OFFSETS} offsets")
-        offsets = tuple(int(part) for part in parts)
+        offsets = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse offsets {text!r}") from None
-    seen: set[int] = set()
-    for offset in offsets:
-        if offset in seen:
-            raise ConfigError(f"duplicate offset {offset}")
-        seen.add(offset)
+    _check_offsets(offsets)
     return offsets
 
 

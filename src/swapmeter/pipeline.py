@@ -28,6 +28,7 @@ from swapmeter.prices import counterfactual_value, trade_terms
 from swapmeter.stats import (
     WeightedEstimate,
     grouped_means,
+    half_width,
     rolling_by_size,
     weighted_mean_with_stat,
 )
@@ -272,15 +273,11 @@ def run_aggregate(
 
     for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
         level, group, offset = key
-        sys_up = abs(up_means[key][0] - mean) if key in up_means else Decimal(0)
-        sys_low = abs(mean - low_means[key][0]) if key in low_means else Decimal(0)
-        report.curves.append(
-            CurvePoint(
-                group=f"{level}:{group}",
-                offset=offset,
-                estimate=WeightedEstimate(mean, sigma, sys_up, sys_low, n, total_w),
-            )
+        up, low = (means[key][0] if key in means else None for means in (up_means, low_means))
+        estimate = WeightedEstimate(
+            mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
         )
+        report.curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
 
     # Rolling-by-size series at the anchor offset, all groups pooled. The pass
     # yields trade_id order, so a stable sort by usd orders by (usd, trade_id).
@@ -314,8 +311,8 @@ def _summary(parts, base_means, up_means, low_means, anchor: int) -> dict:
             part_mean, _ = weighted_mean_with_stat([(m[k], m[0]) for m in members])
             entry[f"{part}_bps"] = format_bps(part_mean)
         if key in up_means and key in low_means:
-            entry["pi_sys_upper_bps"] = format_bps(abs(up_means[key][0] - mean))
-            entry["pi_sys_lower_bps"] = format_bps(abs(mean - low_means[key][0]))
+            entry["pi_sys_upper_bps"] = format_bps(half_width(up_means[key][0], mean))
+            entry["pi_sys_lower_bps"] = format_bps(half_width(low_means[key][0], mean))
         entry["n"] = n
         entry["total_weight_usd"] = str(total_w)
         summary[f"by_{level}"][group] = entry

@@ -27,19 +27,9 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    Inexact,
-    InvalidOperation,
-    Overflow,
-    getcontext,
-    localcontext,
-)
-from operator import itemgetter
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
+from decimal import Overflow, getcontext, localcontext
+from operator import itemgetter, sub
 from typing import Callable, Hashable, Iterable, Sequence
 
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
@@ -71,65 +61,19 @@ class WeightedEstimate:
     total_weight: Decimal
 
 
-# The finalisers run inside the exact context on a member set's sums; the
-# caller's context `ctx` rounds their divisions and square root.
-def _mean(n: int, sw: Decimal, swx: Decimal, ctx: Context) -> Decimal:
+def _finalise(
+    ctx: Context, n: int, sw: Decimal, swx: Decimal, swxx: Decimal | None = None
+) -> tuple[Decimal, Decimal | None]:
+    """(mean, weighted standard error) of a set's sums; the error is None without sum wx^2."""
     if n < 2:
         raise InsufficientData(f"weighted mean needs >= 2 points, got {n}")
     if sw == 0:
         raise ZeroTotalWeight("all weights are zero")
-    return ctx.divide(swx, sw)
-
-
-def _finalise(
-    n: int, sw: Decimal, swx: Decimal, swxx: Decimal, ctx: Context
-) -> tuple[Decimal, Decimal]:
-    """(mean, weighted standard error)."""
-    mean = _mean(n, sw, swx, ctx)
+    mean = ctx.divide(swx, sw)
+    if swxx is None:
+        return mean, None
     spread = swxx - 2 * mean * swx + mean * mean * sw  # sum w(x - mean)^2
     return mean, ctx.sqrt(ctx.divide(spread, n * sw))
-
-
-def _sliding_means(
-    values: Iterable[tuple[Decimal | None, Decimal]], window: int, stride: int, spread: bool,
-    ctx: Context,
-) -> list:
-    """Weighted mean of each run of `window` consecutive (x, w) members, every `stride`-th.
-
-    With `spread`, a window gives (mean, weighted standard error, sum w),
-    or None when its weights are all zero; without, its mean alone from
-    n, sum w and sum wx, or None with fewer than two valued members or
-    zero weight. Members whose x is None keep their place in the window
-    but add nothing to it. In one exact context, each member's products
-    enter running totals once; a window's sums are the difference of the
-    totals at its ends, of which only the last window + 1 are kept.
-    """
-    n, sw, swx, swxx = 0, ZERO, ZERO, ZERO
-    totals = deque([(n, sw, swx, swxx)], maxlen=window + 1)
-    out = []
-    with localcontext(_EXACT):
-        for i, (x, w) in enumerate(values):
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            if x is not None:
-                wx = w * x
-                n, sw, swx = n + 1, sw + w, swx + wx
-                if spread:
-                    swxx += wx * x
-            totals.append((n, sw, swx, swxx))
-            start = i + 1 - window
-            if start < 0 or start % stride:
-                continue
-            n0, sw0, swx0, swxx0 = totals[0]
-            sums = (n - n0, sw - sw0, swx - swx0)
-            try:
-                if spread:
-                    out.append((*_finalise(*sums, swxx - swxx0, ctx), sums[1]))
-                else:
-                    out.append(_mean(*sums, ctx))
-            except (InsufficientData, ZeroTotalWeight):
-                out.append(None)
-    return out
 
 
 def weighted_mean_with_stat(
@@ -148,7 +92,12 @@ def weighted_mean_with_stat(
                 raise ValueError("weights must be nonnegative")
             wx = w * x
             n, sw, swx, swxx = n + 1, sw + w, swx + wx, swxx + wx * x
-        return _finalise(n, sw, swx, swxx, ctx)
+        return _finalise(ctx, n, sw, swx, swxx)
+
+
+def half_width(shifted: Decimal | None, mean: Decimal) -> Decimal:
+    """|shifted mean - mean|; 0 where the shifted slope gives no mean."""
+    return ZERO if shifted is None else abs(shifted - mean)
 
 
 def systematic_band(
@@ -164,14 +113,7 @@ def systematic_band(
     """
     base = reevaluate(cal)
     upper_cal, lower_cal = perturbed_calibrations(cal, multiplier)
-    up = reevaluate(upper_cal) - base
-    down = base - reevaluate(lower_cal)
-    return abs(up), abs(down)
-
-
-def _shifted_band(shifted: Decimal | None, mean: Decimal) -> Decimal:
-    """|shifted mean - mean|; 0 where the shifted slope gives no mean."""
-    return ZERO if shifted is None else abs(shifted - mean)
+    return half_width(reevaluate(upper_cal), base), half_width(reevaluate(lower_cal), base)
 
 
 def rolling_by_size(
@@ -198,25 +140,52 @@ def rolling_by_size(
         raise WindowTooLarge(f"window {window} exceeds {len(points)} points")
     ordered = sorted(points, key=itemgetter(0))
     ctx = getcontext()
-
-    def series(k: int) -> list:
-        values = ((p[k] if len(p) > k else None, p[0]) for p in ordered)
-        return _sliding_means(values, window, stride, k == 1, ctx)
-
-    mid = window // 2
+    # Running sums of the values, the upper and the lower values, in one pass.
+    run = [[0, ZERO, ZERO, ZERO], [0, ZERO, ZERO], [0, ZERO, ZERO]]
+    totals = deque([(*run[0], *run[1], *run[2])], maxlen=window + 1)
+    windows = []  # (start, (mean, sigma, sum w) or None, upper mean, lower mean)
+    with localcontext(_EXACT):
+        for i, p in enumerate(ordered):
+            w = p[0]
+            if w < 0:
+                raise ValueError("weights must be nonnegative")
+            for k in range(1, len(p)):
+                x = p[k]
+                if x is None:
+                    continue
+                s = run[k - 1]
+                wx = w * x
+                s[0] += 1
+                s[1] += w
+                s[2] += wx
+                if k == 1:
+                    s[3] += wx * x
+            last = (*run[0], *run[1], *run[2])
+            totals.append(last)
+            start = i + 1 - window
+            if start < 0 or start % stride:
+                continue
+            n, sw, swx, swxx, n_up, sw_up, swx_up, n_low, sw_low, swx_low = map(
+                sub, last, totals[0]
+            )
+            try:
+                nominal = (*_finalise(ctx, n, sw, swx, swxx), sw)
+            except (InsufficientData, ZeroTotalWeight):
+                nominal = None
+            upper = ctx.divide(swx_up, sw_up) if n_up >= 2 and sw_up else None
+            lower = ctx.divide(swx_low, sw_low) if n_low >= 2 and sw_low else None
+            windows.append((start, nominal, upper, lower))
+    # The medians and half-widths round in the caller's context.
     out = []
-    starts = range(0, len(ordered) - window + 1, stride)
-    for start, nominal, upper, lower in zip(starts, series(1), series(2), series(3)):
-        if window % 2:
-            median = ordered[start + mid][0]
-        else:
-            median = (ordered[start + mid - 1][0] + ordered[start + mid][0]) / 2
+    for start, nominal, upper, lower in windows:
+        low, high = ordered[start + (window - 1) // 2][0], ordered[start + window // 2][0]
+        median = high if window % 2 else (low + high) / 2
         if nominal is None:
             warnings.warn(f"skipping rolling window at median {median}: all weights are zero")
             continue
         mean, sigma, sw = nominal
         estimate = WeightedEstimate(
-            mean, sigma, _shifted_band(upper, mean), _shifted_band(lower, mean), window, sw
+            mean, sigma, half_width(upper, mean), half_width(lower, mean), window, sw
         )
         out.append((median, estimate))
     return out
@@ -280,10 +249,7 @@ def grouped_means(
                     warnings.warn(f"skipping group {group}: fewer than 2 weighted trades")
                     continue
                 try:
-                    if len(sums) == 4:
-                        mean, sigma = _finalise(*sums, ctx)
-                    else:
-                        mean, sigma = _mean(*sums, ctx), None
+                    mean, sigma = _finalise(ctx, *sums)
                 except ZeroTotalWeight:
                     warnings.warn(f"skipping group {group}: all weights are zero")
                     continue

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
-from swapmeter.errors import InvalidSpec
+from swapmeter.config import (
+    DEFAULT_F_PRIME_WEI,
+    DEFAULT_OFFSETS,
+    DEFAULT_OVERHEAD_GAS,
+    check_run_values,
+)
+from swapmeter.errors import ConfigError, InvalidSpec
 from swapmeter.ingest import (
     QUOTE_COLUMNS,
     SNAPSHOT_COLUMNS,
@@ -30,15 +36,7 @@ from swapmeter.ingest import (
     snapshot_to_rows,
     trade_to_row,
 )
-from swapmeter.model import (
-    MAX_UINT64,
-    Direction,
-    GasTerms,
-    Pool,
-    Quote,
-    TokenAmount,
-    TradeRecord,
-)
+from swapmeter.model import Direction, GasTerms, Pool, Quote, TokenAmount, TradeRecord
 from swapmeter.output import write_csv
 from swapmeter.router import route_optimal_split
 
@@ -125,10 +123,24 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value, kind: type[float] | type[Decimal] = float):
+    """A JSON number or numeric string as a finite `kind`; NaN, infinities and text are refused."""
+    try:
+        number = kind(str(value))
+        finite = number.is_finite() if kind is Decimal else math.isfinite(number)
+    except (ValueError, ArithmeticError):
+        finite = False
+    if not finite:
+        raise InvalidSpec(
+            f"bad scenario field: {name} must be a finite number, got {json.dumps(value)}"
+        )
+    return number
+
+
 def _pool_from_dict(d: dict) -> Pool:
-    weth = Decimal(str(d["reserve_weth"])).scaleb(18)
+    weth = _number("reserve_weth", d["reserve_weth"], Decimal).scaleb(18)
     token_decimals = _integer("token_decimals", d["token_decimals"])
-    token = Decimal(str(d["reserve_token"])).scaleb(token_decimals)
+    token = _number("reserve_token", d["reserve_token"], Decimal).scaleb(token_decimals)
     if weth != weth.to_integral_value() or token != token.to_integral_value():
         raise InvalidSpec(f"pool {d.get('pool_id')}: reserves must be integral in base units")
     return Pool(
@@ -159,29 +171,32 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         dist = raw.get("size_distribution", {})
         if dist.get("type", "log_uniform") != "log_uniform":
             raise InvalidSpec(f"unsupported size distribution {dist.get('type')!r}")
-        size_min = float(dist.get("min_usd", 500))
-        size_max = float(dist.get("max_usd", 250_000))
+        size_min = _number("min_usd", dist.get("min_usd", 500))
+        size_max = _number("max_usd", dist.get("max_usd", 250_000))
         mix_raw = raw.get("path_mix", {"Classic": 1.0})
-        path_mix = tuple((str(k), float(v)) for k, v in mix_raw.items())
-        bonus_bps = Decimal(str(raw.get("ofa_liquidity_bonus_bps", "0")))
+        path_mix = tuple((str(k), _number("path_mix", v)) for k, v in mix_raw.items())
+        bonus_bps = _number(
+            "ofa_liquidity_bonus_bps", raw.get("ofa_liquidity_bonus_bps", "0"), Decimal
+        )
         gate = raw.get("bonus_min_usd")
-        bonus_min = None if gate in (None, "") else Decimal(str(gate))
-        weth_in_fraction = float(raw.get("weth_in_fraction", 0.5))
-        noise_bps = float(raw.get("execution_noise_bps", 0.5))
-        bf_lo, bf_hi = (float(x) for x in raw.get("base_fee_gwei", ["15", "25"]))
+        bonus_min = None if gate in (None, "") else _number("bonus_min_usd", gate, Decimal)
+        weth_in_fraction = _number("weth_in_fraction", raw.get("weth_in_fraction", 0.5))
+        noise_bps = _number("execution_noise_bps", raw.get("execution_noise_bps", 0.5))
+        base_fee = raw.get("base_fee_gwei", ["15", "25"])
+        bf_lo, bf_hi = (_number("base_fee_gwei", x) for x in base_fee)
         profiles = {}
         prof_raw = raw.get("gas_profiles", {})
         for path, _ in path_mix:
             p = {**_DEFAULT_PROFILE, **prof_raw.get(path, {})}
-            lo, hi = (float(x) for x in p["priority_fee_gwei"])
-            profiles[path] = GasProfile(float(p["gas_noise_rel"]), (lo, hi))
+            lo, hi = (_number("priority_fee_gwei", x) for x in p["priority_fee_gwei"])
+            profiles[path] = GasProfile(_number("gas_noise_rel", p["gas_noise_rel"]), (lo, hi))
         pools = tuple(_pool_from_dict(d) for d in raw.get("pools", _DEFAULT_POOLS))
-        offsets = tuple(_integer("offsets", x) for x in raw.get("offsets", range(-4, 4)))
-        f_prime = Decimal(str(raw.get("f_prime_wei", 100_000_000)))
-        overhead = _integer("overhead_gas", raw.get("overhead_gas", 80_000))
+        offsets = tuple(_integer("offsets", x) for x in raw.get("offsets", DEFAULT_OFFSETS))
+        f_prime = _number("f_prime_wei", raw.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
+        overhead = _integer("overhead_gas", raw.get("overhead_gas", DEFAULT_OVERHEAD_GAS))
     except InvalidSpec:
         raise
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc
 
     if n_trades <= 0:
@@ -200,17 +215,12 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         raise InvalidSpec("all pools must share the token's decimals")
     if not offsets:
         raise InvalidSpec("offsets must be nonempty")
-    seen: set[int] = set()
-    for offset in offsets:
-        if offset in seen:  # quote files key on (trade, offset): one quote per pair
-            raise InvalidSpec(f"duplicate offset {offset}")
-        seen.add(offset)
-    if not 0 <= overhead <= MAX_UINT64:
-        raise InvalidSpec(f"overhead_gas: {overhead} is outside [0, 2^64 - 1]")
+    try:
+        check_run_values(offsets, f_prime, overhead)
+    except ConfigError as exc:
+        raise InvalidSpec(str(exc)) from exc
     if not 0.0 <= weth_in_fraction <= 1.0:
         raise InvalidSpec("weth_in_fraction must be in [0, 1]")
-    if f_prime < 0:
-        raise InvalidSpec("f_prime_wei must be nonnegative")
 
     return ScenarioSpec(
         seed=seed,
@@ -251,91 +261,93 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
 
     for idx in range(spec.n_trades):
         trade_id = f"T{idx:06d}"
-        usd = Decimal(f"{rng.log_uniform(spec.size_min_usd, spec.size_max_usd):.2f}")
-        path = rng.pick(paths, weights)
-        direction = (
-            Direction.WETH_IN if rng.uniform(0, 1) < spec.weth_in_fraction else Direction.WETH_OUT
-        )
-        base_fee = int(rng.uniform(*spec.base_fee_gwei) * 1e9)
-        profile = spec.gas_profiles[path]
-        priority_fee = int(rng.uniform(*profile.priority_fee_gwei) * 1e9)
-        gas_noise = rng.uniform(-profile.gas_noise_rel, profile.gas_noise_rel)
-        exec_noise = Decimal(1) + Decimal(
-            f"{rng.normal(0.0, spec.execution_noise_bps):.9f}"
-        ).scaleb(-4)
+        try:
+            usd = Decimal(f"{rng.log_uniform(spec.size_min_usd, spec.size_max_usd):.2f}")
+            path = rng.pick(paths, weights)
+            weth_in = rng.uniform(0, 1) < spec.weth_in_fraction
+            direction = Direction.WETH_IN if weth_in else Direction.WETH_OUT
+            base_fee = int(rng.uniform(*spec.base_fee_gwei) * 1e9)
+            profile = spec.gas_profiles[path]
+            priority_fee = int(rng.uniform(*profile.priority_fee_gwei) * 1e9)
+            gas_noise = rng.uniform(-profile.gas_noise_rel, profile.gas_noise_rel)
+            exec_noise = Decimal(1) + Decimal(
+                f"{rng.normal(0.0, spec.execution_noise_bps):.9f}"
+            ).scaleb(-4)
 
-        if direction is Direction.WETH_IN:
-            amount_in = TokenAmount(int(usd / eth_usd * Decimal(10) ** 18), 18)
-        else:
-            amount_in = TokenAmount(int(usd.scaleb(token_decimals)), token_decimals)
-        if amount_in.raw <= 0:
-            raise InvalidSpec(f"trade {trade_id}: USD size {usd} maps to zero input")
-
-        gas_price = Decimal(base_fee) + spec.f_prime_wei
-        base_route = route_optimal_split(spec.pools, amount_in, direction, gas_price)
-        gas_estimate = base_route.total_gas + spec.overhead_gas
-        gas_used = max(21_000, int(gas_estimate * (1.0 + gas_noise)))
-        gas = GasTerms(gas_used, base_fee, priority_fee)
-
-        bonus_on = path in OFA_PATHS and (
-            spec.bonus_min_usd is None or usd >= spec.bonus_min_usd
-        )
-        factor = (bonus_factor if bonus_on else Decimal(1)) * exec_noise
-
-        if path in OFA_PATHS:
-            internalized = True
             if direction is Direction.WETH_IN:
-                routed_raw = amount_in.raw - gas.cost_wei
-                if routed_raw <= 0:
-                    raise InvalidSpec(
-                        f"trade {trade_id}: gas cost exceeds input; raise size_min_usd"
-                    )
-                fill = route_optimal_split(
-                    spec.pools, TokenAmount(routed_raw, 18), direction, gas_price
-                )
-                out_raw = int(Decimal(fill.total_out.raw) * factor)
+                amount_in = TokenAmount(int(usd / eth_usd * Decimal(10) ** 18), 18)
             else:
-                gross_raw = int(Decimal(base_route.total_out.raw) * factor)
-                out_raw = gross_raw - gas.cost_wei
-                if out_raw <= 0:
-                    raise InvalidSpec(
-                        f"trade {trade_id}: gas cost exceeds output; raise size_min_usd"
-                    )
-        else:
-            internalized = False
-            out_raw = int(Decimal(base_route.total_out.raw) * factor)
-        if out_raw <= 0:
-            raise InvalidSpec(f"trade {trade_id}: generated output is non-positive")
+                amount_in = TokenAmount(int(usd.scaleb(token_decimals)), token_decimals)
+            if amount_in.raw <= 0:
+                raise InvalidSpec(f"trade {trade_id}: USD size {usd} maps to zero input")
 
-        out_decimals = token_decimals if direction is Direction.WETH_IN else 18
-        trades.append(
-            TradeRecord(
-                trade_id=trade_id,
-                interface=_PATH_INTERFACE.get(path, "Synthetic"),
-                path=path,
-                block_number=18_000_000 + idx,
-                direction=direction,
-                gas_internalized=internalized,
-                amount_in=amount_in,
-                amount_out=TokenAmount(out_raw, out_decimals),
-                gas=gas,
-                usd_value=usd,
-                timestamp=1_700_000_000 + 12 * idx,
+            gas_price = Decimal(base_fee) + spec.f_prime_wei
+            base_route = route_optimal_split(spec.pools, amount_in, direction, gas_price)
+            gas_estimate = base_route.total_gas + spec.overhead_gas
+            gas_used = max(21_000, int(gas_estimate * (1.0 + gas_noise)))
+            gas = GasTerms(gas_used, base_fee, priority_fee)
+
+            bonus_on = path in OFA_PATHS and (
+                spec.bonus_min_usd is None or usd >= spec.bonus_min_usd
             )
-        )
+            factor = (bonus_factor if bonus_on else Decimal(1)) * exec_noise
 
-        # Pool state is held constant across offsets, so every offset's
-        # quote equals the settlement-block route.
-        for offset in spec.offsets:
-            quotes.append(
-                Quote(
+            if path in OFA_PATHS:
+                internalized = True
+                if direction is Direction.WETH_IN:
+                    routed_raw = amount_in.raw - gas.cost_wei
+                    if routed_raw <= 0:
+                        raise InvalidSpec(
+                            f"trade {trade_id}: gas cost exceeds input; raise size_min_usd"
+                        )
+                    fill = route_optimal_split(
+                        spec.pools, TokenAmount(routed_raw, 18), direction, gas_price
+                    )
+                    out_raw = int(Decimal(fill.total_out.raw) * factor)
+                else:
+                    gross_raw = int(Decimal(base_route.total_out.raw) * factor)
+                    out_raw = gross_raw - gas.cost_wei
+                    if out_raw <= 0:
+                        raise InvalidSpec(
+                            f"trade {trade_id}: gas cost exceeds output; raise size_min_usd"
+                        )
+            else:
+                internalized = False
+                out_raw = int(Decimal(base_route.total_out.raw) * factor)
+            if out_raw <= 0:
+                raise InvalidSpec(f"trade {trade_id}: generated output is non-positive")
+
+            out_decimals = token_decimals if direction is Direction.WETH_IN else 18
+            trades.append(
+                TradeRecord(
                     trade_id=trade_id,
-                    offset=offset,
-                    out_estimate=base_route.total_out,
-                    gas_estimate=Decimal(gas_estimate),
-                    provider_id=PROVIDER_ID,
+                    interface=_PATH_INTERFACE.get(path, "Synthetic"),
+                    path=path,
+                    block_number=18_000_000 + idx,
+                    direction=direction,
+                    gas_internalized=internalized,
+                    amount_in=amount_in,
+                    amount_out=TokenAmount(out_raw, out_decimals),
+                    gas=gas,
+                    usd_value=usd,
+                    timestamp=1_700_000_000 + 12 * idx,
                 )
             )
+
+            # Pool state is held constant across offsets, so every offset's
+            # quote equals the settlement-block route.
+            for offset in spec.offsets:
+                quotes.append(
+                    Quote(
+                        trade_id=trade_id,
+                        offset=offset,
+                        out_estimate=base_route.total_out,
+                        gas_estimate=Decimal(gas_estimate),
+                        provider_id=PROVIDER_ID,
+                    )
+                )
+        except (ValueError, ArithmeticError) as exc:  # a model bound or a number range
+            raise InvalidSpec(f"trade {trade_id}: {exc}") from exc
 
     snapshots = {offset: list(spec.pools) for offset in spec.offsets}
     comment = f"swapmeter synth seed={spec.seed} n_trades={spec.n_trades}"

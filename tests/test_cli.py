@@ -880,6 +880,49 @@ FUZZ_SETTING_VALUES = st.one_of(
 )
 
 
+# A small scenario that names every field, and the fields the synth fuzz sets
+# one at a time: each key, and each leaf of a nested object or list. n_trades
+# is left out, since a valid value only scales the work.
+FUZZ_SCENARIO = {
+    "seed": 4,
+    "n_trades": 4,
+    "size_distribution": {"type": "log_uniform", "min_usd": 800, "max_usd": "60000"},
+    "path_mix": {"Classic": 0.5, "X": 0.5},
+    "ofa_liquidity_bonus_bps": "5",
+    "bonus_min_usd": "1000",
+    "weth_in_fraction": 0.5,
+    "execution_noise_bps": 0.5,
+    "base_fee_gwei": ["15", "25"],
+    "gas_profiles": {"X": {"gas_noise_rel": "0.03", "priority_fee_gwei": ["0.05", "0.15"]}},
+    "pools": [
+        {"pool_id": "P", "reserve_weth": "2000", "reserve_token": "6000000",
+         "token_decimals": 6, "fee_bps": 30, "gas_per_hop": 120000},
+    ],
+    "offsets": [-1, 0],
+    "f_prime_wei": "100000000",
+    "overhead_gas": 80000,
+}
+
+
+def _fields(node, path=()):
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if path + (key,) != ("n_trades",):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+SCENARIO_FIELDS = list(_fields(FUZZ_SCENARIO))
+SCENARIO_VALUES = st.one_of(
+    st.sampled_from(FUZZ_TEXT),
+    st.sampled_from(
+        [None, True, 0, -1, 1.5, 1e308, -1e308, 5e-324, float("nan"), float("inf"), 2**64,
+         2**128, 10**60, [], {}, [0, 0], ["nan", "1"], {"X": "1"}]
+    ),
+    st.text(max_size=6),
+)
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """A small synth dataset (quotes and pools) plus its calibration report."""
@@ -1020,6 +1063,28 @@ class TestFuzz:
                     err = capsys.readouterr().err
                     assert rc in (0, 1, 2), (argv + setting, err)
                     assert "Traceback" not in err
+
+
+    @settings(
+        max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(field=st.sampled_from(SCENARIO_FIELDS), value=SCENARIO_VALUES)
+    def test_one_scenario_field_exits_cleanly(self, tmp_path, capsys, field, value):
+        spec = json.loads(json.dumps(FUZZ_SCENARIO))
+        *parents, key = field
+        node = spec
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            rc = main(["synth", str(path), "--out", str(Path(tmp) / "out")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (field, value, err)
+        if rc == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (field, value, err)
+        assert "Traceback" not in err
 
 
 @contextmanager

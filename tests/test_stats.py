@@ -160,6 +160,26 @@ class TestSlidingKernel:
             assert all(abs(got - ref) < D("1e-40") for got, ref in zip(row, naive))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_members, min_size=2, max_size=24), st.data())
+    def test_one_skip_warning_per_zero_weight_window_in_order(self, points, data):
+        window = data.draw(st.integers(2, len(points)), label="window")
+        stride = data.draw(st.integers(1, 3), label="stride")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rolling_by_size(points, window, stride)
+        ordered = sorted(points, key=lambda p: p[0])
+        expected = []
+        for start in range(0, len(ordered) - window + 1, stride):
+            chunk = ordered[start : start + window]
+            if _window_oracle(chunk, weighted_mean_with_stat) is None:
+                sizes = [p[0] for p in chunk]
+                mid = window // 2
+                median = sizes[mid] if window % 2 else (sizes[mid - 1] + sizes[mid]) / 2
+                expected.append(f"skipping rolling window at median {median}: all weights are zero")
+        assert [str(w.message) for w in caught] == expected
+
+
 # (path group, interface group, weight, values in three series)
 _grouped_members = st.tuples(
     st.sampled_from(["P1", "P2", "P3"]),

@@ -6,7 +6,8 @@ from decimal import Decimal
 import pytest
 
 from swapmeter.cli import main
-from swapmeter.errors import InvalidSpec
+from swapmeter.config import MAX_OFFSETS, RunConfig
+from swapmeter.errors import ConfigError, InvalidSpec
 from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.synth import generate, load_scenario
 
@@ -94,6 +95,107 @@ class TestIntegerFields:
         assert (spec.seed, spec.n_trades, spec.offsets, spec.overhead_gas) == (3, 7, (-1, 2), 90000)
         (pool,) = spec.pools
         assert (pool.reserve_token.decimals, pool.fee_bps, pool.gas_per_hop) == (6, 5, 110000)
+
+
+def _synth_error(tmp_path, capsys, spec) -> str:
+    """stderr of `synth` on a 3-trade `spec`, which must exit 2 and write nothing."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": 1, "n_trades": 3, **spec}))
+    assert main(["synth", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+class TestRunValueRules:
+    """Synth checks offsets, f' and overhead gas with RunConfig's rules and messages."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("offsets", [0, 0], "duplicate offset 0"),
+            ("offsets", list(range(MAX_OFFSETS + 1)), "bad offset list: over 10000 offsets"),
+            ("f_prime_wei", "-1", "f_prime_wei must be nonnegative"),
+            (
+                "f_prime_wei",
+                "1e400",
+                f"f_prime_wei: 1E+400 wei/gas exceeds the uint128 bound {2**128 - 1}",
+            ),
+            ("overhead_gas", -1, "overhead_gas: -1 is outside [0, 2^64 - 1]"),
+            ("overhead_gas", 2**64, f"overhead_gas: {2**64} is outside [0, 2^64 - 1]"),
+        ],
+        ids=["duplicate", "too-many", "negative-f", "huge-f", "negative-gas", "gas-2^64"],
+    )
+    def test_synth_and_run_config_reject_alike(self, tmp_path, capsys, field, value, message):
+        # "1e400" used to end in "no feasible split found", 10,001 offsets were accepted
+        assert _synth_error(tmp_path, capsys, {field: value}) == f"error: {message}\n"
+        run_value = {"offsets": tuple, "f_prime_wei": Decimal}.get(field, int)(value)
+        with pytest.raises(ConfigError) as caught:
+            RunConfig(**{field: run_value})
+        assert str(caught.value) == message
+
+    def test_values_at_the_bounds_are_accepted(self):
+        spec = load_scenario(
+            {"offsets": list(range(MAX_OFFSETS)), "f_prime_wei": str(2**128 - 1),
+             "overhead_gas": 2**64 - 1}
+        )
+        assert len(spec.offsets) == MAX_OFFSETS
+        assert (spec.f_prime_wei, spec.overhead_gas) == (2**128 - 1, 2**64 - 1)
+
+
+class TestNumberFields:
+    """Decimal and float spec fields take finite numbers only."""
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ({"f_prime_wei": "nan"}, "f_prime_wei"),
+            ({"ofa_liquidity_bonus_bps": "nan", "path_mix": {"X": 1.0}}, "ofa_liquidity_bonus_bps"),
+            ({"bonus_min_usd": "nan", "path_mix": {"X": 1.0}}, "bonus_min_usd"),
+            ({"base_fee_gwei": ["nan", "nan"]}, "base_fee_gwei"),
+            ({"path_mix": {"Classic": "nan"}}, "path_mix"),
+        ],
+        ids=["f-prime", "bonus", "bonus-gate", "base-fee", "path-weight"],
+    )
+    def test_nan_is_a_bad_field(self, tmp_path, capsys, spec, name):
+        # these ended in InvalidOperation or ValueError tracebacks (exit 1), and a
+        # NaN path weight was accepted and gave every trade the last path
+        assert _synth_error(tmp_path, capsys, spec) == (
+            f'error: bad scenario field: {name} must be a finite number, got "nan"\n'
+        )
+
+    @pytest.mark.parametrize("value", ["Infinity", "-inf", "1e400", "x", True, None])
+    def test_infinite_or_non_numeric_float_field(self, value):
+        with pytest.raises(InvalidSpec) as caught:
+            load_scenario({"weth_in_fraction": value})
+        assert str(caught.value) == (
+            f"bad scenario field: weth_in_fraction must be a finite number, got {json.dumps(value)}"
+        )
+
+
+class TestGenerateErrors:
+    """A trade the models refuse is an InvalidSpec that names it."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"size_distribution": {"min_usd": 1e70, "max_usd": 1e71}},
+                "trade T000000: raw exceeds exact decimal range",
+            ),
+            (
+                {"base_fee_gwei": ["1e30", "1e30"]},
+                "trade T000000: gas_used * (base_fee + priority_fee) overflows uint128",
+            ),
+            (
+                {"gas_profiles": {"Classic": {"gas_noise_rel": "1e30"}}},
+                "trade T000002: gas_used * (base_fee + priority_fee) overflows uint128",
+            ),
+        ],
+        ids=["huge-size", "huge-base-fee", "huge-gas-noise"],
+    )
+    def test_model_error_names_the_trade(self, tmp_path, capsys, spec, message):
+        # these ended in ValueError tracebacks, exit 1
+        assert _synth_error(tmp_path, capsys, spec) == f"error: {message}\n"
 
 
 class TestGenerate:

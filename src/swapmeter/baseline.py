@@ -17,7 +17,7 @@ from swapmeter.config import DEFAULT_OVERHEAD_GAS
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Pool, Quote, TokenAmount, TradeRecord
-from swapmeter.router import route_optimal_split
+from swapmeter.router import Snapshot, route_optimal_split
 
 _WETH_IN = Direction.WETH_IN
 
@@ -26,8 +26,9 @@ class BaselineProvider(abc.ABC):
     """Contract for the baseline function mapping (input, offset) -> (o', g').
 
     `quote` serves the trade's own input. `output_at` re-quotes the output
-    alone at another input: the gas-adjusted input of a gas-internalized
-    WETH-in trade, whose price reads only the re-quoted output.
+    of a served quote alone at another input: the gas-adjusted input of a
+    gas-internalized WETH-in trade, whose price reads only the re-quoted
+    output.
     """
 
     provider_id: str
@@ -37,8 +38,8 @@ class BaselineProvider(abc.ABC):
         """Quote the trade's input at the given offset."""
 
     @abc.abstractmethod
-    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
-        """The baseline output o'' for the trade's swap at input amount_in."""
+    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
+        """The baseline output o'' of the trade's served `quote` at input amount_in."""
 
 
 class ReplayProvider(BaselineProvider):
@@ -56,17 +57,14 @@ class ReplayProvider(BaselineProvider):
         self.provider_id = providers[0]
         self._quotes = quotes
 
-    def _stored(self, trade: TradeRecord, offset: int) -> Quote:
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
         stored = self._quotes.get(trade.trade_id, offset, self.provider_id)
         if stored is None:
             raise QuoteUnavailable(trade.trade_id, offset, f"provider {self.provider_id!r}")
         return stored
 
-    def quote(self, trade: TradeRecord, offset: int) -> Quote:
-        return self._stored(trade, offset)
-
-    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
-        out = self._stored(trade, offset).out_estimate
+    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
+        out = quote.out_estimate
         return TokenAmount(out.raw * amount_in.raw // trade.amount_in.raw, out.decimals)
 
 
@@ -77,10 +75,11 @@ class SyntheticRouterProvider(BaselineProvider):
     overhead. The routing objective prices gas at the trade's base fee
     plus the configured baseline priority fee.
 
-    Snapshots with identical contents are interned at construction, and
-    each route is solved once per (snapshot, amount, direction, base fee):
-    offsets that share a snapshot, and re-quotes at the same adjusted
-    input, reuse the solved route's output and gas.
+    Snapshots with identical contents are interned at construction as one
+    `Snapshot`, which keeps the solver tables of its routes. Each route is
+    solved once per (snapshot, amount, direction, base fee): offsets that
+    share a snapshot, and re-quotes at the same adjusted input, reuse the
+    solved route's output and gas.
     """
 
     def __init__(
@@ -90,10 +89,10 @@ class SyntheticRouterProvider(BaselineProvider):
         *,
         overhead_gas: int = DEFAULT_OVERHEAD_GAS,
     ):
-        interned: dict[tuple[Pool, ...], tuple[tuple[Pool, ...], int]] = {}
-        self._snapshots: dict[int, tuple[tuple[Pool, ...], int]] = {}
+        interned: dict[Snapshot, tuple[Snapshot, int]] = {}
+        self._snapshots: dict[int, tuple[Snapshot, int]] = {}
         for offset, pools in snapshots.items():
-            pools = tuple(pools)
+            pools = Snapshot(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
         # (snapshot id, amount raw, amount decimals, WETH in, base fee) -> (o', g')
         self._routes: dict[tuple, tuple[TokenAmount, Decimal]] = {}
@@ -123,8 +122,8 @@ class SyntheticRouterProvider(BaselineProvider):
         out, gas = self._served(trade, offset, trade.amount_in)
         return Quote(trade.trade_id, offset, out, gas, self.provider_id)
 
-    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
-        return self._served(trade, offset, amount_in)[0]
+    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
+        return self._served(trade, quote.offset, amount_in)[0]
 
 
 class CalibratedProvider(BaselineProvider):
@@ -139,5 +138,5 @@ class CalibratedProvider(BaselineProvider):
         quote = self._inner.quote(trade, offset)
         return replace(quote, gas_estimate=quote.gas_estimate / self._calibration.beta1)
 
-    def output_at(self, trade: TradeRecord, offset: int, amount_in: TokenAmount) -> TokenAmount:
-        return self._inner.output_at(trade, offset, amount_in)
+    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
+        return self._inner.output_at(trade, quote, amount_in)

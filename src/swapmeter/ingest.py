@@ -363,32 +363,3 @@ def trade_to_row(trade: TradeRecord) -> list[str]:
         "" if trade.usd_value is None else str(trade.usd_value),
         str(trade.timestamp),
     ]
-
-
-def quote_to_row(quote: Quote) -> list[str]:
-    return [
-        quote.trade_id,
-        str(quote.offset),
-        str(quote.out_estimate.raw),
-        str(quote.out_estimate.decimals),
-        str(quote.gas_estimate),
-        quote.provider_id,
-    ]
-
-
-def snapshot_to_rows(snapshots: dict[int, list[Pool]]) -> list[list[str]]:
-    rows = []
-    for offset in sorted(snapshots):
-        for pool in snapshots[offset]:
-            rows.append(
-                [
-                    str(offset),
-                    pool.pool_id,
-                    str(pool.reserve_weth.raw),
-                    str(pool.reserve_token.raw),
-                    str(pool.reserve_token.decimals),
-                    str(pool.fee_bps),
-                    str(pool.gas_per_hop),
-                ]
-            )
-    return rows

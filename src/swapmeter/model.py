@@ -15,8 +15,11 @@ MAX_UINT128 = 2**128 - 1
 MAX_UINT64 = 2**64 - 1  # EVM gas amounts are 64-bit
 _ZERO, _MAX_GAS = Decimal(0), Decimal(MAX_UINT128)  # Decimal bounds compare faster
 
-# Exact representability bound for the 60-digit decimal context.
-_MAX_RAW = 10**60
+# Exact representability bound for the 60-digit decimal context: a raw
+# amount has fewer than RAW_DIGITS digits.
+RAW_DIGITS = 60
+_MAX_RAW = 10**RAW_DIGITS
+MAX_DECIMALS = 36
 
 
 class Direction(Enum):
@@ -57,8 +60,8 @@ class TokenAmount:
             raise ValueError("raw must be a nonnegative integer")
         if self.raw >= _MAX_RAW:
             raise ValueError("raw exceeds exact decimal range")
-        if not 0 <= self.decimals <= 36:
-            raise ValueError("decimals must be in [0, 36]")
+        if not 0 <= self.decimals <= MAX_DECIMALS:
+            raise ValueError(f"decimals must be in [0, {MAX_DECIMALS}]")
 
     @property
     def normalized(self) -> Decimal:

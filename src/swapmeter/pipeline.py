@@ -141,7 +141,7 @@ def analysis_pass(
                         if o_prime is None:
                             o_prime = quote.out_estimate.normalized
                         g = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
-                        value, _ = counterfactual_value(provider, offset, terms, quote, o_prime, g)
+                        value, _ = counterfactual_value(provider, terms, quote, o_prime, g)
                         pi = improvement(terms.p.value, value)
                 except EXCLUDED as exc:
                     if not pis:
@@ -274,6 +274,8 @@ def run_aggregate(
     for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
         level, group, offset = key
         up, low = (means[key][0] if key in means else None for means in (up_means, low_means))
+        if shifted is not None and (up is None or low is None):
+            warnings.warn(f"group {key}: no mean at a shifted slope; its band side is 0")
         estimate = WeightedEstimate(
             mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
         )

@@ -132,7 +132,6 @@ def trade_terms(
 
 def counterfactual_value(
     baseline: "BaselineProvider",
-    offset: int,
     terms: TradeTerms,
     quote: Quote,
     o_prime: Decimal,
@@ -146,7 +145,7 @@ def counterfactual_value(
     i' + g'(b+f') collapses back to i.
 
     Raises NonPositiveAdjustedInput when that gas cost reaches the input
-    amount, and QuoteUnavailable / SnapshotUnavailable if the re-quote fails.
+    amount.
     """
     if g_prime < 0:
         raise ValueError("g and f must be nonnegative")
@@ -163,7 +162,7 @@ def counterfactual_value(
         )
     cost_wei = int((cost.scaleb(18)).to_integral_value(rounding=ROUND_FLOOR))
     adjusted_amount = TokenAmount(trade.amount_in.raw - cost_wei, 18)
-    out = baseline.output_at(trade, offset, adjusted_amount)
+    out = baseline.output_at(trade, quote, adjusted_amount)
     return out.normalized / i, out
 
 
@@ -193,6 +192,6 @@ def counterfactual_price(
         quote = baseline.quote(trade, offset)
     g1 = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
     value, o_prime = counterfactual_value(
-        baseline, offset, terms, quote, quote.out_estimate.normalized, g1
+        baseline, terms, quote, quote.out_estimate.normalized, g1
     )
     return Price(value), DecisionVector(o_prime, g1, f_prime)

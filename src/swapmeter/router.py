@@ -137,29 +137,21 @@ def _build_tables(pools: tuple[Pool, ...], direction: Direction) -> _Tables:
     return _Tables(tuple(singles), tuple(multis), anchor_price, _oriented(pools[0], direction)[2])
 
 
-# Solver tables by (id of the pools sequence, WETH is the input), with the
-# pools they were built from. A cache only: an entry serves a call only when
-# those pools equal the caller's, so no caller sees another's state, and a
-# sequence changed in place gets new tables. Callers that route over many
-# snapshots pass each as one object (the router provider interns them), so
-# identity finds the entry without hashing the pools. Oldest entries are
-# dropped beyond _TABLES_KEPT.
-_TABLES: dict[tuple[int, bool], tuple[tuple[Pool, ...], _Tables]] = {}
-_TABLES_KEPT = 64
+class Snapshot(tuple):
+    """A pool snapshot: a tuple of pools that keeps its solver tables.
 
+    Each direction's tables are built on the first route over the snapshot
+    in that direction and kept with it, so every later route shares them.
+    """
 
-def _tables(pools: Sequence[Pool], direction: Direction) -> _Tables:
-    """The tables of (pools, direction), built on first use and then reused."""
-    key = (id(pools), direction is Direction.WETH_IN)
-    cached = _TABLES.get(key)
-    contents = tuple(pools)
-    if cached is not None and cached[0] == contents:
-        return cached[1]
-    if len(_TABLES) >= _TABLES_KEPT:
-        del _TABLES[next(iter(_TABLES))]
-    tables = _build_tables(contents, direction)
-    _TABLES[key] = (contents, tables)
-    return tables
+    def __init__(self, pools: Sequence[Pool] = ()):
+        self._tables: dict[Direction, _Tables] = {}
+
+    def tables(self, direction: Direction) -> _Tables:
+        tables = self._tables.get(direction)
+        if tables is None:
+            tables = self._tables[direction] = _build_tables(self, direction)
+        return tables
 
 
 def route_optimal_split(
@@ -171,15 +163,18 @@ def route_optimal_split(
     """Split an input across pools maximizing output net of hop gas costs.
 
     What depends only on the pools and the direction is taken from their
-    tables (see `_tables`); a call computes the subsets' splits and scores
-    and realizes the winner exactly.
+    tables: a `Snapshot`'s own, or a fresh one's for any other sequence. A
+    call computes the subsets' splits and scores and realizes the winner
+    exactly.
     """
     if not pools:
         raise NoPools("route_optimal_split requires at least one pool")
     if amount_in.raw <= 0:
         raise ValueError("amount_in must be positive")
 
-    tables = _tables(pools, direction)
+    if not isinstance(pools, Snapshot):
+        pools = Snapshot(pools)
+    tables = pools.tables(direction)
     x_total = float(amount_in.normalized)
     gas_unit_value = float(gas_price_wei) * 1e-18  # one gas unit in output-token units
     if tables.anchor_price is not None:

@@ -205,8 +205,10 @@ def grouped_means(
     standard error, n, sum w), groups in order of first valued member.
     Series after the first are read for their means alone: they carry n,
     sum w and sum wx, and their standard error is None. A group with fewer
-    than two valued members, or whose weights are all zero, is skipped
-    with a warning. `members` is drained inside the exact context, so a
+    than two valued members, or whose weights are all zero, is left out of
+    that series; it is warned of only in the first, where the caller drops
+    it, since a later series' missing mean is read as such (see
+    `half_width`). `members` is drained inside the exact context, so a
     lazy source must do its own arithmetic in a context it enters itself
     (as `pipeline.analysis_pass` does).
     """
@@ -234,7 +236,7 @@ def grouped_means(
                 s[2] += wx
                 if not k:
                     s[3] += wx * x
-        for series_cells in valued:
+        for k, series_cells in enumerate(valued):
             by_group: dict[Hashable, list] = {}
             for groups, sums in series_cells:
                 for group in groups:
@@ -245,14 +247,11 @@ def grouped_means(
             means = {}
             for group, sums in by_group.items():
                 n, sw = sums[0], sums[1]
-                if n < 2:
-                    warnings.warn(f"skipping group {group}: fewer than 2 weighted trades")
+                if n < 2 or sw == 0:
+                    if not k:
+                        why = "fewer than 2 weighted trades" if n < 2 else "all weights are zero"
+                        warnings.warn(f"skipping group {group}: {why}")
                     continue
-                try:
-                    mean, sigma = _finalise(ctx, *sums)
-                except ZeroTotalWeight:
-                    warnings.warn(f"skipping group {group}: all weights are zero")
-                    continue
-                means[group] = (mean, sigma, n, sw)
+                means[group] = (*_finalise(ctx, *sums), n, sw)
             out.append(means)
     return out

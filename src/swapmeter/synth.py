@@ -28,17 +28,18 @@ from swapmeter.config import (
     check_run_values,
 )
 from swapmeter.errors import ConfigError, InvalidSpec
-from swapmeter.ingest import (
-    QUOTE_COLUMNS,
-    SNAPSHOT_COLUMNS,
-    TRADE_COLUMNS,
-    quote_to_row,
-    snapshot_to_rows,
-    trade_to_row,
+from swapmeter.ingest import QUOTE_COLUMNS, SNAPSHOT_COLUMNS, TRADE_COLUMNS, trade_to_row
+from swapmeter.model import (
+    MAX_DECIMALS,
+    RAW_DIGITS,
+    Direction,
+    GasTerms,
+    Pool,
+    TokenAmount,
+    TradeRecord,
 )
-from swapmeter.model import Direction, GasTerms, Pool, Quote, TokenAmount, TradeRecord
 from swapmeter.output import write_csv
-from swapmeter.router import route_optimal_split
+from swapmeter.router import Snapshot, route_optimal_split
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
@@ -137,10 +138,26 @@ def _number(name: str, value, kind: type[float] | type[Decimal] = float):
     return number
 
 
+def _reserve(name: str, value, decimals: int) -> Decimal:
+    """A positive reserve in whole tokens, scaled to base units below 10^RAW_DIGITS."""
+    amount = _number(name, value, Decimal)
+    bound = RAW_DIGITS - decimals
+    if amount <= 0 or amount.adjusted() >= bound:
+        raise InvalidSpec(
+            f"bad scenario field: {name} must be in (0, 10^{bound}), got {json.dumps(value)}"
+        )
+    return amount.scaleb(decimals)
+
+
 def _pool_from_dict(d: dict) -> Pool:
-    weth = _number("reserve_weth", d["reserve_weth"], Decimal).scaleb(18)
+    weth = _reserve("reserve_weth", d["reserve_weth"], 18)
     token_decimals = _integer("token_decimals", d["token_decimals"])
-    token = _number("reserve_token", d["reserve_token"], Decimal).scaleb(token_decimals)
+    if not 0 <= token_decimals <= MAX_DECIMALS:
+        raise InvalidSpec(
+            f"bad scenario field: token_decimals must be in [0, {MAX_DECIMALS}],"
+            f" got {json.dumps(d['token_decimals'])}"
+        )
+    token = _reserve("reserve_token", d["reserve_token"], token_decimals)
     if weth != weth.to_integral_value() or token != token.to_integral_value():
         raise InvalidSpec(f"pool {d.get('pool_id')}: reserves must be integral in base units")
     return Pool(
@@ -207,8 +224,11 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         raise InvalidSpec("path_mix weights must be nonnegative and nonempty")
     if abs(sum(w for _, w in path_mix) - 1.0) > 1e-9:
         raise InvalidSpec("path_mix weights must sum to 1")
-    if bonus_bps < 0:
-        raise InvalidSpec("ofa_liquidity_bonus_bps must be nonnegative")
+    # A bonus factor of 10^RAW_DIGITS takes every output past the raw bound.
+    if bonus_bps < 0 or bonus_bps.adjusted() >= RAW_DIGITS + 4:
+        raise InvalidSpec(
+            f"ofa_liquidity_bonus_bps must be in [0, 10^{RAW_DIGITS + 4}), got {bonus_bps}"
+        )
     if not pools:
         raise InvalidSpec("pool universe must be nonempty")
     if len({p.reserve_token.decimals for p in pools}) != 1:
@@ -253,9 +273,11 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
     eth_usd = _implied_eth_usd(spec.pools)
     token_decimals = spec.pools[0].reserve_token.decimals
     bonus_factor = Decimal(1) + spec.ofa_liquidity_bonus
+    snapshot = Snapshot(spec.pools)  # both routes of every trade share its tables
+    offsets = [str(offset) for offset in spec.offsets]
 
-    trades: list[TradeRecord] = []
-    quotes: list[Quote] = []
+    trade_rows: list[list[str]] = []
+    quote_rows: list[list[str]] = []
     paths = [p for p, _ in spec.path_mix]
     weights = [w for _, w in spec.path_mix]
 
@@ -282,7 +304,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                 raise InvalidSpec(f"trade {trade_id}: USD size {usd} maps to zero input")
 
             gas_price = Decimal(base_fee) + spec.f_prime_wei
-            base_route = route_optimal_split(spec.pools, amount_in, direction, gas_price)
+            base_route = route_optimal_split(snapshot, amount_in, direction, gas_price)
             gas_estimate = base_route.total_gas + spec.overhead_gas
             gas_used = max(21_000, int(gas_estimate * (1.0 + gas_noise)))
             gas = GasTerms(gas_used, base_fee, priority_fee)
@@ -301,7 +323,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                             f"trade {trade_id}: gas cost exceeds input; raise size_min_usd"
                         )
                     fill = route_optimal_split(
-                        spec.pools, TokenAmount(routed_raw, 18), direction, gas_price
+                        snapshot, TokenAmount(routed_raw, 18), direction, gas_price
                     )
                     out_raw = int(Decimal(fill.total_out.raw) * factor)
                 else:
@@ -318,43 +340,42 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                 raise InvalidSpec(f"trade {trade_id}: generated output is non-positive")
 
             out_decimals = token_decimals if direction is Direction.WETH_IN else 18
-            trades.append(
-                TradeRecord(
-                    trade_id=trade_id,
-                    interface=_PATH_INTERFACE.get(path, "Synthetic"),
-                    path=path,
-                    block_number=18_000_000 + idx,
-                    direction=direction,
-                    gas_internalized=internalized,
-                    amount_in=amount_in,
-                    amount_out=TokenAmount(out_raw, out_decimals),
-                    gas=gas,
-                    usd_value=usd,
-                    timestamp=1_700_000_000 + 12 * idx,
-                )
+            trade = TradeRecord(
+                trade_id=trade_id,
+                interface=_PATH_INTERFACE.get(path, "Synthetic"),
+                path=path,
+                block_number=18_000_000 + idx,
+                direction=direction,
+                gas_internalized=internalized,
+                amount_in=amount_in,
+                amount_out=TokenAmount(out_raw, out_decimals),
+                gas=gas,
+                usd_value=usd,
+                timestamp=1_700_000_000 + 12 * idx,
             )
+            trade_rows.append(trade_to_row(trade))
 
             # Pool state is held constant across offsets, so every offset's
             # quote equals the settlement-block route.
-            for offset in spec.offsets:
-                quotes.append(
-                    Quote(
-                        trade_id=trade_id,
-                        offset=offset,
-                        out_estimate=base_route.total_out,
-                        gas_estimate=Decimal(gas_estimate),
-                        provider_id=PROVIDER_ID,
-                    )
-                )
+            quoted = base_route.total_out
+            fields = [str(quoted.raw), str(quoted.decimals), str(gas_estimate), PROVIDER_ID]
+            quote_rows.extend([trade_id, offset, *fields] for offset in offsets)
         except (ValueError, ArithmeticError) as exc:  # a model bound or a number range
             raise InvalidSpec(f"trade {trade_id}: {exc}") from exc
 
-    snapshots = {offset: list(spec.pools) for offset in spec.offsets}
+    pool_rows = [
+        [pool.pool_id, str(pool.reserve_weth.raw), str(pool.reserve_token.raw),
+         str(pool.reserve_token.decimals), str(pool.fee_bps), str(pool.gas_per_hop)]
+        for pool in spec.pools
+    ]
     comment = f"swapmeter synth seed={spec.seed} n_trades={spec.n_trades}"
     trades_path = out / "trades.csv"
     pools_path = out / "pools.csv"
     quotes_path = out / "quotes.csv"
-    write_csv(trades_path, TRADE_COLUMNS, [trade_to_row(t) for t in trades], comment)
-    write_csv(pools_path, SNAPSHOT_COLUMNS, snapshot_to_rows(snapshots), comment)
-    write_csv(quotes_path, QUOTE_COLUMNS, [quote_to_row(q) for q in quotes], comment)
+    write_csv(trades_path, TRADE_COLUMNS, trade_rows, comment)
+    snapshot_rows = (
+        [str(offset), *row] for offset in sorted(spec.offsets) for row in pool_rows
+    )
+    write_csv(pools_path, SNAPSHOT_COLUMNS, snapshot_rows, comment)
+    write_csv(quotes_path, QUOTE_COLUMNS, quote_rows, comment)
     return GeneratedScenario(trades_path, pools_path, quotes_path)

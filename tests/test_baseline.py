@@ -7,7 +7,7 @@ import pytest
 from swapmeter.baseline import ReplayProvider, SyntheticRouterProvider
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
 from swapmeter.ingest import QuoteSet
-from swapmeter.model import Quote, TokenAmount
+from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.router import route_optimal_split
 
 from conftest import GWEI, USDC, WETH, make_pool, make_trade
@@ -40,18 +40,18 @@ class TestReplayProvider:
     def test_adjusted_input_rescaled_linearly(self):
         provider = ReplayProvider(QuoteSet([quote(out_raw=3000 * USDC)]))
         trade = make_trade()
-        scaled = provider.output_at(trade, 0, TokenAmount(WETH // 2, 18))
+        served = provider.quote(trade, 0)
+        scaled = provider.output_at(trade, served, TokenAmount(WETH // 2, 18))
         assert scaled == TokenAmount(1500 * USDC, 6)
 
     def test_requote_is_the_floor_of_the_linear_rescale(self):
         out_raw, adjusted = 2_995_123_457, WETH - 12_345_678_901
         provider = ReplayProvider(QuoteSet([quote(out_raw=out_raw)]))
         trade = make_trade()
-        requoted = provider.output_at(trade, 0, TokenAmount(adjusted, 18))
+        served = provider.quote(trade, 0)
+        requoted = provider.output_at(trade, served, TokenAmount(adjusted, 18))
         assert requoted == TokenAmount(out_raw * adjusted // trade.amount_in.raw, 6)
-        assert provider.output_at(trade, 0, trade.amount_in) == quote(out_raw=out_raw).out_estimate
-        with pytest.raises(QuoteUnavailable):
-            provider.output_at(trade, -1, TokenAmount(adjusted, 18))
+        assert provider.output_at(trade, served, trade.amount_in) == served.out_estimate
 
 
 class TestSyntheticRouterProvider:
@@ -118,11 +118,11 @@ class TestSyntheticRouterProvider:
 
         provider.quote(trade, 2)
         assert len(calls) == 2
-        provider.output_at(trade, 0, TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, quotes[1], TokenAmount(WETH // 2, 18))
         assert len(calls) == 3
         provider.quote(make_trade(base_fee=30 * GWEI), 1)
         assert len(calls) == 4
-        provider.output_at(trade, 1, TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, quotes[2], TokenAmount(WETH // 2, 18))
         assert len(calls) == 4
 
     def test_requote_equals_a_fresh_solve_and_hits_the_memo(self, monkeypatch):
@@ -136,22 +136,56 @@ class TestSyntheticRouterProvider:
 
         monkeypatch.setattr(baseline, "route_optimal_split", counting_router)
         pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]
-        provider = SyntheticRouterProvider({0: pools, 1: list(pools)}, F_PRIME)
+        deeper = [make_pool("A", weth=2000, token=6_000_000), pools[1]]
+        provider = SyntheticRouterProvider({0: pools, 1: list(pools), 2: deeper}, F_PRIME)
         trade = make_trade(amount_in=TokenAmount(25 * WETH, 18))
         adjusted = TokenAmount(25 * WETH - 4 * 10**15, 18)
+        served = [provider.quote(trade, offset) for offset in (0, 1)]
+        assert len(calls) == 1
 
-        requoted = provider.output_at(trade, 0, adjusted)
+        requoted = provider.output_at(trade, served[0], adjusted)
         fresh = route_optimal_split(
             pools, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
         )
         assert requoted == fresh.total_out
-        assert len(calls) == 1
-        # the same adjusted input at an offset sharing the snapshot is served from the memo
-        assert provider.output_at(trade, 1, adjusted) == requoted
-        assert len(calls) == 1
-        # so is a quote after a re-quote at the trade's own input
-        own_input = provider.output_at(trade, 0, trade.amount_in)
-        assert own_input == provider.quote(trade, 1).out_estimate
         assert len(calls) == 2
-        with pytest.raises(SnapshotUnavailable):
-            provider.output_at(trade, 5, adjusted)
+        # the same adjusted input at an offset sharing the snapshot is served from the memo
+        assert provider.output_at(trade, served[1], adjusted) == requoted
+        assert len(calls) == 2
+        # so is a re-quote at the trade's own input
+        assert provider.output_at(trade, served[0], trade.amount_in) == served[1].out_estimate
+        assert len(calls) == 2
+        # a re-quote routes over the snapshot of the quote's offset
+        fresh = route_optimal_split(
+            deeper, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
+        )
+        assert provider.output_at(trade, provider.quote(trade, 2), adjusted) == fresh.total_out
+        assert fresh.total_out != requoted
+
+    def test_tables_built_once_per_snapshot_and_direction(self, monkeypatch):
+        from swapmeter import router
+
+        builds = []
+        build = router._build_tables
+
+        def counting_build(pools, direction):
+            builds.append((tuple(pools), direction))
+            return build(pools, direction)
+
+        monkeypatch.setattr(router, "_build_tables", counting_build)
+        # 40 distinct snapshots, quoted in both directions at every offset:
+        # 80 (snapshot, direction) tables in use at once
+        snapshots = {
+            offset: [make_pool("A", weth=1000 + offset), make_pool("B", weth=500, fee_bps=5)]
+            for offset in range(40)
+        }
+        provider = SyntheticRouterProvider(snapshots, F_PRIME)
+        for k in range(6):
+            direction = Direction.WETH_IN if k % 2 else Direction.WETH_OUT
+            amount = TokenAmount(WETH + k, 18) if k % 2 else TokenAmount(3000 * USDC + k, 6)
+            trade = make_trade(direction=direction, amount_in=amount)
+            for offset in snapshots:
+                half = TokenAmount(amount.raw // 2, amount.decimals)
+                provider.output_at(trade, provider.quote(trade, offset), half)
+        assert len(builds) == 80
+        assert len(set(builds)) == 80

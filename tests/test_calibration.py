@@ -102,8 +102,10 @@ class TestCorrection:
         cal = fit_gas_bias([(g, Decimal(g) * Decimal("0.95")) for g in (100_000, 300_000)])
         inner = replay_for("T1", 0, 3000 * 10**6, 6, 150_000)
         adjusted = TokenAmount(10**18 - 7 * 10**15, 18)
-        requoted = CalibratedProvider(inner, cal).output_at(make_trade(), 0, adjusted)
-        assert requoted == inner.output_at(make_trade(), 0, adjusted)
+        provider = CalibratedProvider(inner, cal)
+        served = provider.quote(make_trade(), 0)
+        requoted = provider.output_at(make_trade(), served, adjusted)
+        assert requoted == inner.output_at(make_trade(), inner.quote(make_trade(), 0), adjusted)
 
 
 class TestPerturbed:

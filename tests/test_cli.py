@@ -1084,6 +1084,7 @@ class TestFuzz:
         assert rc in (0, 2), (field, value, err)
         if rc == 2:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (field, value, err)
+            assert "<class" not in err, (field, value, err)
         assert "Traceback" not in err
 
 

@@ -16,6 +16,7 @@ depend on the decimal context its consumer drains it in.
 
 import dataclasses
 import json
+import warnings
 from decimal import ROUND_DOWN, Context, localcontext
 from decimal import Decimal as D
 
@@ -44,6 +45,7 @@ from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.numeric import format_bps
 from swapmeter.pipeline import analysis_pass, analyze_trades, run_aggregate
 from swapmeter.prices import counterfactual_price, realized_price
+from swapmeter.router import route_optimal_split
 from swapmeter.stats import _EXACT, weighted_mean_with_stat
 
 from conftest import USDC, WETH, make_trade
@@ -72,7 +74,7 @@ def scenario(tmp_path_factory):
 
 
 class FreshRouter(BaselineProvider):
-    """Solves every quote's route anew."""
+    """Solves every quote's route anew; a re-quote routes the quote's snapshot directly."""
 
     provider_id = "fresh-router"
 
@@ -82,14 +84,39 @@ class FreshRouter(BaselineProvider):
     def quote(self, trade, offset):
         return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset)
 
-    def output_at(self, trade, offset, amount_in):
-        return SyntheticRouterProvider(self._snapshots, F_PRIME).output_at(trade, offset, amount_in)
+    def output_at(self, trade, quote, amount_in):
+        gas_price = D(trade.gas.base_fee) + F_PRIME
+        pools = self._snapshots[quote.offset]
+        return route_optimal_split(pools, amount_in, trade.direction, gas_price).total_out
+
+
+def _drifted(snapshots):
+    """Each offset's pools with reserves moved in proportion to the offset.
+
+    Offset 0 keeps the synth pools; every other offset gets its own snapshot.
+    """
+    def moved(amount, per_offset, offset):
+        return TokenAmount(amount.raw * (10_000 + per_offset * offset) // 10_000, amount.decimals)
+
+    return {
+        offset: [
+            dataclasses.replace(
+                pool,
+                reserve_weth=moved(pool.reserve_weth, 7, offset),
+                reserve_token=moved(pool.reserve_token, -5, offset),
+            )
+            for pool in pools
+        ]
+        for offset, pools in snapshots.items()
+    }
 
 
 def _provider(root, baseline, memoised=True):
     if baseline == "quotes":
         return ReplayProvider(ingest_quotes(root / "quotes.csv")[0])
     snapshots = ingest_pool_snapshots(root / "pools.csv")[0]
+    if baseline == "drifted-pools":
+        snapshots = _drifted(snapshots)
     return SyntheticRouterProvider(snapshots, F_PRIME) if memoised else FreshRouter(snapshots)
 
 
@@ -144,7 +171,7 @@ def _three_pass_reference(trades, provider, cal):
     return curve, rolling
 
 
-@pytest.mark.parametrize("baseline", ["quotes", "pools"])
+@pytest.mark.parametrize("baseline", ["quotes", "pools", "drifted-pools"])
 def test_single_pass_equals_three_pass_reference(scenario, baseline):
     root, trades = scenario
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
@@ -446,6 +473,34 @@ def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context)
     assert rows == expected
 
 
+def test_a_group_without_a_shifted_mean_keeps_a_zero_band_side():
+    """A group valued twice at the nominal slope but once at the lower one stays in the curve."""
+    cal = GasCalibration(D(1), D("0.05"), 20, D(1), D(0))
+    trades = [
+        make_trade("IN", direction=Direction.WETH_IN),
+        make_trade(  # its gas-adjusted input is positive except at the lower slope
+            "IN-X-SMALL",
+            direction=Direction.WETH_IN,
+            gas_internalized=True,
+            amount_in=TokenAmount(4 * 10**15, 18),
+            amount_out=TokenAmount(12 * USDC, 6),
+        ),
+    ]
+    provider = _replay(
+        [("IN", 0, 2990 * USDC, 6, 140_000), ("IN-X-SMALL", 0, 12 * USDC, 6, 190_000)]
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_aggregate(trades, provider, cal, [0], F_PRIME, 2)
+    curve = [(p.group, p.estimate.n, p.estimate.sys_lower) for p in report.curves]
+    assert curve == [("interface:Uniswap", 2, 0), ("path:Classic", 2, 0)]
+    assert all(p.estimate.sys_upper > 0 for p in report.curves)
+    assert [str(w.message) for w in caught] == [
+        f"group {key}: no mean at a shifted slope; its band side is 0"
+        for key in (("interface", "Uniswap", 0), ("path", "Classic", 0))
+    ]
+
+
 class WithholdingProvider(BaselineProvider):
     """A provider that has no quote for one trade at one offset."""
 
@@ -459,8 +514,8 @@ class WithholdingProvider(BaselineProvider):
             raise QuoteUnavailable(trade.trade_id, offset)
         return self._inner.quote(trade, offset)
 
-    def output_at(self, trade, offset, amount_in):
-        return self._inner.output_at(trade, offset, amount_in)
+    def output_at(self, trade, quote, amount_in):
+        return self._inner.output_at(trade, quote, amount_in)
 
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools"])

@@ -220,12 +220,15 @@ class TestGrouping:
                         buckets.setdefault(group, []).append((values[k], w))
             expected = {}
             for group, valued in buckets.items():
+                # only the first series warns of the groups it leaves out
                 if len(valued) < 2:
-                    expected_warnings.append(
-                        f"skipping group {group}: fewer than 2 weighted trades"
-                    )
+                    if k == 0:
+                        expected_warnings.append(
+                            f"skipping group {group}: fewer than 2 weighted trades"
+                        )
                 elif sum(w for _, w in valued) == 0:
-                    expected_warnings.append(f"skipping group {group}: all weights are zero")
+                    if k == 0:
+                        expected_warnings.append(f"skipping group {group}: all weights are zero")
                 else:
                     total = sum(w for _, w in valued)
                     mean, sigma = weighted_mean_with_stat(valued)
@@ -250,6 +253,18 @@ class TestGrouping:
             "skipping group B: fewer than 2 weighted trades",
             "skipping group C: all weights are zero",
         ]
+
+
+    def test_a_group_kept_in_the_first_series_is_not_warned_of(self):
+        members = [
+            (("A",), D(1), (D(1), D(2), D(3))),
+            (("A",), D(1), (D(2), D(3), None)),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            base, upper, lower = grouped_means(members, 3)
+        assert (list(base), list(upper), list(lower)) == (["A"], ["A"], [])
+        assert caught == []
 
 
 def _fixture_trades_and_quotes(n=10):

@@ -106,6 +106,35 @@ def _synth_error(tmp_path, capsys, spec) -> str:
     return capsys.readouterr().err
 
 
+class TestNumberRanges:
+    """A number past its range names the field and the bound, not a decimal signal."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"path_mix": {"X": 1.0}, "ofa_liquidity_bonus_bps": "1e999999"},
+                "ofa_liquidity_bonus_bps must be in [0, 10^64), got 1E+999999",
+            ),
+            (
+                {"pools": [_pool(reserve_weth="1e999999")]},
+                'bad scenario field: reserve_weth must be in (0, 10^42), got "1e999999"',
+            ),
+            (
+                {"pools": [_pool(reserve_token="-5")]},
+                'bad scenario field: reserve_token must be in (0, 10^54), got "-5"',
+            ),
+            (
+                {"pools": [_pool(token_decimals=2**64)]},
+                f"bad scenario field: token_decimals must be in [0, 36], got {2**64}",
+            ),
+        ],
+        ids=["huge-bonus", "huge-reserve", "negative-reserve", "decimals-2^64"],
+    )
+    def test_synth_names_the_field_and_its_bound(self, tmp_path, capsys, spec, message):
+        assert _synth_error(tmp_path, capsys, spec) == f"error: {message}\n"
+
+
 class TestRunValueRules:
     """Synth checks offsets, f' and overhead gas with RunConfig's rules and messages."""
 
@@ -225,6 +254,15 @@ class TestGenerate:
         snapshots, rejects = ingest_pool_snapshots(files.pools_path)
         assert not rejects
         assert sorted(snapshots) == [-1, 0]
+
+    def test_quote_rows_keep_the_spec_offsets_and_pool_rows_sort_them(self, tmp_path):
+        files = generate(scenario(n_trades=2, offsets=[1, -1, 0]), tmp_path)
+
+        def column(path, k):  # below the comment and header lines
+            return [line.split(",")[k] for line in path.read_text().splitlines()[2:]]
+
+        assert column(files.quotes_path, 1) == ["1", "-1", "0"] * 2
+        assert column(files.pools_path, 0) == ["-1"] * 3 + ["0"] * 3 + ["1"] * 3
 
     def test_branch_coverage(self, tmp_path):
         files = generate(scenario(n_trades=80), tmp_path)

@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 from swapmeter.calibration import GasCalibration
 from swapmeter.config import DEFAULT_OVERHEAD_GAS
-from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
+from swapmeter.errors import ConfigError, QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Pool, Quote, TokenAmount, TradeRecord
-from swapmeter.router import Snapshot, route_optimal_split
+from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 
 _WETH_IN = Direction.WETH_IN
 
@@ -53,7 +53,7 @@ class ReplayProvider(BaselineProvider):
     def __init__(self, quotes: QuoteSet):
         providers = quotes.providers()
         if len(providers) != 1:
-            raise ValueError(f"quote set has providers {providers}; expected one")
+            raise SwapmeterError(f"quote set has providers {providers}; expected one")
         self.provider_id = providers[0]
         self._quotes = quotes
 
@@ -73,7 +73,9 @@ class SyntheticRouterProvider(BaselineProvider):
 
     Gas estimates are the route's hop gas plus a fixed per-transaction
     overhead. The routing objective prices gas at the trade's base fee
-    plus the configured baseline priority fee.
+    plus the configured baseline priority fee. Every pool, at every
+    offset, must have the same token decimals, and so must each quoted
+    trade's token side: ConfigError otherwise.
 
     Snapshots with identical contents are interned at construction as one
     `Snapshot`, which keeps the solver tables of its routes. Each route is
@@ -89,6 +91,7 @@ class SyntheticRouterProvider(BaselineProvider):
         *,
         overhead_gas: int = DEFAULT_OVERHEAD_GAS,
     ):
+        self._decimals = shared_decimals(pool for pools in snapshots.values() for pool in pools)
         interned: dict[Snapshot, tuple[Snapshot, int]] = {}
         self._snapshots: dict[int, tuple[Snapshot, int]] = {}
         for offset, pools in snapshots.items():
@@ -119,6 +122,12 @@ class SyntheticRouterProvider(BaselineProvider):
         return served
 
     def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        token = trade.amount_out if trade.direction is _WETH_IN else trade.amount_in
+        if self._decimals is not None and token.decimals != self._decimals:
+            raise ConfigError(
+                f"trade {trade.trade_id} has token decimals {token.decimals};"
+                f" the pools have {self._decimals}"
+            )
         out, gas = self._served(trade, offset, trade.amount_in)
         return Quote(trade.trade_id, offset, out, gas, self.provider_id)
 

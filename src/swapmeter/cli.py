@@ -101,7 +101,8 @@ def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], 
     return result.records, len(result.rejects)
 
 
-def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
+def _build_provider(cfg: RunConfig, trades) -> tuple[BaselineProvider, int]:
+    """The configured baseline and the number of its file's rejected rows."""
     cfg.require_provider()
     if cfg.quotes_path:
         path = cfg.quotes_path
@@ -109,21 +110,18 @@ def _build_provider(cfg: RunConfig, trades) -> BaselineProvider:
             quotes, rejects = ingest_quotes(path, strict=cfg.strict)
         for reject in rejects:
             print(f"reject quote line {reject.line}: {reject.reason}", file=sys.stderr)
-        providers = quotes.providers()
-        if len(providers) != 1:
-            raise SwapmeterError(f"quote file {path} has providers {providers}; expected one")
+        provider = ReplayProvider(quotes)
         orphans = quotes.orphans(trades)
         if orphans:
             print(f"{len(orphans)} quotes reference unknown trades", file=sys.stderr)
-        return ReplayProvider(quotes)
+        return provider, len(rejects)
     path = cfg.pools_path
     with _reading(path):
         snapshots, rejects = ingest_pool_snapshots(path, strict=cfg.strict)
     for reject in rejects:
         print(f"reject pool line {reject.line}: {reject.reason}", file=sys.stderr)
-    return SyntheticRouterProvider(
-        snapshots, cfg.f_prime_wei, overhead_gas=cfg.overhead_gas
-    )
+    provider = SyntheticRouterProvider(snapshots, cfg.f_prime_wei, overhead_gas=cfg.overhead_gas)
+    return provider, len(rejects)
 
 
 def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
@@ -146,7 +144,7 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trades, _ = _load_trades(cfg, require_usd=False)
-    provider = _build_provider(cfg, trades)
+    provider, _ = _build_provider(cfg, trades)
     sample = [t for t in trades if t.path == cfg.calibration_filter]
     pairs = []
     skipped = 0
@@ -176,7 +174,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trades, n_rejects = _load_trades(cfg, require_usd=False)
-    provider = _build_provider(cfg, trades)
+    provider, n_bad = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
     rows = pipeline.analysis_pass(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
     exclusions: dict[str, int] = {}
@@ -190,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     for reason, count in sorted(exclusions.items()):
         print(f"excluded {count} rows: {reason}", file=sys.stderr)
-    return EXIT_PARTIAL if exclusions or n_rejects else EXIT_OK
+    return EXIT_PARTIAL if exclusions or n_rejects or n_bad else EXIT_OK
 
 
 def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int:
@@ -198,7 +196,7 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
     trades, n_rejects = _load_trades(cfg, require_usd=True)
     if not trades:
         raise SwapmeterError("no valid weighted trades to aggregate")
-    provider = _build_provider(cfg, trades)
+    provider, n_bad = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
     report = pipeline.run_aggregate(
         trades,
@@ -227,7 +225,7 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         write_json(out / "summary.json", summary, comment=stamp)
         if write_markdown:
             write_text(out / "report.md", _render_markdown(report, stamp))
-    return EXIT_PARTIAL if report.exclusions or n_rejects else EXIT_OK
+    return EXIT_PARTIAL if report.exclusions or n_rejects or n_bad else EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from swapmeter.errors import DuplicateQuote, EmptyInput, IngestError
 from swapmeter.model import (
@@ -299,6 +299,21 @@ def _ingest(path, columns, builder, strict) -> IngestResult:
     return result
 
 
+def _unique(build: Callable[[list], Any], key: Callable[[Any], str]) -> Callable[[list], Any]:
+    """`build`, rejecting each row whose key, e.g. "trade_id T1", an accepted row has."""
+    seen: set[str] = set()
+
+    def build_once(row: list):
+        record = build(row)
+        k = key(record)
+        if k in seen:
+            raise ValueError(f"duplicate {k}")
+        seen.add(k)
+        return record
+
+    return build_once
+
+
 # ---------------------------------------------------------------------------
 # public API
 
@@ -310,15 +325,7 @@ def ingest_trades(
 
     A trade_id is accepted once: each later row with an accepted id is rejected.
     """
-    seen: set[str] = set()
-
-    def build(row: list) -> TradeRecord:
-        trade = _build_trade(row, require_usd)
-        if trade.trade_id in seen:
-            raise ValueError(f"duplicate trade_id {trade.trade_id}")
-        seen.add(trade.trade_id)
-        return trade
-
+    build = _unique(lambda row: _build_trade(row, require_usd), lambda t: f"trade_id {t.trade_id}")
     return _ingest(path, TRADE_COLUMNS, build, strict)
 
 
@@ -333,8 +340,12 @@ def ingest_quotes(
 def ingest_pool_snapshots(
     path: str | Path, *, strict: bool = False
 ) -> tuple[dict[int, list[Pool]], list[MalformedRow]]:
-    """Parse per-offset pool snapshots: the pool schema plus a leading offset."""
-    result = _ingest(path, SNAPSHOT_COLUMNS, _build_pool, strict)
+    """Parse per-offset pool snapshots: the pool schema plus a leading offset.
+
+    A pool_id is accepted once per offset: each later row with it is rejected.
+    """
+    build = _unique(_build_pool, lambda row: f"pool_id {row[1].pool_id} at offset {row[0]}")
+    result = _ingest(path, SNAPSHOT_COLUMNS, build, strict)
     snapshots: dict[int, list[Pool]] = {}
     for offset, pool in result.records:
         snapshots.setdefault(offset, []).append(pool)

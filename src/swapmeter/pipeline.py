@@ -267,13 +267,12 @@ def run_aggregate(
                     parts.setdefault(key, []).append(member)
             yield groups, usd, (r.pi, r.pi_upper, r.pi_lower)
 
-    base_means, up_means, low_means = grouped_means(members(), 3)
+    means = dict(sorted(grouped_means(members()).items()))
 
     report = AggregateReport(exclusions=dict(sorted(exclusions.items())), anchor_offset=anchor)
 
-    for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
+    for key, (mean, sigma, n, total_w, up, low) in means.items():
         level, group, offset = key
-        up, low = (means[key][0] if key in means else None for means in (up_means, low_means))
         if shifted is not None and (up is None or low is None):
             warnings.warn(f"group {key}: no mean at a shifted slope; its band side is 0")
         estimate = WeightedEstimate(
@@ -291,19 +290,19 @@ def run_aggregate(
             )
         report.rolling = rolling_by_size(points, eff_window, stride)
 
-    report.summary = _summary(parts, base_means, up_means, low_means, anchor)
+    report.summary = _summary(parts, means, anchor)
     return report
 
 
-def _summary(parts, base_means, up_means, low_means, anchor: int) -> dict:
+def _summary(parts, means, anchor: int) -> dict:
     """Per-path and per-interface attribution decomposition at the anchor offset.
 
     Groups are those with a nominal mean at the anchor (see `stats.grouped_means`),
-    which gives pi's mean, sigma, n and weight; each of the four parts is
-    averaged over the group's (usd, routing, gas, fee, remainder) members.
+    which gives pi's mean, sigma, n, weight and shifted means; each of the four
+    parts is averaged over the group's (usd, routing, gas, fee, remainder) members.
     """
     summary: dict = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
-    for key, (mean, sigma, n, total_w) in sorted(base_means.items()):
+    for key, (mean, sigma, n, total_w, up, low) in means.items():
         level, group, offset = key
         if offset != anchor:
             continue
@@ -312,45 +311,27 @@ def _summary(parts, base_means, up_means, low_means, anchor: int) -> dict:
         for k, part in enumerate(("routing", "gas", "fee", "remainder"), 1):
             part_mean, _ = weighted_mean_with_stat([(m[k], m[0]) for m in members])
             entry[f"{part}_bps"] = format_bps(part_mean)
-        if key in up_means and key in low_means:
-            entry["pi_sys_upper_bps"] = format_bps(half_width(up_means[key][0], mean))
-            entry["pi_sys_lower_bps"] = format_bps(half_width(low_means[key][0], mean))
+        if up is not None and low is not None:
+            entry["pi_sys_upper_bps"] = format_bps(half_width(up, mean))
+            entry["pi_sys_lower_bps"] = format_bps(half_width(low, mean))
         entry["n"] = n
         entry["total_weight_usd"] = str(total_w)
         summary[f"by_{level}"][group] = entry
     return summary
 
 
+def _bps_cells(e: WeightedEstimate) -> list[str]:
+    """An estimate's mean, sigma and band sides, formatted in bps."""
+    return [format_bps(x) for x in (e.mean, e.stat_sigma, e.sys_upper, e.sys_lower)]
+
+
 def curve_csv_rows(report: AggregateReport) -> list[list[str]]:
-    rows = []
-    for point in report.curves:
-        e = point.estimate
-        rows.append(
-            [
-                point.group,
-                str(point.offset),
-                format_bps(e.mean),
-                format_bps(e.stat_sigma),
-                format_bps(e.sys_upper),
-                format_bps(e.sys_lower),
-                str(e.n),
-                str(e.total_weight),
-            ]
-        )
-    return rows
+    return [
+        [p.group, str(p.offset), *_bps_cells(p.estimate), str(p.estimate.n),
+         str(p.estimate.total_weight)]
+        for p in report.curves
+    ]
 
 
 def rolling_csv_rows(report: AggregateReport) -> list[list[str]]:
-    rows = []
-    for median, est in report.rolling:
-        rows.append(
-            [
-                str(median),
-                format_bps(est.mean),
-                format_bps(est.stat_sigma),
-                format_bps(est.sys_upper),
-                format_bps(est.sys_lower),
-                str(est.n),
-            ]
-        )
-    return rows
+    return [[str(median), *_bps_cells(e), str(e.n)] for median, e in report.rolling]

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from swapmeter.errors import NoPools
+from swapmeter.errors import ConfigError, NoPools
 from swapmeter.model import Direction, Pool, TokenAmount
 
 # Hops carrying less than this share of the input are dropped from a split.
@@ -47,6 +47,14 @@ def _oriented(pool: Pool, direction: Direction) -> tuple[int, int, int]:
     if direction is Direction.WETH_IN:
         return pool.reserve_weth.raw, pool.reserve_token.raw, pool.reserve_token.decimals
     return pool.reserve_token.raw, pool.reserve_weth.raw, 18
+
+
+def shared_decimals(pools: Iterable[Pool]) -> int | None:
+    """The token decimals all `pools` share, None for no pools; ConfigError if they differ."""
+    decimals = sorted({pool.reserve_token.decimals for pool in pools})
+    if len(decimals) > 1:
+        raise ConfigError(f"all pools must share the token's decimals; got {decimals}")
+    return decimals[0] if decimals else None
 
 
 def cpmm_swap_out(pool: Pool, amount_in: TokenAmount, direction: Direction) -> TokenAmount:

@@ -15,7 +15,10 @@ also taken exactly; only the divisions and the square root round, at the
 60-digit policy. A sliding window therefore equals, bit for bit, a fresh
 `weighted_mean_with_stat` over the same members, and a rolling series
 over N points costs O(N) whatever the window. A mean alone needs only
-n, sum w and sum wx, which is all the slope-shifted series carry.
+n, sum w and sum wx, which is all the slope-shifted series carry. The
+plain weighted mean, the group means and the rolling series all add
+their members with one kernel (`_add`) and read them with one finaliser
+(`_estimate`).
 
 The systematic part comes from re-evaluating the pipeline with the
 gas-calibration slope shifted by +/- its standard error, one side at a
@@ -29,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
 from decimal import Overflow, getcontext, localcontext
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Hashable, Iterable, Sequence
 
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
@@ -61,19 +64,50 @@ class WeightedEstimate:
     total_weight: Decimal
 
 
-def _finalise(
-    ctx: Context, n: int, sw: Decimal, swx: Decimal, swxx: Decimal | None = None
-) -> tuple[Decimal, Decimal | None]:
-    """(mean, weighted standard error) of a set's sums; the error is None without sum wx^2."""
-    if n < 2:
-        raise InsufficientData(f"weighted mean needs >= 2 points, got {n}")
-    if sw == 0:
-        raise ZeroTotalWeight("all weights are zero")
-    mean = ctx.divide(swx, sw)
-    if swxx is None:
-        return mean, None
+def _zeros(series: int) -> list:
+    """Empty flat sums of `series` value series (see `_add`)."""
+    return [0, ZERO, ZERO, ZERO] + [0, ZERO, ZERO] * (series - 1)
+
+
+def _add(sums: list, w: Decimal, values: Sequence[Decimal | None]) -> None:
+    """Add a member of weight w, valued values[k] in series k, to flat sums.
+
+    The sums are n, sum w, sum wx and sum wx^2 of the first series, then
+    n, sum w and sum wx of each later one. A None value adds nothing to
+    its series. Call in the exact context.
+    """
+    if w < 0:
+        raise ValueError("weights must be nonnegative")
+    i = 0  # the series' first slot: 0, 4, 7, ...
+    for x in values:
+        if x is not None:
+            wx = w * x
+            sums[i] += 1
+            sums[i + 1] += w
+            sums[i + 2] += wx
+            if not i:
+                sums[3] += wx * x
+        i += 3 if i else 4
+
+
+def _estimate(ctx: Context, sums: Sequence) -> tuple | None:
+    """(mean, weighted standard error, n, sum w, shifted means...) of flat sums.
+
+    A series with fewer than 2 members or zero total weight has no mean:
+    the estimate is None where that is the first series, and a shifted
+    mean is None where it is a later one. Call in the exact context; the
+    divisions and the square root round in `ctx`.
+    """
+    means = []
+    for i in (0, *range(4, len(sums), 3)):
+        n, sw, swx = sums[i : i + 3]
+        means.append(ctx.divide(swx, sw) if n >= 2 and sw else None)
+    mean = means[0]
+    if mean is None:
+        return None
+    n, sw, swx, swxx = sums[:4]
     spread = swxx - 2 * mean * swx + mean * mean * sw  # sum w(x - mean)^2
-    return mean, ctx.sqrt(ctx.divide(spread, n * sw))
+    return (mean, ctx.sqrt(ctx.divide(spread, n * sw)), n, sw, *means[1:])
 
 
 def weighted_mean_with_stat(
@@ -85,14 +119,17 @@ def weighted_mean_with_stat(
     the formula is written.
     """
     ctx = getcontext()
-    n, sw, swx, swxx = 0, ZERO, ZERO, ZERO
+    sums = _zeros(1)
     with localcontext(_EXACT):
         for x, w in values:
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            wx = w * x
-            n, sw, swx, swxx = n + 1, sw + w, swx + wx, swxx + wx * x
-        return _finalise(ctx, n, sw, swx, swxx)
+            _add(sums, w, (x,))
+        estimate = _estimate(ctx, sums)
+    if estimate is None:
+        n = sums[0]
+        if n < 2:
+            raise InsufficientData(f"weighted mean needs >= 2 points, got {n}")
+        raise ZeroTotalWeight("all weights are zero")
+    return estimate[0], estimate[1]
 
 
 def half_width(shifted: Decimal | None, mean: Decimal) -> Decimal:
@@ -140,50 +177,26 @@ def rolling_by_size(
         raise WindowTooLarge(f"window {window} exceeds {len(points)} points")
     ordered = sorted(points, key=itemgetter(0))
     ctx = getcontext()
-    # Running sums of the values, the upper and the lower values, in one pass.
-    run = [[0, ZERO, ZERO, ZERO], [0, ZERO, ZERO], [0, ZERO, ZERO]]
-    totals = deque([(*run[0], *run[1], *run[2])], maxlen=window + 1)
-    windows = []  # (start, (mean, sigma, sum w) or None, upper mean, lower mean)
+    run = _zeros(3)  # running sums of the values, the upper and the lower values
+    totals = deque([tuple(run)], maxlen=window + 1)
+    estimates = []  # (start, _estimate of the window)
     with localcontext(_EXACT):
         for i, p in enumerate(ordered):
-            w = p[0]
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            for k in range(1, len(p)):
-                x = p[k]
-                if x is None:
-                    continue
-                s = run[k - 1]
-                wx = w * x
-                s[0] += 1
-                s[1] += w
-                s[2] += wx
-                if k == 1:
-                    s[3] += wx * x
-            last = (*run[0], *run[1], *run[2])
+            _add(run, p[0], p[1:])
+            last = tuple(run)
             totals.append(last)
             start = i + 1 - window
-            if start < 0 or start % stride:
-                continue
-            n, sw, swx, swxx, n_up, sw_up, swx_up, n_low, sw_low, swx_low = map(
-                sub, last, totals[0]
-            )
-            try:
-                nominal = (*_finalise(ctx, n, sw, swx, swxx), sw)
-            except (InsufficientData, ZeroTotalWeight):
-                nominal = None
-            upper = ctx.divide(swx_up, sw_up) if n_up >= 2 and sw_up else None
-            lower = ctx.divide(swx_low, sw_low) if n_low >= 2 and sw_low else None
-            windows.append((start, nominal, upper, lower))
+            if start >= 0 and not start % stride:
+                estimates.append((start, _estimate(ctx, tuple(map(sub, last, totals[0])))))
     # The medians and half-widths round in the caller's context.
     out = []
-    for start, nominal, upper, lower in windows:
+    for start, estimate in estimates:
         low, high = ordered[start + (window - 1) // 2][0], ordered[start + window // 2][0]
         median = high if window % 2 else (low + high) / 2
-        if nominal is None:
+        if estimate is None:
             warnings.warn(f"skipping rolling window at median {median}: all weights are zero")
             continue
-        mean, sigma, sw = nominal
+        mean, sigma, _, sw, upper, lower = estimate
         estimate = WeightedEstimate(
             mean, sigma, half_width(upper, mean), half_width(lower, mean), window, sw
         )
@@ -193,65 +206,48 @@ def rolling_by_size(
 
 def grouped_means(
     members: Iterable[tuple[tuple[Hashable, ...], Decimal, Sequence[Decimal | None]]],
-    series: int,
-) -> list[dict[Hashable, tuple[Decimal, Decimal | None, int, Decimal]]]:
-    """Weighted mean of every group in each of `series` value series, in one pass.
+) -> dict[Hashable, tuple]:
+    """Weighted estimate of every group, over each of its members' value series, in one pass.
 
     A member (groups, w, values) belongs to each group in `groups` and is
-    valued values[k] in series k, or not at all where that is None. Its
-    products are formed once per series and added to the exact sums of
-    its cell, the members sharing its `groups`; each cell's sums then add
-    to all of its groups. Returns, per series, group -> (mean, weighted
-    standard error, n, sum w), groups in order of first valued member.
-    Series after the first are read for their means alone: they carry n,
-    sum w and sum wx, and their standard error is None. A group with fewer
-    than two valued members, or whose weights are all zero, is left out of
-    that series; it is warned of only in the first, where the caller drops
-    it, since a later series' missing mean is read as such (see
-    `half_width`). `members` is drained inside the exact context, so a
-    lazy source must do its own arithmetic in a context it enters itself
-    (as `pipeline.analysis_pass` does).
+    valued values[k] in series k, or not at all where that is None. It is
+    added once to the exact sums of its cell, the members sharing its
+    `groups`; each cell's sums then add to all of its groups. Returns
+    group -> (mean, weighted standard error, n, sum w, then the mean of
+    every later series), groups in order of first member valued in the
+    first series. Later series are read for their means alone; a later
+    mean is None where fewer than two members are valued in that series
+    or their weights sum to zero. A group with no first-series mean by
+    that rule is left out, with a warning if any of its members is valued
+    there. `members` is drained inside the exact context, so a lazy source
+    must do its own arithmetic in a context it enters itself (as
+    `pipeline.analysis_pass` does).
     """
     ctx = getcontext()
-    cells: dict[tuple[Hashable, ...], list] = {}  # groups -> sums per series
-    valued: list[list[tuple]] = [[] for _ in range(series)]  # (groups, sums) in order
-    out = []
+    cells: dict[tuple[Hashable, ...], list] = {}  # groups -> sums of the cell
+    valued: list[tuple[Hashable, ...]] = []  # cells in order of first first-series value
     with localcontext(_EXACT):
         for groups, w, values in members:
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            cell = cells.get(groups)
-            if cell is None:
-                cell = cells[groups] = [None] * series
-            for k, x in enumerate(values):
-                if x is None:
-                    continue
-                wx = w * x
-                s = cell[k]
-                if s is None:
-                    s = cell[k] = [0, ZERO, ZERO] if k else [0, ZERO, ZERO, ZERO]
-                    valued[k].append((groups, s))
-                s[0] += 1
-                s[1] += w
-                s[2] += wx
-                if not k:
-                    s[3] += wx * x
-        for k, series_cells in enumerate(valued):
-            by_group: dict[Hashable, list] = {}
-            for groups, sums in series_cells:
-                for group in groups:
-                    total = by_group.get(group)
-                    by_group[group] = sums if total is None else [
-                        a + b for a, b in zip(total, sums)
-                    ]
-            means = {}
-            for group, sums in by_group.items():
-                n, sw = sums[0], sums[1]
-                if n < 2 or sw == 0:
-                    if not k:
-                        why = "fewer than 2 weighted trades" if n < 2 else "all weights are zero"
-                        warnings.warn(f"skipping group {group}: {why}")
-                    continue
-                means[group] = (*_finalise(ctx, *sums), n, sw)
-            out.append(means)
+            sums = cells.get(groups)
+            if sums is None:
+                sums = cells[groups] = _zeros(len(values))
+            if not sums[0] and values[0] is not None:
+                valued.append(groups)
+            _add(sums, w, values)
+        by_group: dict[Hashable, list | None] = dict.fromkeys(
+            group for groups in valued for group in groups
+        )
+        for groups, sums in cells.items():
+            for group in groups:
+                if group in by_group:
+                    total = by_group[group]
+                    by_group[group] = sums if total is None else list(map(add, total, sums))
+        out = {}
+        for group, sums in by_group.items():
+            estimate = _estimate(ctx, sums)
+            if estimate is None:
+                why = "fewer than 2 weighted trades" if sums[0] < 2 else "all weights are zero"
+                warnings.warn(f"skipping group {group}: {why}")
+            else:
+                out[group] = estimate
     return out

@@ -39,7 +39,7 @@ from swapmeter.model import (
     TradeRecord,
 )
 from swapmeter.output import write_csv
-from swapmeter.router import Snapshot, route_optimal_split
+from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
@@ -231,11 +231,13 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         )
     if not pools:
         raise InvalidSpec("pool universe must be nonempty")
-    if len({p.reserve_token.decimals for p in pools}) != 1:
-        raise InvalidSpec("all pools must share the token's decimals")
+    for k, pool in enumerate(pools):
+        if any(p.pool_id == pool.pool_id for p in pools[:k]):
+            raise InvalidSpec(f"duplicate pool_id {pool.pool_id}")
     if not offsets:
         raise InvalidSpec("offsets must be nonempty")
     try:
+        shared_decimals(pools)
         check_run_values(offsets, f_prime, overhead)
     except ConfigError as exc:
         raise InvalidSpec(str(exc)) from exc
@@ -259,6 +261,16 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         f_prime_wei=f_prime,
         overhead_gas=overhead,
     )
+
+
+def _amount(trade_id: str, side: str, raw: int, decimals: int) -> TokenAmount:
+    """A trade's amount on `side` ("in" or "out"); past the raw bound, an InvalidSpec naming it."""
+    if raw >= 10**RAW_DIGITS:
+        raise InvalidSpec(
+            f"trade {trade_id}: {side}put amount_{side}_raw has {len(str(raw))} digits;"
+            f" raw amounts must be below 10^{RAW_DIGITS}"
+        )
+    return TokenAmount(raw, decimals)
 
 
 def _implied_eth_usd(pools: tuple[Pool, ...]) -> Decimal:
@@ -297,9 +309,11 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
             ).scaleb(-4)
 
             if direction is Direction.WETH_IN:
-                amount_in = TokenAmount(int(usd / eth_usd * Decimal(10) ** 18), 18)
+                amount_in = _amount(trade_id, "in", int(usd / eth_usd * Decimal(10) ** 18), 18)
             else:
-                amount_in = TokenAmount(int(usd.scaleb(token_decimals)), token_decimals)
+                amount_in = _amount(
+                    trade_id, "in", int(usd.scaleb(token_decimals)), token_decimals
+                )
             if amount_in.raw <= 0:
                 raise InvalidSpec(f"trade {trade_id}: USD size {usd} maps to zero input")
 
@@ -348,7 +362,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                 direction=direction,
                 gas_internalized=internalized,
                 amount_in=amount_in,
-                amount_out=TokenAmount(out_raw, out_decimals),
+                amount_out=_amount(trade_id, "out", out_raw, out_decimals),
                 gas=gas,
                 usd_value=usd,
                 timestamp=1_700_000_000 + 12 * idx,

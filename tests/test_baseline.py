@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 from swapmeter.baseline import ReplayProvider, SyntheticRouterProvider
-from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable
+from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.router import route_optimal_split
@@ -34,7 +34,7 @@ class TestReplayProvider:
 
     def test_two_providers_disambiguated(self):
         quotes = QuoteSet([quote(provider="alpha"), quote(provider="beta", out_raw=1 * USDC)])
-        with pytest.raises(ValueError, match="expected one"):
+        with pytest.raises(SwapmeterError, match="expected one"):
             ReplayProvider(quotes)
 
     def test_adjusted_input_rescaled_linearly(self):

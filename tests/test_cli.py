@@ -440,11 +440,7 @@ class TestExitCodes:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert (
-            f"error: quote file {quotes} has providers ['other', 'synthetic-router']; "
-            "expected one" in err
-        )
-        assert "Traceback" not in err
+        assert err == "error: quote set has providers ['other', 'synthetic-router']; expected one\n"
 
     def test_duplicate_trade_id_rejected(self, tmp_path, capsys):
         trades = tmp_path / "trades.csv"
@@ -495,6 +491,58 @@ class TestExitCodes:
             assert f"reject pool line {line}: gas_per_hop exceeds the uint64 bound 2^64 - 1" in err
         assert "excluded 1 rows: snapshot_unavailable" in err
         assert "Traceback" not in err
+
+    def test_duplicate_pool_row_rejected(self, tmp_path, capsys):
+        # the repeated row used to double the pool's liquidity, with exit 0
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n")
+        header = "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop"
+        row = f"0,P1,{10 * 10**18},{30_000 * 10**6},6,30,1000"
+        one, twice = tmp_path / "one.csv", tmp_path / "twice.csv"
+        one.write_text(f"{header}\n{row}\n")
+        twice.write_text(f"{header}\n{row}\n{row}\n")
+        base = ["--trades", str(trades), "--offsets=0", "--no-correction"]
+        assert main(["analyze", *base, "--pools", str(one), "--out", str(tmp_path / "a")]) == 0
+        assert main(["analyze", *base, "--pools", str(twice), "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == "reject pool line 2: duplicate pool_id P1 at offset 0\n"
+        for name in ("a", "b"):
+            assert (tmp_path / name / "attribution.csv").read_text().splitlines()[1:] == (
+                tmp_path / "a" / "attribution.csv"
+            ).read_text().splitlines()[1:]
+        strict = [*base, "--pools", str(twice), "--out", str(tmp_path / "s"), "--strict"]
+        assert main(["analyze", *strict]) == 2
+        assert capsys.readouterr().err == "error: line 2: duplicate pool_id P1 at offset 0\n"
+
+    @pytest.mark.parametrize(
+        "pool_decimals, trade, error",
+        [
+            ((6, 18), ROW, "all pools must share the token's decimals; got [6, 18]"),
+            ((18,), ROW, "trade T1 has token decimals 6; the pools have 18"),
+            (
+                (18,),
+                "T1,Uniswap,Classic,18000000,WETH_OUT,false,3000000000,6,1000000000000000000,18,"
+                "150000,20000000000,1000000000,3000,1700000000",
+                "trade T1 has token decimals 6; the pools have 18",
+            ),
+        ],
+        ids=["mixed-pools", "weth-in-trade", "weth-out-trade"],
+    )
+    def test_token_decimals_must_agree(self, tmp_path, capsys, pool_decimals, trade, error):
+        # these were priced silently: pi -10000 bps, or non_positive_baseline exclusions
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{trade}\n{trade.replace('T1,', 'T2,')}\n")
+        pools = tmp_path / "pools.csv"
+        header = "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop"
+        rows = [
+            f"0,P{d},{1000 * 10**18},{3_000_000 * 10**d},{d},30,100000" for d in pool_decimals
+        ]
+        pools.write_text("\n".join([header, *rows]) + "\n")
+        base = ["--trades", str(trades), "--pools", str(pools), "--out", str(tmp_path / "o")]
+        for command in ("calibrate", "analyze", "report"):
+            extra = [] if command == "calibrate" else ["--offsets=0", "--no-correction"]
+            assert main([command, *base, *extra]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
+        assert not list(tmp_path.glob("o/*"))
 
     @pytest.mark.parametrize("value", ["-1000000", str(2**128), str(2**64)])
     def test_overhead_gas_out_of_range_fatal(self, scenario_files, tmp_path, capsys, value):

@@ -217,6 +217,28 @@ class TestIngestPools:
         assert sorted(snapshots) == [-1, 0]
         assert [p.pool_id for p in snapshots[0]] == ["P1", "P2"]
 
+    def test_a_pool_id_is_accepted_once_per_offset(self, tmp_path):
+        # a repeated row used to be kept, doubling that pool's liquidity
+        text = (
+            "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop\n"
+            "0,P1,1000000000000000000,3000000000,6,30,120000\n"
+            "1,P1,1000000000000000000,3000000000,6,30,120000\n"
+            "0,P1,2000000000000000000,6000000000,6,5,120000\n"
+            "0,P2,2000000000000000000,6000000000,6,5,120000\n"
+            "0, P1 ,1000000000000000000,3000000000,6,30,120000\n"
+        )
+        snapshots, rejects = ingest_pool_snapshots(write_input(tmp_path, text))
+        assert [(r.line, r.reason) for r in rejects] == [
+            (3, "duplicate pool_id P1 at offset 0"),
+            (5, "duplicate pool_id P1 at offset 0"),
+        ]
+        assert {offset: [p.pool_id for p in pools] for offset, pools in snapshots.items()} == {
+            0: ["P1", "P2"], 1: ["P1"]
+        }
+        assert snapshots[0][0].fee_bps == 30
+        with pytest.raises(IngestError, match="^line 3: duplicate pool_id P1 at offset 0$"):
+            ingest_pool_snapshots(write_input(tmp_path, text), strict=True)
+
     def test_zero_reserve_rejected(self, tmp_path):
         text = (
             "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop\n"
@@ -478,7 +500,9 @@ class TestCsvJsonlParity:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_pools(self, data):
-        rows = data.draw(st.lists(pool_rows(), min_size=1, max_size=5))
+        rows = data.draw(
+            st.lists(pool_rows(), min_size=1, max_size=5, unique_by=lambda r: (int(r[0]), r[1]))
+        )
         objects = data.draw(jsonl_objects(SNAPSHOT_COLUMNS, rows))
         with tempfile.TemporaryDirectory() as tmp:
             a, a_rejects = ingest_pool_snapshots(write_input(tmp, _csv_text(SNAPSHOT_COLUMNS, rows)))

@@ -4,8 +4,12 @@ run_aggregate quotes each (trade, offset) once and prices that quote at
 beta1 and beta1 +/- k*SE. The reference below re-runs analyze_trades
 through a CalibratedProvider at each of the three slopes, re-quoting
 every pair (in router mode through a new provider per quote, so no
-route is reused), and aggregates as the pipeline is specified to: its
-curve and rolling rows must equal the pipeline's exactly. A second test
+route is reused), and aggregates as the pipeline is specified to, with
+every mean taken afresh from exact fractions rather than through
+`stats`: its curve and rolling rows, summary, exclusions and warnings
+must equal the pipeline's exactly. It runs on one synth scenario in
+process, and on Hypothesis-generated scenarios against the bytes that
+`swapmeter report` writes. A second test
 checks each analyze_trades row against attribute_trade and
 counterfactual_price called for that pair alone, and two more check that
 decomposing only the anchor offset changes nothing but which rows carry
@@ -14,14 +18,21 @@ a stable sort of rows priced one pair at a time, and its values do not
 depend on the decimal context its consumer drains it in.
 """
 
+import csv
 import dataclasses
+import io
 import json
+import tempfile
 import warnings
-from decimal import ROUND_DOWN, Context, localcontext
+from collections import Counter
+from decimal import ROUND_DOWN, Context, getcontext, localcontext
 from decimal import Decimal as D
+from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swapmeter.attribution import attribute_trade, improvement
@@ -40,15 +51,30 @@ from swapmeter.errors import (
     NonPositiveBaseline,
     QuoteUnavailable,
 )
-from swapmeter.ingest import QuoteSet, ingest_pool_snapshots, ingest_quotes, ingest_trades
+from swapmeter.ingest import (
+    QUOTE_COLUMNS,
+    SNAPSHOT_COLUMNS,
+    TRADE_COLUMNS,
+    QuoteSet,
+    ingest_pool_snapshots,
+    ingest_quotes,
+    ingest_trades,
+    trade_to_row,
+)
 from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.numeric import format_bps
-from swapmeter.pipeline import analysis_pass, analyze_trades, run_aggregate
+from swapmeter.pipeline import (
+    CURVE_COLUMNS,
+    ROLLING_COLUMNS,
+    analysis_pass,
+    analyze_trades,
+    run_aggregate,
+)
 from swapmeter.prices import counterfactual_price, realized_price
 from swapmeter.router import route_optimal_split
 from swapmeter.stats import _EXACT, weighted_mean_with_stat
 
-from conftest import USDC, WETH, make_trade
+from conftest import USDC, WETH, make_pool, make_trade
 
 F_PRIME = D(100_000_000)
 OFFSETS = [-1, 0, 1]
@@ -120,65 +146,136 @@ def _provider(root, baseline, memoised=True):
     return SyntheticRouterProvider(snapshots, F_PRIME) if memoised else FreshRouter(snapshots)
 
 
-def _group_means(rows):
-    buckets = {}
-    for r in rows:
-        if r.excluded:
-            continue
-        for level, group in (("path", r.trade.path), ("interface", r.trade.interface)):
-            key = (level, group, r.offset)
-            buckets.setdefault(key, []).append((r.result.pi, r.trade.usd_value))
-    return {
-        key: (*weighted_mean_with_stat(values), len(values), sum(w for _, w in values))
-        for key, values in buckets.items()
-        if len(values) >= 2
-    }
+def _rounded(q: Fraction) -> D:
+    """The rational q correctly rounded in the current context."""
+    return getcontext().divide(D(q.numerator), D(q.denominator))
 
 
-def _three_pass_reference(trades, provider, cal):
+def _fresh(values):
+    """Weighted mean and standard error of (x, w) pairs, from exact fractions.
+
+    Each is its rational correctly rounded, as the statistics promise: the
+    mean of sum wx / sum w, then sigma = sqrt(sum w(x - mean)^2 / (n sum w))
+    around that rounded mean. None where fewer than 2 pairs or no weight.
+    """
+    total = sum(Fraction(w) for _, w in values)
+    if len(values) < 2 or not total:
+        return None
+    mean = _rounded(sum(Fraction(w) * Fraction(x) for x, w in values) / total)
+    spread = sum(Fraction(w) * (Fraction(x) - Fraction(mean)) ** 2 for x, w in values)
+    return mean, getcontext().sqrt(_rounded(spread / (len(values) * total)))
+
+
+def _side(shifted, mean):
+    """|shifted mean - mean| from the shifted slope's `_fresh` estimate; 0 without one."""
+    return D(0) if shifted is None else abs(shifted[0] - mean)
+
+
+class Reference(NamedTuple):
+    curve: list  # (group, offset, mean, sigma, sys_upper, sys_lower, n, total weight)
+    rolling: list  # (median, mean, sigma, sys_upper, sys_lower, window, total weight)
+    summary: dict
+    exclusions: dict
+    warnings: list
+
+
+def _three_pass_reference(
+    trades, provider, cal, offsets=OFFSETS, window=WINDOW, stride=1, multiplier=MULTIPLIER
+):
+    """What `run_aggregate` must report, from one plain pass per slope and fresh means.
+
+    Each slope re-quotes every pair through its own CalibratedProvider (the
+    raw provider when uncalibrated); groups, windows and summary parts are
+    averaged afresh from their members. Warnings are listed in the order
+    the aggregation gives them.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shifted = perturbed_calibrations(cal, multiplier) if cal and cal.beta1_se > 0 else ()
+    said = [str(w.message) for w in caught]
     passes = [
-        analyze_trades(trades, CalibratedProvider(provider, c), OFFSETS, F_PRIME)
-        for c in (cal, *perturbed_calibrations(cal, MULTIPLIER))
+        analyze_trades(trades, provider if c is None else CalibratedProvider(provider, c),
+                       offsets, F_PRIME)
+        for c in (cal, *shifted)
     ]
-    nominal, upper, lower = (_group_means(rows) for rows in passes)
-    curve = []
-    for (level, group, offset), (mean, sigma, n, total) in sorted(nominal.items()):
-        key = (level, group, offset)
-        up = abs(upper[key][0] - mean) if key in upper else D(0)
-        low = abs(mean - lower[key][0]) if key in lower else D(0)
-        curve.append((f"{level}:{group}", offset, mean, sigma, up, low, n, total))
+    valued = [[r for r in rows if not r.excluded] for rows in passes]
+    exclusions = Counter(r.exclusion_reason for r in passes[0] if r.excluded)
+    anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
 
-    anchor = [[r for r in rows if r.offset == 0 and not r.excluded] for rows in passes]
-    shifted = [{r.trade.trade_id: r.result.pi for r in rows} for rows in anchor[1:]]
-    ordered = sorted(anchor[0], key=lambda r: (r.trade.usd_value, r.trade.trade_id))
+    buckets = [{} for _ in passes]  # per slope: (level, group, offset) -> rows, in pass order
+    for rows, bucket in zip(valued, buckets):
+        for r in rows:
+            for level, group in (("path", r.trade.path), ("interface", r.trade.interface)):
+                bucket.setdefault((level, group, r.offset), []).append(r)
+    pairs = [
+        {key: [(r.result.pi, r.trade.usd_value) for r in rows] for key, rows in bucket.items()}
+        for bucket in buckets
+    ]
+    nominal = {}
+    for key, values in pairs[0].items():
+        if len(values) < 2:
+            said.append(f"skipping group {key}: fewer than 2 weighted trades")
+        elif not sum(w for _, w in values):
+            said.append(f"skipping group {key}: all weights are zero")
+        else:
+            nominal[key] = (*_fresh(values), len(values), sum(w for _, w in values))
+
+    curve, summary = [], {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
+    for key, (mean, sigma, n, total) in sorted(nominal.items()):
+        level, group, offset = key
+        means = [_fresh(other.get(key, [])) for other in pairs[1:]]
+        if shifted and None in means:
+            said.append(f"group {key}: no mean at a shifted slope; its band side is 0")
+        up, low = [_side(m, mean) for m in means] or [D(0), D(0)]
+        curve.append((f"{level}:{group}", offset, mean, sigma, up, low, n, total))
+        if offset != anchor:
+            continue
+        entry = {"pi_bps": format_bps(mean), "pi_stat_sigma_bps": format_bps(sigma)}
+        for part in ("routing", "gas", "fee", "remainder"):
+            part_values = [(getattr(r.result, f"pi_{part}"), r.trade.usd_value)
+                           for r in buckets[0][key]]
+            entry[f"{part}_bps"] = format_bps(_fresh(part_values)[0])
+        if shifted and None not in means:
+            entry["pi_sys_upper_bps"], entry["pi_sys_lower_bps"] = map(format_bps, (up, low))
+        entry.update(n=n, total_weight_usd=str(total))
+        summary[f"by_{level}"][group] = entry
+
+    at_anchor = [{r.trade.trade_id: r for r in rows if r.offset == anchor} for rows in valued]
+    ordered = sorted(at_anchor[0].values(), key=lambda r: (r.trade.usd_value, r.trade.trade_id))
     rolling = []
-    for start in range(len(ordered) - WINDOW + 1):
-        chunk = ordered[start : start + WINDOW]
-        mean, sigma = weighted_mean_with_stat([(r.result.pi, r.trade.usd_value) for r in chunk])
-        bands = []
-        for values in shifted:
-            members = [
-                (values[r.trade.trade_id], r.trade.usd_value)
-                for r in chunk
-                if r.trade.trade_id in values
-            ]
-            bands.append(
-                abs(weighted_mean_with_stat(members)[0] - mean) if len(members) >= 2 else D(0)
-            )
-        median = chunk[WINDOW // 2].trade.usd_value
-        total = sum(r.trade.usd_value for r in chunk)
-        rolling.append((median, mean, sigma, *bands, WINDOW, total))
-    return curve, rolling
+    if len(ordered) >= 2:
+        size = min(window, len(ordered))
+        if size < window:
+            said.append(f"rolling window {window} exceeds {len(ordered)} trades; using {size}")
+        for start in range(0, len(ordered) - size + 1, stride):
+            chunk = ordered[start : start + size]
+            low, high = chunk[(size - 1) // 2].trade.usd_value, chunk[size // 2].trade.usd_value
+            median = high if size % 2 else (low + high) / 2
+            estimate = _fresh([(r.result.pi, r.trade.usd_value) for r in chunk])
+            if estimate is None:
+                said.append(f"skipping rolling window at median {median}: all weights are zero")
+                continue
+            mean, sigma = estimate
+            bands = [
+                _side(_fresh([(rows[r.trade.trade_id].result.pi, r.trade.usd_value)
+                              for r in chunk if r.trade.trade_id in rows]), mean)
+                for rows in at_anchor[1:]
+            ] or [D(0), D(0)]
+            total = sum(r.trade.usd_value for r in chunk)
+            rolling.append((median, mean, sigma, *bands, size, total))
+    return Reference(curve, rolling, summary, dict(sorted(exclusions.items())), said)
 
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools", "drifted-pools"])
 def test_single_pass_equals_three_pass_reference(scenario, baseline):
     root, trades = scenario
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
-    report = run_aggregate(
-        trades, _provider(root, baseline), cal, OFFSETS, F_PRIME, WINDOW,
-        sys_multiplier=MULTIPLIER,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_aggregate(
+            trades, _provider(root, baseline), cal, OFFSETS, F_PRIME, WINDOW,
+            sys_multiplier=MULTIPLIER,
+        )
     curve = [
         (
             p.group, p.offset, p.estimate.mean, p.estimate.stat_sigma, p.estimate.sys_upper,
@@ -190,12 +287,173 @@ def test_single_pass_equals_three_pass_reference(scenario, baseline):
         (median, e.mean, e.stat_sigma, e.sys_upper, e.sys_lower, e.n, e.total_weight)
         for median, e in report.rolling
     ]
-    expected_curve, expected_rolling = _three_pass_reference(
-        trades, _provider(root, baseline, memoised=False), cal
-    )
-    assert curve == expected_curve
-    assert rolling == expected_rolling
+    expected = _three_pass_reference(trades, _provider(root, baseline, memoised=False), cal)
+    assert curve == expected.curve
+    assert rolling == expected.rolling
+    assert (report.summary, report.exclusions) == (expected.summary, expected.exclusions)
+    assert [str(w.message) for w in caught] == expected.warnings
     assert any(row[4] > 0 for row in curve)
+
+
+# Trade shapes of the scenario-space oracle: (direction, gas internalized,
+# amount in, amount out). The small ones are excluded at some slopes: an
+# internalized WETH-in trade whose gas outgrows its input, and a WETH-out
+# trade whose baseline output is worth less than its gas.
+_SHAPES = {
+    "IN": (Direction.WETH_IN, False, TokenAmount(WETH, 18), TokenAmount(3000 * USDC, 6)),
+    "OUT": (Direction.WETH_OUT, False, TokenAmount(3000 * USDC, 6), TokenAmount(WETH, 18)),
+    "IN-X": (Direction.WETH_IN, True, TokenAmount(WETH, 18), TokenAmount(3000 * USDC, 6)),
+    "OUT-X": (Direction.WETH_OUT, True, TokenAmount(3000 * USDC, 6), TokenAmount(WETH, 18)),
+    "IN-X-SMALL": (
+        Direction.WETH_IN, True, TokenAmount(4 * 10**15, 18), TokenAmount(12 * USDC, 6)
+    ),
+    "OUT-SMALL": (
+        Direction.WETH_OUT, False, TokenAmount(12 * USDC, 6), TokenAmount(4 * 10**15, 18)
+    ),
+}
+_POOLS = [
+    make_pool("P30", weth=1000, token=3_000_000, fee_bps=30, gas_per_hop=120_000),
+    make_pool("P05", weth=400, token=1_210_000, fee_bps=5, gas_per_hop=90_000),
+]
+# (beta1, SE): uncalibrated, SE = 0, a plain band, and an SE whose 2x shift
+# takes the lower slope to or below 0, which is clamped to beta1/2.
+_CALIBRATIONS = [None, ("0.95", "0"), ("0.95", "0.05"), ("0.95", "0.5")]
+
+
+class Scenario(NamedTuple):
+    trades: list
+    offsets: list
+    quotes: list | None  # replay baseline, or None for the router over `snapshots`
+    snapshots: dict
+    cal: GasCalibration | None
+    multiplier: int
+    window: int
+    stride: int
+
+
+@st.composite
+def _scenarios(draw):
+    trades = []
+    for k in range(draw(st.integers(3, 8))):
+        shape = draw(st.sampled_from(list(_SHAPES)))
+        direction, internalized, amount_in, amount_out = _SHAPES[shape]
+        trades.append(make_trade(
+            f"T{k}",
+            interface=draw(st.sampled_from(["Uniswap", "1inch"])),
+            path=draw(st.sampled_from(["Classic", "X"])),
+            direction=direction,
+            gas_internalized=internalized,
+            amount_in=amount_in,
+            amount_out=amount_out,
+            usd_value=D(draw(st.sampled_from(["0", "500", "1200.5", "3000"]))),  # ties, zeros
+        ))
+    offsets = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    quotes, snapshots = None, {}
+    if draw(st.booleans()):
+        quotes = [
+            Quote(
+                t.trade_id, o,
+                TokenAmount(t.amount_out.raw * (10_000 - draw(st.integers(0, 60))) // 10_000,
+                            t.amount_out.decimals),
+                D(draw(st.sampled_from([140_000, 185_000, 195_000]))),
+                "prov",
+            )
+            for t in trades
+            for o in offsets
+            if draw(st.integers(0, 7))  # else the pair has no quote
+        ]
+        assume(quotes)
+    else:
+        pools = draw(st.lists(st.sampled_from(_POOLS), min_size=1, max_size=2, unique=True))
+        drift = _drifted if draw(st.booleans()) else lambda snapshots: snapshots
+        snapshots = drift({o: pools for o in sorted(draw(st.sets(st.integers(-2, 2), min_size=1)))})
+    cal = draw(st.sampled_from(_CALIBRATIONS))
+    if cal is not None:
+        cal = GasCalibration(D(cal[0]), D(cal[1]), 20, D(1), D(0))
+    return Scenario(trades, offsets, quotes, snapshots, cal, draw(st.sampled_from([1, 2])),
+                    draw(st.integers(2, 9)), draw(st.integers(1, 3)))
+
+
+def _csv_text(stamp, columns, rows):
+    buf = io.StringIO()
+    buf.write(f"{stamp}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_inputs(root: Path, sc: Scenario) -> list[str]:
+    """The scenario's input files under root, and the `report` arguments that read them."""
+    (root / "trades.csv").write_text(_csv_text("#", TRADE_COLUMNS, map(trade_to_row, sc.trades)))
+    (root / "run.cfg").write_text(
+        f"window = {sc.window}\nstride = {sc.stride}\nsys_multiplier = {sc.multiplier}\n"
+    )
+    args = ["report", "--config", str(root / "run.cfg"), "--trades", str(root / "trades.csv"),
+            "--out", str(root / "out"), f"--offsets={','.join(map(str, sc.offsets))}"]
+    if sc.quotes is not None:
+        rows = [[q.trade_id, str(q.offset), str(q.out_estimate.raw), str(q.out_estimate.decimals),
+                 str(q.gas_estimate), q.provider_id] for q in sc.quotes]
+        (root / "quotes.csv").write_text(_csv_text("#", QUOTE_COLUMNS, rows))
+        args += ["--quotes", str(root / "quotes.csv")]
+    else:
+        rows = [[str(o), p.pool_id, str(p.reserve_weth.raw), str(p.reserve_token.raw),
+                 str(p.reserve_token.decimals), str(p.fee_bps), str(p.gas_per_hop)]
+                for o, pools in sc.snapshots.items() for p in pools]
+        (root / "pools.csv").write_text(_csv_text("#", SNAPSHOT_COLUMNS, rows))
+        args += ["--pools", str(root / "pools.csv")]
+    if sc.cal is None:
+        return args + ["--no-correction"]
+    (root / "cal.json").write_text(json.dumps(sc.cal.as_dict()))
+    return args + ["--calibration", str(root / "cal.json")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios())
+def test_report_bytes_equal_the_reference_over_scenarios(sc):
+    """`report`'s curve.csv, rolling.csv, summary.json and warnings, byte for byte.
+
+    Scenarios cover offsets without 0 (the anchor moves), odd and even
+    windows with stride up to 3 and the window clamp, tied and zero USD
+    weights, pairs without a quote or snapshot, non-positive adjusted
+    inputs, SE = 0 and a lower slope clamped at k*SE >= beta1, with replay
+    quotes and with the router over shared or drifted snapshots.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        args = _write_inputs(root, sc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(args)
+        said = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        out = {p.name: p.read_text() for p in (root / "out").glob("*")}
+
+    if sc.quotes is None:
+        provider = FreshRouter(sc.snapshots)
+    else:
+        provider = ReplayProvider(QuoteSet(sc.quotes))
+    expected = _three_pass_reference(
+        sc.trades, provider, sc.cal, sc.offsets, sc.window, sc.stride, sc.multiplier
+    )
+    assert said == expected.warnings
+    if not expected.curve:  # "all groups are empty": nothing is written
+        assert (rc, out) == (2, {})
+        return
+    assert rc == (1 if expected.exclusions else 0)
+    stamp = out["curve.csv"].splitlines()[0]
+    curve = [[group, str(offset), *map(format_bps, (mean, sigma, up, low)), str(n), str(total)]
+             for group, offset, mean, sigma, up, low, n, total in expected.curve]
+    assert out["curve.csv"] == _csv_text(stamp, CURVE_COLUMNS, curve)
+    rolling = [[str(median), *map(format_bps, (mean, sigma, up, low)), str(n)]
+               for median, mean, sigma, up, low, n, _ in expected.rolling]
+    assert out["rolling.csv"] == _csv_text(stamp, ROLLING_COLUMNS, rolling)
+    summary = {
+        "meta": stamp[2:],
+        "summary": expected.summary,
+        "exclusions": expected.exclusions,
+        "calibration": None if sc.cal is None else sc.cal.as_dict(),
+    }
+    assert out["summary.json"] == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def _replay(quotes):

@@ -208,34 +208,40 @@ class TestGrouping:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = grouped_means(
-                [((("path", p), ("interface", i)), w, values) for p, i, w, values in members],
-                3,
+                [((("path", p), ("interface", i)), w, values) for p, i, w, values in members]
             )
-        expected_warnings = []
-        for k in range(3):
-            buckets = {}
-            for p, i, w, values in members:
-                if values[k] is not None:
-                    for group in (("path", p), ("interface", i)):
-                        buckets.setdefault(group, []).append((values[k], w))
-            expected = {}
-            for group, valued in buckets.items():
-                # only the first series warns of the groups it leaves out
-                if len(valued) < 2:
-                    if k == 0:
-                        expected_warnings.append(
-                            f"skipping group {group}: fewer than 2 weighted trades"
-                        )
-                elif sum(w for _, w in valued) == 0:
-                    if k == 0:
-                        expected_warnings.append(f"skipping group {group}: all weights are zero")
-                else:
-                    total = sum(w for _, w in valued)
-                    mean, sigma = weighted_mean_with_stat(valued)
-                    # only the first series is spread into a standard error
-                    expected[group] = (mean, sigma if k == 0 else None, len(valued), total)
-            assert list(out[k].items()) == list(expected.items())
-            assert repr(list(out[k].items())) == repr(list(expected.items()))  # bit for bit
+        buckets = {}  # group -> members valued in the first series, in order
+        for p, i, w, values in members:
+            if values[0] is not None:
+                for group in (("path", p), ("interface", i)):
+                    buckets.setdefault(group, [])
+        for p, i, w, values in members:
+            for group in (("path", p), ("interface", i)):
+                if group in buckets:
+                    buckets[group].append((w, values))
+
+        def fresh_mean(valued):
+            if len(valued) < 2 or sum(w for _, w in valued) == 0:
+                return None
+            return weighted_mean_with_stat(valued)[0]
+
+        expected, expected_warnings = {}, []
+        for group, rows in buckets.items():
+            valued = [[(values[k], w) for w, values in rows if values[k] is not None]
+                      for k in range(3)]
+            if len(valued[0]) < 2:
+                expected_warnings.append(f"skipping group {group}: fewer than 2 weighted trades")
+            elif sum(w for _, w in valued[0]) == 0:
+                expected_warnings.append(f"skipping group {group}: all weights are zero")
+            else:
+                # only the first series is spread into a standard error
+                mean, sigma = weighted_mean_with_stat(valued[0])
+                expected[group] = (
+                    mean, sigma, len(valued[0]), sum(w for _, w in valued[0]),
+                    fresh_mean(valued[1]), fresh_mean(valued[2]),
+                )
+        assert list(out.items()) == list(expected.items())
+        assert repr(list(out.items())) == repr(list(expected.items()))  # bit for bit
         assert [str(w.message) for w in caught] == expected_warnings
 
     def test_thin_and_weightless_groups_warn(self):
@@ -247,13 +253,12 @@ class TestGrouping:
             (("C",), D(0), (D(2),)),
         ]
         with pytest.warns(UserWarning) as caught:
-            (out,) = grouped_means(members, 1)
+            out = grouped_means(members)
         assert list(out) == ["A", "X"]
         assert [str(w.message) for w in caught] == [
             "skipping group B: fewer than 2 weighted trades",
             "skipping group C: all weights are zero",
         ]
-
 
     def test_a_group_kept_in_the_first_series_is_not_warned_of(self):
         members = [
@@ -262,8 +267,28 @@ class TestGrouping:
         ]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            base, upper, lower = grouped_means(members, 3)
-        assert (list(base), list(upper), list(lower)) == (["A"], ["A"], [])
+            out = grouped_means(members)
+        assert list(out) == ["A"]
+        assert out["A"][4:] == (D("2.5"), None)
+        assert caught == []
+
+    def test_groups_come_in_order_of_their_first_nominal_member(self):
+        # B's first member is valued only at the shifted slopes, so A comes
+        # first; C has no nominal member and is neither kept nor warned of.
+        members = [
+            (("B", "C"), D(1), (None, D(5), D(5))),
+            (("A",), D(1), (D(1), D(1), D(1))),
+            (("B",), D(1), (D(2), D(2), D(2))),
+            (("A",), D(1), (D(3), None, None)),
+            (("B",), D(1), (D(4), D(4), D(4))),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = grouped_means(members)
+        assert list(out) == ["A", "B"]
+        assert out["A"][4:] == (None, None)
+        assert (out["B"][0], *out["B"][2:4]) == (D(3), 2, D(2))
+        assert out["B"][4:] == (D("11") / 3, D("11") / 3)
         assert caught == []
 
 

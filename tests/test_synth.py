@@ -135,6 +135,21 @@ class TestNumberRanges:
         assert _synth_error(tmp_path, capsys, spec) == f"error: {message}\n"
 
 
+class TestPoolUniverse:
+    """Synth pools have distinct ids and one token decimals, as the router baseline needs."""
+
+    def test_duplicate_pool_id_rejected(self, tmp_path, capsys):
+        # both rows used to be written at every offset
+        spec = {"pools": [_pool(pool_id="A"), _pool(pool_id="B"), _pool(pool_id="A")]}
+        assert _synth_error(tmp_path, capsys, spec) == "error: duplicate pool_id A\n"
+
+    def test_mixed_decimals_named(self, tmp_path, capsys):
+        spec = {"pools": [_pool(pool_id="A", token_decimals=18), _pool(pool_id="B")]}
+        assert _synth_error(tmp_path, capsys, spec) == (
+            "error: all pools must share the token's decimals; got [6, 18]\n"
+        )
+
+
 class TestRunValueRules:
     """Synth checks offsets, f' and overhead gas with RunConfig's rules and messages."""
 
@@ -209,7 +224,18 @@ class TestGenerateErrors:
         [
             (
                 {"size_distribution": {"min_usd": 1e70, "max_usd": 1e71}},
-                "trade T000000: raw exceeds exact decimal range",
+                "trade T000000: input amount_in_raw has 77 digits;"
+                " raw amounts must be below 10^60",
+            ),
+            (
+                {"size_distribution": {"min_usd": 1e300, "max_usd": 1e300}},
+                "trade T000000: input amount_in_raw has 306 digits;"
+                " raw amounts must be below 10^60",
+            ),
+            (
+                {"ofa_liquidity_bonus_bps": "1e63", "path_mix": {"X": 1.0}},
+                "trade T000000: output amount_out_raw has 77 digits;"
+                " raw amounts must be below 10^60",
             ),
             (
                 {"base_fee_gwei": ["1e30", "1e30"]},
@@ -220,7 +246,7 @@ class TestGenerateErrors:
                 "trade T000002: gas_used * (base_fee + priority_fee) overflows uint128",
             ),
         ],
-        ids=["huge-size", "huge-base-fee", "huge-gas-noise"],
+        ids=["huge-size", "size-1e300", "bonus-1e63", "huge-base-fee", "huge-gas-noise"],
     )
     def test_model_error_names_the_trade(self, tmp_path, capsys, spec, message):
         # these ended in ValueError tracebacks, exit 1

@@ -20,25 +20,35 @@ from typing import NamedTuple
 
 from swapmeter.baseline import BaselineProvider
 from swapmeter.errors import NonPositiveBaseline
-from swapmeter.model import Quote, TradeRecord
+from swapmeter.model import TradeRecord
 from swapmeter.prices import (
     WEI_IN_ETH,
     DecisionVector,
     Price,
     TradeTerms,
     counterfactual_price,
+    realized_decision_vector,
+    realized_price,
     trade_terms,
 )
 
 
-class AttributionResult(NamedTuple):
-    """pi and its components for one trade at one offset.
+class PiSplit(NamedTuple):
+    """pi and its routing, gas, fee and remainder parts at one pair.
 
     Invariant: pi == pi_routing + pi_gas + pi_fee + pi_remainder exactly
-    (the remainder is defined as the residual). An immutable record, built
-    once per priced pair: a tuple builds in a third of a frozen
-    dataclass's time.
+    (the remainder is defined as the residual).
     """
+
+    pi: Decimal
+    pi_routing: Decimal
+    pi_gas: Decimal
+    pi_fee: Decimal
+    pi_remainder: Decimal
+
+
+class AttributionResult(NamedTuple):
+    """A `PiSplit` for one trade at one offset, with the records it was priced from."""
 
     trade_id: str
     offset: int
@@ -88,26 +98,20 @@ def _partials(terms: TradeTerms, g_prime: Decimal, o_prime: Decimal):
     )
 
 
-def _attribute(
-    terms: TradeTerms, x_prime: DecisionVector, p_prime: Price, offset: int
-) -> AttributionResult:
-    """Decompose pi into routing / gas / fee contributions plus the residual.
+def split_improvement(
+    terms: TradeTerms, p_prime: Decimal, o_prime: Decimal, g_prime: Decimal
+) -> PiSplit:
+    """Split pi into routing / gas / fee contributions plus the residual.
 
-    The realized side (x, p) is that of `terms`.
+    The realized side is that of `terms`; the baseline's p', normalized o'
+    and g' are those of `prices.counterfactual_value`, at the terms' f'.
     """
-    x, p = terms.x, terms.p
-    pv = p_prime.value
-    pi = improvement(p.value, pv)
-    o_prime = x_prime.o.normalized
-    dp_do, dp_dg, dp_df = _partials(terms, x_prime.g, o_prime)
-    pi_routing = dp_do * (terms.o - o_prime) / pv
-    pi_gas = dp_dg * (x.g - x_prime.g) / pv
-    pi_fee = dp_df * (x.f - x_prime.f) / pv
-    pi_remainder = pi - (pi_routing + pi_gas + pi_fee)
-    return AttributionResult(
-        terms.trade.trade_id, offset, pi, pi_routing, pi_gas, pi_fee, pi_remainder,
-        x, x_prime, p, p_prime,
-    )
+    pi = improvement(terms.p, p_prime)
+    dp_do, dp_dg, dp_df = _partials(terms, g_prime, o_prime)
+    pi_routing = dp_do * (terms.o - o_prime) / p_prime
+    pi_gas = dp_dg * (terms.g - g_prime) / p_prime
+    pi_fee = dp_df * (terms.f - terms.f_prime) / p_prime
+    return PiSplit(pi, pi_routing, pi_gas, pi_fee, pi - (pi_routing + pi_gas + pi_fee))
 
 
 def attribute_trade(
@@ -116,18 +120,14 @@ def attribute_trade(
     offset: int,
     f_prime: Decimal,
     *,
-    quote: Quote | None = None,
     beta1: Decimal | None = None,
-    terms: TradeTerms | None = None,
 ) -> AttributionResult:
-    """Full per-trade attribution against a baseline provider at one offset.
-
-    quote, beta1 and terms are passed to `counterfactual_price`, which
-    checks that the terms are those of (trade, f').
-    """
-    if terms is None:
-        terms = trade_terms(trade, f_prime)
-    p_prime, x_prime = counterfactual_price(
-        trade, baseline, offset, f_prime, quote=quote, beta1=beta1, terms=terms
+    """Full per-trade attribution at one offset; beta1 as in `counterfactual_price`."""
+    p_prime, x_prime = counterfactual_price(trade, baseline, offset, f_prime, beta1=beta1)
+    split = split_improvement(
+        trade_terms(trade, f_prime), p_prime.value, x_prime.o.normalized, x_prime.g
     )
-    return _attribute(terms, x_prime, p_prime, offset)
+    return AttributionResult(
+        trade.trade_id, offset, *split,
+        realized_decision_vector(trade), x_prime, realized_price(trade), p_prime,
+    )

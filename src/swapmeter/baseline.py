@@ -1,14 +1,13 @@
 """Baseline quote providers: replay of recorded quotes and a synthetic router.
 
 A provider maps (trade, block offset) to a counterfactual quote
-(o', g'). Providers are deterministic: the same request always gets the
-same quote.
+(o', g'), served as plain values. Providers are deterministic: the same
+request always gets the same quote.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 from decimal import Decimal
 from typing import Mapping, Sequence
 
@@ -25,21 +24,25 @@ _WETH_IN = Direction.WETH_IN
 class BaselineProvider(abc.ABC):
     """Contract for the baseline function mapping (input, offset) -> (o', g').
 
-    `quote` serves the trade's own input. `output_at` re-quotes the output
-    of a served quote alone at another input: the gas-adjusted input of a
-    gas-internalized WETH-in trade, whose price reads only the re-quoted
-    output.
+    `serve` gives the pair's quote at the trade's own input as plain values;
+    `quote` builds a `Quote` of them. `output_at` re-quotes the output alone
+    at the gas-adjusted input of a gas-internalized WETH-in trade, whose
+    price reads only the re-quoted output.
     """
 
     provider_id: str
 
     @abc.abstractmethod
-    def quote(self, trade: TradeRecord, offset: int) -> Quote:
-        """Quote the trade's input at the given offset."""
+    def serve(self, trade: TradeRecord, offset: int) -> tuple[int, int, Decimal]:
+        """The pair's quote at the trade's input: (o' raw, o' decimals, g')."""
 
     @abc.abstractmethod
-    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
-        """The baseline output o'' of the trade's served `quote` at input amount_in."""
+    def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
+        """Raw output o'' at raw input amount_raw, given the pair's served output out_raw."""
+
+    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+        raw, decimals, gas = self.serve(trade, offset)
+        return Quote(trade.trade_id, offset, TokenAmount(raw, decimals), gas, self.provider_id)
 
 
 class ReplayProvider(BaselineProvider):
@@ -55,17 +58,16 @@ class ReplayProvider(BaselineProvider):
         if len(providers) != 1:
             raise SwapmeterError(f"quote set has providers {providers}; expected one")
         self.provider_id = providers[0]
-        self._quotes = quotes
+        self._table = quotes.table(self.provider_id)
 
-    def quote(self, trade: TradeRecord, offset: int) -> Quote:
-        stored = self._quotes.get(trade.trade_id, offset, self.provider_id)
-        if stored is None:
+    def serve(self, trade: TradeRecord, offset: int) -> tuple[int, int, Decimal]:
+        served = self._table.get((trade.trade_id, offset))
+        if served is None:
             raise QuoteUnavailable(trade.trade_id, offset, f"provider {self.provider_id!r}")
-        return stored
+        return served
 
-    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
-        out = quote.out_estimate
-        return TokenAmount(out.raw * amount_in.raw // trade.amount_in.raw, out.decimals)
+    def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
+        return out_raw * amount_raw // trade.amount_in.raw
 
 
 class SyntheticRouterProvider(BaselineProvider):
@@ -97,42 +99,43 @@ class SyntheticRouterProvider(BaselineProvider):
         for offset, pools in snapshots.items():
             pools = Snapshot(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
-        # (snapshot id, amount raw, amount decimals, WETH in, base fee) -> (o', g')
-        self._routes: dict[tuple, tuple[TokenAmount, Decimal]] = {}
+        # (snapshot id, amount raw, amount decimals, WETH in, base fee) -> (o' raw, decimals, g')
+        self._routes: dict[tuple, tuple[int, int, Decimal]] = {}
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
         self.provider_id = "synthetic-router"
 
     def _served(
-        self, trade: TradeRecord, offset: int, amount: TokenAmount
-    ) -> tuple[TokenAmount, Decimal]:
-        """The routed output and gas estimate of the trade's swap at `amount`."""
+        self, trade: TradeRecord, offset: int, raw: int, decimals: int
+    ) -> tuple[int, int, Decimal]:
+        """The routed (output raw, decimals, gas estimate) of the trade's swap at an input."""
         snapshot = self._snapshots.get(offset)
         if snapshot is None:
             raise SnapshotUnavailable(offset)
         pools, snapshot_id = snapshot
         base_fee = trade.gas.base_fee
-        key = (snapshot_id, amount.raw, amount.decimals, trade.direction is _WETH_IN, base_fee)
+        key = (snapshot_id, raw, decimals, trade.direction is _WETH_IN, base_fee)
         served = self._routes.get(key)
         if served is None:
             gas_price = Decimal(base_fee) + self._f_prime
+            amount = TokenAmount(raw, decimals)
             route = route_optimal_split(pools, amount, trade.direction, gas_price)
-            served = (route.total_out, Decimal(route.total_gas + self._overhead))
+            out = route.total_out
+            served = (out.raw, out.decimals, Decimal(route.total_gas + self._overhead))
             self._routes[key] = served
         return served
 
-    def quote(self, trade: TradeRecord, offset: int) -> Quote:
+    def serve(self, trade: TradeRecord, offset: int) -> tuple[int, int, Decimal]:
         token = trade.amount_out if trade.direction is _WETH_IN else trade.amount_in
         if self._decimals is not None and token.decimals != self._decimals:
             raise ConfigError(
                 f"trade {trade.trade_id} has token decimals {token.decimals};"
                 f" the pools have {self._decimals}"
             )
-        out, gas = self._served(trade, offset, trade.amount_in)
-        return Quote(trade.trade_id, offset, out, gas, self.provider_id)
+        return self._served(trade, offset, trade.amount_in.raw, trade.amount_in.decimals)
 
-    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
-        return self._served(trade, quote.offset, amount_in)[0]
+    def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
+        return self._served(trade, offset, amount_raw, trade.amount_in.decimals)[0]
 
 
 class CalibratedProvider(BaselineProvider):
@@ -143,9 +146,9 @@ class CalibratedProvider(BaselineProvider):
         self._calibration = calibration
         self.provider_id = inner.provider_id
 
-    def quote(self, trade: TradeRecord, offset: int) -> Quote:
-        quote = self._inner.quote(trade, offset)
-        return replace(quote, gas_estimate=quote.gas_estimate / self._calibration.beta1)
+    def serve(self, trade: TradeRecord, offset: int) -> tuple[int, int, Decimal]:
+        raw, decimals, gas = self._inner.serve(trade, offset)
+        return raw, decimals, gas / self._calibration.beta1
 
-    def output_at(self, trade: TradeRecord, quote: Quote, amount_in: TokenAmount) -> TokenAmount:
-        return self._inner.output_at(trade, quote, amount_in)
+    def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
+        return self._inner.output_at(trade, offset, out_raw, amount_raw)

@@ -143,8 +143,8 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    trades, _ = _load_trades(cfg, require_usd=False)
-    provider, _ = _build_provider(cfg, trades)
+    trades, n_rejects = _load_trades(cfg, require_usd=False)
+    provider, n_bad = _build_provider(cfg, trades)
     sample = [t for t in trades if t.path == cfg.calibration_filter]
     pairs = []
     skipped = 0
@@ -168,7 +168,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     with _writing(path):
         write_json(path, payload, comment=provenance(config_hash(cfg)))
     print(f"beta1={cal.beta1} beta1_se={cal.beta1_se} n={cal.n_points}")
-    return EXIT_OK
+    return EXIT_PARTIAL if n_rejects or n_bad else EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

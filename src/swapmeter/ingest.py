@@ -28,6 +28,8 @@ from swapmeter.model import (
     TradeRecord,
     canonical_interface,
     canonical_path,
+    check_amount,
+    check_gas_estimate,
 )
 
 TRADE_COLUMNS = [
@@ -86,32 +88,43 @@ class IngestResult:
 
 
 class QuoteSet:
-    """Quotes keyed by (trade_id, offset, provider_id)."""
+    """Quotes keyed by (trade_id, offset, provider_id), held as plain values.
+
+    One table per provider_id maps (trade_id, offset) to (out raw, out decimals, gas).
+    """
 
     def __init__(self, quotes: Iterable[Quote] = ()):
-        self._quotes: dict[tuple[str, int, str], Quote] = {}
-        for q in quotes:
-            key = (q.trade_id, q.offset, q.provider_id)
-            if key in self._quotes:
-                raise DuplicateQuote(f"duplicate quote key {key}")
-            self._quotes[key] = q
+        self._tables: dict[str, dict[tuple[str, int], tuple[int, int, Decimal]]] = {}
+        self._hold(
+            (q.trade_id, q.offset, q.provider_id,
+             (q.out_estimate.raw, q.out_estimate.decimals, q.gas_estimate))
+            for q in quotes
+        )
 
-    def get(self, trade_id: str, offset: int, provider_id: str) -> Quote | None:
-        return self._quotes.get((trade_id, offset, provider_id))
+    def _hold(self, quotes: Iterable[tuple]) -> None:
+        """Hold each (trade_id, offset, provider_id, values); then raise on the first repeat."""
+        duplicate = None
+        for trade_id, offset, provider_id, values in quotes:
+            table = self._tables.setdefault(provider_id, {})
+            if table.setdefault((trade_id, offset), values) is not values:
+                duplicate = duplicate or (trade_id, offset, provider_id)
+        if duplicate is not None:
+            raise DuplicateQuote(f"duplicate quote key {duplicate}")
+
+    def table(self, provider_id: str) -> dict[tuple[str, int], tuple[int, int, Decimal]]:
+        return self._tables.get(provider_id, {})
 
     def providers(self) -> list[str]:
-        return sorted({k[2] for k in self._quotes})
+        return sorted(self._tables)
 
     def orphans(self, trades: Iterable[TradeRecord]) -> list[tuple[str, int, str]]:
         """Quote keys whose trade_id matches no trade in the given set."""
         known = {t.trade_id for t in trades}
-        return sorted(k for k in self._quotes if k[0] not in known)
-
-    def __iter__(self) -> Iterator[Quote]:
-        return iter(self._quotes.values())
+        keys = ((t, o, p) for p, table in self._tables.items() for t, o in table)
+        return sorted(key for key in keys if key[0] not in known)
 
     def __len__(self) -> int:
-        return len(self._quotes)
+        return sum(map(len, self._tables.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +216,15 @@ def _build_trade(row: list, require_usd: bool) -> TradeRecord:
     )
 
 
-def _build_quote(row: list) -> Quote:
+def _build_quote(row: list) -> tuple[str, int, str, tuple[int, int, Decimal]]:
+    """(trade_id, offset, provider_id, (out raw, out decimals, gas)), checked as a `Quote`."""
     trade_id, offset, out_raw, out_decimals, gas_estimate, provider_id = row
-    return Quote(
-        str(trade_id).strip(),
-        _int(offset, "offset"),
-        TokenAmount(
-            _uint(out_raw, "out_estimate_raw"), _uint(out_decimals, "out_estimate_decimals")
-        ),
-        _nonneg_decimal(gas_estimate, "gas_estimate"),
-        str(provider_id).strip(),
-    )
+    trade_id, offset = str(trade_id).strip(), _int(offset, "offset")
+    raw, decimals = _uint(out_raw, "out_estimate_raw"), _uint(out_decimals, "out_estimate_decimals")
+    check_amount(raw, decimals)
+    gas = _nonneg_decimal(gas_estimate, "gas_estimate")
+    check_gas_estimate(gas)
+    return trade_id, offset, str(provider_id).strip(), (raw, decimals, gas)
 
 
 def _build_pool(row: list) -> tuple[int, Pool]:
@@ -282,21 +293,22 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
             raise EmptyInput("input has no data rows")
 
 
-def _ingest(path, columns, builder, strict) -> IngestResult:
-    result = IngestResult(records=[])
+def _accepted(path, columns, build, strict, rejects: list[MalformedRow]) -> Iterator:
+    """What `build` makes of each row; each rejected row is added to `rejects`."""
     for line_no, row in _rows(path, columns):
         if isinstance(row, str):
             reject = MalformedRow(line_no, row)
         else:
             try:
-                result.records.append(builder(row))
-                continue
+                record = build(row)
             except ValueError as exc:
                 reject = MalformedRow(line_no, str(exc) or repr(exc))
+            else:
+                yield record
+                continue
         if strict:
             raise IngestError(f"line {reject.line}: {reject.reason}")
-        result.rejects.append(reject)
-    return result
+        rejects.append(reject)
 
 
 def _unique(build: Callable[[list], Any], key: Callable[[Any], str]) -> Callable[[list], Any]:
@@ -326,15 +338,17 @@ def ingest_trades(
     A trade_id is accepted once: each later row with an accepted id is rejected.
     """
     build = _unique(lambda row: _build_trade(row, require_usd), lambda t: f"trade_id {t.trade_id}")
-    return _ingest(path, TRADE_COLUMNS, build, strict)
+    rejects: list[MalformedRow] = []
+    return IngestResult(list(_accepted(path, TRADE_COLUMNS, build, strict, rejects)), rejects)
 
 
 def ingest_quotes(
     path: str | Path, *, strict: bool = False
 ) -> tuple[QuoteSet, list[MalformedRow]]:
-    """Parse quotes into a set keyed by (trade_id, offset, provider_id)."""
-    result = _ingest(path, QUOTE_COLUMNS, _build_quote, strict)
-    return QuoteSet(result.records), result.rejects
+    """Parse quotes into a `QuoteSet`; a repeated key raises DuplicateQuote once all are read."""
+    quotes, rejects = QuoteSet(), []
+    quotes._hold(_accepted(path, QUOTE_COLUMNS, _build_quote, strict, rejects))
+    return quotes, rejects
 
 
 def ingest_pool_snapshots(
@@ -345,11 +359,11 @@ def ingest_pool_snapshots(
     A pool_id is accepted once per offset: each later row with it is rejected.
     """
     build = _unique(_build_pool, lambda row: f"pool_id {row[1].pool_id} at offset {row[0]}")
-    result = _ingest(path, SNAPSHOT_COLUMNS, build, strict)
+    rejects: list[MalformedRow] = []
     snapshots: dict[int, list[Pool]] = {}
-    for offset, pool in result.records:
+    for offset, pool in _accepted(path, SNAPSHOT_COLUMNS, build, strict, rejects):
         snapshots.setdefault(offset, []).append(pool)
-    return snapshots, result.rejects
+    return snapshots, rejects
 
 
 # ---------------------------------------------------------------------------

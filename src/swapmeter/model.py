@@ -48,6 +48,24 @@ def canonical_path(name: str) -> str:
     return _CANONICAL_PATHS.get(name.strip().lower(), name.strip())
 
 
+def check_amount(raw: int, decimals: int) -> None:
+    """ValueError unless raw is an integer in [0, 10^60) and decimals in [0, 36]."""
+    if not isinstance(raw, int) or raw < 0:
+        raise ValueError("raw must be a nonnegative integer")
+    if raw >= _MAX_RAW:
+        raise ValueError("raw exceeds exact decimal range")
+    if not 0 <= decimals <= MAX_DECIMALS:
+        raise ValueError(f"decimals must be in [0, {MAX_DECIMALS}]")
+
+
+def check_gas_estimate(gas: Decimal) -> None:
+    """ValueError unless a quoted gas estimate lies in [0, 2^128 - 1]."""
+    if gas < _ZERO:
+        raise ValueError("gas_estimate must be nonnegative")
+    if gas > _MAX_GAS:
+        raise ValueError("gas_estimate exceeds the uint128 bound 2^128 - 1")
+
+
 @dataclass(frozen=True, slots=True)
 class TokenAmount:
     """A token quantity: raw base units plus the token's decimals."""
@@ -56,12 +74,7 @@ class TokenAmount:
     decimals: int
 
     def __post_init__(self):
-        if not isinstance(self.raw, int) or self.raw < 0:
-            raise ValueError("raw must be a nonnegative integer")
-        if self.raw >= _MAX_RAW:
-            raise ValueError("raw exceeds exact decimal range")
-        if not 0 <= self.decimals <= MAX_DECIMALS:
-            raise ValueError(f"decimals must be in [0, {MAX_DECIMALS}]")
+        check_amount(self.raw, self.decimals)
 
     @property
     def normalized(self) -> Decimal:
@@ -144,10 +157,7 @@ class Quote:
     provider_id: str
 
     def __post_init__(self):
-        if self.gas_estimate < _ZERO:
-            raise ValueError("gas_estimate must be nonnegative")
-        if self.gas_estimate > _MAX_GAS:
-            raise ValueError("gas_estimate exceeds the uint128 bound 2^128 - 1")
+        check_gas_estimate(self.gas_estimate)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,8 @@ provenance inside a "meta" object because JSON has no comments.
 
 Every file is written whole or not at all: it is written to a uniquely
 named temporary file next to it and renamed into place, so an error
-while its rows are produced leaves any earlier file untouched.
+while its rows are produced leaves any earlier file untouched, and no
+directory made for it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from itertools import takewhile
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -29,18 +31,28 @@ def provenance(config_hash: str) -> str:
 def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
     """A text file that replaces `path` when the block ends without error.
 
-    On any error the temporary file is removed and `path` is left as it was.
+    On any error the temporary file is removed, `path` is left as it was,
+    and each directory made for it is removed again if it is empty.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    made = list(takewhile(lambda d: not d.is_dir(), (path.parent, *path.parent.parents)))
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            try:
+                directory.rmdir()
+            except OSError:
+                break
         raise
 
 

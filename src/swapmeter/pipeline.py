@@ -18,7 +18,9 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from swapmeter.attribution import AttributionResult, attribute_trade, improvement
+from swapmeter.attribution import PiSplit, improvement, split_improvement
+# Not called here: bound for perfbench/spans.py, which traces pipeline.attribute_trade.
+from swapmeter.attribution import attribute_trade  # noqa: F401
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
@@ -69,17 +71,16 @@ ROLLING_COLUMNS = [
 class AnalysisRow(NamedTuple):
     """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
 
-    An immutable record, like `AttributionResult`. result is the
-    attribution at the nominal calibration slope, None where the pair is
-    excluded or was priced for pi alone. pi_upper and pi_lower are pi with
-    the slope shifted up and down; each is None where that slope excludes
-    the pair or no shift was asked for.
+    result is the split of pi into its parts at the nominal calibration
+    slope, None where the pair is excluded or was priced for pi alone.
+    pi_upper and pi_lower are pi with the slope shifted up and down; each
+    is None where that slope excludes the pair or no shift was asked for.
     """
 
     trade: TradeRecord
     offset: int
     pi: Decimal | None
-    result: AttributionResult | None
+    result: PiSplit | None
     exclusion_reason: str | None
     pi_upper: Decimal | None = None
     pi_lower: Decimal | None = None
@@ -100,13 +101,13 @@ def analysis_pass(
 ) -> Iterator[AnalysisRow]:
     """Price every trade at every offset, yielding rows by (trade_id, offset).
 
-    Each trade's realized terms are taken once and each pair is quoted
-    once. The quote is priced at each slope in turn: g'/beta1 of
-    `calibration` (g' as served when None), then of each `shifted`
-    (upper, lower) calibration. At the offsets in `decompose` (every
-    offset when None) the first slope's pi is split into its parts. An
-    exclusion at the first slope is the row's reason; one at a later
-    slope leaves that slope's pi None.
+    Each trade's realized terms are taken once and each pair is served
+    once. The one kernel, `counterfactual_value`, prices the served values
+    at each slope in turn: g'/beta1 of `calibration` (g' as served when
+    None), then of each `shifted` (upper, lower) calibration. At the
+    offsets in `decompose` (every offset when None) the first slope's pi
+    is split into its parts. An exclusion at the first slope is the row's
+    reason; one at a later slope leaves that slope's pi None.
 
     Trades are walked in stable trade_id order and only one trade_id's
     rows are held at a time: they are priced in the 60-digit policy
@@ -122,27 +123,26 @@ def analysis_pass(
         terms = trade_terms(trade, f_prime)
         for offset in offsets:
             try:
-                quote = provider.quote(trade, offset)
+                served = provider.serve(trade, offset)
             except EXCLUDED as exc:
                 yield AnalysisRow(trade, offset, None, None, EXCLUSION_REASONS[type(exc)])
                 continue
+            o_prime = Decimal(served[0]).scaleb(-served[1])
             split = decompose is None or offset in decompose
-            result = reason = o_prime = None
+            result = reason = None
             pis = []
             for beta1 in betas:
                 pi = None
+                g = served[2] if beta1 is None else served[2] / beta1
                 try:
+                    value, _, out = counterfactual_value(
+                        provider, terms, offset, served, o_prime, g
+                    )
                     if split and not pis:
-                        result = attribute_trade(
-                            trade, provider, offset, f_prime, quote=quote, beta1=beta1, terms=terms
-                        )
+                        result = split_improvement(terms, value, out, g)
                         pi = result.pi
                     else:
-                        if o_prime is None:
-                            o_prime = quote.out_estimate.normalized
-                        g = quote.gas_estimate if beta1 is None else quote.gas_estimate / beta1
-                        value, _ = counterfactual_value(provider, terms, quote, o_prime, g)
-                        pi = improvement(terms.p.value, value)
+                        pi = improvement(terms.p, value)
                 except EXCLUDED as exc:
                     if not pis:
                         reason = EXCLUSION_REASONS[type(exc)]
@@ -186,24 +186,11 @@ def counting_exclusions(
 def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
     """CSV rows of a pass that decomposed every offset (`decompose=None`)."""
     for row in rows:
-        if row.result is None:
-            yield [
-                row.trade.trade_id, str(row.offset), "", "", "", "", "", "true",
-                row.exclusion_reason,
-            ]
+        r = row.result
+        if r is None:
+            yield [row.trade.trade_id, str(row.offset), *[""] * 5, "true", row.exclusion_reason]
         else:
-            r = row.result
-            yield [
-                r.trade_id,
-                str(r.offset),
-                format_bps(r.pi),
-                format_bps(r.pi_routing),
-                format_bps(r.pi_gas),
-                format_bps(r.pi_fee),
-                format_bps(r.pi_remainder),
-                "false",
-                "",
-            ]
+            yield [row.trade.trade_id, str(row.offset), *map(format_bps, r), "false", ""]
 
 
 @dataclass(frozen=True, slots=True)

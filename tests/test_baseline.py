@@ -1,5 +1,6 @@
 """Baseline provider contract: replay lookup and synthetic routing."""
 
+import gc
 from decimal import Decimal
 
 import pytest
@@ -23,7 +24,8 @@ class TestReplayProvider:
     def test_returns_stored_quote_unchanged(self):
         stored = quote()
         provider = ReplayProvider(QuoteSet([stored]))
-        assert provider.quote(make_trade(), 0) is stored
+        assert provider.serve(make_trade(), 0) == (2995 * USDC, 6, Decimal(140_000))
+        assert provider.quote(make_trade(), 0) == stored
 
     def test_missing_key_unavailable(self):
         provider = ReplayProvider(QuoteSet([quote()]))
@@ -40,18 +42,17 @@ class TestReplayProvider:
     def test_adjusted_input_rescaled_linearly(self):
         provider = ReplayProvider(QuoteSet([quote(out_raw=3000 * USDC)]))
         trade = make_trade()
-        served = provider.quote(trade, 0)
-        scaled = provider.output_at(trade, served, TokenAmount(WETH // 2, 18))
-        assert scaled == TokenAmount(1500 * USDC, 6)
+        served_raw, _, _ = provider.serve(trade, 0)
+        assert provider.output_at(trade, 0, served_raw, WETH // 2) == 1500 * USDC
 
     def test_requote_is_the_floor_of_the_linear_rescale(self):
         out_raw, adjusted = 2_995_123_457, WETH - 12_345_678_901
         provider = ReplayProvider(QuoteSet([quote(out_raw=out_raw)]))
         trade = make_trade()
-        served = provider.quote(trade, 0)
-        requoted = provider.output_at(trade, served, TokenAmount(adjusted, 18))
-        assert requoted == TokenAmount(out_raw * adjusted // trade.amount_in.raw, 6)
-        assert provider.output_at(trade, served, trade.amount_in) == served.out_estimate
+        served_raw, _, _ = provider.serve(trade, 0)
+        requoted = provider.output_at(trade, 0, served_raw, adjusted)
+        assert requoted == out_raw * adjusted // trade.amount_in.raw
+        assert provider.output_at(trade, 0, served_raw, trade.amount_in.raw) == served_raw
 
 
 class TestSyntheticRouterProvider:
@@ -118,11 +119,11 @@ class TestSyntheticRouterProvider:
 
         provider.quote(trade, 2)
         assert len(calls) == 2
-        provider.output_at(trade, quotes[1], TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, 0, quotes[1].out_estimate.raw, WETH // 2)
         assert len(calls) == 3
         provider.quote(make_trade(base_fee=30 * GWEI), 1)
         assert len(calls) == 4
-        provider.output_at(trade, quotes[2], TokenAmount(WETH // 2, 18))
+        provider.output_at(trade, 1, quotes[2].out_estimate.raw, WETH // 2)
         assert len(calls) == 4
 
     def test_requote_equals_a_fresh_solve_and_hits_the_memo(self, monkeypatch):
@@ -140,27 +141,38 @@ class TestSyntheticRouterProvider:
         provider = SyntheticRouterProvider({0: pools, 1: list(pools), 2: deeper}, F_PRIME)
         trade = make_trade(amount_in=TokenAmount(25 * WETH, 18))
         adjusted = TokenAmount(25 * WETH - 4 * 10**15, 18)
-        served = [provider.quote(trade, offset) for offset in (0, 1)]
+        served = [provider.serve(trade, offset) for offset in (0, 1)]
         assert len(calls) == 1
 
-        requoted = provider.output_at(trade, served[0], adjusted)
+        requoted = provider.output_at(trade, 0, served[0][0], adjusted.raw)
         fresh = route_optimal_split(
             pools, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
         )
-        assert requoted == fresh.total_out
+        assert requoted == fresh.total_out.raw
         assert len(calls) == 2
         # the same adjusted input at an offset sharing the snapshot is served from the memo
-        assert provider.output_at(trade, served[1], adjusted) == requoted
+        assert provider.output_at(trade, 1, served[1][0], adjusted.raw) == requoted
         assert len(calls) == 2
         # so is a re-quote at the trade's own input
-        assert provider.output_at(trade, served[0], trade.amount_in) == served[1].out_estimate
+        assert provider.output_at(trade, 0, served[0][0], trade.amount_in.raw) == served[1][0]
         assert len(calls) == 2
-        # a re-quote routes over the snapshot of the quote's offset
+        # a re-quote routes over the snapshot of its offset
         fresh = route_optimal_split(
             deeper, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
         )
-        assert provider.output_at(trade, provider.quote(trade, 2), adjusted) == fresh.total_out
-        assert fresh.total_out != requoted
+        served_raw = provider.serve(trade, 2)[0]
+        assert provider.output_at(trade, 2, served_raw, adjusted.raw) == fresh.total_out.raw
+        assert fresh.total_out.raw != requoted
+
+    def test_memo_holds_no_values_the_collector_tracks(self):
+        provider = SyntheticRouterProvider(self.snapshots(scale_at=1), F_PRIME)
+        trade = make_trade(gas_internalized=True)
+        for offset in (-1, 0, 1):
+            served_raw, _, _ = provider.serve(trade, offset)
+            provider.output_at(trade, offset, served_raw, WETH // 2)
+        gc.collect()
+        assert len(provider._routes) == 4
+        assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in provider._routes.items())
 
     def test_tables_built_once_per_snapshot_and_direction(self, monkeypatch):
         from swapmeter import router
@@ -185,7 +197,6 @@ class TestSyntheticRouterProvider:
             amount = TokenAmount(WETH + k, 18) if k % 2 else TokenAmount(3000 * USDC + k, 6)
             trade = make_trade(direction=direction, amount_in=amount)
             for offset in snapshots:
-                half = TokenAmount(amount.raw // 2, amount.decimals)
-                provider.output_at(trade, provider.quote(trade, offset), half)
+                provider.output_at(trade, offset, provider.serve(trade, offset)[0], amount.raw // 2)
         assert len(builds) == 80
         assert len(set(builds)) == 80

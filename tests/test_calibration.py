@@ -8,7 +8,6 @@ import pytest
 from swapmeter.baseline import CalibratedProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias, perturbed_calibrations
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
-from swapmeter.model import TokenAmount
 
 from conftest import make_trade, replay_for
 
@@ -101,11 +100,11 @@ class TestCorrection:
     def test_requote_is_the_inner_providers(self):
         cal = fit_gas_bias([(g, Decimal(g) * Decimal("0.95")) for g in (100_000, 300_000)])
         inner = replay_for("T1", 0, 3000 * 10**6, 6, 150_000)
-        adjusted = TokenAmount(10**18 - 7 * 10**15, 18)
+        adjusted = 10**18 - 7 * 10**15
         provider = CalibratedProvider(inner, cal)
-        served = provider.quote(make_trade(), 0)
-        requoted = provider.output_at(make_trade(), served, adjusted)
-        assert requoted == inner.output_at(make_trade(), inner.quote(make_trade(), 0), adjusted)
+        served_raw = provider.serve(make_trade(), 0)[0]
+        requoted = provider.output_at(make_trade(), 0, served_raw, adjusted)
+        assert requoted == inner.output_at(make_trade(), 0, inner.serve(make_trade(), 0)[0], adjusted)
 
 
 class TestPerturbed:

@@ -542,7 +542,38 @@ class TestExitCodes:
             extra = [] if command == "calibrate" else ["--offsets=0", "--no-correction"]
             assert main([command, *base, *extra]) == 2
             assert capsys.readouterr().err == f"error: {error}\n"
-        assert not list(tmp_path.glob("o/*"))
+        # no output directory is left behind, but one that was there stays
+        assert not (tmp_path / "o").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        base[-1] = str(kept / "a" / "b")
+        assert main(["analyze", *base, "--offsets=0", "--no-correction"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(kept.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bad, baseline",
+        [("trades", "quotes"), ("trades", "pools"), ("quotes", "quotes"), ("pools", "pools")],
+    )
+    def test_calibrate_exits_partial_on_rejected_rows(
+        self, scenario_files, tmp_path, capsys, bad, baseline
+    ):
+        # calibrate printed the reject lines and exited 0
+        files = {name: tmp_path / f"{name}.csv" for name in ("trades", baseline)}
+        for name, path in files.items():
+            lines = (scenario_files / f"{name}.csv").read_text().splitlines()
+            if name == bad:  # repeat the last row: a repeated trade_id or pool row
+                fields = lines[-1].split(",")
+                if name == "quotes":  # a repeated quote key is fatal, a bad field is not
+                    fields[2] = "-1"
+                lines.append(",".join(fields))
+            path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["calibrate", "--trades", str(files["trades"]),
+                   f"--{baseline}", str(files[baseline]), "--out", str(out)])
+        assert rc == 1
+        assert "reject " in capsys.readouterr().err
+        assert (out / "calibration.json").exists()
 
     @pytest.mark.parametrize("value", ["-1000000", str(2**128), str(2**64)])
     def test_overhead_gas_out_of_range_fatal(self, scenario_files, tmp_path, capsys, value):
@@ -680,7 +711,7 @@ class TestStreaming:
         capsys.readouterr()
 
         served = 0
-        quote = ReplayProvider.quote
+        serve = ReplayProvider.serve
 
         def failing(self, trade, offset):
             # a fatal provider error halfway through the 180 pairs
@@ -688,9 +719,9 @@ class TestStreaming:
             served += 1
             if served == 90:
                 raise SwapmeterError("provider failed")
-            return quote(self, trade, offset)
+            return serve(self, trade, offset)
 
-        monkeypatch.setattr(ReplayProvider, "quote", failing)
+        monkeypatch.setattr(ReplayProvider, "serve", failing)
         assert main([command, *base]) == 2
         assert capsys.readouterr().err == "error: provider failed\n"
         assert served == 90

@@ -184,8 +184,8 @@ class TestIngestQuotes:
         text = f"{self.HEADER}\nT1,0,1,6,100,prov_a\nT1,0,2,6,100,prov_b\n"
         quotes, _ = ingest_quotes(write_input(tmp_path, text))
         assert quotes.providers() == ["prov_a", "prov_b"]
-        assert quotes.get("T1", 0, "prov_a").out_estimate.raw == 1
-        assert quotes.get("T1", 0, "prov_b").out_estimate.raw == 2
+        assert quotes.table("prov_a") == {("T1", 0): (1, 6, Decimal(100))}
+        assert quotes.table("prov_b") == {("T1", 0): (2, 6, Decimal(100))}
 
     def test_orphan_flagged_during_join(self, tmp_path):
         text = f"{self.HEADER}\nT1,0,1,6,100,prov\nGHOST,0,1,6,100,prov\n"
@@ -495,7 +495,8 @@ class TestCsvJsonlParity:
             a, a_rejects = ingest_quotes(write_input(tmp, _csv_text(QUOTE_COLUMNS, rows)))
             b, b_rejects = ingest_quotes(write_input(tmp, _jsonl_text(objects), ".jsonl"))
         assert not a_rejects and not b_rejects
-        assert list(a) == list(b)
+        assert a.providers() == b.providers()
+        assert [a.table(p) for p in a.providers()] == [b.table(p) for p in b.providers()]
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

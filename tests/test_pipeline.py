@@ -9,11 +9,13 @@ every mean taken afresh from exact fractions rather than through
 `stats`: its curve and rolling rows, summary, exclusions and warnings
 must equal the pipeline's exactly. It runs on one synth scenario in
 process, and on Hypothesis-generated scenarios against the bytes that
-`swapmeter report` writes. A second test
-checks each analyze_trades row against attribute_trade and
+`swapmeter report` writes; there `swapmeter analyze`'s attribution.csv
+must also equal every pair priced on its own through attribute_trade.
+A second test checks each analyze_trades row against attribute_trade and
 counterfactual_price called for that pair alone, and two more check that
 decomposing only the anchor offset changes nothing but which rows carry
-an attribution. The last two check the streamed pass: its order equals
+an attribution; another checks that a replay pass builds no per-pair
+record. The last two check the streamed pass: its order equals
 a stable sort of rows priced one pair at a time, and its values do not
 depend on the decimal context its consumer drains it in.
 """
@@ -32,10 +34,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from swapmeter.attribution import attribute_trade, improvement
+from swapmeter.attribution import (
+    AttributionResult,
+    attribute_trade,
+    improvement,
+    split_improvement,
+)
 from swapmeter.baseline import (
     BaselineProvider,
     CalibratedProvider,
@@ -64,13 +71,19 @@ from swapmeter.ingest import (
 from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.numeric import format_bps
 from swapmeter.pipeline import (
+    ATTRIBUTION_COLUMNS,
     CURVE_COLUMNS,
     ROLLING_COLUMNS,
     analysis_pass,
     analyze_trades,
     run_aggregate,
 )
-from swapmeter.prices import counterfactual_price, realized_price
+from swapmeter.prices import (
+    DecisionVector,
+    counterfactual_price,
+    counterfactual_value,
+    realized_price,
+)
 from swapmeter.router import route_optimal_split
 from swapmeter.stats import _EXACT, weighted_mean_with_stat
 
@@ -100,20 +113,21 @@ def scenario(tmp_path_factory):
 
 
 class FreshRouter(BaselineProvider):
-    """Solves every quote's route anew; a re-quote routes the quote's snapshot directly."""
+    """Solves every quote's route anew; a re-quote routes its offset's snapshot directly."""
 
     provider_id = "fresh-router"
 
     def __init__(self, snapshots):
         self._snapshots = snapshots
 
-    def quote(self, trade, offset):
-        return SyntheticRouterProvider(self._snapshots, F_PRIME).quote(trade, offset)
+    def serve(self, trade, offset):
+        return SyntheticRouterProvider(self._snapshots, F_PRIME).serve(trade, offset)
 
-    def output_at(self, trade, quote, amount_in):
+    def output_at(self, trade, offset, out_raw, amount_raw):
         gas_price = D(trade.gas.base_fee) + F_PRIME
-        pools = self._snapshots[quote.offset]
-        return route_optimal_split(pools, amount_in, trade.direction, gas_price).total_out
+        amount = TokenAmount(amount_raw, trade.amount_in.decimals)
+        route = route_optimal_split(self._snapshots[offset], amount, trade.direction, gas_price)
+        return route.total_out.raw
 
 
 def _drifted(snapshots):
@@ -320,6 +334,13 @@ _POOLS = [
 _CALIBRATIONS = [None, ("0.95", "0"), ("0.95", "0.05"), ("0.95", "0.5")]
 
 
+def _shaped(k, shape, **kwargs):
+    """Trade T<k> of one of the `_SHAPES`."""
+    direction, internalized, amount_in, amount_out = _SHAPES[shape]
+    return make_trade(f"T{k}", direction=direction, gas_internalized=internalized,
+                      amount_in=amount_in, amount_out=amount_out, **kwargs)
+
+
 class Scenario(NamedTuple):
     trades: list
     offsets: list
@@ -335,16 +356,11 @@ class Scenario(NamedTuple):
 def _scenarios(draw):
     trades = []
     for k in range(draw(st.integers(3, 8))):
-        shape = draw(st.sampled_from(list(_SHAPES)))
-        direction, internalized, amount_in, amount_out = _SHAPES[shape]
-        trades.append(make_trade(
-            f"T{k}",
+        trades.append(_shaped(
+            k,
+            draw(st.sampled_from(list(_SHAPES))),
             interface=draw(st.sampled_from(["Uniswap", "1inch"])),
             path=draw(st.sampled_from(["Classic", "X"])),
-            direction=direction,
-            gas_internalized=internalized,
-            amount_in=amount_in,
-            amount_out=amount_out,
             usd_value=D(draw(st.sampled_from(["0", "500", "1200.5", "3000"]))),  # ties, zeros
         ))
     offsets = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
@@ -408,16 +424,59 @@ def _write_inputs(root: Path, sc: Scenario) -> list[str]:
     return args + ["--calibration", str(root / "cal.json")]
 
 
+# Scenarios every run covers. Replay: at beta1 = 0.95, 195,000 quoted gas
+# makes IN-X-SMALL's adjusted input and OUT-SMALL's baseline price
+# non-positive; T3 has no quote at offset 1. Router: internalized WETH-in
+# trades re-quoted over drifted snapshots, and an offset with none.
+_BAND = GasCalibration(D("0.95"), D("0.05"), 20, D(1), D(0))
+_REPLAY_TRADES = [_shaped(k, shape, path="Classic" if k % 2 else "X")
+                  for k, shape in enumerate(["IN", "IN-X", "IN-X-SMALL", "OUT-SMALL", "OUT-X"])]
+_COVERED = [
+    Scenario(
+        _REPLAY_TRADES, [0, 1],
+        [Quote(t.trade_id, o, TokenAmount(t.amount_out.raw * 9_990 // 10_000,
+                                          t.amount_out.decimals), D(195_000), "prov")
+         for t in _REPLAY_TRADES for o in (0, 1) if (t.trade_id, o) != ("T3", 1)],
+        {}, _BAND, 1, 3, 1,
+    ),
+    Scenario(
+        [_shaped(k, shape) for k, shape in enumerate(["IN-X", "IN", "IN-X-SMALL", "OUT"])],
+        [-1, 0, 1], None, _drifted({0: _POOLS, 1: _POOLS}), _BAND, 2, 2, 1,
+    ),
+]
+
+
+def _analyze_reference(sc: Scenario, provider) -> list[list[str]]:
+    """attribution.csv's rows: each pair priced on its own by attribute_trade."""
+    beta1 = None if sc.cal is None else sc.cal.beta1
+    rows = []
+    for trade in sorted(sc.trades, key=lambda t: t.trade_id):
+        for offset in sorted(sc.offsets):
+            try:
+                res = attribute_trade(trade, provider, offset, F_PRIME, beta1=beta1)
+            except EXCLUDED as exc:
+                cells = ["", "", "", "", "", "true", EXCLUSION_REASONS[type(exc)]]
+            else:
+                parts = (res.pi, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
+                cells = [*map(format_bps, parts), "false", ""]
+            rows.append([trade.trade_id, str(offset), *cells])
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(_scenarios())
+@example(_COVERED[0])
+@example(_COVERED[1])
 def test_report_bytes_equal_the_reference_over_scenarios(sc):
-    """`report`'s curve.csv, rolling.csv, summary.json and warnings, byte for byte.
+    """`report`'s curve.csv, rolling.csv, summary.json and warnings, byte for byte,
+    and `analyze`'s attribution.csv.
 
     Scenarios cover offsets without 0 (the anchor moves), odd and even
     windows with stride up to 3 and the window clamp, tied and zero USD
-    weights, pairs without a quote or snapshot, non-positive adjusted
-    inputs, SE = 0 and a lower slope clamped at k*SE >= beta1, with replay
-    quotes and with the router over shared or drifted snapshots.
+    weights, pairs without a quote or snapshot, internalized WETH-in
+    re-quotes, non-positive adjusted inputs and baseline prices, SE = 0 and
+    a lower slope clamped at k*SE >= beta1, with replay quotes and with the
+    router over shared or drifted snapshots.
     """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -427,11 +486,20 @@ def test_report_bytes_equal_the_reference_over_scenarios(sc):
             rc = main(args)
         said = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
         out = {p.name: p.read_text() for p in (root / "out").glob("*")}
+        analyze = ["analyze", *args[1:]]
+        analyze[analyze.index("--out") + 1] = str(root / "a")
+        analyze_rc = main(analyze)
+        attribution = (root / "a" / "attribution.csv").read_text()
 
     if sc.quotes is None:
         provider = FreshRouter(sc.snapshots)
     else:
         provider = ReplayProvider(QuoteSet(sc.quotes))
+    rows = _analyze_reference(sc, provider)
+    assert analyze_rc == (1 if any(row[7] == "true" for row in rows) else 0)
+    stamp = attribution.splitlines()[0]
+    assert attribution == _csv_text(stamp, ATTRIBUTION_COLUMNS, rows)
+
     expected = _three_pass_reference(
         sc.trades, provider, sc.cal, sc.offsets, sc.window, sc.stride, sc.multiplier
     )
@@ -465,7 +533,7 @@ def _replay(quotes):
 
 
 def test_rows_equal_pricing_each_pair_on_its_own():
-    """Each row equals attribute_trade and counterfactual_price run on their own.
+    """Each row's five values equal attribute_trade's and counterfactual_price's on their own.
 
     One trade per direction x gas-internalization case, plus an internalized
     WETH-in trade whose gas-adjusted input is positive except at the lower
@@ -517,13 +585,11 @@ def test_rows_equal_pricing_each_pair_on_its_own():
     for row in rows:
         trade, offset = row.trade, row.offset
         try:
-            quote = provider.quote(trade, offset)
-            expected = attribute_trade(
-                trade, provider, offset, F_PRIME, quote=quote, beta1=cal.beta1
-            )
+            res = attribute_trade(trade, provider, offset, F_PRIME, beta1=cal.beta1)
         except EXCLUDED as exc:
             expected, reason = None, EXCLUSION_REASONS[type(exc)]
         else:
+            expected = (res.pi, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
             reason = None
         assert (row.result, row.exclusion_reason) == (expected, reason)
         for got, slope in zip((row.pi_upper, row.pi_lower), shifted):
@@ -642,21 +708,55 @@ def test_anchor_only_decomposition_equals_the_full_pass(calibrated):
 @pytest.mark.parametrize("offsets, anchor", [(OFFSETS, 0), ([1, -1], -1)])
 def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offsets, anchor):
     root, trades = scenario
-    decomposed = []
+    priced, decomposed = [], []
 
-    def counting(trade, provider, offset, *args, **kwargs):
-        decomposed.append(offset)
-        return attribute_trade(trade, provider, offset, *args, **kwargs)
+    def pricing(provider, terms, offset, *args):
+        priced.append(offset)
+        return counterfactual_value(provider, terms, offset, *args)
 
-    monkeypatch.setattr("swapmeter.pipeline.attribute_trade", counting)
+    def splitting(*args):
+        decomposed.append(priced[-1])  # the split follows the pricing of its pair
+        return split_improvement(*args)
+
+    monkeypatch.setattr("swapmeter.pipeline.counterfactual_value", pricing)
+    monkeypatch.setattr("swapmeter.pipeline.split_improvement", splitting)
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     report = run_aggregate(
         trades, _provider(root, "quotes"), cal, offsets, F_PRIME, WINDOW,
         sys_multiplier=MULTIPLIER,
     )
     assert report.anchor_offset == anchor
+    assert Counter(priced) == {offset: 3 * len(trades) for offset in offsets}  # three slopes
     assert decomposed == [anchor] * len(trades)
     assert {p.offset for p in report.curves} == set(offsets)
+
+
+def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):
+    """The pass prices served values: no Quote, DecisionVector or AttributionResult is built."""
+    root, trades = scenario
+    built = Counter()
+
+    def counting(cls, method):
+        original = getattr(cls, method)
+
+        def counted(*args, **kwargs):
+            built[cls.__name__] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    counting(Quote, "__init__")
+    counting(DecisionVector, "__init__")
+    counting(AttributionResult, "__new__")
+    provider = _provider(root, "quotes")
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, perturbed_calibrations(cal))
+    assert sum(r.result is not None for r in rows) == len(trades) * len(OFFSETS)
+    assert built == {}
+    # the counters see the records the wrappers build
+    attribute_trade(trades[0], provider, 0, F_PRIME)
+    provider.quote(trades[0], 0)
+    assert built == {"Quote": 1, "DecisionVector": 2, "AttributionResult": 1}
 
 
 def _streamed_trade(trade_id, internalized, scale):
@@ -767,13 +867,13 @@ class WithholdingProvider(BaselineProvider):
     def __init__(self, inner, trade_id, offset):
         self._inner, self._missing = inner, (trade_id, offset)
 
-    def quote(self, trade, offset):
+    def serve(self, trade, offset):
         if (trade.trade_id, offset) == self._missing:
             raise QuoteUnavailable(trade.trade_id, offset)
-        return self._inner.quote(trade, offset)
+        return self._inner.serve(trade, offset)
 
-    def output_at(self, trade, quote, amount_in):
-        return self._inner.output_at(trade, quote, amount_in)
+    def output_at(self, trade, offset, out_raw, amount_raw):
+        return self._inner.output_at(trade, offset, out_raw, amount_raw)
 
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools"])

@@ -137,6 +137,8 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
     try:
         with _reading(path), open(path, "r", encoding="utf-8") as fh:
             return GasCalibration.from_dict(json.load(fh))
+    except RecursionError:
+        raise SwapmeterError(f"bad calibration report {path}: JSON nested too deeply") from None
     except (ValueError, ConfigError) as exc:  # json.JSONDecodeError is a ValueError
         raise SwapmeterError(f"bad calibration report {path}: {exc}") from exc
 

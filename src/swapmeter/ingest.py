@@ -264,6 +264,9 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
                 except ValueError as exc:  # an integer literal past int()'s digit limit
                     yield n, f"invalid JSON: {exc}"
                     continue
+                except RecursionError:
+                    yield n, "invalid JSON: nested too deeply"
+                    continue
                 if not isinstance(obj, dict):
                     yield n, "JSONL line must be an object"
                     continue
@@ -274,14 +277,25 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
                 yield n, [obj.get(c) for c in columns]
         else:
             reader = csv.reader(lines)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise IngestError(f"bad header: {exc}") from None
             if header is None:
                 raise EmptyInput("input has no rows")
             if header != columns:
                 raise IngestError(
                     f"bad header: expected {','.join(columns)!r}, got {','.join(header)!r}"
                 )
-            for record in reader:
+            while True:
+                try:
+                    record = next(reader, None)
+                except csv.Error as exc:  # e.g. a field past the reader's size limit
+                    n += 1  # the reader goes on with the next line
+                    yield n, f"invalid CSV: {exc}"
+                    continue
+                if record is None:
+                    break
                 if len(record) <= 1 and not "".join(record).strip():
                     continue  # a blank line
                 n += 1

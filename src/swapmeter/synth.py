@@ -175,6 +175,8 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+        except RecursionError:
+            raise InvalidSpec("cannot read scenario file: JSON nested too deeply") from None
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"cannot read scenario file: {exc}") from exc
     else:

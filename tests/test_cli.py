@@ -360,10 +360,12 @@ class TestExitCodes:
                 "cannot convert float infinity to integer",
             ),
             ('{"n_points": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+            # RecursionError used to end the run in a traceback (exit 1)
+            ("[" * 3000, "JSON nested too deeply"),
         ],
         ids=[
             "corrupt", "missing-key", "not-an-object", "nan", "not-a-decimal",
-            "infinite-count", "overlong-int-literal",
+            "infinite-count", "overlong-int-literal", "deep-json",
         ],
     )
     def test_bad_calibration_report_fatal(self, scenario_files, tmp_path, capsys, text, reason):

@@ -404,6 +404,34 @@ class TestRejectReasons:
         assert _ingest_rejects(schema, write_input(tmp_path, text, f".{kind}")) == expected
 
 
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
+    def test_a_field_past_the_csv_limit_is_a_reject(self, schema, tmp_path):
+        # csv.Error used to end the run in a traceback (exit 1)
+        columns = SCHEMA_COLUMNS[schema]
+        rows = [_valid_row(schema, 1), _valid_row(schema, 2), _valid_row(schema, 3)]
+        rows[1][2] = "1" * 200_000
+        text = "".join(",".join(row) + "\n" for row in [columns, *rows])
+        path = write_input(tmp_path, text)
+        assert _ingest_rejects(schema, path) == [
+            (2, "invalid CSV: field larger than field limit (131072)")
+        ]
+        if schema == "trades":
+            accepted = len(ingest_trades(path).records)
+        elif schema == "quotes":
+            accepted = len(ingest_quotes(path)[0])
+        else:
+            accepted = sum(map(len, ingest_pool_snapshots(path)[0].values()))
+        assert accepted == 2  # the rows on either side of the long one
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
+    def test_json_nested_past_the_recursion_limit_is_a_reject(self, schema, tmp_path):
+        # RecursionError used to end the run in a traceback (exit 1)
+        columns = SCHEMA_COLUMNS[schema]
+        lines = ["[" * 3000, json.dumps(dict(zip(columns, _valid_row(schema, 1))))]
+        path = write_input(tmp_path, "\n".join(lines) + "\n", ".jsonl")
+        assert _ingest_rejects(schema, path) == [(1, "invalid JSON: nested too deeply")]
+
+
 # ---------------------------------------------------------------------------
 # CSV/JSONL parity and model guards
 

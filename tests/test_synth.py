@@ -49,6 +49,13 @@ class TestLoadScenario:
         with pytest.raises(InvalidSpec):
             load_scenario(tmp_path / "nope.json")
 
+    def test_json_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
+        # RecursionError used to end the run in a traceback (exit 1)
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 3000)
+        assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: cannot read scenario file: JSON nested too deeply\n"
+
 
 def _pool(**overrides):
     pool = {"pool_id": "P", "reserve_weth": "100", "reserve_token": "300000",

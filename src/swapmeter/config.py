@@ -112,6 +112,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError("cannot read config file: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -177,7 +177,10 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
                 raw = json.load(fh)
         except RecursionError:
             raise InvalidSpec("cannot read scenario file: JSON nested too deeply") from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except UnicodeDecodeError:
+            raise InvalidSpec("cannot read scenario file: not UTF-8 text") from None
+        # json.JSONDecodeError is a ValueError, as is an integer literal past int()'s digit limit
+        except (OSError, ValueError) as exc:
             raise InvalidSpec(f"cannot read scenario file: {exc}") from exc
     else:
         raw = dict(source)

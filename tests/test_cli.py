@@ -317,6 +317,13 @@ class TestExitCodes:
         assert f"error: cannot read {bad}: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_file_fatal(self, tmp_path, capsys):
+        # a UnicodeDecodeError used to end the run in a traceback (exit 1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"window = \xff20\n")
+        assert main(["analyze", "--config", str(cfg), "--trades", "t.csv", "--quotes", "q.csv"]) == 2
+        assert capsys.readouterr().err == "error: cannot read config file: not UTF-8 text\n"
+
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_unwritable_out_fatal(self, scenario_files, tmp_path, capsys, command):
         blocker = tmp_path / "file"

@@ -56,6 +56,21 @@ class TestLoadScenario:
         assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: cannot read scenario file: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b'{"seed": 1\xff}', "not UTF-8 text"),
+            (b'{"seed": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not-utf8", "overlong-int-literal"],
+    )
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, data, reason):
+        # a UnicodeDecodeError or ValueError used to end the run in a traceback (exit 1)
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(data)
+        assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read scenario file: {reason}")
+
 
 def _pool(**overrides):
     pool = {"pool_id": "P", "reserve_weth": "100", "reserve_token": "300000",

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import Decimal, Overflow
 from typing import Iterable
 
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
+from swapmeter.numeric import finite_number, integer
 
 # Bounds of the slope beta1 and of its standard error: estimated gas from
 # 1e-18 to 1e18 times realized gas. Far inside them, g'/beta1 * (b+f') and
@@ -59,26 +60,16 @@ class GasCalibration:
             raise ConfigError("expected a JSON object")
         try:
             return cls(
-                beta1=_finite(d["beta1"]),
-                beta1_se=_finite(d["beta1_se"]),
-                n_points=int(d["n_points"]),
-                residual_mean=_finite(d["residual_mean"]),
-                residual_stddev=_finite(d["residual_stddev"]),
+                beta1=finite_number(d["beta1"], "beta1"),
+                beta1_se=finite_number(d["beta1_se"], "beta1_se"),
+                n_points=integer(d["n_points"], "n_points"),
+                residual_mean=finite_number(d["residual_mean"], "residual_mean"),
+                residual_stddev=finite_number(d["residual_stddev"], "residual_stddev"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-
-def _finite(value) -> Decimal:
-    try:
-        number = Decimal(value)
-    except (TypeError, ValueError, InvalidOperation):
-        raise ValueError(f"{value!r} is not a decimal number") from None
-    if not number.is_finite():
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
 
 
 def fit_gas_bias(pairs: Iterable[tuple[int | Decimal, Decimal]]) -> GasCalibration:

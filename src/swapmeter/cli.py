@@ -42,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--offsets", help="block offsets, e.g. -4..3 or 0,1")
     parser.add_argument("--f-prime-wei", dest="f_prime_wei", help="baseline priority fee (wei/gas)")
-    parser.add_argument("--window", type=int, help="rolling window size")
+    parser.add_argument("--window", help="rolling window size")
     parser.add_argument("--strict", action="store_const", const=True, help="fail on first bad row")
     parser.add_argument(
         "--no-correction",

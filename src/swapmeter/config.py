@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from swapmeter.errors import ConfigError
 from swapmeter.model import MAX_UINT64, MAX_UINT128
+from swapmeter.numeric import finite_number, integer, spelled
 
 DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
@@ -92,13 +94,13 @@ def parse_offsets(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = integer(lo_s, "offsets"), integer(hi_s, "offsets")
             if hi < lo:
                 raise ConfigError(f"bad offset range {text!r}: end before start")
             if hi - lo >= MAX_OFFSETS:
                 raise ConfigError(f"bad offset range {text!r}: over {MAX_OFFSETS} offsets")
             return tuple(range(lo, hi + 1))
-        offsets = tuple(int(part) for part in text.split(","))
+        offsets = tuple(integer(part, "offsets") for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse offsets {text!r}") from None
     _check_offsets(offsets)
@@ -125,11 +127,20 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-_BOOL_KEYS = {"strict", "no_correction"}
-_INT_KEYS = {"window", "stride", "overhead_gas"}
-_DECIMAL_KEYS = {"f_prime_wei", "sys_multiplier"}
-_PATH_KEYS = {"trades_path", "quotes_path", "pools_path", "out_dir", "calibration_path"}
-_STR_KEYS = _PATH_KEYS | {"calibration_filter"}
+# Config takes 1/yes/0/no as booleans too, where ingest takes only true/false.
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# Each typed key's value rule, and what a refusal says the key expected.
+_TYPED_KEYS = {
+    **dict.fromkeys(
+        ("strict", "no_correction"),
+        (partial(spelled, spellings=_BOOLEANS, expected="a boolean"), "a boolean"),
+    ),
+    **dict.fromkeys(("window", "stride", "overhead_gas"), (integer, "an integer")),
+    **dict.fromkeys(("f_prime_wei", "sys_multiplier"), (finite_number, "a finite decimal")),
+}
+_STR_KEYS = {
+    "trades_path", "quotes_path", "pools_path", "out_dir", "calibration_path", "calibration_filter"
+}
 
 # CLI/file spellings -> RunConfig field names
 _ALIASES = {
@@ -144,28 +155,12 @@ _ALIASES = {
 def _coerce(key: str, value) -> object:
     if key == "offsets":
         return parse_offsets(value) if isinstance(value, str) else tuple(value)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
-        v = str(value).strip().lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
+    if key in _TYPED_KEYS:
+        rule, expected = _TYPED_KEYS[key]
         try:
-            return int(str(value))
+            return rule(value, key)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    if key in _DECIMAL_KEYS:
-        try:
-            number = Decimal(str(value))
-        except InvalidOperation:
-            raise ConfigError(f"{key}: expected a decimal, got {value!r}") from None
-        if not number.is_finite():
-            raise ConfigError(f"{key}: expected a finite decimal, got {value!r}")
-        return number
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
     if key in _STR_KEYS:
         return str(value)
     raise ConfigError(f"unknown config key {key!r}")

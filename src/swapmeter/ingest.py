@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -31,6 +31,7 @@ from swapmeter.model import (
     check_amount,
     check_gas_estimate,
 )
+from swapmeter.numeric import finite_number, integer, spelled, uint
 
 TRADE_COLUMNS = [
     "trade_id",
@@ -128,61 +129,13 @@ class QuoteSet:
 
 
 # ---------------------------------------------------------------------------
-# field parsers: each checks a raw CSV or JSONL value's type and sign, naming
-# the column; the model's __post_init__ checks ranges, for direct
-# construction too.
+# row builders: numeric's value rules check each raw CSV or JSONL value's
+# type and sign, naming the column; the model's __post_init__ checks
+# ranges, for direct construction too.
 
-
-def _uint(value, name: str) -> int:
-    if type(value) is str and value.isdigit():
-        return int(value)
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an unsigned integer")
-    if isinstance(value, int):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative")
-        return value
-    s = str(value).strip()
-    if not s.isdigit():
-        raise ValueError(f"{name} must be an unsigned base-10 integer")
-    return int(s)
-
-
-def _int(value, name: str) -> int:
-    # int() strips surrounding whitespace itself
-    try:
-        return int(value if type(value) is str else str(value))
-    except ValueError:
-        raise ValueError(f"{name} must be an integer") from None
-
-
-def _nonneg_decimal(value, name: str) -> Decimal:
-    # Decimal() strips surrounding whitespace itself
-    try:
-        d = Decimal(value if type(value) is str else str(value))
-    except InvalidOperation:
-        raise ValueError(f"{name} must be a decimal number") from None
-    if not d.is_finite() or d < 0:
-        raise ValueError(f"{name} must be a finite nonnegative decimal")
-    return d
-
-
-def _bool(value, name: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    s = str(value).strip().lower()
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    raise ValueError(f"{name} must be 'true' or 'false'")
-
-
-def _direction(value) -> Direction:
-    try:
-        return Direction(str(value).strip())
-    except ValueError:
-        raise ValueError("direction must be WETH_IN or WETH_OUT") from None
+# Ingest takes only true/false as booleans (any case); config also takes 1/yes/0/no.
+_BOOLEANS = {"true": True, "false": False}
+_DIRECTIONS = {d.value: d for d in Direction}
 
 
 def _build_trade(row: list, require_usd: bool) -> TradeRecord:
@@ -196,45 +149,45 @@ def _build_trade(row: list, require_usd: bool) -> TradeRecord:
             raise ValueError("usd_value missing (required for aggregate runs)")
         usd = None
     else:
-        usd = _nonneg_decimal(usd_value, "usd_value")
+        usd = finite_number(usd_value, "usd_value", nonnegative=True)
     return TradeRecord(
         str(trade_id).strip(),
         canonical_interface(str(interface)),
         canonical_path(str(path)),
-        _uint(block_number, "block_number"),
-        _direction(direction),
-        _bool(gas_internalized, "gas_internalized"),
-        TokenAmount(_uint(in_raw, "amount_in_raw"), _uint(in_decimals, "amount_in_decimals")),
-        TokenAmount(_uint(out_raw, "amount_out_raw"), _uint(out_decimals, "amount_out_decimals")),
+        uint(block_number, "block_number"),
+        spelled(direction, "direction", _DIRECTIONS, "WETH_IN or WETH_OUT"),
+        spelled(gas_internalized, "gas_internalized", _BOOLEANS, "'true' or 'false'"),
+        TokenAmount(uint(in_raw, "amount_in_raw"), uint(in_decimals, "amount_in_decimals")),
+        TokenAmount(uint(out_raw, "amount_out_raw"), uint(out_decimals, "amount_out_decimals")),
         GasTerms(
-            _uint(gas_used, "gas_used"),
-            _uint(base_fee, "base_fee_wei"),
-            _uint(priority_fee, "priority_fee_wei"),
+            uint(gas_used, "gas_used"),
+            uint(base_fee, "base_fee_wei"),
+            uint(priority_fee, "priority_fee_wei"),
         ),
         usd,
-        _int(timestamp, "timestamp"),
+        integer(timestamp, "timestamp"),
     )
 
 
 def _build_quote(row: list) -> tuple[str, int, str, tuple[int, int, Decimal]]:
     """(trade_id, offset, provider_id, (out raw, out decimals, gas)), checked as a `Quote`."""
     trade_id, offset, out_raw, out_decimals, gas_estimate, provider_id = row
-    trade_id, offset = str(trade_id).strip(), _int(offset, "offset")
-    raw, decimals = _uint(out_raw, "out_estimate_raw"), _uint(out_decimals, "out_estimate_decimals")
+    trade_id, offset = str(trade_id).strip(), integer(offset, "offset")
+    raw, decimals = uint(out_raw, "out_estimate_raw"), uint(out_decimals, "out_estimate_decimals")
     check_amount(raw, decimals)
-    gas = _nonneg_decimal(gas_estimate, "gas_estimate")
+    gas = finite_number(gas_estimate, "gas_estimate", nonnegative=True)
     check_gas_estimate(gas)
     return trade_id, offset, str(provider_id).strip(), (raw, decimals, gas)
 
 
 def _build_pool(row: list) -> tuple[int, Pool]:
     offset, pool_id, weth_raw, token_raw, token_decimals, fee_bps, gas_per_hop = row
-    return _int(offset, "offset"), Pool(
+    return integer(offset, "offset"), Pool(
         str(pool_id).strip(),
-        TokenAmount(_uint(weth_raw, "reserve_weth_raw"), 18),
-        TokenAmount(_uint(token_raw, "reserve_token_raw"), _uint(token_decimals, "token_decimals")),
-        _int(fee_bps, "fee_bps"),
-        _uint(gas_per_hop, "gas_per_hop"),
+        TokenAmount(uint(weth_raw, "reserve_weth_raw"), 18),
+        TokenAmount(uint(token_raw, "reserve_token_raw"), uint(token_decimals, "token_decimals")),
+        integer(fee_bps, "fee_bps"),
+        uint(gas_per_hop, "gas_per_hop"),
     )
 
 

@@ -1,4 +1,4 @@
-"""Decimal arithmetic policy shared by the whole toolkit.
+"""Decimal arithmetic policy shared by the whole toolkit, and the value rules.
 
 Onchain quantities (token amounts, gas, wei fees) stay exact integers in
 base units; division only happens at price computation, in decimal
@@ -8,9 +8,14 @@ division and sqrt round there. The policy is installed once at import
 time so every module computes in the same context and results are
 bit-reproducible. Code that can run inside a caller's other context,
 such as a generator its consumer drains, enters `POLICY` itself.
+
+Every number, boolean and direction read from a file or flag goes
+through one of the value rules below: each takes a text or JSON value
+and its field's name, and raises a ValueError naming the field.
 """
 
 import decimal
+import math
 from decimal import Decimal
 
 PRECISION = 60
@@ -25,6 +30,7 @@ BPS_FACTOR = Decimal(10) ** 4
 # Reports quantize bps values to 4 decimal places; internal values are
 # never rounded.
 _BPS_QUANTUM = Decimal("0.0001")
+_NUMBER_KIND = {Decimal: "a decimal", float: "a finite"}
 
 
 def format_bps(x: Decimal) -> str:
@@ -36,3 +42,50 @@ def format_bps(x: Decimal) -> str:
         context = decimal.getcontext().copy()
         context.prec = bps.adjusted() + 5  # the integer digits and 4 decimals
         return str(bps.quantize(_BPS_QUANTUM, context=context))
+
+
+def integer(value, name: str) -> int:
+    """A JSON integer, or any text int() takes (a sign, '_', spaces); a bool or float is refused."""
+    try:
+        return int(value if type(value) is str else str(value))
+    except ValueError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def uint(value, name: str) -> int:
+    """A JSON integer >= 0, or decimal digits with surrounding spaces; a bool is refused."""
+    if type(value) is str and value.isdecimal():  # a clean CSV field
+        return int(value)
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an unsigned integer")
+    if isinstance(value, int):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+        return value
+    text = str(value).strip()
+    if not text.isdecimal():
+        raise ValueError(f"{name} must be an unsigned base-10 integer")
+    return int(text)
+
+
+def finite_number(value, name: str, kind=Decimal, nonnegative: bool = False):
+    """A finite Decimal, or float, read from the text of `value`; a bool or null is refused."""
+    try:
+        number = kind(value if type(value) is str else str(value))
+    except (ValueError, ArithmeticError):
+        raise ValueError(f"{name} must be {_NUMBER_KIND[kind]} number") from None
+    finite = number.is_finite() if kind is Decimal else math.isfinite(number)
+    if nonnegative and not (finite and number >= 0):
+        raise ValueError(f"{name} must be a finite nonnegative decimal")
+    if not finite:
+        raise ValueError(f"{name} must be a finite number")
+    return number
+
+
+def spelled(value, name: str, spellings: dict, expected: str):
+    """What `spellings` maps the stripped text of `value` to; lower-case keys match any case."""
+    text = str(value).strip()
+    for key in (text, text.lower()):
+        if key in spellings:
+            return spellings[key]
+    raise ValueError(f"{name} must be {expected}")

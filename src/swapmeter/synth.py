@@ -38,6 +38,7 @@ from swapmeter.model import (
     TokenAmount,
     TradeRecord,
 )
+from swapmeter.numeric import finite_number, integer
 from swapmeter.output import write_csv
 from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 
@@ -117,30 +118,17 @@ class GeneratedScenario:
     quotes_path: Path
 
 
-def _integer(name: str, value) -> int:
-    """A JSON integer or base-10 integer string as an int; a bool or float is refused."""
-    if isinstance(value, (bool, float)):
-        raise InvalidSpec(f"bad scenario field: {name} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _number(name: str, value, kind: type[float] | type[Decimal] = float):
-    """A JSON number or numeric string as a finite `kind`; NaN, infinities and text are refused."""
+def _field(name: str, value, kind: type = float):
+    """Field `name` as an int, float or Decimal; a refusal names the field and its JSON value."""
     try:
-        number = kind(str(value))
-        finite = number.is_finite() if kind is Decimal else math.isfinite(number)
-    except (ValueError, ArithmeticError):
-        finite = False
-    if not finite:
-        raise InvalidSpec(
-            f"bad scenario field: {name} must be a finite number, got {json.dumps(value)}"
-        )
-    return number
+        return integer(value, name) if kind is int else finite_number(value, name, kind)
+    except ValueError as exc:
+        raise InvalidSpec(f"bad scenario field: {exc}, got {json.dumps(value)}") from None
 
 
 def _reserve(name: str, value, decimals: int) -> Decimal:
     """A positive reserve in whole tokens, scaled to base units below 10^RAW_DIGITS."""
-    amount = _number(name, value, Decimal)
+    amount = _field(name, value, Decimal)
     bound = RAW_DIGITS - decimals
     if amount <= 0 or amount.adjusted() >= bound:
         raise InvalidSpec(
@@ -151,7 +139,7 @@ def _reserve(name: str, value, decimals: int) -> Decimal:
 
 def _pool_from_dict(d: dict) -> Pool:
     weth = _reserve("reserve_weth", d["reserve_weth"], 18)
-    token_decimals = _integer("token_decimals", d["token_decimals"])
+    token_decimals = _field("token_decimals", d["token_decimals"], int)
     if not 0 <= token_decimals <= MAX_DECIMALS:
         raise InvalidSpec(
             f"bad scenario field: token_decimals must be in [0, {MAX_DECIMALS}],"
@@ -164,8 +152,8 @@ def _pool_from_dict(d: dict) -> Pool:
         pool_id=str(d["pool_id"]),
         reserve_weth=TokenAmount(int(weth), 18),
         reserve_token=TokenAmount(int(token), token_decimals),
-        fee_bps=_integer("fee_bps", d["fee_bps"]),
-        gas_per_hop=_integer("gas_per_hop", d["gas_per_hop"]),
+        fee_bps=_field("fee_bps", d["fee_bps"], int),
+        gas_per_hop=_field("gas_per_hop", d["gas_per_hop"], int),
     )
 
 
@@ -188,34 +176,34 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
         raise InvalidSpec("scenario spec must be a JSON object")
 
     try:
-        seed = _integer("seed", raw.get("seed", 0))
-        n_trades = _integer("n_trades", raw.get("n_trades", 100))
+        seed = _field("seed", raw.get("seed", 0), int)
+        n_trades = _field("n_trades", raw.get("n_trades", 100), int)
         dist = raw.get("size_distribution", {})
         if dist.get("type", "log_uniform") != "log_uniform":
             raise InvalidSpec(f"unsupported size distribution {dist.get('type')!r}")
-        size_min = _number("min_usd", dist.get("min_usd", 500))
-        size_max = _number("max_usd", dist.get("max_usd", 250_000))
+        size_min = _field("min_usd", dist.get("min_usd", 500))
+        size_max = _field("max_usd", dist.get("max_usd", 250_000))
         mix_raw = raw.get("path_mix", {"Classic": 1.0})
-        path_mix = tuple((str(k), _number("path_mix", v)) for k, v in mix_raw.items())
-        bonus_bps = _number(
+        path_mix = tuple((str(k), _field("path_mix", v)) for k, v in mix_raw.items())
+        bonus_bps = _field(
             "ofa_liquidity_bonus_bps", raw.get("ofa_liquidity_bonus_bps", "0"), Decimal
         )
         gate = raw.get("bonus_min_usd")
-        bonus_min = None if gate in (None, "") else _number("bonus_min_usd", gate, Decimal)
-        weth_in_fraction = _number("weth_in_fraction", raw.get("weth_in_fraction", 0.5))
-        noise_bps = _number("execution_noise_bps", raw.get("execution_noise_bps", 0.5))
+        bonus_min = None if gate in (None, "") else _field("bonus_min_usd", gate, Decimal)
+        weth_in_fraction = _field("weth_in_fraction", raw.get("weth_in_fraction", 0.5))
+        noise_bps = _field("execution_noise_bps", raw.get("execution_noise_bps", 0.5))
         base_fee = raw.get("base_fee_gwei", ["15", "25"])
-        bf_lo, bf_hi = (_number("base_fee_gwei", x) for x in base_fee)
+        bf_lo, bf_hi = (_field("base_fee_gwei", x) for x in base_fee)
         profiles = {}
         prof_raw = raw.get("gas_profiles", {})
         for path, _ in path_mix:
             p = {**_DEFAULT_PROFILE, **prof_raw.get(path, {})}
-            lo, hi = (_number("priority_fee_gwei", x) for x in p["priority_fee_gwei"])
-            profiles[path] = GasProfile(_number("gas_noise_rel", p["gas_noise_rel"]), (lo, hi))
+            lo, hi = (_field("priority_fee_gwei", x) for x in p["priority_fee_gwei"])
+            profiles[path] = GasProfile(_field("gas_noise_rel", p["gas_noise_rel"]), (lo, hi))
         pools = tuple(_pool_from_dict(d) for d in raw.get("pools", _DEFAULT_POOLS))
-        offsets = tuple(_integer("offsets", x) for x in raw.get("offsets", DEFAULT_OFFSETS))
-        f_prime = _number("f_prime_wei", raw.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
-        overhead = _integer("overhead_gas", raw.get("overhead_gas", DEFAULT_OVERHEAD_GAS))
+        offsets = tuple(_field("offsets", x, int) for x in raw.get("offsets", DEFAULT_OFFSETS))
+        f_prime = _field("f_prime_wei", raw.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
+        overhead = _field("overhead_gas", raw.get("overhead_gas", DEFAULT_OVERHEAD_GAS), int)
     except InvalidSpec:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -159,9 +159,9 @@ class TestFromDict:
     @pytest.mark.parametrize(
         "change, reason",
         [
-            ({"beta1": None}, "None is not a decimal number"),
-            ({"beta1_se": "Infinity"}, "'Infinity' is not a finite number"),
-            ({"n_points": "many"}, "invalid literal"),
+            ({"beta1": None}, "beta1 must be a decimal number"),
+            ({"beta1_se": "Infinity"}, "beta1_se must be a finite number"),
+            ({"n_points": "many"}, "n_points must be an integer"),
             ({"beta1": "-1"}, "beta1 must be positive"),
         ],
     )
@@ -169,6 +169,27 @@ class TestFromDict:
         d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), **change}
         with pytest.raises(ConfigError, match=reason):
             GasCalibration.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"n_points": 2.9}, "n_points must be an integer"),
+            ({"n_points": True}, "n_points must be an integer"),
+            ({"beta1": True}, "beta1 must be a decimal number"),
+        ],
+        ids=["float-count", "bool-count", "bool-slope"],
+    )
+    def test_bools_and_floats_are_refused(self, change, reason):
+        # n_points 2.9 used to read as 2, and beta1 true as 1
+        d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), **change}
+        with pytest.raises(ConfigError) as caught:
+            GasCalibration.from_dict(d)
+        assert str(caught.value) == reason
+
+    def test_a_json_float_reads_as_its_text(self):
+        # Decimal(0.1) used to read the float's binary expansion, 0.1000000000000000055511...
+        d = {**fit_gas_bias(noisy_pairs(3, 40)).as_dict(), "beta1_se": 0.1}
+        assert str(GasCalibration.from_dict(d).beta1_se) == "0.1"
 
     @pytest.mark.parametrize(
         "change, reason",

@@ -354,17 +354,17 @@ class TestExitCodes:
             (
                 '{"beta1": "NaN", "beta1_se": "0", "n_points": 2, '
                 '"residual_mean": "1", "residual_stddev": "0"}',
-                "'NaN' is not a finite number",
+                "beta1 must be a finite number",
             ),
             (
                 '{"beta1": "one", "beta1_se": "0", "n_points": 2, '
                 '"residual_mean": "1", "residual_stddev": "0"}',
-                "'one' is not a decimal number",
+                "beta1 must be a decimal number",
             ),
             (
                 '{"beta1": "1", "beta1_se": "0", "n_points": Infinity, '
                 '"residual_mean": "1", "residual_stddev": "0"}',
-                "cannot convert float infinity to integer",
+                "n_points must be an integer",
             ),
             ('{"n_points": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
             # RecursionError used to end the run in a traceback (exit 1)
@@ -414,6 +414,27 @@ class TestExitCodes:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["report", "--config", str(cfg), *base]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--window", "x", "window: expected an integer, got 'x'"),
+            ("--window", "2.5", "window: expected an integer, got '2.5'"),
+            ("--f-prime-wei", "x", "f_prime_wei: expected a finite decimal, got 'x'"),
+            ("--strict", "maybe", "strict: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_flag_and_config_value_read_by_one_rule(self, tmp_path, capsys, flag, value, error):
+        # --window used to go through argparse's int, with its own usage message
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        settings = [["--config", str(cfg)]]
+        if flag != "--strict":  # a flag without a value
+            settings.append([f"{flag}={value}"])
+        for setting in settings:
+            assert main(["report", "--trades", "t.csv", "--quotes", "q.csv", *setting]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_f_prime_above_uint128_fatal(self, scenario_files, tmp_path, capsys):
         base = [

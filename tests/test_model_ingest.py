@@ -297,14 +297,13 @@ BAD_JSON = (True, 7, -1)
 # Reason per bad value, formatted with the column name; None = accepted.
 _B10 = "{} must be an unsigned base-10 integer"
 _INT = "{} must be an integer"
-_SUPERSCRIPT = "invalid literal for int() with base 10: '²'"
 _DIRECTION = "direction must be WETH_IN or WETH_OUT"
 _BOOL = "{} must be 'true' or 'false'"
 _DEC = "{} must be a decimal number"
 _NONNEG_DEC = "{} must be a finite nonnegative decimal"
 TEXT = (None,) * 10
 UINT = (
-    _B10, _B10, _B10, None, _B10, _B10, _SUPERSCRIPT,
+    _B10, _B10, _B10, None, _B10, _B10, _B10,
     "{} must be an unsigned integer", None, "{} must be nonnegative",
 )
 INT = (_INT, None, _INT, None, _INT, _INT, _INT, _INT, None, None)

@@ -102,6 +102,9 @@ class TestIntegerFields:
             ({"pools": [_pool(token_decimals=6.0)]}, "token_decimals must be an integer, got 6.0"),
             ({"pools": [_pool(fee_bps=True)]}, "fee_bps must be an integer, got true"),
             ({"pools": [_pool(gas_per_hop=1.2e5)]}, "gas_per_hop must be an integer, got 120000.0"),
+            # text and null used to give Python's int() message, without the field
+            ({"n_trades": "abc"}, 'n_trades must be an integer, got "abc"'),
+            ({"n_trades": None}, "n_trades must be an integer, got null"),
         ],
     )
     def test_bools_and_floats_rejected(self, spec, message):

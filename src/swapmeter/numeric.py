@@ -55,17 +55,21 @@ def integer(value, name: str) -> int:
 def uint(value, name: str) -> int:
     """A JSON integer >= 0, or decimal digits with surrounding spaces; a bool is refused."""
     if type(value) is str and value.isdecimal():  # a clean CSV field
-        return int(value)
-    if isinstance(value, bool):
+        text = value
+    elif isinstance(value, bool):
         raise ValueError(f"{name} must be an unsigned integer")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
         return value
-    text = str(value).strip()
-    if not text.isdecimal():
-        raise ValueError(f"{name} must be an unsigned base-10 integer")
-    return int(text)
+    else:
+        text = str(value).strip()
+        if not text.isdecimal():
+            raise ValueError(f"{name} must be an unsigned base-10 integer")
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit
+        raise ValueError(f"{name} has too many digits ({len(text)})") from None
 
 
 def finite_number(value, name: str, kind=Decimal, nonnegative: bool = False):

@@ -130,7 +130,7 @@ def _failures(valid_files: dict[str, bytes], name: str, mutation: str, rnd, caps
             case = f"{argv[0]} on {name} ({mutation} at {at}; {suffix} trades, {baseline})"
             try:
                 rc = main(argv)
-            except BaseException as exc:  # noqa: BLE001 -- reported with its case
+            except (Exception, SystemExit) as exc:  # reported with its case
                 failures.append(f"{case} raised {exc!r:.300}")
                 continue
             err = capsys.readouterr().err

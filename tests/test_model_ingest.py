@@ -422,6 +422,12 @@ class TestRejectReasons:
             accepted = sum(map(len, ingest_pool_snapshots(path)[0].values()))
         assert accepted == 2  # the rows on either side of the long one
 
+    def test_digits_past_the_int_limit_name_the_column(self, tmp_path):
+        # int()'s own "Exceeds the limit (4300 digits) ..." used to be the reason
+        row = VALID_ROW.replace("1000000000000000000,18,", "1" * 5000 + ",18,", 1)
+        rejects = ingest_trades(write_input(tmp_path, csv_of(row))).rejects
+        assert [(r.line, r.reason) for r in rejects] == [(1, "amount_in_raw has too many digits (5000)")]
+
     @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
     def test_json_nested_past_the_recursion_limit_is_a_reject(self, schema, tmp_path):
         # RecursionError used to end the run in a traceback (exit 1)

@@ -59,13 +59,9 @@ def _insert_after_separator(data: bytes, at: int, run: bytes) -> bytes:
     return data[:spot] + run + data[spot:]
 
 
-def _lines(data: bytes) -> list[bytes]:
-    return data.splitlines(keepends=True)
-
-
 def _repeat_header(data: bytes, at: int) -> bytes:
     """The first line that is not a comment, repeated at a later line."""
-    lines = _lines(data) or [b""]
+    lines = data.splitlines(keepends=True) or [b""]
     first = next((i for i, line in enumerate(lines) if not line.startswith(b"#")), 0)
     spot = first + 1 + at % len(lines)
     return b"".join(lines[:spot] + [lines[first]] + lines[spot:])
@@ -74,7 +70,7 @@ def _repeat_header(data: bytes, at: int) -> bytes:
 def _swap_columns(data: bytes, at: int) -> bytes:
     """Two comma-separated pieces swapped on every line."""
     out = []
-    for line in _lines(data):
+    for line in data.splitlines(keepends=True):
         body = line.rstrip(b"\r\n")
         parts = body.split(b",")
         i, j = at % len(parts), (at // 7) % len(parts)

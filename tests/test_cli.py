@@ -92,6 +92,45 @@ class TestFlows:
         text = (out / "report.md").read_text()
         assert "path:X" in text and "by path" in text
 
+    def test_report_markdown_carries_the_curve_and_summary_cells(self, scenario_files, tmp_path):
+        out = tmp_path / "out"
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--out", str(out),
+            "--offsets=-1..1",
+        ]
+        assert main(["calibrate", *base]) == 0
+        assert main(["report", *base, "--window", "20"]) == 0
+        with open(out / "curve.csv", newline="") as fh:
+            curve = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        table, section, attribution = [], None, {}
+        for line in (out / "report.md").read_text().splitlines():
+            if line.startswith("### "):
+                section = line[4:].replace(" ", "_")
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if not line.startswith("| ") or cells[0] == "group":
+                continue
+            if section is None:
+                table.append(cells)
+            else:
+                attribution.setdefault(section, []).append(cells)
+        assert len(table) == len(curve) > 0
+        assert any(row[4] != "0.0000" for row in curve)  # the bands are not all zero
+        for cells, row in zip(table, curve):
+            group, offset, mean, sigma, upper, lower, n, _ = row
+            assert cells == [group, offset, mean, sigma, f"+{upper}/-{lower}", n]
+        assert set(attribution) == {"by_path", "by_interface"}
+        for level, rows in attribution.items():
+            assert [cells[0] for cells in rows] == list(summary[level])
+            for group, pi, routing, gas, fee, remainder, n in rows:
+                entry = summary[level][group]
+                assert [pi, routing, gas, fee, remainder, n] == [
+                    entry["pi_bps"], entry["routing_bps"], entry["gas_bps"],
+                    entry["fee_bps"], entry["remainder_bps"], str(entry["n"]),
+                ]
+
     def test_perfect_estimator_calibration(self, tmp_path):
         # quotes whose gas equals realized gas: beta1 = 1 exactly
         trades = tmp_path / "trades.csv"

@@ -25,7 +25,6 @@ from swapmeter.errors import (
 )
 from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.model import TradeRecord
-from swapmeter.numeric import format_bps
 from swapmeter.output import provenance, write_csv, write_json, write_text
 from swapmeter.synth import generate, load_scenario
 
@@ -219,14 +218,15 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         "exclusions": report.exclusions,
         "calibration": None if calibration is None else calibration.as_dict(),
     }
+    curve = pipeline.curve_csv_rows(report)
     with _writing(out):
-        write_csv(out / "curve.csv", pipeline.CURVE_COLUMNS, pipeline.curve_csv_rows(report), stamp)
+        write_csv(out / "curve.csv", pipeline.CURVE_COLUMNS, curve, stamp)
         write_csv(
             out / "rolling.csv", pipeline.ROLLING_COLUMNS, pipeline.rolling_csv_rows(report), stamp
         )
         write_json(out / "summary.json", summary, comment=stamp)
         if write_markdown:
-            write_text(out / "report.md", _render_markdown(report, stamp))
+            write_text(out / "report.md", _render_markdown(report, curve, stamp))
     return EXIT_PARTIAL if report.exclusions or n_rejects or n_bad else EXIT_OK
 
 
@@ -238,7 +238,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render_markdown(report, stamp: str) -> str:
+def _render_markdown(report, curve: list[list[str]], stamp: str) -> str:
+    """The report in markdown; `curve` is `pipeline.curve_csv_rows(report)`."""
     lines = [
         "# Price improvement report",
         "",
@@ -251,25 +252,17 @@ def _render_markdown(report, stamp: str) -> str:
         "| group | offset | mean (bps) | stat sigma | sys +/- | n |",
         "|---|---|---|---|---|---|",
     ]
-    for point in report.curves:
-        e = point.estimate
-        lines.append(
-            f"| {point.group} | {point.offset} | {format_bps(e.mean)} | "
-            f"{format_bps(e.stat_sigma)} | +{format_bps(e.sys_upper)}/-{format_bps(e.sys_lower)} "
-            f"| {e.n} |"
-        )
+    for group, offset, mean, sigma, upper, lower, n, _ in curve:
+        lines.append(f"| {group} | {offset} | {mean} | {sigma} | +{upper}/-{lower} | {n} |")
     lines += ["", "## Attribution at the anchor offset", ""]
     for level in ("by_path", "by_interface"):
         lines.append(f"### {level.replace('_', ' ')}")
         lines.append("")
         lines.append("| group | pi | routing | gas | fee | remainder | n |")
         lines.append("|---|---|---|---|---|---|---|")
-        for group, entry in report.summary.get(level, {}).items():
-            lines.append(
-                f"| {group} | {entry['pi_bps']} | {entry['routing_bps']} | "
-                f"{entry['gas_bps']} | {entry['fee_bps']} | {entry['remainder_bps']} "
-                f"| {entry['n']} |"
-            )
+        for group, e in report.summary.get(level, {}).items():
+            cells = " | ".join(e[f"{k}_bps"] for k in ("pi", "routing", "gas", "fee", "remainder"))
+            lines.append(f"| {group} | {cells} | {e['n']} |")
         lines.append("")
     if report.exclusions:
         lines.append("## Exclusions")

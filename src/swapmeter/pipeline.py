@@ -32,8 +32,9 @@ from swapmeter.stats import (
     grouped_means,
     half_width,
     rolling_by_size,
-    weighted_mean_with_stat,
 )
+# Not called here: bound for perfbench/spans.py, which traces pipeline.weighted_mean_with_stat.
+from swapmeter.stats import weighted_mean_with_stat  # noqa: F401
 
 ATTRIBUTION_COLUMNS = [
     "trade_id",
@@ -224,17 +225,16 @@ def run_aggregate(
     """One-pass aggregation with statistical and systematic uncertainty.
 
     Only the anchor offset's pairs are split into parts, for the summary;
-    the curves and the rolling series need pi alone.
+    the curves and the rolling series need pi alone. The parts are four more
+    series of the group sums, so each of the summary's means comes from the
+    same one record per group as the curve point.
     """
     anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
     shifted = None
     if calibration is not None and calibration.beta1_se > 0:
         shifted = perturbed_calibrations(calibration, sys_multiplier)
     exclusions: dict[str, int] = {}
-    # Of each valued anchor pair: its rolling point, and its parts for the
-    # summary under its path and interface groups.
-    points: list[tuple] = []
-    parts: dict[tuple, list[tuple]] = {}
+    points: list[tuple] = []  # of each valued anchor pair, its rolling point
 
     def members():
         rows = analysis_pass(
@@ -246,26 +246,36 @@ def run_aggregate(
             if usd is None:
                 continue
             groups = (("path", trade.path, r.offset), ("interface", trade.interface, r.offset))
-            if r.offset == anchor and not r.excluded:
-                points.append((usd, r.pi, r.pi_upper, r.pi_lower))
-                res = r.result
-                member = (usd, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
-                for key in groups:
-                    parts.setdefault(key, []).append(member)
-            yield groups, usd, (r.pi, r.pi_upper, r.pi_lower)
+            values = (r.pi, r.pi_upper, r.pi_lower)
+            if r.offset == anchor:  # its four parts are four more series of the group sums
+                if not r.excluded:
+                    points.append((usd, *values))
+                values += (None,) * 4 if r.excluded else r.result[1:]
+            yield groups, usd, values
 
     means = dict(sorted(grouped_means(members()).items()))
 
     report = AggregateReport(exclusions=dict(sorted(exclusions.items())), anchor_offset=anchor)
+    report.summary = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
 
-    for key, (mean, sigma, n, total_w, up, low) in means.items():
+    for key, (mean, sigma, n, total_w, up, low, *parts) in means.items():
         level, group, offset = key
         if shifted is not None and (up is None or low is None):
             warnings.warn(f"group {key}: no mean at a shifted slope; its band side is 0")
-        estimate = WeightedEstimate(
-            mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
-        )
+        bands = half_width(up, mean), half_width(low, mean)
+        estimate = WeightedEstimate(mean, sigma, *bands, n, total_w)
         report.curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
+        if offset != anchor:
+            continue
+        pi, pi_sigma, sys_upper, sys_lower = _bps_cells(estimate)
+        routing, gas, fee, remainder = map(format_bps, parts)
+        entry = {
+            "pi_bps": pi, "pi_stat_sigma_bps": pi_sigma, "routing_bps": routing, "gas_bps": gas,
+            "fee_bps": fee, "remainder_bps": remainder, "n": n, "total_weight_usd": str(total_w),
+        }
+        if up is not None and low is not None:
+            entry.update(pi_sys_upper_bps=sys_upper, pi_sys_lower_bps=sys_lower)
+        report.summary[f"by_{level}"][group] = entry
 
     # Rolling-by-size series at the anchor offset, all groups pooled. The pass
     # yields trade_id order, so a stable sort by usd orders by (usd, trade_id).
@@ -276,35 +286,7 @@ def run_aggregate(
                 f"rolling window {window} exceeds {len(points)} trades; using {eff_window}"
             )
         report.rolling = rolling_by_size(points, eff_window, stride)
-
-    report.summary = _summary(parts, means, anchor)
     return report
-
-
-def _summary(parts, means, anchor: int) -> dict:
-    """Per-path and per-interface attribution decomposition at the anchor offset.
-
-    Groups are those with a nominal mean at the anchor (see `stats.grouped_means`),
-    which gives pi's mean, sigma, n, weight and shifted means; each of the four
-    parts is averaged over the group's (usd, routing, gas, fee, remainder) members.
-    """
-    summary: dict = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
-    for key, (mean, sigma, n, total_w, up, low) in means.items():
-        level, group, offset = key
-        if offset != anchor:
-            continue
-        members = parts[key]
-        entry: dict = {"pi_bps": format_bps(mean), "pi_stat_sigma_bps": format_bps(sigma)}
-        for k, part in enumerate(("routing", "gas", "fee", "remainder"), 1):
-            part_mean, _ = weighted_mean_with_stat([(m[k], m[0]) for m in members])
-            entry[f"{part}_bps"] = format_bps(part_mean)
-        if up is not None and low is not None:
-            entry["pi_sys_upper_bps"] = format_bps(half_width(up, mean))
-            entry["pi_sys_lower_bps"] = format_bps(half_width(low, mean))
-        entry["n"] = n
-        entry["total_weight_usd"] = str(total_w)
-        summary[f"by_{level}"][group] = entry
-    return summary
 
 
 def _bps_cells(e: WeightedEstimate) -> list[str]:

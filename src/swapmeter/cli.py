@@ -134,12 +134,15 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
             f"calibration report {path} not found; run `swapmeter calibrate` or pass --no-correction"
         )
     try:
-        with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        with _reading(path), open(path, "r", encoding="utf-8-sig") as fh:
             return GasCalibration.from_dict(json.load(fh))
     except RecursionError:
-        raise SwapmeterError(f"bad calibration report {path}: JSON nested too deeply") from None
-    except (ValueError, ConfigError) as exc:  # json.JSONDecodeError is a ValueError
-        raise SwapmeterError(f"bad calibration report {path}: {exc}") from exc
+        reason = "JSON nested too deeply"
+    except (json.JSONDecodeError, ConfigError) as exc:
+        reason = str(exc)
+    except ValueError:  # an integer literal past int()'s digit limit
+        reason = "a JSON integer has too many digits"
+    raise SwapmeterError(f"bad calibration report {path}: {reason}") from None
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

@@ -111,7 +111,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError:

@@ -201,7 +201,7 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
     A row lists the line's values in column order (None for a JSONL line's
     missing usd_value).
     """
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         lines = itertools.dropwhile(lambda line: line.startswith("#") or not line.strip(), stream)
         n = 0
         if str(path).endswith(".jsonl"):
@@ -214,8 +214,8 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
                 except json.JSONDecodeError as exc:
                     yield n, f"invalid JSON: {exc.msg}"
                     continue
-                except ValueError as exc:  # an integer literal past int()'s digit limit
-                    yield n, f"invalid JSON: {exc}"
+                except ValueError:  # an integer literal past int()'s digit limit
+                    yield n, "invalid JSON: an integer has too many digits"
                     continue
                 except RecursionError:
                     yield n, "invalid JSON: nested too deeply"

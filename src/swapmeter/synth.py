@@ -161,15 +161,16 @@ def load_scenario(source: dict | str | Path) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a dict or a JSON file."""
     if isinstance(source, (str, Path)):
         try:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except RecursionError:
             raise InvalidSpec("cannot read scenario file: JSON nested too deeply") from None
         except UnicodeDecodeError:
             raise InvalidSpec("cannot read scenario file: not UTF-8 text") from None
-        # json.JSONDecodeError is a ValueError, as is an integer literal past int()'s digit limit
-        except (OSError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise InvalidSpec(f"cannot read scenario file: {exc}") from exc
+        except ValueError:  # an integer literal past int()'s digit limit
+            raise InvalidSpec("cannot read scenario file: an integer has too many digits") from None
     else:
         raw = dict(source)
     if not isinstance(raw, dict):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
-from swapmeter.config import MAX_OFFSETS, RunConfig, parse_offsets
+from swapmeter.config import MAX_OFFSETS, RunConfig, parse_config_file, parse_offsets
 from swapmeter.errors import ConfigError, SwapmeterError
-from swapmeter.ingest import TRADE_COLUMNS
+from swapmeter.ingest import TRADE_COLUMNS, ingest_pool_snapshots, ingest_quotes, ingest_trades
+from swapmeter.synth import load_scenario
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
 ROW = "T1,Uniswap,Classic,18000000,WETH_IN,false,1000000000000000000,18,3000000000,6,150000,20000000000,1000000000,3000,1700000000"
@@ -405,7 +406,8 @@ class TestExitCodes:
                 '"residual_mean": "1", "residual_stddev": "0"}',
                 "n_points must be an integer",
             ),
-            ('{"n_points": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+            # int()'s own "Exceeds the limit (4300 digits) ..." used to be the reason
+            ('{"n_points": ' + "9" * 5000 + "}", "a JSON integer has too many digits\n"),
             # RecursionError used to end the run in a traceback (exit 1)
             ("[" * 3000, "JSON nested too deeply"),
         ],
@@ -930,6 +932,69 @@ class TestGoldenValues:
             "false", "",
         ]
         assert body[3].startswith("T2,0,15.3465,")
+
+
+def _bom_copy(path: Path, directory: Path) -> Path:
+    """A copy of `path` in `directory`, with a UTF-8 byte-order mark in front."""
+    directory.mkdir(exist_ok=True)
+    copy = directory / path.name
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet tools write, reads as if it were absent.
+
+    A mark used to stay on the first line: a trade CSV read `error: bad header: ...`.
+    """
+
+    def test_trades_quotes_and_pools(self, scenario_files, tmp_path):
+        bom = tmp_path / "bom"
+        trades = scenario_files / "trades.csv"
+        assert ingest_trades(_bom_copy(trades, bom)) == ingest_trades(trades)
+        quotes, rejects = ingest_quotes(_bom_copy(scenario_files / "quotes.csv", bom))
+        original, original_rejects = ingest_quotes(scenario_files / "quotes.csv")
+        assert rejects == original_rejects == []
+        assert quotes.providers() == original.providers()
+        assert [quotes.table(p) for p in quotes.providers()] == [
+            original.table(p) for p in original.providers()
+        ]
+        pools = scenario_files / "pools.csv"
+        assert ingest_pool_snapshots(_bom_copy(pools, bom)) == ingest_pool_snapshots(pools)
+
+    def test_jsonl_trades(self, scenario_files, tmp_path):
+        with open(scenario_files / "trades.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        jsonl = tmp_path / "trades.jsonl"
+        jsonl.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = ingest_trades(_bom_copy(jsonl, tmp_path / "bom"))
+        assert result == ingest_trades(jsonl)
+        assert len(result.records) == len(rows) and result.rejects == []
+
+    def test_config_file(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("offsets = -1..1\nwindow = 20  # rows\n")
+        assert parse_config_file(_bom_copy(config, tmp_path / "bom")) == parse_config_file(config)
+        assert parse_config_file(config) == {"offsets": "-1..1", "window": "20"}
+
+    def test_calibration_report(self, scenario_files, tmp_path):
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--offsets=0",
+        ]
+        assert main(["calibrate", *base, "--out", str(tmp_path / "cal")]) == 0
+        report = _bom_copy(tmp_path / "cal" / "calibration.json", tmp_path / "bom")
+        bodies = []
+        for name, cal in (("a", tmp_path / "cal" / "calibration.json"), ("b", report)):
+            out = tmp_path / name
+            assert main(["analyze", *base, "--out", str(out), "--calibration", str(cal)]) == 0
+            bodies.append((out / "attribution.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+
+    def test_synth_spec(self, scenario_files, tmp_path):
+        spec = scenario_files.parent / "scenario.json"
+        assert load_scenario(_bom_copy(spec, tmp_path / "bom")) == load_scenario(spec)
 
 
 class TestDeterminism:

@@ -60,7 +60,7 @@ class TestLoadScenario:
         "data, reason",
         [
             (b'{"seed": 1\xff}', "not UTF-8 text"),
-            (b'{"seed": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b'{"seed": ' + b"9" * 5000 + b"}", "an integer has too many digits\n"),
         ],
         ids=["not-utf8", "overlong-int-literal"],
     )

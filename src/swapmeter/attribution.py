@@ -119,11 +119,9 @@ def attribute_trade(
     baseline: BaselineProvider,
     offset: int,
     f_prime: Decimal,
-    *,
-    beta1: Decimal | None = None,
 ) -> AttributionResult:
-    """Full per-trade attribution at one offset; beta1 as in `counterfactual_price`."""
-    p_prime, x_prime = counterfactual_price(trade, baseline, offset, f_prime, beta1=beta1)
+    """Full per-trade attribution at one offset; g' as in `counterfactual_price`."""
+    p_prime, x_prime = counterfactual_price(trade, baseline, offset, f_prime)
     split = split_improvement(
         trade_terms(trade, f_prime), p_prime.value, x_prime.o.normalized, x_prime.g
     )

@@ -164,20 +164,17 @@ def counterfactual_price(
     baseline: "BaselineProvider",
     offset: int,
     f_prime: Decimal,
-    *,
-    beta1: Decimal | None = None,
 ) -> tuple[Price, DecisionVector]:
     """Baseline price p' and baseline decision vector x' = (o', g', f').
 
-    The served gas is read as g' = g'_quoted/beta1 (as quoted when beta1 is
-    None). Raises the provider's QuoteUnavailable / SnapshotUnavailable and
-    the kernel's NonPositiveAdjustedInput.
+    g' is the gas as served; wrap the provider in `CalibratedProvider` to
+    read it as g'_quoted/beta1. Raises the provider's QuoteUnavailable /
+    SnapshotUnavailable and the kernel's NonPositiveAdjustedInput.
     """
     terms = trade_terms(trade, f_prime)
     served = baseline.serve(trade, offset)
     raw, decimals, gas = served
-    g1 = gas if beta1 is None else gas / beta1
     value, out_raw, _ = counterfactual_value(
-        baseline, terms, offset, served, Decimal(raw).scaleb(-decimals), g1
+        baseline, terms, offset, served, Decimal(raw).scaleb(-decimals), gas
     )
-    return Price(value), DecisionVector(TokenAmount(out_raw, decimals), g1, f_prime)
+    return Price(value), DecisionVector(TokenAmount(out_raw, decimals), gas, f_prime)

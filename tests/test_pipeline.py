@@ -448,12 +448,13 @@ _COVERED = [
 
 def _analyze_reference(sc: Scenario, provider) -> list[list[str]]:
     """attribution.csv's rows: each pair priced on its own by attribute_trade."""
-    beta1 = None if sc.cal is None else sc.cal.beta1
+    if sc.cal is not None:
+        provider = CalibratedProvider(provider, sc.cal)
     rows = []
     for trade in sorted(sc.trades, key=lambda t: t.trade_id):
         for offset in sorted(sc.offsets):
             try:
-                res = attribute_trade(trade, provider, offset, F_PRIME, beta1=beta1)
+                res = attribute_trade(trade, provider, offset, F_PRIME)
             except EXCLUDED as exc:
                 cells = ["", "", "", "", "", "true", EXCLUSION_REASONS[type(exc)]]
             else:
@@ -585,7 +586,7 @@ def test_rows_equal_pricing_each_pair_on_its_own():
     for row in rows:
         trade, offset = row.trade, row.offset
         try:
-            res = attribute_trade(trade, provider, offset, F_PRIME, beta1=cal.beta1)
+            res = attribute_trade(trade, CalibratedProvider(provider, cal), offset, F_PRIME)
         except EXCLUDED as exc:
             expected, reason = None, EXCLUSION_REASONS[type(exc)]
         else:
@@ -595,7 +596,7 @@ def test_rows_equal_pricing_each_pair_on_its_own():
         for got, slope in zip((row.pi_upper, row.pi_lower), shifted):
             try:
                 p_prime, _ = counterfactual_price(
-                    trade, provider, offset, F_PRIME, beta1=slope.beta1
+                    trade, CalibratedProvider(provider, slope), offset, F_PRIME
                 )
                 want = improvement(realized_price(trade).value, p_prime.value)
             except EXCLUDED:
@@ -610,11 +611,13 @@ def test_rows_equal_pricing_each_pair_on_its_own():
         row = by_pair[(trade_id, 0)]
         assert row.result is not None and row.pi_upper is not None and row.pi_lower is None
     with pytest.raises(NonPositiveAdjustedInput):
-        counterfactual_price(trades[4], provider, 0, F_PRIME, beta1=shifted[1].beta1)
+        counterfactual_price(trades[4], CalibratedProvider(provider, shifted[1]), 0, F_PRIME)
     with pytest.raises(NonPositiveBaseline):
         improvement(
             realized_price(trades[5]).value,
-            counterfactual_price(trades[5], provider, 0, F_PRIME, beta1=shifted[1].beta1)[0].value,
+            counterfactual_price(
+                trades[5], CalibratedProvider(provider, shifted[1]), 0, F_PRIME
+            )[0].value,
         )
     missing = by_pair[("OUT-X", 1)]
     assert (missing.result, missing.exclusion_reason) == (None, "quote_unavailable")

@@ -262,8 +262,9 @@ def run_aggregate(
         level, group, offset = key
         if shifted is not None and (up is None or low is None):
             warnings.warn(f"group {key}: no mean at a shifted slope; its band side is 0")
-        bands = half_width(up, mean), half_width(low, mean)
-        estimate = WeightedEstimate(mean, sigma, *bands, n, total_w)
+        estimate = WeightedEstimate(
+            mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
+        )
         report.curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
         if offset != anchor:
             continue

@@ -406,7 +406,6 @@ class TestExitCodes:
                 '"residual_mean": "1", "residual_stddev": "0"}',
                 "n_points must be an integer",
             ),
-            # int()'s own "Exceeds the limit (4300 digits) ..." used to be the reason
             ('{"n_points": ' + "9" * 5000 + "}", "a JSON integer has too many digits\n"),
             # RecursionError used to end the run in a traceback (exit 1)
             ("[" * 3000, "JSON nested too deeply"),
@@ -943,10 +942,7 @@ def _bom_copy(path: Path, directory: Path) -> Path:
 
 
 class TestByteOrderMark:
-    """A leading UTF-8 byte-order mark, as spreadsheet tools write, reads as if it were absent.
-
-    A mark used to stay on the first line: a trade CSV read `error: bad header: ...`.
-    """
+    """A leading UTF-8 byte-order mark, as spreadsheet tools write, reads as if it were absent."""
 
     def test_trades_quotes_and_pools(self, scenario_files, tmp_path):
         bom = tmp_path / "bom"

@@ -198,7 +198,6 @@ class TestIngestQuotes:
         lines = ['{"trade_id": ' + "9" * 5000 + "}", '{"trade_id": "T1"}']
         _, rejects = ingest_quotes(write_input(tmp_path, "\n".join(lines) + "\n", ".jsonl"))
         assert [r.line for r in rejects] == [1, 2]
-        # int()'s own "Exceeds the limit (4300 digits) ..." used to be the reason
         assert rejects[0].reason == "invalid JSON: an integer has too many digits"
         assert rejects[1].reason.startswith("missing fields: offset")
 

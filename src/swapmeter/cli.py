@@ -7,7 +7,6 @@ Subcommands: calibrate, analyze, aggregate, synth, report. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,9 +14,10 @@ from pathlib import Path
 from swapmeter import pipeline
 from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouterProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias
-from swapmeter.config import RunConfig, build_config, config_hash, parse_config_file
+from swapmeter.config import RunConfig, build_config, config_hash, parse_config
 from swapmeter.errors import (
     ConfigError,
+    IngestError,
     InsufficientData,
     QuoteUnavailable,
     SnapshotUnavailable,
@@ -25,6 +25,7 @@ from swapmeter.errors import (
 )
 from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
 from swapmeter.model import TradeRecord
+from swapmeter.numeric import json_value
 from swapmeter.output import provenance, write_csv, write_json, write_text
 from swapmeter.synth import generate, load_scenario
 
@@ -60,20 +61,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else None
+    file_values = parse_config(_read_text(args.config)) if args.config else None
     cli_values = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
     return build_config(file_values, cli_values)
 
 
 @contextmanager
 def _reading(path):
-    """Report an OS or text-decoding error while reading `path` as a fatal error."""
+    """Report an OS, text-decoding or ingest error while reading `path` as a fatal error."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise SwapmeterError(f"cannot read {path}: not UTF-8 text") from exc
     except OSError as exc:
         raise SwapmeterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except IngestError as exc:
+        raise SwapmeterError(f"{path}: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    """The text of a config file, calibration report or spec; a failed read is fatal."""
+    with _reading(path), open(path, "r", encoding="utf-8-sig") as stream:
+        return stream.read()
 
 
 @contextmanager
@@ -89,38 +98,34 @@ def _writing(path):
         raise SwapmeterError(f"cannot write {failed}: {exc.strerror or exc}") from exc
 
 
+def _ingest(ingest, path, kind: str, **options):
+    """What `ingest` makes of `path`, and its reject count; rejects print `reject {kind}line N`."""
+    with _reading(path):
+        value, rejects = ingest(path, **options)
+    for reject in rejects:
+        print(f"reject {kind}line {reject.line}: {reject.reason}", file=sys.stderr)
+    return value, len(rejects)
+
+
 def _load_trades(cfg: RunConfig, require_usd: bool) -> tuple[list[TradeRecord], int]:
     if not cfg.trades_path:
         raise SwapmeterError("no trade file configured (--trades)")
-    path = cfg.trades_path
-    with _reading(path):
-        result = ingest_trades(path, strict=cfg.strict, require_usd=require_usd)
-    for reject in result.rejects:
-        print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
-    return result.records, len(result.rejects)
+    return _ingest(ingest_trades, cfg.trades_path, "", strict=cfg.strict, require_usd=require_usd)
 
 
 def _build_provider(cfg: RunConfig, trades) -> tuple[BaselineProvider, int]:
     """The configured baseline and the number of its file's rejected rows."""
     cfg.require_provider()
     if cfg.quotes_path:
-        path = cfg.quotes_path
-        with _reading(path):
-            quotes, rejects = ingest_quotes(path, strict=cfg.strict)
-        for reject in rejects:
-            print(f"reject quote line {reject.line}: {reject.reason}", file=sys.stderr)
+        quotes, n_bad = _ingest(ingest_quotes, cfg.quotes_path, "quote ", strict=cfg.strict)
         provider = ReplayProvider(quotes)
         orphans = quotes.orphans(trades)
         if orphans:
             print(f"{len(orphans)} quotes reference unknown trades", file=sys.stderr)
-        return provider, len(rejects)
-    path = cfg.pools_path
-    with _reading(path):
-        snapshots, rejects = ingest_pool_snapshots(path, strict=cfg.strict)
-    for reject in rejects:
-        print(f"reject pool line {reject.line}: {reject.reason}", file=sys.stderr)
+        return provider, n_bad
+    snapshots, n_bad = _ingest(ingest_pool_snapshots, cfg.pools_path, "pool ", strict=cfg.strict)
     provider = SyntheticRouterProvider(snapshots, cfg.f_prime_wei, overhead_gas=cfg.overhead_gas)
-    return provider, len(rejects)
+    return provider, n_bad
 
 
 def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
@@ -133,16 +138,11 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
         raise SwapmeterError(
             f"calibration report {path} not found; run `swapmeter calibrate` or pass --no-correction"
         )
+    text = _read_text(path)
     try:
-        with _reading(path), open(path, "r", encoding="utf-8-sig") as fh:
-            return GasCalibration.from_dict(json.load(fh))
-    except RecursionError:
-        reason = "JSON nested too deeply"
-    except (json.JSONDecodeError, ConfigError) as exc:
-        reason = str(exc)
-    except ValueError:  # an integer literal past int()'s digit limit
-        reason = "a JSON integer has too many digits"
-    raise SwapmeterError(f"bad calibration report {path}: {reason}") from None
+        return GasCalibration.from_dict(json_value(text))
+    except (ValueError, ConfigError) as exc:
+        raise SwapmeterError(f"bad calibration report {path}: {exc}") from None
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -234,9 +234,14 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = load_scenario(args.spec)
+    try:
+        value = json_value(_read_text(args.spec))
+    except ValueError as exc:
+        raise SwapmeterError(f"cannot read scenario file {args.spec}: {exc}") from None
+    spec = load_scenario(value)
     out_dir = args.out or "out"
-    files = generate(spec, out_dir)
+    with _writing(out_dir):
+        files = generate(spec, out_dir)
     print(f"wrote {files.trades_path}, {files.pools_path}, {files.quotes_path}")
     return EXIT_OK
 

@@ -107,15 +107,9 @@ def parse_offsets(text: str) -> tuple[int, ...]:
     return offsets
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment."""
+def parse_config(text: str) -> dict[str, str]:
+    """A config file's flat `key = value` lines; '#' starts a comment."""
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError("cannot read config file: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from swapmeter.errors import DuplicateQuote, EmptyInput, IngestError
 from swapmeter.model import (
@@ -31,7 +30,7 @@ from swapmeter.model import (
     check_amount,
     check_gas_estimate,
 )
-from swapmeter.numeric import finite_number, integer, spelled, uint
+from swapmeter.numeric import finite_number, integer, json_value, spelled, uint
 
 TRADE_COLUMNS = [
     "trade_id",
@@ -80,12 +79,11 @@ class MalformedRow:
     reason: str
 
 
-@dataclass(slots=True)
-class IngestResult:
-    """Accepted records in input order, plus the rejected rows."""
+class IngestResult(NamedTuple):
+    """What the accepted rows make (records in order, a QuoteSet or snapshots), and the rejects."""
 
-    records: list
-    rejects: list[MalformedRow] = field(default_factory=list)
+    records: Any
+    rejects: list[MalformedRow]
 
 
 class QuoteSet:
@@ -210,15 +208,9 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
                     continue
                 n += 1
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    yield n, f"invalid JSON: {exc.msg}"
-                    continue
-                except ValueError:  # an integer literal past int()'s digit limit
-                    yield n, "invalid JSON: an integer has too many digits"
-                    continue
-                except RecursionError:
-                    yield n, "invalid JSON: nested too deeply"
+                    obj = json_value(line)
+                except ValueError as exc:
+                    yield n, str(exc)
                     continue
                 if not isinstance(obj, dict):
                     yield n, "JSONL line must be an object"
@@ -309,18 +301,14 @@ def ingest_trades(
     return IngestResult(list(_accepted(path, TRADE_COLUMNS, build, strict, rejects)), rejects)
 
 
-def ingest_quotes(
-    path: str | Path, *, strict: bool = False
-) -> tuple[QuoteSet, list[MalformedRow]]:
+def ingest_quotes(path: str | Path, *, strict: bool = False) -> IngestResult:
     """Parse quotes into a `QuoteSet`; a repeated key raises DuplicateQuote once all are read."""
     quotes, rejects = QuoteSet(), []
     quotes._hold(_accepted(path, QUOTE_COLUMNS, _build_quote, strict, rejects))
-    return quotes, rejects
+    return IngestResult(quotes, rejects)
 
 
-def ingest_pool_snapshots(
-    path: str | Path, *, strict: bool = False
-) -> tuple[dict[int, list[Pool]], list[MalformedRow]]:
+def ingest_pool_snapshots(path: str | Path, *, strict: bool = False) -> IngestResult:
     """Parse per-offset pool snapshots: the pool schema plus a leading offset.
 
     A pool_id is accepted once per offset: each later row with it is rejected.
@@ -330,7 +318,7 @@ def ingest_pool_snapshots(
     snapshots: dict[int, list[Pool]] = {}
     for offset, pool in _accepted(path, SNAPSHOT_COLUMNS, build, strict, rejects):
         snapshots.setdefault(offset, []).append(pool)
-    return snapshots, rejects
+    return IngestResult(snapshots, rejects)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ such as a generator its consumer drains, enters `POLICY` itself.
 
 Every number, boolean and direction read from a file or flag goes
 through one of the value rules below: each takes a text or JSON value
-and its field's name, and raises a ValueError naming the field.
+and its field's name, and raises a ValueError naming the field. Every
+JSON text read from a file is decoded by `json_value`.
 """
 
 import decimal
+import json
 import math
 from decimal import Decimal
 
@@ -44,11 +46,27 @@ def format_bps(x: Decimal) -> str:
         return str(bps.quantize(_BPS_QUANTUM, context=context))
 
 
+def json_value(text: str):
+    """The value of JSON `text`; a ValueError words its fault the same for every file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past int()'s digit limit
+        raise ValueError("invalid JSON: an integer has too many digits") from None
+
+
 def integer(value, name: str) -> int:
     """A JSON integer, or any text int() takes (a sign, '_', spaces); a bool or float is refused."""
     try:
         return int(value if type(value) is str else str(value))
     except ValueError:
+        digits = value.strip() if type(value) is str else ""
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # past int()'s digit limit
+            raise ValueError(f"{name} has too many digits ({len(digits)})") from None
         raise ValueError(f"{name} must be an integer") from None
 
 

@@ -157,54 +157,40 @@ def _pool_from_dict(d: dict) -> Pool:
     )
 
 
-def load_scenario(source: dict | str | Path) -> ScenarioSpec:
-    """Build a validated ScenarioSpec from a dict or a JSON file."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8-sig") as fh:
-                raw = json.load(fh)
-        except RecursionError:
-            raise InvalidSpec("cannot read scenario file: JSON nested too deeply") from None
-        except UnicodeDecodeError:
-            raise InvalidSpec("cannot read scenario file: not UTF-8 text") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidSpec(f"cannot read scenario file: {exc}") from exc
-        except ValueError:  # an integer literal past int()'s digit limit
-            raise InvalidSpec("cannot read scenario file: an integer has too many digits") from None
-    else:
-        raw = dict(source)
-    if not isinstance(raw, dict):
+def load_scenario(value) -> ScenarioSpec:
+    """Build a validated ScenarioSpec from a spec's JSON value."""
+    if not isinstance(value, dict):
         raise InvalidSpec("scenario spec must be a JSON object")
 
     try:
-        seed = _field("seed", raw.get("seed", 0), int)
-        n_trades = _field("n_trades", raw.get("n_trades", 100), int)
-        dist = raw.get("size_distribution", {})
+        seed = _field("seed", value.get("seed", 0), int)
+        n_trades = _field("n_trades", value.get("n_trades", 100), int)
+        dist = value.get("size_distribution", {})
         if dist.get("type", "log_uniform") != "log_uniform":
             raise InvalidSpec(f"unsupported size distribution {dist.get('type')!r}")
         size_min = _field("min_usd", dist.get("min_usd", 500))
         size_max = _field("max_usd", dist.get("max_usd", 250_000))
-        mix_raw = raw.get("path_mix", {"Classic": 1.0})
+        mix_raw = value.get("path_mix", {"Classic": 1.0})
         path_mix = tuple((str(k), _field("path_mix", v)) for k, v in mix_raw.items())
         bonus_bps = _field(
-            "ofa_liquidity_bonus_bps", raw.get("ofa_liquidity_bonus_bps", "0"), Decimal
+            "ofa_liquidity_bonus_bps", value.get("ofa_liquidity_bonus_bps", "0"), Decimal
         )
-        gate = raw.get("bonus_min_usd")
+        gate = value.get("bonus_min_usd")
         bonus_min = None if gate in (None, "") else _field("bonus_min_usd", gate, Decimal)
-        weth_in_fraction = _field("weth_in_fraction", raw.get("weth_in_fraction", 0.5))
-        noise_bps = _field("execution_noise_bps", raw.get("execution_noise_bps", 0.5))
-        base_fee = raw.get("base_fee_gwei", ["15", "25"])
+        weth_in_fraction = _field("weth_in_fraction", value.get("weth_in_fraction", 0.5))
+        noise_bps = _field("execution_noise_bps", value.get("execution_noise_bps", 0.5))
+        base_fee = value.get("base_fee_gwei", ["15", "25"])
         bf_lo, bf_hi = (_field("base_fee_gwei", x) for x in base_fee)
         profiles = {}
-        prof_raw = raw.get("gas_profiles", {})
+        prof_raw = value.get("gas_profiles", {})
         for path, _ in path_mix:
             p = {**_DEFAULT_PROFILE, **prof_raw.get(path, {})}
             lo, hi = (_field("priority_fee_gwei", x) for x in p["priority_fee_gwei"])
             profiles[path] = GasProfile(_field("gas_noise_rel", p["gas_noise_rel"]), (lo, hi))
-        pools = tuple(_pool_from_dict(d) for d in raw.get("pools", _DEFAULT_POOLS))
-        offsets = tuple(_field("offsets", x, int) for x in raw.get("offsets", DEFAULT_OFFSETS))
-        f_prime = _field("f_prime_wei", raw.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
-        overhead = _field("overhead_gas", raw.get("overhead_gas", DEFAULT_OVERHEAD_GAS), int)
+        pools = tuple(_pool_from_dict(d) for d in value.get("pools", _DEFAULT_POOLS))
+        offsets = tuple(_field("offsets", x, int) for x in value.get("offsets", DEFAULT_OFFSETS))
+        f_prime = _field("f_prime_wei", value.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
+        overhead = _field("overhead_gas", value.get("overhead_gas", DEFAULT_OVERHEAD_GAS), int)
     except InvalidSpec:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:

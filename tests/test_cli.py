@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import main
-from swapmeter.config import MAX_OFFSETS, RunConfig, parse_config_file, parse_offsets
+from swapmeter.config import MAX_OFFSETS, RunConfig, parse_offsets
 from swapmeter.errors import ConfigError, SwapmeterError
 from swapmeter.ingest import TRADE_COLUMNS, ingest_pool_snapshots, ingest_quotes, ingest_trades
-from swapmeter.synth import load_scenario
 
 VALID_HEADER = ",".join(TRADE_COLUMNS)
 ROW = "T1,Uniswap,Classic,18000000,WETH_IN,false,1000000000000000000,18,3000000000,6,150000,20000000000,1000000000,3000,1700000000"
@@ -362,15 +361,18 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"window = \xff20\n")
         assert main(["analyze", "--config", str(cfg), "--trades", "t.csv", "--quotes", "q.csv"]) == 2
-        assert capsys.readouterr().err == "error: cannot read config file: not UTF-8 text\n"
+        assert capsys.readouterr().err == f"error: cannot read {cfg}: not UTF-8 text\n"
 
-    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("command", ["analyze", "report", "calibrate", "synth"])
     def test_unwritable_out_fatal(self, scenario_files, tmp_path, capsys, command):
+        # synth's NotADirectoryError used to end the run in a traceback (exit 1)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "sub"
-        rc = main(
-            [
+        if command == "synth":
+            argv = [command, str(scenario_files.parent / "scenario.json"), "--out", str(out)]
+        else:
+            argv = [
                 command,
                 "--trades", str(scenario_files / "trades.csv"),
                 "--quotes", str(scenario_files / "quotes.csv"),
@@ -379,7 +381,7 @@ class TestExitCodes:
                 "--window", "20",
                 "--no-correction",
             ]
-        )
+        rc = main(argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: cannot write {out}: " in err
@@ -388,7 +390,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text, reason",
         [
-            ("{", "Expecting property name"),
+            ("{", "invalid JSON: Expecting property name enclosed in double quotes\n"),
             ('{"beta1": "1"}', "missing key 'beta1_se'"),
             ("[]", "expected a JSON object"),
             (
@@ -406,9 +408,9 @@ class TestExitCodes:
                 '"residual_mean": "1", "residual_stddev": "0"}',
                 "n_points must be an integer",
             ),
-            ('{"n_points": ' + "9" * 5000 + "}", "a JSON integer has too many digits\n"),
+            ('{"n_points": ' + "9" * 5000 + "}", "invalid JSON: an integer has too many digits\n"),
             # RecursionError used to end the run in a traceback (exit 1)
-            ("[" * 3000, "JSON nested too deeply"),
+            ("[" * 3000, "invalid JSON: nested too deeply\n"),
         ],
         ids=[
             "corrupt", "missing-key", "not-an-object", "nan", "not-a-decimal",
@@ -525,7 +527,21 @@ class TestExitCodes:
         body = (tmp_path / "o" / "attribution.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in body[2:]] == ["T1", "T2"]
         assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
-        assert "error: line 3: duplicate trade_id T1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {trades}: line 3: duplicate trade_id T1\n"
+
+    def test_header_only_quotes_fatal(self, tmp_path, capsys):
+        # the error used to be `input has no data rows`, without the file
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{ROW}\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(f"{QUOTE_HEADER}\n")
+        rc = main(
+            ["analyze", "--trades", str(trades), "--quotes", str(quotes),
+             "--out", str(tmp_path / "o"), "--offsets=0", "--no-correction"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {quotes}: input has no data rows\n"
+        assert not (tmp_path / "o").exists()
 
     def test_gas_estimate_above_uint128_rejected(self, tmp_path, capsys):
         # g' = 1e999999 used to pass ingest and overflow g'(b+f') in pricing
@@ -543,7 +559,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
         err = capsys.readouterr().err
-        assert "error: line 1: gas_estimate exceeds the uint128 bound" in err
+        assert f"error: {quotes}: line 1: gas_estimate exceeds the uint128 bound" in err
         assert "Traceback" not in err
 
     def test_pool_gas_per_hop_above_uint64_rejected(self, tmp_path, capsys):
@@ -581,7 +597,7 @@ class TestExitCodes:
             ).read_text().splitlines()[1:]
         strict = [*base, "--pools", str(twice), "--out", str(tmp_path / "s"), "--strict"]
         assert main(["analyze", *strict]) == 2
-        assert capsys.readouterr().err == "error: line 2: duplicate pool_id P1 at offset 0\n"
+        assert capsys.readouterr().err == f"error: {twice}: line 2: duplicate pool_id P1 at offset 0\n"
 
     @pytest.mark.parametrize(
         "pool_decimals, trade, error",
@@ -967,11 +983,21 @@ class TestByteOrderMark:
         assert result == ingest_trades(jsonl)
         assert len(result.records) == len(rows) and result.rejects == []
 
-    def test_config_file(self, tmp_path):
+    def test_config_file(self, scenario_files, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("offsets = -1..1\nwindow = 20  # rows\n")
-        assert parse_config_file(_bom_copy(config, tmp_path / "bom")) == parse_config_file(config)
-        assert parse_config_file(config) == {"offsets": "-1..1", "window": "20"}
+        base = [
+            "--trades", str(scenario_files / "trades.csv"),
+            "--quotes", str(scenario_files / "quotes.csv"),
+            "--no-correction",
+        ]
+        bodies = []
+        for name, cfg in (("a", config), ("b", _bom_copy(config, tmp_path / "bom"))):
+            out = tmp_path / name
+            assert main(["analyze", *base, "--out", str(out), "--config", str(cfg)]) == 0
+            bodies.append((out / "attribution.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+        assert {line.split(",")[1] for line in bodies[0].splitlines()[1:]} == {"-1", "0", "1"}
 
     def test_calibration_report(self, scenario_files, tmp_path):
         base = [
@@ -989,8 +1015,10 @@ class TestByteOrderMark:
         assert bodies[0] == bodies[1]
 
     def test_synth_spec(self, scenario_files, tmp_path):
-        spec = scenario_files.parent / "scenario.json"
-        assert load_scenario(_bom_copy(spec, tmp_path / "bom")) == load_scenario(spec)
+        spec = _bom_copy(scenario_files.parent / "scenario.json", tmp_path / "bom")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+        for name in ("trades.csv", "pools.csv", "quotes.csv"):
+            assert (tmp_path / "data" / name).read_bytes() == (scenario_files / name).read_bytes()
 
 
 class TestDeterminism:

@@ -426,6 +426,21 @@ class TestRejectReasons:
         rejects = ingest_trades(write_input(tmp_path, csv_of(row))).rejects
         assert [(r.line, r.reason) for r in rejects] == [(1, "amount_in_raw has too many digits (5000)")]
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("schema, column", [("quotes", "offset"), ("trades", "timestamp")])
+    def test_signed_digits_past_the_int_limit_name_the_column(self, schema, column, sign, tmp_path):
+        # a signed column used to word these as "<column> must be an integer"
+        columns = SCHEMA_COLUMNS[schema]
+        rows = [_valid_row(schema, 1), _valid_row(schema, 2)]
+        rows[0][columns.index(column)] = sign + "7" * 5000
+        for kind in ("csv", "jsonl"):
+            if kind == "csv":
+                text = "".join(",".join(row) + "\n" for row in [columns, *rows])
+            else:
+                text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+            path = write_input(tmp_path, text, f".{kind}")
+            assert _ingest_rejects(schema, path) == [(1, f"{column} has too many digits (5000)")]
+
     @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
     def test_json_nested_past_the_recursion_limit_is_a_reject(self, schema, tmp_path):
         # RecursionError used to end the run in a traceback (exit 1)

@@ -45,22 +45,28 @@ class TestLoadScenario:
         with pytest.raises(InvalidSpec):
             load_scenario({"size_distribution": {"type": "pareto"}})
 
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(InvalidSpec):
-            load_scenario(tmp_path / "nope.json")
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "nope.json"
+        assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {spec}: No such file or directory\n"
 
     def test_json_nested_past_the_recursion_limit_exits_2(self, tmp_path, capsys):
         # RecursionError used to end the run in a traceback (exit 1)
         spec = tmp_path / "spec.json"
         spec.write_text("[" * 3000)
         assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: cannot read scenario file: JSON nested too deeply\n"
+        assert capsys.readouterr().err == (
+            f"error: cannot read scenario file {spec}: invalid JSON: nested too deeply\n"
+        )
 
     @pytest.mark.parametrize(
         "data, reason",
         [
-            (b'{"seed": 1\xff}', "not UTF-8 text"),
-            (b'{"seed": ' + b"9" * 5000 + b"}", "an integer has too many digits\n"),
+            (b'{"seed": 1\xff}', "cannot read {}: not UTF-8 text"),
+            (
+                b'{"seed": ' + b"9" * 5000 + b"}",
+                "cannot read scenario file {}: invalid JSON: an integer has too many digits",
+            ),
         ],
         ids=["not-utf8", "overlong-int-literal"],
     )
@@ -69,7 +75,7 @@ class TestLoadScenario:
         spec = tmp_path / "spec.json"
         spec.write_bytes(data)
         assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot read scenario file: {reason}")
+        assert capsys.readouterr().err == f"error: {reason.format(spec)}\n"
 
 
 def _pool(**overrides):

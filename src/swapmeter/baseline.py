@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import abc
 from decimal import Decimal
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from swapmeter.calibration import GasCalibration
 from swapmeter.config import DEFAULT_OVERHEAD_GAS
@@ -27,7 +27,8 @@ class BaselineProvider(abc.ABC):
     `serve` gives the pair's quote at the trade's own input as plain values;
     `quote` builds a `Quote` of them. `output_at` re-quotes the output alone
     at the gas-adjusted input of a gas-internalized WETH-in trade, whose
-    price reads only the re-quoted output.
+    price reads only the re-quoted output. `requote_scope` names what
+    `output_at` reads of an offset.
     """
 
     provider_id: str
@@ -39,6 +40,13 @@ class BaselineProvider(abc.ABC):
     @abc.abstractmethod
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         """Raw output o'' at raw input amount_raw, given the pair's served output out_raw."""
+
+    def requote_scope(self, offset: int) -> Hashable:
+        """What `output_at` reads of a served offset: offsets of equal scopes re-quote alike.
+
+        By default each offset is its own scope.
+        """
+        return offset
 
     def quote(self, trade: TradeRecord, offset: int) -> Quote:
         raw, decimals, gas = self.serve(trade, offset)
@@ -68,6 +76,9 @@ class ReplayProvider(BaselineProvider):
 
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         return out_raw * amount_raw // trade.amount_in.raw
+
+    def requote_scope(self, offset: int) -> None:
+        return None  # the rescale reads no offset
 
 
 class SyntheticRouterProvider(BaselineProvider):
@@ -137,6 +148,9 @@ class SyntheticRouterProvider(BaselineProvider):
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         return self._served(trade, offset, amount_raw, trade.amount_in.decimals)[0]
 
+    def requote_scope(self, offset: int) -> int:
+        return self._snapshots[offset][1]  # the interned snapshot's id
+
 
 class CalibratedProvider(BaselineProvider):
     """Wraps a provider and serves every gas estimate as g'/beta1."""
@@ -152,3 +166,6 @@ class CalibratedProvider(BaselineProvider):
 
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         return self._inner.output_at(trade, offset, out_raw, amount_raw)
+
+    def requote_scope(self, offset: int) -> Hashable:
+        return self._inner.requote_scope(offset)

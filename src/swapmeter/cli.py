@@ -19,6 +19,7 @@ from swapmeter.errors import (
     ConfigError,
     IngestError,
     InsufficientData,
+    InvalidSpec,
     QuoteUnavailable,
     SnapshotUnavailable,
     SwapmeterError,
@@ -61,7 +62,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config(_read_text(args.config)) if args.config else None
+    try:
+        file_values = parse_config(_read_text(args.config)) if args.config else None
+    except ConfigError as exc:
+        raise SwapmeterError(f"{args.config}: {exc}") from exc
     cli_values = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
     return build_config(file_values, cli_values)
 
@@ -238,10 +242,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         value = json_value(_read_text(args.spec))
     except ValueError as exc:
         raise SwapmeterError(f"cannot read scenario file {args.spec}: {exc}") from None
-    spec = load_scenario(value)
     out_dir = args.out or "out"
-    with _writing(out_dir):
-        files = generate(spec, out_dir)
+    try:
+        spec = load_scenario(value)
+        with _writing(out_dir):
+            files = generate(spec, out_dir)
+    except InvalidSpec as exc:
+        raise SwapmeterError(f"{args.spec}: {exc}") from exc
     print(f"wrote {files.trades_path}, {files.pools_path}, {files.quotes_path}")
     return EXIT_OK
 

@@ -4,9 +4,10 @@ A pass walks every (trade, offset) pair, one trade at a time, prices
 its improvement and records exclusions instead of failing. Each pair is
 quoted once; the gas-calibration slope only rescales the quoted gas, so
 aggregation prices the same quote at the nominal slope and, for
-systematic bands, at the slope shifted up and down. Aggregation splits
-pi into its parts only at the anchor offset, the one its summary
-reports; every other (offset, slope) is priced for pi alone.
+systematic bands, at the slope shifted up and down. Offsets of a trade
+that serve one quote in one requote scope are one counterfactual, priced
+once. Aggregation splits pi into its parts only at the anchor offset, the
+one its summary reports; every other (offset, slope) is priced for pi alone.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class AnalysisRow(NamedTuple):
     """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
 
     result is the split of pi into its parts at the nominal calibration
-    slope, None where the pair is excluded or was priced for pi alone.
+    slope, None where the pair is excluded or was priced for pi alone; rows
+    of one trade priced as one counterfactual share one `PiSplit`.
     pi_upper and pi_lower are pi with the slope shifted up and down; each
     is None where that slope excludes the pair or no shift was asked for.
     """
@@ -108,7 +110,9 @@ def analysis_pass(
     None), then of each `shifted` (upper, lower) calibration. At the
     offsets in `decompose` (every offset when None) the first slope's pi
     is split into its parts. An exclusion at the first slope is the row's
-    reason; one at a later slope leaves that slope's pi None.
+    reason; one at a later slope leaves that slope's pi None. An offset
+    whose (split, `provider.requote_scope`, served values) repeats an
+    earlier offset of the trade reuses that offset's values and exclusion.
 
     Trades are walked in stable trade_id order and only one trade_id's
     rows are held at a time: they are priced in the 60-digit policy
@@ -122,33 +126,38 @@ def analysis_pass(
 
     def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
         terms = trade_terms(trade, f_prime)
+        memo: dict[tuple, tuple] = {}  # (split, requote scope, served) -> the row's priced fields
         for offset in offsets:
             try:
                 served = provider.serve(trade, offset)
             except EXCLUDED as exc:
                 yield AnalysisRow(trade, offset, None, None, EXCLUSION_REASONS[type(exc)])
                 continue
-            o_prime = Decimal(served[0]).scaleb(-served[1])
             split = decompose is None or offset in decompose
-            result = reason = None
-            pis = []
-            for beta1 in betas:
-                pi = None
-                g = served[2] if beta1 is None else served[2] / beta1
-                try:
-                    value, _, out = counterfactual_value(
-                        provider, terms, offset, served, o_prime, g
-                    )
-                    if split and not pis:
-                        result = split_improvement(terms, value, out, g)
-                        pi = result.pi
-                    else:
-                        pi = improvement(terms.p, value)
-                except EXCLUDED as exc:
-                    if not pis:
-                        reason = EXCLUSION_REASONS[type(exc)]
-                pis.append(pi)
-            yield AnalysisRow(trade, offset, pis[0], result, reason, *pis[1:])
+            key = (split, provider.requote_scope(offset), served)
+            fields = memo.get(key)
+            if fields is None:
+                o_prime = Decimal(served[0]).scaleb(-served[1])
+                result = reason = None
+                pis = []
+                for beta1 in betas:
+                    pi = None
+                    g = served[2] if beta1 is None else served[2] / beta1
+                    try:
+                        value, _, out = counterfactual_value(
+                            provider, terms, offset, served, o_prime, g
+                        )
+                        if split and not pis:
+                            result = split_improvement(terms, value, out, g)
+                            pi = result.pi
+                        else:
+                            pi = improvement(terms.p, value)
+                    except EXCLUDED as exc:
+                        if not pis:
+                            reason = EXCLUSION_REASONS[type(exc)]
+                    pis.append(pi)
+                fields = memo[key] = (pis[0], result, reason, *pis[1:])
+            yield AnalysisRow(trade, offset, *fields)
 
     by_id = attrgetter("trade_id")
     for _, group in groupby(sorted(trades, key=by_id), key=by_id):
@@ -185,13 +194,19 @@ def counting_exclusions(
 
 
 def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
-    """CSV rows of a pass that decomposed every offset (`decompose=None`)."""
+    """CSV rows of a pass that decomposed every offset (`decompose=None`).
+
+    A split's cells are formatted once while consecutive rows share it.
+    """
+    last = cells = None
     for row in rows:
         r = row.result
         if r is None:
             yield [row.trade.trade_id, str(row.offset), *[""] * 5, "true", row.exclusion_reason]
-        else:
-            yield [row.trade.trade_id, str(row.offset), *map(format_bps, r), "false", ""]
+            continue
+        if r is not last:
+            last, cells = r, [*map(format_bps, r), "false", ""]
+        yield [row.trade.trade_id, str(row.offset), *cells]
 
 
 @dataclass(frozen=True, slots=True)

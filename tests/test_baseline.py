@@ -5,7 +5,8 @@ from decimal import Decimal
 
 import pytest
 
-from swapmeter.baseline import ReplayProvider, SyntheticRouterProvider
+from swapmeter.baseline import CalibratedProvider, ReplayProvider, SyntheticRouterProvider
+from swapmeter.calibration import GasCalibration
 from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Quote, TokenAmount
@@ -33,6 +34,14 @@ class TestReplayProvider:
             provider.quote(make_trade(), -1)
         with pytest.raises(QuoteUnavailable):
             provider.quote(make_trade(trade_id="ZZ"), 0)
+
+    def test_every_offset_shares_one_requote_scope(self):
+        provider = ReplayProvider(QuoteSet([quote(offset=-1), quote(offset=0)]))
+        trade = make_trade(direction=Direction.WETH_IN, gas_internalized=True)
+        assert provider.requote_scope(-1) == provider.requote_scope(0)
+        assert provider.output_at(trade, -1, 2995 * USDC, WETH // 2) == provider.output_at(
+            trade, 0, 2995 * USDC, WETH // 2
+        )
 
     def test_two_providers_disambiguated(self):
         quotes = QuoteSet([quote(provider="alpha"), quote(provider="beta", out_raw=1 * USDC)])
@@ -91,6 +100,20 @@ class TestSyntheticRouterProvider:
         provider = SyntheticRouterProvider(self.snapshots(), F_PRIME)
         trade = make_trade()
         assert provider.quote(trade, 0) == provider.quote(trade, 0)
+
+    def test_equal_snapshot_contents_share_a_requote_scope(self):
+        snapshots = {off: [make_pool()] for off in (-1, 0, 1)}  # equal contents, three lists
+        snapshots.update({2: [make_pool(weth=1001)], 3: [make_pool(weth=1002)]})  # drifted
+        provider = SyntheticRouterProvider(snapshots, F_PRIME)
+        scopes = [provider.requote_scope(off) for off in snapshots]
+        assert scopes[0] == scopes[1] == scopes[2]
+        assert len(set(scopes)) == 3
+        calibrated = CalibratedProvider(provider, GasCalibration(Decimal("0.9"), Decimal(0), 20,
+                                                                 Decimal(1), Decimal(0)))
+        assert [calibrated.requote_scope(off) for off in snapshots] == scopes
+        trade = make_trade(direction=Direction.WETH_IN, gas_internalized=True)
+        outputs = [provider.output_at(trade, off, 0, WETH // 2) for off in snapshots]
+        assert outputs[0] == outputs[1] == outputs[2] != outputs[3] != outputs[4]
 
     def test_route_solved_once_per_snapshot_content(self, monkeypatch):
         from swapmeter import baseline

@@ -363,6 +363,12 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(cfg), "--trades", "t.csv", "--quotes", "q.csv"]) == 2
         assert capsys.readouterr().err == f"error: cannot read {cfg}: not UTF-8 text\n"
 
+    def test_malformed_config_line_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run settings\n\nwindow 20\n")
+        assert main(["analyze", "--config", str(cfg), "--trades", "t.csv", "--quotes", "q.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config line 3: expected 'key = value'\n"
+
     @pytest.mark.parametrize("command", ["analyze", "report", "calibrate", "synth"])
     def test_unwritable_out_fatal(self, scenario_files, tmp_path, capsys, command):
         # synth's NotADirectoryError used to end the run in a traceback (exit 1)
@@ -696,7 +702,7 @@ class TestExitCodes:
         spec = tmp_path / "scenario.json"
         spec.write_text(json.dumps({"seed": 1, "n_trades": 5, field: value}))
         assert main(["synth", str(spec), "--out", str(tmp_path / "d")]) == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr().err == f"error: {spec}: {error}\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--calibration"])

@@ -15,9 +15,11 @@ A second test checks each analyze_trades row against attribute_trade and
 counterfactual_price called for that pair alone, and two more check that
 decomposing only the anchor offset changes nothing but which rows carry
 an attribution; another checks that a replay pass builds no per-pair
-record. The last two check the streamed pass: its order equals
+record. Two more check the streamed pass: its order equals
 a stable sort of rows priced one pair at a time, and its values do not
-depend on the decimal context its consumer drains it in.
+depend on the decimal context its consumer drains it in. The per-trade
+memo is checked against a provider whose offsets share no requote scope,
+and by counting how often a shared quote is priced.
 """
 
 import csv
@@ -708,9 +710,8 @@ def test_anchor_only_decomposition_equals_the_full_pass(calibrated):
                 assert None not in (row.pi, row.pi_upper) and row.pi_lower is None
 
 
-@pytest.mark.parametrize("offsets, anchor", [(OFFSETS, 0), ([1, -1], -1)])
-def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offsets, anchor):
-    root, trades = scenario
+def _counted_aggregate(monkeypatch, trades, provider, offsets):
+    """run_aggregate's report, the offset of each pricing, and of each split."""
     priced, decomposed = [], []
 
     def pricing(provider, terms, offset, *args):
@@ -725,13 +726,113 @@ def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offs
     monkeypatch.setattr("swapmeter.pipeline.split_improvement", splitting)
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     report = run_aggregate(
-        trades, _provider(root, "quotes"), cal, offsets, F_PRIME, WINDOW,
-        sys_multiplier=MULTIPLIER,
+        trades, provider, cal, offsets, F_PRIME, WINDOW, sys_multiplier=MULTIPLIER
+    )
+    return report, priced, decomposed
+
+
+@pytest.mark.parametrize("offsets, anchor", [(OFFSETS, 0), ([1, -1], -1)])
+def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offsets, anchor):
+    """Over a distinct snapshot per offset, every pair is priced at three slopes."""
+    root, trades = scenario
+    report, priced, decomposed = _counted_aggregate(
+        monkeypatch, trades, _provider(root, "drifted-pools"), offsets
     )
     assert report.anchor_offset == anchor
     assert Counter(priced) == {offset: 3 * len(trades) for offset in offsets}  # three slopes
     assert decomposed == [anchor] * len(trades)
     assert {p.offset for p in report.curves} == set(offsets)
+
+
+@pytest.mark.parametrize("baseline", ["quotes", "pools"])
+def test_aggregate_prices_a_shared_quote_once_per_split_flag(scenario, monkeypatch, baseline):
+    """Where every offset serves one quote, each trade is priced 3 slopes x 2 split flags."""
+    root, trades = scenario
+    report, priced, decomposed = _counted_aggregate(
+        monkeypatch, trades, _provider(root, baseline), OFFSETS
+    )
+    assert Counter(priced) == {0: 3 * len(trades), -1: 3 * len(trades)}  # 1 reuses -1's
+    assert decomposed == [0] * len(trades)
+    assert {p.offset for p in report.curves} == set(OFFSETS)
+
+
+class UnsharedScopes(BaselineProvider):
+    """Its inner provider's quotes, with each offset its own requote scope: nothing is shared."""
+
+    def __init__(self, inner):
+        self._inner, self.provider_id = inner, inner.provider_id
+
+    def serve(self, trade, offset):
+        return self._inner.serve(trade, offset)
+
+    def output_at(self, trade, offset, out_raw, amount_raw):
+        return self._inner.output_at(trade, offset, out_raw, amount_raw)
+
+
+@pytest.mark.parametrize("baseline", ["quotes", "pools", "drifted-pools"])
+def test_memo_equals_pricing_every_offset(scenario, baseline):
+    """Rows and reports equal those of a provider whose offsets share no requote scope.
+
+    Synth writes one quote for every offset of a trade and one pool snapshot,
+    so those rows of a trade share their split; drifted pools share none.
+    TINY, an internalized WETH-in trade whose gas exceeds its input at every
+    slope, is excluded at every offset, each row with the same reason.
+    """
+    root, trades = scenario
+    tiny = make_trade("TINY", direction=Direction.WETH_IN, gas_internalized=True,
+                      amount_in=TokenAmount(10**15, 18), amount_out=TokenAmount(3 * USDC, 6))
+    trades = [*trades, tiny]
+
+    def provider():
+        if baseline != "quotes":
+            return _provider(root, baseline)
+        quotes = ingest_quotes(root / "quotes.csv")[0]
+        (pid,) = quotes.providers()
+        held = [Quote(t, o, TokenAmount(raw, dec), gas, pid)
+                for (t, o), (raw, dec, gas) in quotes.table(pid).items()]
+        held += [Quote("TINY", o, TokenAmount(3 * USDC, 6), D(150_000), pid) for o in OFFSETS]
+        return ReplayProvider(QuoteSet(held))
+
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    shifted = perturbed_calibrations(cal, MULTIPLIER)
+    rows = analyze_trades(trades, provider(), OFFSETS, F_PRIME, cal, shifted)
+    assert rows == analyze_trades(trades, UnsharedScopes(provider()), OFFSETS, F_PRIME, cal,
+                                  shifted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = [
+            run_aggregate(trades, p, cal, OFFSETS, F_PRIME, WINDOW, sys_multiplier=MULTIPLIER)
+            for p in (provider(), UnsharedScopes(provider()))
+        ]
+    assert reports[0] == reports[1]
+
+    assert [r.exclusion_reason for r in rows if r.trade is tiny] == [
+        "non_positive_adjusted_input"
+    ] * len(OFFSETS)
+    assert any(r.trade.gas_internalized and r.trade.direction is Direction.WETH_IN
+               and r.result is not None for r in rows)  # valued at a re-quoted output
+    splits = [r.result for r in rows if r.result is not None]
+    distinct = len({id(split) for split in splits})
+    assert distinct == (len(splits) if baseline == "drifted-pools" else len(trades) - 1)
+
+
+class OffsetRequotes(BaselineProvider):
+    """One served quote at every offset, re-quoted lower the later the offset."""
+
+    provider_id = "offset-requotes"
+
+    def serve(self, trade, offset):
+        return 2995 * USDC, 6, D(150_000)
+
+    def output_at(self, trade, offset, out_raw, amount_raw):
+        return out_raw * amount_raw // trade.amount_in.raw - 1000 * offset
+
+
+def test_a_quote_served_at_offsets_of_distinct_scopes_is_priced_at_each():
+    """The default scope is the offset: an equal served quote does not share its pricing."""
+    trade = make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True)
+    rows = analyze_trades([trade], OffsetRequotes(), [0, 1, 2], F_PRIME)
+    assert rows[0].pi < rows[1].pi < rows[2].pi  # a lower baseline, a larger improvement
 
 
 def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):

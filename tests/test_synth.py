@@ -92,7 +92,7 @@ class TestIntegerFields:
         spec.write_text('{"seed": 1, "n_trades": 5.9, "offsets": [0, 1.7]}')
         assert main(["synth", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: bad scenario field: n_trades must be an integer, got 5.9\n"
+            f"error: {spec}: bad scenario field: n_trades must be an integer, got 5.9\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -129,12 +129,15 @@ class TestIntegerFields:
 
 
 def _synth_error(tmp_path, capsys, spec) -> str:
-    """stderr of `synth` on a 3-trade `spec`, which must exit 2 and write nothing."""
+    """stderr of `synth` on a 3-trade `spec`, which must exit 2 and write nothing.
+
+    Every refusal names the spec file, whose path reads SPEC here.
+    """
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"seed": 1, "n_trades": 3, **spec}))
     assert main(["synth", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
-    return capsys.readouterr().err
+    return capsys.readouterr().err.replace(str(path), "SPEC")
 
 
 class TestNumberRanges:
@@ -163,7 +166,7 @@ class TestNumberRanges:
         ids=["huge-bonus", "huge-reserve", "negative-reserve", "decimals-2^64"],
     )
     def test_synth_names_the_field_and_its_bound(self, tmp_path, capsys, spec, message):
-        assert _synth_error(tmp_path, capsys, spec) == f"error: {message}\n"
+        assert _synth_error(tmp_path, capsys, spec) == f"error: SPEC: {message}\n"
 
 
 class TestPoolUniverse:
@@ -172,12 +175,12 @@ class TestPoolUniverse:
     def test_duplicate_pool_id_rejected(self, tmp_path, capsys):
         # both rows used to be written at every offset
         spec = {"pools": [_pool(pool_id="A"), _pool(pool_id="B"), _pool(pool_id="A")]}
-        assert _synth_error(tmp_path, capsys, spec) == "error: duplicate pool_id A\n"
+        assert _synth_error(tmp_path, capsys, spec) == "error: SPEC: duplicate pool_id A\n"
 
     def test_mixed_decimals_named(self, tmp_path, capsys):
         spec = {"pools": [_pool(pool_id="A", token_decimals=18), _pool(pool_id="B")]}
         assert _synth_error(tmp_path, capsys, spec) == (
-            "error: all pools must share the token's decimals; got [6, 18]\n"
+            "error: SPEC: all pools must share the token's decimals; got [6, 18]\n"
         )
 
 
@@ -202,7 +205,7 @@ class TestRunValueRules:
     )
     def test_synth_and_run_config_reject_alike(self, tmp_path, capsys, field, value, message):
         # "1e400" used to end in "no feasible split found", 10,001 offsets were accepted
-        assert _synth_error(tmp_path, capsys, {field: value}) == f"error: {message}\n"
+        assert _synth_error(tmp_path, capsys, {field: value}) == f"error: SPEC: {message}\n"
         run_value = {"offsets": tuple, "f_prime_wei": Decimal}.get(field, int)(value)
         with pytest.raises(ConfigError) as caught:
             RunConfig(**{field: run_value})
@@ -235,7 +238,7 @@ class TestNumberFields:
         # these ended in InvalidOperation or ValueError tracebacks (exit 1), and a
         # NaN path weight was accepted and gave every trade the last path
         assert _synth_error(tmp_path, capsys, spec) == (
-            f'error: bad scenario field: {name} must be a finite number, got "nan"\n'
+            f'error: SPEC: bad scenario field: {name} must be a finite number, got "nan"\n'
         )
 
     @pytest.mark.parametrize("value", ["Infinity", "-inf", "1e400", "x", True, None])
@@ -281,7 +284,7 @@ class TestGenerateErrors:
     )
     def test_model_error_names_the_trade(self, tmp_path, capsys, spec, message):
         # these ended in ValueError tracebacks, exit 1
-        assert _synth_error(tmp_path, capsys, spec) == f"error: {message}\n"
+        assert _synth_error(tmp_path, capsys, spec) == f"error: SPEC: {message}\n"
 
 
 class TestGenerate:

@@ -27,8 +27,7 @@ class BaselineProvider(abc.ABC):
     `serve` gives the pair's quote at the trade's own input as plain values;
     `quote` builds a `Quote` of them. `output_at` re-quotes the output alone
     at the gas-adjusted input of a gas-internalized WETH-in trade, whose
-    price reads only the re-quoted output. `requote_scope` names what
-    `output_at` reads of an offset.
+    price reads only the re-quoted output.
     """
 
     provider_id: str
@@ -44,7 +43,9 @@ class BaselineProvider(abc.ABC):
     def requote_scope(self, offset: int) -> Hashable:
         """What `output_at` reads of a served offset: offsets of equal scopes re-quote alike.
 
-        By default each offset is its own scope.
+        By default each offset is its own scope. `analysis_pass` prices the
+        offsets of a trade that share a scope and serve equal values once; a
+        run whose offsets share no scope keeps no memo.
         """
         return offset
 
@@ -76,9 +77,6 @@ class ReplayProvider(BaselineProvider):
 
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         return out_raw * amount_raw // trade.amount_in.raw
-
-    def requote_scope(self, offset: int) -> None:
-        return None  # the rescale reads no offset
 
 
 class SyntheticRouterProvider(BaselineProvider):
@@ -148,8 +146,8 @@ class SyntheticRouterProvider(BaselineProvider):
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
         return self._served(trade, offset, amount_raw, trade.amount_in.decimals)[0]
 
-    def requote_scope(self, offset: int) -> int:
-        return self._snapshots[offset][1]  # the interned snapshot's id
+    def requote_scope(self, offset: int) -> int | None:
+        return self._snapshots.get(offset, (None, None))[1]  # the interned snapshot's id
 
 
 class CalibratedProvider(BaselineProvider):

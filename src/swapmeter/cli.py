@@ -62,24 +62,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    try:
+    with _reading(args.config):
         file_values = parse_config(_read_text(args.config)) if args.config else None
-    except ConfigError as exc:
-        raise SwapmeterError(f"{args.config}: {exc}") from exc
     cli_values = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
     return build_config(file_values, cli_values)
 
 
 @contextmanager
 def _reading(path):
-    """Report an OS, text-decoding or ingest error while reading `path` as a fatal error."""
+    """Report a failed read of `path`, or a fault in what it holds, as a fatal error naming it."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise SwapmeterError(f"cannot read {path}: not UTF-8 text") from exc
     except OSError as exc:
         raise SwapmeterError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except IngestError as exc:
+    except (IngestError, ConfigError, InvalidSpec) as exc:
         raise SwapmeterError(f"{path}: {exc}") from exc
 
 
@@ -243,12 +241,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SwapmeterError(f"cannot read scenario file {args.spec}: {exc}") from None
     out_dir = args.out or "out"
-    try:
-        spec = load_scenario(value)
-        with _writing(out_dir):
-            files = generate(spec, out_dir)
-    except InvalidSpec as exc:
-        raise SwapmeterError(f"{args.spec}: {exc}") from exc
+    with _reading(args.spec), _writing(out_dir):
+        files = generate(load_scenario(value), out_dir)
     print(f"wrote {files.trades_path}, {files.pools_path}, {files.quotes_path}")
     return EXIT_OK
 

@@ -110,9 +110,10 @@ def analysis_pass(
     None), then of each `shifted` (upper, lower) calibration. At the
     offsets in `decompose` (every offset when None) the first slope's pi
     is split into its parts. An exclusion at the first slope is the row's
-    reason; one at a later slope leaves that slope's pi None. An offset
-    whose (split, `provider.requote_scope`, served values) repeats an
-    earlier offset of the trade reuses that offset's values and exclusion.
+    reason; one at a later slope leaves that slope's pi None. When two of
+    the offsets share a `provider.requote_scope`, an offset whose (split,
+    scope, served values) repeats an earlier offset of the trade reuses
+    that offset's values and exclusion.
 
     Trades are walked in stable trade_id order and only one trade_id's
     rows are held at a time: they are priced in the 60-digit policy
@@ -124,9 +125,13 @@ def analysis_pass(
     if shifted is not None:
         betas += [cal.beta1 for cal in shifted]
 
-    def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
+    # Scopes are asked once per run: where no two offsets share one, as at
+    # per-block snapshots, no pair can repeat another and no memo is kept.
+    scopes = {offset: provider.requote_scope(offset) for offset in offsets}
+    shared = len(set(scopes.values())) < len(scopes)
+
+    def priced(trade: TradeRecord, memo: dict | None) -> Iterator[AnalysisRow]:
         terms = trade_terms(trade, f_prime)
-        memo: dict[tuple, tuple] = {}  # (split, requote scope, served) -> the row's priced fields
         for offset in offsets:
             try:
                 served = provider.serve(trade, offset)
@@ -134,35 +139,40 @@ def analysis_pass(
                 yield AnalysisRow(trade, offset, None, None, EXCLUSION_REASONS[type(exc)])
                 continue
             split = decompose is None or offset in decompose
-            key = (split, provider.requote_scope(offset), served)
-            fields = memo.get(key)
-            if fields is None:
-                o_prime = Decimal(served[0]).scaleb(-served[1])
-                result = reason = None
-                pis = []
-                for beta1 in betas:
-                    pi = None
-                    g = served[2] if beta1 is None else served[2] / beta1
-                    try:
-                        value, _, out = counterfactual_value(
-                            provider, terms, offset, served, o_prime, g
-                        )
-                        if split and not pis:
-                            result = split_improvement(terms, value, out, g)
-                            pi = result.pi
-                        else:
-                            pi = improvement(terms.p, value)
-                    except EXCLUDED as exc:
-                        if not pis:
-                            reason = EXCLUSION_REASONS[type(exc)]
-                    pis.append(pi)
-                fields = memo[key] = (pis[0], result, reason, *pis[1:])
-            yield AnalysisRow(trade, offset, *fields)
+            if memo is not None:
+                key = (split, scopes[offset], served)
+                fields = memo.get(key)
+                if fields is not None:
+                    yield AnalysisRow(trade, offset, *fields)
+                    continue
+            o_prime = Decimal(served[0]).scaleb(-served[1])
+            result = reason = None
+            pis = []
+            for beta1 in betas:
+                pi = None
+                g = served[2] if beta1 is None else served[2] / beta1
+                try:
+                    value, _, out = counterfactual_value(
+                        provider, terms, offset, served, o_prime, g
+                    )
+                    if split and not pis:
+                        result = split_improvement(terms, value, out, g)
+                        pi = result.pi
+                    else:
+                        pi = improvement(terms.p, value)
+                except EXCLUDED as exc:
+                    if not pis:
+                        reason = EXCLUSION_REASONS[type(exc)]
+                pis.append(pi)
+            row = AnalysisRow(trade, offset, pis[0], result, reason, *pis[1:])
+            if memo is not None:
+                memo[key] = row[2:]
+            yield row
 
     by_id = attrgetter("trade_id")
     for _, group in groupby(sorted(trades, key=by_id), key=by_id):
         with localcontext(POLICY):
-            rows = [row for trade in group for row in priced(trade)]
+            rows = [row for trade in group for row in priced(trade, {} if shared else None)]
         rows.sort(key=attrgetter("offset"))
         yield from rows
 
@@ -198,15 +208,17 @@ def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
 
     A split's cells are formatted once while consecutive rows share it.
     """
-    last = cells = None
+    last = line = None
     for row in rows:
         r = row.result
         if r is None:
             yield [row.trade.trade_id, str(row.offset), *[""] * 5, "true", row.exclusion_reason]
-            continue
-        if r is not last:
-            last, cells = r, [*map(format_bps, r), "false", ""]
-        yield [row.trade.trade_id, str(row.offset), *cells]
+        elif r is last:
+            yield [row.trade.trade_id, str(row.offset), *line[2:]]
+        else:
+            last = r
+            line = [row.trade.trade_id, str(row.offset), *map(format_bps, r), "false", ""]
+            yield line
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,13 +35,10 @@ class TestReplayProvider:
         with pytest.raises(QuoteUnavailable):
             provider.quote(make_trade(trade_id="ZZ"), 0)
 
-    def test_every_offset_shares_one_requote_scope(self):
+    def test_offsets_share_no_requote_scope(self):
+        """Recorded quotes are not assumed to repeat across offsets: nothing is memoised."""
         provider = ReplayProvider(QuoteSet([quote(offset=-1), quote(offset=0)]))
-        trade = make_trade(direction=Direction.WETH_IN, gas_internalized=True)
-        assert provider.requote_scope(-1) == provider.requote_scope(0)
-        assert provider.output_at(trade, -1, 2995 * USDC, WETH // 2) == provider.output_at(
-            trade, 0, 2995 * USDC, WETH // 2
-        )
+        assert provider.requote_scope(-1) != provider.requote_scope(0)
 
     def test_two_providers_disambiguated(self):
         quotes = QuoteSet([quote(provider="alpha"), quote(provider="beta", out_raw=1 * USDC)])
@@ -111,6 +108,7 @@ class TestSyntheticRouterProvider:
         calibrated = CalibratedProvider(provider, GasCalibration(Decimal("0.9"), Decimal(0), 20,
                                                                  Decimal(1), Decimal(0)))
         assert [calibrated.requote_scope(off) for off in snapshots] == scopes
+        assert provider.requote_scope(9) not in scopes  # no snapshot, no scope
         trade = make_trade(direction=Direction.WETH_IN, gas_internalized=True)
         outputs = [provider.output_at(trade, off, 0, WETH // 2) for off in snapshots]
         assert outputs[0] == outputs[1] == outputs[2] != outputs[3] != outputs[4]

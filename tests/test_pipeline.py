@@ -746,11 +746,16 @@ def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offs
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools"])
 def test_aggregate_prices_a_shared_quote_once_per_split_flag(scenario, monkeypatch, baseline):
-    """Where every offset serves one quote, each trade is priced 3 slopes x 2 split flags."""
+    """Where every offset serves one quote in one scope, a trade is priced 3 slopes x 2 flags.
+
+    Synth's pools are one snapshot at every offset; its quotes are equal at
+    every offset and shared here by a wrapper that gives them one scope.
+    """
     root, trades = scenario
-    report, priced, decomposed = _counted_aggregate(
-        monkeypatch, trades, _provider(root, baseline), OFFSETS
-    )
+    provider = _provider(root, baseline)
+    if baseline == "quotes":
+        provider = SharedScope(provider)
+    report, priced, decomposed = _counted_aggregate(monkeypatch, trades, provider, OFFSETS)
     assert Counter(priced) == {0: 3 * len(trades), -1: 3 * len(trades)}  # 1 reuses -1's
     assert decomposed == [0] * len(trades)
     assert {p.offset for p in report.curves} == set(OFFSETS)
@@ -761,6 +766,7 @@ class UnsharedScopes(BaselineProvider):
 
     def __init__(self, inner):
         self._inner, self.provider_id = inner, inner.provider_id
+        self.scope_calls = 0
 
     def serve(self, trade, offset):
         return self._inner.serve(trade, offset)
@@ -768,13 +774,26 @@ class UnsharedScopes(BaselineProvider):
     def output_at(self, trade, offset, out_raw, amount_raw):
         return self._inner.output_at(trade, offset, out_raw, amount_raw)
 
+    def requote_scope(self, offset):
+        self.scope_calls += 1
+        return super().requote_scope(offset)
+
+
+class SharedScope(UnsharedScopes):
+    """A replay provider's quotes in one requote scope: its rescale reads no offset."""
+
+    def requote_scope(self, offset):
+        self.scope_calls += 1
+        return None
+
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools", "drifted-pools"])
 def test_memo_equals_pricing_every_offset(scenario, baseline):
     """Rows and reports equal those of a provider whose offsets share no requote scope.
 
     Synth writes one quote for every offset of a trade and one pool snapshot,
-    so those rows of a trade share their split; drifted pools share none.
+    so where the quotes are given one scope, or the pools are served, a
+    trade's rows share their split; drifted pools share none.
     TINY, an internalized WETH-in trade whose gas exceeds its input at every
     slope, is excluded at every offset, each row with the same reason.
     """
@@ -791,7 +810,7 @@ def test_memo_equals_pricing_every_offset(scenario, baseline):
         held = [Quote(t, o, TokenAmount(raw, dec), gas, pid)
                 for (t, o), (raw, dec, gas) in quotes.table(pid).items()]
         held += [Quote("TINY", o, TokenAmount(3 * USDC, 6), D(150_000), pid) for o in OFFSETS]
-        return ReplayProvider(QuoteSet(held))
+        return SharedScope(ReplayProvider(QuoteSet(held)))
 
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     shifted = perturbed_calibrations(cal, MULTIPLIER)
@@ -826,6 +845,33 @@ class OffsetRequotes(BaselineProvider):
 
     def output_at(self, trade, offset, out_raw, amount_raw):
         return out_raw * amount_raw // trade.amount_in.raw - 1000 * offset
+
+
+def test_scopes_are_asked_once_per_offset_not_per_pair(scenario):
+    """The memo is chosen per run: a pass asks each offset's scope once, whatever the trades."""
+    root, trades = scenario
+    for wrapper, baseline in [(UnsharedScopes, "drifted-pools"), (SharedScope, "quotes")]:
+        provider = wrapper(_provider(root, baseline))
+        analyze_trades(trades, provider, OFFSETS, F_PRIME)
+        assert provider.scope_calls == len(OFFSETS)
+
+
+class OffsetQuotes(OffsetRequotes):
+    """A quote lower the later the offset, its rescale reading no offset."""
+
+    def serve(self, trade, offset):
+        return 2995 * USDC - 1000 * offset, 6, D(150_000)
+
+    def output_at(self, trade, offset, out_raw, amount_raw):
+        return out_raw * amount_raw // trade.amount_in.raw
+
+
+def test_offsets_of_one_scope_that_serve_different_quotes_are_priced_apart():
+    """A shared scope reuses a pricing only for equal served values."""
+    trade = make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True)
+    rows = analyze_trades([trade], SharedScope(OffsetQuotes()), [0, 1, 2], F_PRIME)
+    assert rows == analyze_trades([trade], OffsetQuotes(), [0, 1, 2], F_PRIME)
+    assert rows[0].pi < rows[1].pi < rows[2].pi
 
 
 def test_a_quote_served_at_offsets_of_distinct_scopes_is_priced_at_each():

@@ -27,7 +27,8 @@ class BaselineProvider(abc.ABC):
     `serve` gives the pair's quote at the trade's own input as plain values;
     `quote` builds a `Quote` of them. `output_at` re-quotes the output alone
     at the gas-adjusted input of a gas-internalized WETH-in trade, whose
-    price reads only the re-quoted output.
+    price reads only the re-quoted output. `requote_scope` names the
+    offsets that serve and re-quote alike.
     """
 
     provider_id: str
@@ -41,11 +42,11 @@ class BaselineProvider(abc.ABC):
         """Raw output o'' at raw input amount_raw, given the pair's served output out_raw."""
 
     def requote_scope(self, offset: int) -> Hashable:
-        """What `output_at` reads of a served offset: offsets of equal scopes re-quote alike.
+        """What `serve` and `output_at` read of an offset: offsets of equal scopes serve alike.
 
-        By default each offset is its own scope. `analysis_pass` prices the
-        offsets of a trade that share a scope and serve equal values once; a
-        run whose offsets share no scope keeps no memo.
+        Offsets of one scope serve equal values, or raise the same
+        exclusion, and re-quote alike. By default each offset is its own
+        scope. `analysis_pass` serves and prices each trade once per scope.
         """
         return offset
 
@@ -89,11 +90,13 @@ class SyntheticRouterProvider(BaselineProvider):
     trade's token side: ConfigError otherwise.
 
     Snapshots with identical contents are interned at construction as one
-    `Snapshot`, which keeps the solver tables of its routes. Each route is
-    solved once per (snapshot, amount, direction, base fee): offsets that
-    share a snapshot, and re-quotes at the same adjusted input, reuse the
-    solved route's output and gas.
+    `Snapshot`, which keeps the solver tables of its routes; an offset's
+    requote scope is its interned snapshot's id, so offsets that share a
+    snapshot are served and priced once per trade. Each call solves its
+    route anew.
     """
+
+    provider_id = "synthetic-router"
 
     def __init__(
         self,
@@ -108,11 +111,8 @@ class SyntheticRouterProvider(BaselineProvider):
         for offset, pools in snapshots.items():
             pools = Snapshot(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
-        # (snapshot id, amount raw, amount decimals, WETH in, base fee) -> (o' raw, decimals, g')
-        self._routes: dict[tuple, tuple[int, int, Decimal]] = {}
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
-        self.provider_id = "synthetic-router"
 
     def _served(
         self, trade: TradeRecord, offset: int, raw: int, decimals: int
@@ -121,18 +121,11 @@ class SyntheticRouterProvider(BaselineProvider):
         snapshot = self._snapshots.get(offset)
         if snapshot is None:
             raise SnapshotUnavailable(offset)
-        pools, snapshot_id = snapshot
-        base_fee = trade.gas.base_fee
-        key = (snapshot_id, raw, decimals, trade.direction is _WETH_IN, base_fee)
-        served = self._routes.get(key)
-        if served is None:
-            gas_price = Decimal(base_fee) + self._f_prime
-            amount = TokenAmount(raw, decimals)
-            route = route_optimal_split(pools, amount, trade.direction, gas_price)
-            out = route.total_out
-            served = (out.raw, out.decimals, Decimal(route.total_gas + self._overhead))
-            self._routes[key] = served
-        return served
+        gas_price = Decimal(trade.gas.base_fee) + self._f_prime
+        amount = TokenAmount(raw, decimals)
+        route = route_optimal_split(snapshot[0], amount, trade.direction, gas_price)
+        out = route.total_out
+        return out.raw, out.decimals, Decimal(route.total_gas + self._overhead)
 
     def serve(self, trade: TradeRecord, offset: int) -> tuple[int, int, Decimal]:
         token = trade.amount_out if trade.direction is _WETH_IN else trade.amount_in

@@ -14,7 +14,7 @@ from pathlib import Path
 from swapmeter import pipeline
 from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouterProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias
-from swapmeter.config import RunConfig, build_config, config_hash, parse_config
+from swapmeter.config import RunConfig, coerce_values, config_hash, parse_config
 from swapmeter.errors import (
     ConfigError,
     IngestError,
@@ -62,10 +62,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    with _reading(args.config):
-        file_values = parse_config(_read_text(args.config)) if args.config else None
+    """Defaults <- config file <- flags; a file value its key's rule refuses names the file."""
+    file_values = {}
+    if args.config:
+        with _reading(args.config):
+            file_values = coerce_values(parse_config(_read_text(args.config)))
     cli_values = {k: v for k, v in vars(args).items() if k not in ("config", "func", "command")}
-    return build_config(file_values, cli_values)
+    return RunConfig(**{**file_values, **coerce_values(cli_values)})
 
 
 @contextmanager

@@ -160,16 +160,10 @@ def _coerce(key: str, value) -> object:
     raise ConfigError(f"unknown config key {key!r}")
 
 
-def build_config(file_values: dict | None = None, cli_values: dict | None = None) -> RunConfig:
-    """Merge defaults <- config file <- CLI flags (CLI wins)."""
-    merged: dict[str, object] = {}
-    for source in (file_values or {}, cli_values or {}):
-        for raw_key, value in source.items():
-            if value is None:
-                continue
-            key = _ALIASES.get(raw_key, raw_key)
-            merged[key] = _coerce(key, value)
-    return RunConfig(**merged)
+def coerce_values(values: dict) -> dict[str, object]:
+    """`values` keyed by RunConfig field, each read by its key's rule; None values are left out."""
+    aliased = ((_ALIASES.get(key, key), value) for key, value in values.items())
+    return {key: _coerce(key, value) for key, value in aliased if value is not None}
 
 
 def config_hash(cfg: RunConfig) -> str:

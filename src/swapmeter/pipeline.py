@@ -1,13 +1,14 @@
 """End-to-end analysis passes: per-trade attribution and aggregation.
 
 A pass walks every (trade, offset) pair, one trade at a time, prices
-its improvement and records exclusions instead of failing. Each pair is
-quoted once; the gas-calibration slope only rescales the quoted gas, so
-aggregation prices the same quote at the nominal slope and, for
-systematic bands, at the slope shifted up and down. Offsets of a trade
-that serve one quote in one requote scope are one counterfactual, priced
-once. Aggregation splits pi into its parts only at the anchor offset, the
-one its summary reports; every other (offset, slope) is priced for pi alone.
+its improvement and records exclusions instead of failing. The offsets of
+one requote scope serve and re-quote alike, so they are one
+counterfactual: a trade is quoted once per scope. The gas-calibration
+slope only rescales the quoted gas, so aggregation prices the same quote
+at the nominal slope and, for systematic bands, at the slope shifted up
+and down. Aggregation splits pi into its parts only at the anchor
+offset, the one its summary reports; every other (offset, slope) is
+priced for pi alone.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class AnalysisRow(NamedTuple):
     """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
 
     result is the split of pi into its parts at the nominal calibration
-    slope, None where the pair is excluded or was priced for pi alone; rows
-    of one trade priced as one counterfactual share one `PiSplit`.
+    slope, None where the pair is excluded or its offset is not decomposed;
+    rows of one trade and requote scope share one `PiSplit`.
     pi_upper and pi_lower are pi with the slope shifted up and down; each
     is None where that slope excludes the pair or no shift was asked for.
     """
@@ -104,16 +105,17 @@ def analysis_pass(
 ) -> Iterator[AnalysisRow]:
     """Price every trade at every offset, yielding rows by (trade_id, offset).
 
-    Each trade's realized terms are taken once and each pair is served
-    once. The one kernel, `counterfactual_value`, prices the served values
-    at each slope in turn: g'/beta1 of `calibration` (g' as served when
-    None), then of each `shifted` (upper, lower) calibration. At the
-    offsets in `decompose` (every offset when None) the first slope's pi
-    is split into its parts. An exclusion at the first slope is the row's
-    reason; one at a later slope leaves that slope's pi None. When two of
-    the offsets share a `provider.requote_scope`, an offset whose (split,
-    scope, served values) repeats an earlier offset of the trade reuses
-    that offset's values and exclusion.
+    The offsets are grouped once per run by `provider.requote_scope`, in
+    first-seen order. Each trade's realized terms are taken once, and each
+    (trade, group) is served once, at the group's first offset. The one
+    kernel, `counterfactual_value`, prices the served values at each slope
+    in turn: g'/beta1 of `calibration` (g' as served when None), then of
+    each `shifted` (upper, lower) calibration. Where any offset of the
+    group is in `decompose` (every offset when None) the first slope's pi
+    is split into its parts; only the rows of offsets in `decompose` carry
+    that split. An exclusion at the first slope is the row's reason; one
+    at a later slope leaves that slope's pi None. Every row of a group
+    shares its values and exclusion.
 
     Trades are walked in stable trade_id order and only one trade_id's
     rows are held at a time: they are priced in the 60-digit policy
@@ -125,26 +127,25 @@ def analysis_pass(
     if shifted is not None:
         betas += [cal.beta1 for cal in shifted]
 
-    # Scopes are asked once per run: where no two offsets share one, as at
-    # per-block snapshots, no pair can repeat another and no memo is kept.
-    scopes = {offset: provider.requote_scope(offset) for offset in offsets}
-    shared = len(set(scopes.values())) < len(scopes)
+    # Scopes are asked once per run. A group is the run's offsets of one
+    # scope, in first-seen order, each with whether its row keeps the split,
+    # and whether the group is split at all.
+    by_scope: dict = {}
+    for offset in offsets:
+        keep = decompose is None or offset in decompose
+        by_scope.setdefault(provider.requote_scope(offset), []).append((offset, keep))
+    groups = [(group, any(keep for _, keep in group)) for group in by_scope.values()]
 
-    def priced(trade: TradeRecord, memo: dict | None) -> Iterator[AnalysisRow]:
+    def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
         terms = trade_terms(trade, f_prime)
-        for offset in offsets:
+        for group, split in groups:
+            offset = group[0][0]
             try:
                 served = provider.serve(trade, offset)
             except EXCLUDED as exc:
-                yield AnalysisRow(trade, offset, None, None, EXCLUSION_REASONS[type(exc)])
+                reason = EXCLUSION_REASONS[type(exc)]
+                yield from (AnalysisRow(trade, o, None, None, reason) for o, _ in group)
                 continue
-            split = decompose is None or offset in decompose
-            if memo is not None:
-                key = (split, scopes[offset], served)
-                fields = memo.get(key)
-                if fields is not None:
-                    yield AnalysisRow(trade, offset, *fields)
-                    continue
             o_prime = Decimal(served[0]).scaleb(-served[1])
             result = reason = None
             pis = []
@@ -164,15 +165,13 @@ def analysis_pass(
                     if not pis:
                         reason = EXCLUSION_REASONS[type(exc)]
                 pis.append(pi)
-            row = AnalysisRow(trade, offset, pis[0], result, reason, *pis[1:])
-            if memo is not None:
-                memo[key] = row[2:]
-            yield row
+            for o, keep in group:
+                yield AnalysisRow(trade, o, pis[0], result if keep else None, reason, *pis[1:])
 
     by_id = attrgetter("trade_id")
     for _, group in groupby(sorted(trades, key=by_id), key=by_id):
         with localcontext(POLICY):
-            rows = [row for trade in group for row in priced(trade, {} if shared else None)]
+            rows = [row for trade in group for row in priced(trade)]
         rows.sort(key=attrgetter("offset"))
         yield from rows
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
+from swapmeter.baseline import SyntheticRouterProvider
 from swapmeter.config import (
     DEFAULT_F_PRIME_WEI,
     DEFAULT_OFFSETS,
@@ -44,8 +45,6 @@ from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
-
-PROVIDER_ID = "synthetic-router"
 
 _DEFAULT_POOLS = (
     {"pool_id": "CP-30", "reserve_weth": "20000", "reserve_token": "60000000",
@@ -352,7 +351,8 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
             # Pool state is held constant across offsets, so every offset's
             # quote equals the settlement-block route.
             quoted = base_route.total_out
-            fields = [str(quoted.raw), str(quoted.decimals), str(gas_estimate), PROVIDER_ID]
+            fields = [str(quoted.raw), str(quoted.decimals), str(gas_estimate),
+                      SyntheticRouterProvider.provider_id]
             quote_rows.extend([trade_id, offset, *fields] for offset in offsets)
         except (ValueError, ArithmeticError) as exc:  # a model bound or a number range
             raise InvalidSpec(f"trade {trade_id}: {exc}") from exc

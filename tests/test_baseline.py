@@ -1,6 +1,5 @@
 """Baseline provider contract: replay lookup and synthetic routing."""
 
-import gc
 from decimal import Decimal
 
 import pytest
@@ -113,23 +112,13 @@ class TestSyntheticRouterProvider:
         outputs = [provider.output_at(trade, off, 0, WETH // 2) for off in snapshots]
         assert outputs[0] == outputs[1] == outputs[2] != outputs[3] != outputs[4]
 
-    def test_route_solved_once_per_snapshot_content(self, monkeypatch):
-        from swapmeter import baseline
-
-        calls = []
-
-        def counting_router(*args, **kwargs):
-            calls.append(args)
-            return route_optimal_split(*args, **kwargs)
-
-        monkeypatch.setattr(baseline, "route_optimal_split", counting_router)
+    def test_route_solved_once_per_snapshot_content(self):
         snapshots = {off: [make_pool()] for off in (-1, 0, 1)}
         snapshots[2] = [make_pool(weth=1001)]
         provider = SyntheticRouterProvider(snapshots, F_PRIME)
         trade = make_trade()
 
         quotes = [provider.quote(trade, off) for off in (-1, 0, 1)]
-        assert len(calls) == 1
         fresh = route_optimal_split(
             [make_pool()], trade.amount_in, trade.direction,
             Decimal(trade.gas.base_fee) + F_PRIME,
@@ -137,46 +126,32 @@ class TestSyntheticRouterProvider:
         for q in quotes:
             assert q.out_estimate == fresh.total_out
             assert q.gas_estimate == Decimal(fresh.total_gas + 80_000)
+        assert provider.quote(trade, 2).out_estimate != fresh.total_out
+        # a route is solved at the trade's own base fee
+        pricier = make_trade(base_fee=30 * GWEI)
+        fresh = route_optimal_split(
+            [make_pool()], pricier.amount_in, pricier.direction,
+            Decimal(pricier.gas.base_fee) + F_PRIME,
+        )
+        assert provider.quote(pricier, 1).out_estimate == fresh.total_out
 
-        provider.quote(trade, 2)
-        assert len(calls) == 2
-        provider.output_at(trade, 0, quotes[1].out_estimate.raw, WETH // 2)
-        assert len(calls) == 3
-        provider.quote(make_trade(base_fee=30 * GWEI), 1)
-        assert len(calls) == 4
-        provider.output_at(trade, 1, quotes[2].out_estimate.raw, WETH // 2)
-        assert len(calls) == 4
-
-    def test_requote_equals_a_fresh_solve_and_hits_the_memo(self, monkeypatch):
-        from swapmeter import baseline
-
-        calls = []
-
-        def counting_router(*args, **kwargs):
-            calls.append(args)
-            return route_optimal_split(*args, **kwargs)
-
-        monkeypatch.setattr(baseline, "route_optimal_split", counting_router)
+    def test_requote_equals_a_fresh_solve(self):
         pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]
         deeper = [make_pool("A", weth=2000, token=6_000_000), pools[1]]
         provider = SyntheticRouterProvider({0: pools, 1: list(pools), 2: deeper}, F_PRIME)
         trade = make_trade(amount_in=TokenAmount(25 * WETH, 18))
         adjusted = TokenAmount(25 * WETH - 4 * 10**15, 18)
         served = [provider.serve(trade, offset) for offset in (0, 1)]
-        assert len(calls) == 1
 
         requoted = provider.output_at(trade, 0, served[0][0], adjusted.raw)
         fresh = route_optimal_split(
             pools, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
         )
         assert requoted == fresh.total_out.raw
-        assert len(calls) == 2
-        # the same adjusted input at an offset sharing the snapshot is served from the memo
+        # an offset sharing the snapshot re-quotes alike
         assert provider.output_at(trade, 1, served[1][0], adjusted.raw) == requoted
-        assert len(calls) == 2
-        # so is a re-quote at the trade's own input
+        # a re-quote at the trade's own input is the served output
         assert provider.output_at(trade, 0, served[0][0], trade.amount_in.raw) == served[1][0]
-        assert len(calls) == 2
         # a re-quote routes over the snapshot of its offset
         fresh = route_optimal_split(
             deeper, adjusted, trade.direction, Decimal(trade.gas.base_fee) + F_PRIME
@@ -184,16 +159,6 @@ class TestSyntheticRouterProvider:
         served_raw = provider.serve(trade, 2)[0]
         assert provider.output_at(trade, 2, served_raw, adjusted.raw) == fresh.total_out.raw
         assert fresh.total_out.raw != requoted
-
-    def test_memo_holds_no_values_the_collector_tracks(self):
-        provider = SyntheticRouterProvider(self.snapshots(scale_at=1), F_PRIME)
-        trade = make_trade(gas_internalized=True)
-        for offset in (-1, 0, 1):
-            served_raw, _, _ = provider.serve(trade, offset)
-            provider.output_at(trade, offset, served_raw, WETH // 2)
-        gc.collect()
-        assert len(provider._routes) == 4
-        assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in provider._routes.items())
 
     def test_tables_built_once_per_snapshot_and_direction(self, monkeypatch):
         from swapmeter import router

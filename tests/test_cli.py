@@ -278,7 +278,7 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("offsets = 1,0,1\n")
         assert main(["analyze", "--config", str(cfg), *base]) == 2
-        assert "error: duplicate offset 1" in capsys.readouterr().err
+        assert f"error: {cfg}: duplicate offset 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "attribution.csv").exists()
 
     @pytest.mark.parametrize(
@@ -470,19 +470,29 @@ class TestExitCodes:
             ("--window", "2.5", "window: expected an integer, got '2.5'"),
             ("--f-prime-wei", "x", "f_prime_wei: expected a finite decimal, got 'x'"),
             ("--strict", "maybe", "strict: expected a boolean, got 'maybe'"),
+            ("--offsets", "1..x", "cannot parse offsets '1..x'"),
         ],
     )
     def test_flag_and_config_value_read_by_one_rule(self, tmp_path, capsys, flag, value, error):
         # --window used to go through argparse's int, with its own usage message
+        # a config file's refusal names the file; a flag's names no path
         key = flag[2:].replace("-", "_")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        settings = [["--config", str(cfg)]]
+        settings = [(["--config", str(cfg)], f"{cfg}: ")]
         if flag != "--strict":  # a flag without a value
-            settings.append([f"{flag}={value}"])
-        for setting in settings:
+            settings.append(([f"{flag}={value}"], ""))
+        for setting, path in settings:
             assert main(["report", "--trades", "t.csv", "--quotes", "q.csv", *setting]) == 2
-            assert capsys.readouterr().err == f"error: {error}\n"
+            assert capsys.readouterr().err == f"error: {path}{error}\n"
+
+    def test_unknown_config_key_names_the_file(self, tmp_path, capsys):
+        # the refusal used to name no file
+        with _inside(tmp_path):
+            Path("run.cfg").write_text("# run settings\nwindows = 20\n")
+            argv = ["analyze", "--config", "run.cfg", "--trades", "t.csv", "--quotes", "q.csv"]
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: run.cfg: unknown config key 'windows'\n"
 
     def test_f_prime_above_uint128_fatal(self, scenario_files, tmp_path, capsys):
         base = [

@@ -17,9 +17,10 @@ decomposing only the anchor offset changes nothing but which rows carry
 an attribution; another checks that a replay pass builds no per-pair
 record. Two more check the streamed pass: its order equals
 a stable sort of rows priced one pair at a time, and its values do not
-depend on the decimal context its consumer drains it in. The per-trade
-memo is checked against a provider whose offsets share no requote scope,
-and by counting how often a shared quote is priced.
+depend on the decimal context its consumer drains it in. Serving and
+pricing once per requote scope is checked against a provider whose
+offsets share no requote scope, and by counting how often a trade is
+served and priced.
 """
 
 import csv
@@ -153,13 +154,13 @@ def _drifted(snapshots):
     }
 
 
-def _provider(root, baseline, memoised=True):
+def _provider(root, baseline, fresh=False):
     if baseline == "quotes":
         return ReplayProvider(ingest_quotes(root / "quotes.csv")[0])
     snapshots = ingest_pool_snapshots(root / "pools.csv")[0]
     if baseline == "drifted-pools":
         snapshots = _drifted(snapshots)
-    return SyntheticRouterProvider(snapshots, F_PRIME) if memoised else FreshRouter(snapshots)
+    return FreshRouter(snapshots) if fresh else SyntheticRouterProvider(snapshots, F_PRIME)
 
 
 def _rounded(q: Fraction) -> D:
@@ -303,7 +304,7 @@ def test_single_pass_equals_three_pass_reference(scenario, baseline):
         (median, e.mean, e.stat_sigma, e.sys_upper, e.sys_lower, e.n, e.total_weight)
         for median, e in report.rolling
     ]
-    expected = _three_pass_reference(trades, _provider(root, baseline, memoised=False), cal)
+    expected = _three_pass_reference(trades, _provider(root, baseline, fresh=True), cal)
     assert curve == expected.curve
     assert rolling == expected.rolling
     assert (report.summary, report.exclusions) == (expected.summary, expected.exclusions)
@@ -746,18 +747,19 @@ def test_aggregate_decomposes_the_anchor_offset_only(scenario, monkeypatch, offs
 
 @pytest.mark.parametrize("baseline", ["quotes", "pools"])
 def test_aggregate_prices_a_shared_quote_once_per_split_flag(scenario, monkeypatch, baseline):
-    """Where every offset serves one quote in one scope, a trade is priced 3 slopes x 2 flags.
+    """Where every offset is in one scope, a trade is priced at 3 slopes, split at the first.
 
     Synth's pools are one snapshot at every offset; its quotes are equal at
-    every offset and shared here by a wrapper that gives them one scope.
+    every offset and shared here by a wrapper that gives them one scope. The
+    scope is priced at its first offset, and its split is the anchor row's.
     """
     root, trades = scenario
     provider = _provider(root, baseline)
     if baseline == "quotes":
         provider = SharedScope(provider)
     report, priced, decomposed = _counted_aggregate(monkeypatch, trades, provider, OFFSETS)
-    assert Counter(priced) == {0: 3 * len(trades), -1: 3 * len(trades)}  # 1 reuses -1's
-    assert decomposed == [0] * len(trades)
+    assert Counter(priced) == {-1: 3 * len(trades)}
+    assert decomposed == [-1] * len(trades)
     assert {p.offset for p in report.curves} == set(OFFSETS)
 
 
@@ -780,7 +782,11 @@ class UnsharedScopes(BaselineProvider):
 
 
 class SharedScope(UnsharedScopes):
-    """A replay provider's quotes in one requote scope: its rescale reads no offset."""
+    """Its inner provider's quotes in one requote scope.
+
+    Only for quotes equal at every offset, such as synth's, replayed: the
+    replay rescale reads no offset, so every offset serves and re-quotes alike.
+    """
 
     def requote_scope(self, offset):
         self.scope_calls += 1
@@ -848,7 +854,7 @@ class OffsetRequotes(BaselineProvider):
 
 
 def test_scopes_are_asked_once_per_offset_not_per_pair(scenario):
-    """The memo is chosen per run: a pass asks each offset's scope once, whatever the trades."""
+    """Offsets are grouped per run: a pass asks each offset's scope once, whatever the trades."""
     root, trades = scenario
     for wrapper, baseline in [(UnsharedScopes, "drifted-pools"), (SharedScope, "quotes")]:
         provider = wrapper(_provider(root, baseline))
@@ -856,29 +862,32 @@ def test_scopes_are_asked_once_per_offset_not_per_pair(scenario):
         assert provider.scope_calls == len(OFFSETS)
 
 
-class OffsetQuotes(OffsetRequotes):
-    """A quote lower the later the offset, its rescale reading no offset."""
-
-    def serve(self, trade, offset):
-        return 2995 * USDC - 1000 * offset, 6, D(150_000)
-
-    def output_at(self, trade, offset, out_raw, amount_raw):
-        return out_raw * amount_raw // trade.amount_in.raw
-
-
-def test_offsets_of_one_scope_that_serve_different_quotes_are_priced_apart():
-    """A shared scope reuses a pricing only for equal served values."""
-    trade = make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True)
-    rows = analyze_trades([trade], SharedScope(OffsetQuotes()), [0, 1, 2], F_PRIME)
-    assert rows == analyze_trades([trade], OffsetQuotes(), [0, 1, 2], F_PRIME)
-    assert rows[0].pi < rows[1].pi < rows[2].pi
-
-
 def test_a_quote_served_at_offsets_of_distinct_scopes_is_priced_at_each():
     """The default scope is the offset: an equal served quote does not share its pricing."""
     trade = make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True)
     rows = analyze_trades([trade], OffsetRequotes(), [0, 1, 2], F_PRIME)
     assert rows[0].pi < rows[1].pi < rows[2].pi  # a lower baseline, a larger improvement
+
+
+@pytest.mark.parametrize("baseline, serves", [("pools", 1), ("drifted-pools", len(OFFSETS))])
+def test_pass_serves_each_trade_once_per_snapshot(scenario, monkeypatch, baseline, serves):
+    """Synth's pools, one snapshot at every offset, serve a trade once; drifted pools, per pair.
+
+    Only the decomposed offset's rows carry a split, also where it is priced with the others.
+    """
+    root, trades = scenario
+    served = []
+    serve = SyntheticRouterProvider.serve
+
+    def counting(self, trade, offset):
+        served.append(offset)
+        return serve(self, trade, offset)
+
+    monkeypatch.setattr(SyntheticRouterProvider, "serve", counting)
+    rows = analyze_trades(trades, _provider(root, baseline), OFFSETS, F_PRIME, decompose=(0,))
+    assert len(rows) == len(trades) * len(OFFSETS)
+    assert len(served) == len(trades) * serves
+    assert {r.offset for r in rows if r.result is not None} == {0}
 
 
 def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):

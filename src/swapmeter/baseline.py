@@ -28,7 +28,7 @@ class BaselineProvider(abc.ABC):
     `quote` builds a `Quote` of them. `output_at` re-quotes the output alone
     at the gas-adjusted input of a gas-internalized WETH-in trade, whose
     price reads only the re-quoted output. `requote_scope` names the
-    offsets that serve and re-quote alike.
+    offsets that serve and re-quote alike. Only `SyntheticRouterProvider` calls the router.
     """
 
     provider_id: str
@@ -83,11 +83,12 @@ class ReplayProvider(BaselineProvider):
 class SyntheticRouterProvider(BaselineProvider):
     """Optimal-split CPMM routing over per-offset pool snapshots.
 
-    Gas estimates are the route's hop gas plus a fixed per-transaction
-    overhead. The routing objective prices gas at the trade's base fee
-    plus the configured baseline priority fee. Every pool, at every
-    offset, must have the same token decimals, and so must each quoted
-    trade's token side: ConfigError otherwise.
+    `route` is the one routing rule, for the baseline and synth alike: it
+    solves at gas price b + f' (the trade's base fee plus the configured
+    baseline priority fee) and estimates gas as the route's hop gas plus a
+    fixed per-transaction overhead. Every pool, at every offset, must have
+    the same token decimals, and so must each quoted trade's token side:
+    ConfigError otherwise.
 
     Snapshots with identical contents are interned at construction as one
     `Snapshot`, which keeps the solver tables of its routes; an offset's
@@ -114,16 +115,15 @@ class SyntheticRouterProvider(BaselineProvider):
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
 
-    def _served(
-        self, trade: TradeRecord, offset: int, raw: int, decimals: int
+    def route(
+        self, direction: Direction, base_fee: int, offset: int, amount: TokenAmount
     ) -> tuple[int, int, Decimal]:
-        """The routed (output raw, decimals, gas estimate) of the trade's swap at an input."""
+        """(out raw, out decimals, hop gas + overhead) of `amount` routed at gas price b + f'."""
         snapshot = self._snapshots.get(offset)
         if snapshot is None:
             raise SnapshotUnavailable(offset)
-        gas_price = Decimal(trade.gas.base_fee) + self._f_prime
-        amount = TokenAmount(raw, decimals)
-        route = route_optimal_split(snapshot[0], amount, trade.direction, gas_price)
+        gas_price = Decimal(base_fee) + self._f_prime
+        route = route_optimal_split(snapshot[0], amount, direction, gas_price)
         out = route.total_out
         return out.raw, out.decimals, Decimal(route.total_gas + self._overhead)
 
@@ -134,10 +134,11 @@ class SyntheticRouterProvider(BaselineProvider):
                 f"trade {trade.trade_id} has token decimals {token.decimals};"
                 f" the pools have {self._decimals}"
             )
-        return self._served(trade, offset, trade.amount_in.raw, trade.amount_in.decimals)
+        return self.route(trade.direction, trade.gas.base_fee, offset, trade.amount_in)
 
     def output_at(self, trade: TradeRecord, offset: int, out_raw: int, amount_raw: int) -> int:
-        return self._served(trade, offset, amount_raw, trade.amount_in.decimals)[0]
+        amount = TokenAmount(amount_raw, trade.amount_in.decimals)
+        return self.route(trade.direction, trade.gas.base_fee, offset, amount)[0]
 
     def requote_scope(self, offset: int) -> int | None:
         return self._snapshots.get(offset, (None, None))[1]  # the interned snapshot's id

@@ -1,8 +1,9 @@
 """Ground-truth-known synthetic scenario generation.
 
 Generates trades, per-offset pool snapshots, and a baseline quote cache
-that exercise every pipeline branch. Classic-like trades are produced by
-executing the synthetic router itself, so their self-baseline price
+that exercise every pipeline branch. Every trade and quote is routed by
+the baseline's own `SyntheticRouterProvider.route`, so Classic-like trades
+execute on the synthetic router itself and their self-baseline price
 improvement is centered on zero; OFA-path trades (X, Fusion) settle with
 internalized gas and receive a configurable extra-output bonus that
 models access to off-chain liquidity, optionally gated by trade size.
@@ -41,7 +42,7 @@ from swapmeter.model import (
 )
 from swapmeter.numeric import finite_number, integer
 from swapmeter.output import write_csv
-from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
+from swapmeter.router import shared_decimals
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
@@ -264,7 +265,9 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
     eth_usd = _implied_eth_usd(spec.pools)
     token_decimals = spec.pools[0].reserve_token.decimals
     bonus_factor = Decimal(1) + spec.ofa_liquidity_bonus
-    snapshot = Snapshot(spec.pools)  # both routes of every trade share its tables
+    router = SyntheticRouterProvider(
+        {0: spec.pools}, spec.f_prime_wei, overhead_gas=spec.overhead_gas
+    )
     offsets = [str(offset) for offset in spec.offsets]
 
     trade_rows: list[list[str]] = []
@@ -296,10 +299,8 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
             if amount_in.raw <= 0:
                 raise InvalidSpec(f"trade {trade_id}: USD size {usd} maps to zero input")
 
-            gas_price = Decimal(base_fee) + spec.f_prime_wei
-            base_route = route_optimal_split(snapshot, amount_in, direction, gas_price)
-            gas_estimate = base_route.total_gas + spec.overhead_gas
-            gas_used = max(21_000, int(gas_estimate * (1.0 + gas_noise)))
+            base_raw, out_decimals, gas_estimate = router.route(direction, base_fee, 0, amount_in)
+            gas_used = max(21_000, int(int(gas_estimate) * (1.0 + gas_noise)))
             gas = GasTerms(gas_used, base_fee, priority_fee)
 
             bonus_on = path in OFA_PATHS and (
@@ -315,12 +316,10 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                         raise InvalidSpec(
                             f"trade {trade_id}: gas cost exceeds input; raise size_min_usd"
                         )
-                    fill = route_optimal_split(
-                        snapshot, TokenAmount(routed_raw, 18), direction, gas_price
-                    )
-                    out_raw = int(Decimal(fill.total_out.raw) * factor)
+                    fill = TokenAmount(routed_raw, 18)
+                    out_raw = int(Decimal(router.route(direction, base_fee, 0, fill)[0]) * factor)
                 else:
-                    gross_raw = int(Decimal(base_route.total_out.raw) * factor)
+                    gross_raw = int(Decimal(base_raw) * factor)
                     out_raw = gross_raw - gas.cost_wei
                     if out_raw <= 0:
                         raise InvalidSpec(
@@ -328,11 +327,10 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
                         )
             else:
                 internalized = False
-                out_raw = int(Decimal(base_route.total_out.raw) * factor)
+                out_raw = int(Decimal(base_raw) * factor)
             if out_raw <= 0:
                 raise InvalidSpec(f"trade {trade_id}: generated output is non-positive")
 
-            out_decimals = token_decimals if direction is Direction.WETH_IN else 18
             trade = TradeRecord(
                 trade_id=trade_id,
                 interface=_PATH_INTERFACE.get(path, "Synthetic"),
@@ -350,9 +348,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
 
             # Pool state is held constant across offsets, so every offset's
             # quote equals the settlement-block route.
-            quoted = base_route.total_out
-            fields = [str(quoted.raw), str(quoted.decimals), str(gas_estimate),
-                      SyntheticRouterProvider.provider_id]
+            fields = [str(base_raw), str(out_decimals), str(gas_estimate), router.provider_id]
             quote_rows.extend([trade_id, offset, *fields] for offset in offsets)
         except (ValueError, ArithmeticError) as exc:  # a model bound or a number range
             raise InvalidSpec(f"trade {trade_id}: {exc}") from exc

@@ -15,7 +15,7 @@ from swapmeter.calibration import GasCalibration
 from swapmeter.config import DEFAULT_OVERHEAD_GAS
 from swapmeter.errors import ConfigError, QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
-from swapmeter.model import Direction, Pool, Quote, TokenAmount, TradeRecord
+from swapmeter.model import RAW_DIGITS, Direction, Pool, Quote, TokenAmount, TradeRecord
 from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 
 _WETH_IN = Direction.WETH_IN
@@ -87,7 +87,8 @@ class SyntheticRouterProvider(BaselineProvider):
     solves at gas price b + f' (the trade's base fee plus the configured
     baseline priority fee) and estimates gas as the route's hop gas plus a
     fixed per-transaction overhead. Every pool, at every offset, must have
-    the same token decimals, and so must each quoted trade's token side:
+    the same token decimals, and so must each quoted trade's token side,
+    and an offset's WETH and token reserves must each sum below 10^60:
     ConfigError otherwise.
 
     Snapshots with identical contents are interned at construction as one
@@ -110,6 +111,11 @@ class SyntheticRouterProvider(BaselineProvider):
         interned: dict[Snapshot, tuple[Snapshot, int]] = {}
         self._snapshots: dict[int, tuple[Snapshot, int]] = {}
         for offset, pools in snapshots.items():
+            for column in ("reserve_weth", "reserve_token"):  # a route's output is below the sum
+                if sum(getattr(pool, column).raw for pool in pools) >= 10**RAW_DIGITS:
+                    raise ConfigError(
+                        f"offset {offset}: the pools' {column}_raw sum to 10^{RAW_DIGITS} or more"
+                    )
             pools = Snapshot(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
         self._f_prime = Decimal(f_prime_wei)

@@ -135,6 +135,9 @@ class TradeRecord:
             raise ValueError("WETH_IN trade requires amount_in decimals = 18")
         if self.direction is Direction.WETH_OUT and self.amount_out.decimals != 18:
             raise ValueError("WETH_OUT trade requires amount_out decimals = 18")
+        if self.gas_internalized and self.direction is Direction.WETH_OUT:
+            if self.amount_out.raw + self.gas.cost_wei >= _MAX_RAW:  # the gross output
+                raise ValueError(f"amount_out.raw + gas cost must be below 10^{RAW_DIGITS}")
         if self.block_number < 0:
             raise ValueError("block_number must be nonnegative")
         if self.usd_value is not None and self.usd_value < 0:

@@ -1,12 +1,15 @@
 """Baseline provider contract: replay lookup and synthetic routing."""
 
+import ast
+from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from swapmeter.baseline import CalibratedProvider, ReplayProvider, SyntheticRouterProvider
 from swapmeter.calibration import GasCalibration
-from swapmeter.errors import QuoteUnavailable, SnapshotUnavailable, SwapmeterError
+from swapmeter.errors import ConfigError, QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Direction, Quote, TokenAmount
 from swapmeter.router import route_optimal_split
@@ -14,6 +17,7 @@ from swapmeter.router import route_optimal_split
 from conftest import GWEI, USDC, WETH, make_pool, make_trade
 
 F_PRIME = Decimal(100_000_000)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "swapmeter"
 
 
 def quote(trade_id="T1", offset=0, out_raw=2995 * USDC, gas=140_000, provider="prov"):
@@ -160,6 +164,21 @@ class TestSyntheticRouterProvider:
         assert provider.output_at(trade, 2, served_raw, adjusted.raw) == fresh.total_out.raw
         assert fresh.total_out.raw != requoted
 
+    @pytest.mark.parametrize("column", ["reserve_weth", "reserve_token"])
+    def test_reserves_summing_past_the_raw_bound_refused(self, column):
+        # a route's output is below its pools' summed reserves, which must fit a raw amount
+        decimals = 18 if column == "reserve_weth" else 6
+
+        def pools(top):
+            second = replace(make_pool("P2"), **{column: TokenAmount(top, decimals)})
+            return [make_pool("P1"), second]
+
+        held = getattr(make_pool("P1"), column).raw
+        SyntheticRouterProvider({0: pools(1), 1: pools(10**60 - 1 - held)}, F_PRIME)
+        with pytest.raises(ConfigError) as exc:
+            SyntheticRouterProvider({0: pools(1), 1: pools(10**60 - held)}, F_PRIME)
+        assert str(exc.value) == f"offset 1: the pools' {column}_raw sum to 10^60 or more"
+
     def test_tables_built_once_per_snapshot_and_direction(self, monkeypatch):
         from swapmeter import router
 
@@ -186,3 +205,19 @@ class TestSyntheticRouterProvider:
                 provider.output_at(trade, offset, provider.serve(trade, offset)[0], amount.raw // 2)
         assert len(builds) == 80
         assert len(set(builds)) == 80
+
+
+def test_only_the_synthetic_router_provider_calls_the_router():
+    """synth and the router baseline share one routing rule: `SyntheticRouterProvider.route`."""
+    calls, imports = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "swapmeter.router":
+                if any(alias.name == "route_optimal_split" for alias in node.names):
+                    imports.add(path.name)
+            func = node.func if isinstance(node, ast.Call) else None
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "route_optimal_split":
+                calls[path.name] = calls.get(path.name, 0) + 1
+    assert calls == {"baseline.py": 1}
+    assert imports == {"baseline.py"}

@@ -594,6 +594,48 @@ class TestExitCodes:
         assert "excluded 1 rows: snapshot_unavailable" in err
         assert "Traceback" not in err
 
+    def test_gross_output_past_the_raw_bound_rejected(self, tmp_path, capsys):
+        # the pass rebuilt o + g(b+f) of this internalized WETH-out fill past 10^60 and
+        # ended in a ValueError traceback (exit 1), in analyze and report alike
+        fill = ROW.replace("Classic", "Fusion").replace("WETH_IN,false", "WETH_OUT,true")
+        fill = fill.replace("1000000000000000000,18,3000000000,6", f"3000000000,6,{'9' * 60},18")
+        classic = [ROW.replace("T1,", f"T{k},") for k in (2, 3)]
+        trades = tmp_path / "trades.csv"
+        trades.write_text("\n".join([VALID_HEADER, fill, *classic]) + "\n")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            f"{QUOTE_HEADER}\nT1,0,1000000000000000000,18,150000,prov\n"
+            "T2,0,2995000000,6,150000,prov\nT3,0,2995000000,6,150000,prov\n"
+        )
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        reason = "amount_out.raw + gas cost must be below 10^60"
+        for command in ("analyze", "report"):
+            assert main([command, *base, "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"reject line 1: {reason}\n")
+            assert "Traceback" not in err
+        assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
+        assert capsys.readouterr().err == f"error: {trades}: line 1: {reason}\n"
+
+    def test_pool_reserves_summing_past_the_raw_bound_fatal(self, tmp_path, capsys):
+        # two legs' outputs summed past 10^60 and the route ended in a ValueError
+        # traceback (exit 1)
+        fill = ROW.replace("Classic", "Fusion").replace("WETH_IN,false", "WETH_IN,true")
+        fill = fill.replace("1000000000000000000,18", f"{10**59},18")
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"{VALID_HEADER}\n{fill}\n")
+        pools = tmp_path / "pools.csv"
+        header = "offset,pool_id,reserve_weth_raw,reserve_token_raw,token_decimals,fee_bps,gas_per_hop"
+        rows = [f"0,P{k},{1000 * 10**18},{10**60 - 1},6,30,100000" for k in (1, 2)]
+        pools.write_text("\n".join([header, *rows]) + "\n")
+        base = ["--trades", str(trades), "--pools", str(pools), "--offsets=0", "--no-correction"]
+        for command in ("analyze", "report"):
+            assert main([command, *base, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                "error: offset 0: the pools' reserve_token_raw sum to 10^60 or more\n"
+            )
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_pool_row_rejected(self, tmp_path, capsys):
         # the repeated row used to double the pool's liquidity, with exit 0
         trades = tmp_path / "trades.csv"

@@ -72,6 +72,17 @@ class TestTypes:
             Quote("T1", 0, TokenAmount(1, 6), Decimal("1e999999"), "prov")
         Quote("T1", 0, TokenAmount(1, 6), Decimal(2**128 - 1), "prov")  # the bound itself
 
+    def test_internalized_weth_out_gross_output_below_the_raw_bound(self):
+        # the pass rebuilds o + g(b+f) as a raw amount: at 10^60 it raised mid-pass
+        cost = make_trade().gas.cost_wei
+        for internalized, direction in [(True, Direction.WETH_IN), (False, Direction.WETH_OUT)]:
+            amount = TokenAmount(10**60 - 1, 18 if direction is Direction.WETH_OUT else 6)
+            make_trade(direction=direction, gas_internalized=internalized, amount_out=amount)
+        fill = dict(direction=Direction.WETH_OUT, gas_internalized=True)
+        make_trade(**fill, amount_out=TokenAmount(10**60 - 1 - cost, 18))
+        with pytest.raises(ValueError, match=r"amount_out.raw \+ gas cost must be below 10\^60"):
+            make_trade(**fill, amount_out=TokenAmount(10**60 - cost, 18))
+
     def test_canonical_tags(self):
         assert canonical_interface("oneinch") == "1inch"
         assert canonical_interface("UNISWAP") == "Uniswap"
@@ -605,6 +616,13 @@ MODEL_GUARDS = {
     "trade-weth-out-decimals": (
         lambda v: make_trade(direction=Direction.WETH_OUT, amount_out=TokenAmount(WETH, v)),
         _NOT_18,
+    ),
+    "trade-internalized-gross-output": (
+        lambda v: make_trade(
+            direction=Direction.WETH_OUT, gas_internalized=True,
+            amount_out=TokenAmount(10**60 - v, 18),
+        ),
+        st.integers(1, 150_000 * 21 * 10**9),  # the fixture's gas cost
     ),
     "trade-block-number": (lambda v: make_trade(block_number=v), _NEGATIVE),
     "trade-usd-value": (lambda v: make_trade(usd_value=Decimal(v)), _NEGATIVE),

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from swapmeter.baseline import SyntheticRouterProvider
 from swapmeter.cli import main
 from swapmeter.config import MAX_OFFSETS, RunConfig
 from swapmeter.errors import ConfigError, InvalidSpec
@@ -183,6 +184,14 @@ class TestPoolUniverse:
             "error: SPEC: all pools must share the token's decimals; got [6, 18]\n"
         )
 
+    def test_reserves_summing_past_the_raw_bound_refused(self, tmp_path, capsys):
+        # each reserve is in range; their sum is not, which the router baseline refuses
+        big = "6" + "0" * 53  # 6 * 10^53 whole tokens, 6 * 10^59 base units
+        spec = {"pools": [_pool(pool_id=k, reserve_token=big) for k in "AB"]}
+        assert _synth_error(tmp_path, capsys, spec) == (
+            "error: SPEC: offset 0: the pools' reserve_token_raw sum to 10^60 or more\n"
+        )
+
 
 class TestRunValueRules:
     """Synth checks offsets, f' and overhead gas with RunConfig's rules and messages."""
@@ -323,6 +332,26 @@ class TestGenerate:
 
         assert column(files.quotes_path, 1) == ["1", "-1", "0"] * 2
         assert column(files.pools_path, 0) == ["-1"] * 3 + ["0"] * 3 + ["1"] * 3
+
+    def test_quotes_are_the_router_baselines_own(self, tmp_path):
+        # synth routes through the provider the router baseline uses, so a
+        # Classic trade's improvement against it is centred on zero
+        spec = scenario(
+            n_trades=30, offsets=[1, -1, 0], f_prime_wei="2000000000", overhead_gas=70000
+        )
+        files = generate(spec, tmp_path)
+        trades = ingest_trades(files.trades_path).records
+        snapshots, _ = ingest_pool_snapshots(files.pools_path)
+        quotes, _ = ingest_quotes(files.quotes_path)
+        provider = SyntheticRouterProvider(
+            snapshots, spec.f_prime_wei, overhead_gas=spec.overhead_gas
+        )
+        served = {
+            (t.trade_id, offset): provider.serve(t, offset)
+            for t in trades for offset in spec.offsets
+        }
+        assert quotes.providers() == [provider.provider_id]
+        assert quotes.table(provider.provider_id) == served
 
     def test_branch_coverage(self, tmp_path):
         files = generate(scenario(n_trades=80), tmp_path)

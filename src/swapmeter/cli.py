@@ -9,19 +9,19 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from swapmeter import pipeline
 from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouterProvider
 from swapmeter.calibration import GasCalibration, fit_gas_bias
-from swapmeter.config import RunConfig, coerce_values, config_hash, parse_config
+from swapmeter.config import SETTINGS, RunConfig, coerce_values, config_hash, parse_config
 from swapmeter.errors import (
+    EXCLUDED,
     ConfigError,
     IngestError,
     InsufficientData,
     InvalidSpec,
-    QuoteUnavailable,
-    SnapshotUnavailable,
     SwapmeterError,
 )
 from swapmeter.ingest import ingest_pool_snapshots, ingest_quotes, ingest_trades
@@ -33,32 +33,6 @@ from swapmeter.synth import generate, load_scenario
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_FATAL = 2
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--trades", help="trade CSV/JSONL path")
-    parser.add_argument("--quotes", help="recorded quote file (replay baseline)")
-    parser.add_argument("--pools", help="pool snapshot file (synthetic router baseline)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--offsets", help="block offsets, e.g. -4..3 or 0,1")
-    parser.add_argument("--f-prime-wei", dest="f_prime_wei", help="baseline priority fee (wei/gas)")
-    parser.add_argument("--window", help="rolling window size")
-    parser.add_argument("--strict", action="store_const", const=True, help="fail on first bad row")
-    parser.add_argument(
-        "--no-correction",
-        dest="no_correction",
-        action="store_const",
-        const=True,
-        help="skip gas-bias correction",
-    )
-    parser.add_argument("--sys-multiplier", dest="sys_multiplier", help="multiple of beta1 SE")
-    parser.add_argument("--calibration", help="calibration report to apply")
-    parser.add_argument(
-        "--calibration-filter",
-        dest="calibration_filter",
-        help="settlement path used as the calibration sample",
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -126,7 +100,7 @@ def _build_provider(cfg: RunConfig, trades) -> tuple[BaselineProvider, int]:
         provider = ReplayProvider(quotes)
         orphans = quotes.orphans(trades)
         if orphans:
-            print(f"{len(orphans)} quotes reference unknown trades", file=sys.stderr)
+            print(f"{len(orphans)} quotes reference no accepted trade", file=sys.stderr)
         return provider, n_bad
     snapshots, n_bad = _ingest(ingest_pool_snapshots, cfg.pools_path, "pool ", strict=cfg.strict)
     provider = SyntheticRouterProvider(snapshots, cfg.f_prime_wei, overhead_gas=cfg.overhead_gas)
@@ -150,6 +124,13 @@ def _load_calibration(cfg: RunConfig) -> GasCalibration | None:
         raise SwapmeterError(f"bad calibration report {path}: {exc}") from None
 
 
+def _exit_code(exclusions: dict[str, int], n_rejected: int) -> int:
+    """Print each exclusion reason's count; partial if any pair was excluded or row rejected."""
+    for reason, count in sorted(exclusions.items()):
+        print(f"excluded {count} rows: {reason}", file=sys.stderr)
+    return EXIT_PARTIAL if exclusions or n_rejected else EXIT_OK
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trades, n_rejects = _load_trades(cfg, require_usd=False)
@@ -160,7 +141,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     for trade in sample:
         try:
             quote = provider.quote(trade, 0)
-        except (QuoteUnavailable, SnapshotUnavailable):
+        except EXCLUDED:
             skipped += 1
             continue
         pairs.append((trade.gas.gas_used, quote.gas_estimate))
@@ -195,9 +176,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             pipeline.attribution_csv_rows(pipeline.counting_exclusions(rows, exclusions)),
             comment=provenance(config_hash(cfg)),
         )
-    for reason, count in sorted(exclusions.items()):
-        print(f"excluded {count} rows: {reason}", file=sys.stderr)
-    return EXIT_PARTIAL if exclusions or n_rejects or n_bad else EXIT_OK
+    return _exit_code(exclusions, n_rejects + n_bad)
 
 
 def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int:
@@ -235,7 +214,7 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         write_json(out / "summary.json", summary, comment=stamp)
         if write_markdown:
             write_text(out / "report.md", _render_markdown(report, curve, stamp))
-    return EXIT_PARTIAL if report.exclusions or n_rejects or n_bad else EXIT_OK
+    return _exit_code(report.exclusions, n_rejects + n_bad)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -291,22 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Price-improvement analytics for onchain swaps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cal = sub.add_parser("calibrate", help="fit the gas-estimate bias slope")
-    _add_common(p_cal)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_an = sub.add_parser("analyze", help="per-trade attribution across offsets")
-    _add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_ag = sub.add_parser("aggregate", help="weighted curves, rolling series, summary")
-    _add_common(p_ag)
-    p_ag.set_defaults(func=cmd_aggregate)
-
-    p_rep = sub.add_parser("report", help="aggregate plus a markdown summary")
-    _add_common(p_rep)
-    p_rep.set_defaults(func=lambda a: cmd_aggregate(a, write_markdown=True))
+    cmd_report = partial(cmd_aggregate, write_markdown=True)
+    for name, help_text, func in (
+        ("calibrate", "fit the gas-estimate bias slope", cmd_calibrate),
+        ("analyze", "per-trade attribution across offsets", cmd_analyze),
+        ("aggregate", "weighted curves, rolling series, summary", cmd_aggregate),
+        ("report", "aggregate plus a markdown summary", cmd_report),
+    ):
+        run = sub.add_parser(name, help=help_text)
+        run.add_argument("--config", help="flat key = value config file")
+        for setting in SETTINGS:
+            if setting.flag:
+                flag = {"action": "store_const", "const": True} if setting.kind == "boolean" else {}
+                run.add_argument(setting.flag, help=setting.help, **flag)
+        run.set_defaults(func=func)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic scenario")
     p_syn.add_argument("spec", help="scenario spec JSON file")

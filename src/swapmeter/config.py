@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from swapmeter.errors import ConfigError
 from swapmeter.model import MAX_UINT64, MAX_UINT128
@@ -123,47 +123,62 @@ def parse_config(text: str) -> dict[str, str]:
 
 # Config takes 1/yes/0/no as booleans too, where ingest takes only true/false.
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-# Each typed key's value rule, and what a refusal says the key expected.
-_TYPED_KEYS = {
-    **dict.fromkeys(
-        ("strict", "no_correction"),
-        (partial(spelled, spellings=_BOOLEANS, expected="a boolean"), "a boolean"),
-    ),
-    **dict.fromkeys(("window", "stride", "overhead_gas"), (integer, "an integer")),
-    **dict.fromkeys(("f_prime_wei", "sys_multiplier"), (finite_number, "a finite decimal")),
-}
-_STR_KEYS = {
-    "trades_path", "quotes_path", "pools_path", "out_dir", "calibration_path", "calibration_filter"
-}
-
-# CLI/file spellings -> RunConfig field names
-_ALIASES = {
-    "trades": "trades_path",
-    "quotes": "quotes_path",
-    "pools": "pools_path",
-    "out": "out_dir",
-    "calibration": "calibration_path",
+# Each value kind's rule, and what a refusal says the key expected (offsets word their own).
+_KINDS = {
+    "text": (lambda value, _: str(value), "text"),
+    "offsets": (lambda value, _: parse_offsets(value), "offsets"),
+    "integer": (integer, "an integer"),
+    "decimal": (finite_number, "a finite decimal"),
+    "boolean": (partial(spelled, spellings=_BOOLEANS, expected="a boolean"), "a boolean"),
 }
 
 
-def _coerce(key: str, value) -> object:
-    if key == "offsets":
-        return parse_offsets(value) if isinstance(value, str) else tuple(value)
-    if key in _TYPED_KEYS:
-        rule, expected = _TYPED_KEYS[key]
-        try:
-            return rule(value, key)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
-    if key in _STR_KEYS:
-        return str(value)
-    raise ConfigError(f"unknown config key {key!r}")
+class Setting(NamedTuple):
+    """A RunConfig field, its flag (None: config files only), value kind and the flag's help."""
+
+    field: str
+    flag: str | None
+    kind: str  # a key of _KINDS
+    help: str = ""
+
+
+# Every run setting, one row per RunConfig field, in the order the CLI lists the flags.
+SETTINGS = (
+    Setting("trades_path", "--trades", "text", "trade CSV/JSONL path"),
+    Setting("quotes_path", "--quotes", "text", "recorded quote file (replay baseline)"),
+    Setting("pools_path", "--pools", "text", "pool snapshot file (synthetic router baseline)"),
+    Setting("out_dir", "--out", "text", "output directory"),
+    Setting("offsets", "--offsets", "offsets", "block offsets, e.g. -4..3 or 0,1"),
+    Setting("f_prime_wei", "--f-prime-wei", "decimal", "baseline priority fee (wei/gas)"),
+    Setting("window", "--window", "integer", "rolling window size"),
+    Setting("stride", None, "integer"),
+    Setting("strict", "--strict", "boolean", "fail on first bad row"),
+    Setting("no_correction", "--no-correction", "boolean", "skip gas-bias correction"),
+    Setting("sys_multiplier", "--sys-multiplier", "decimal", "multiple of beta1 SE"),
+    Setting("calibration_path", "--calibration", "text", "calibration report to apply"),
+    Setting("calibration_filter", "--calibration-filter", "text",
+            "settlement path used as the calibration sample"),
+    Setting("overhead_gas", None, "integer"),
+)
+# A config file spells a setting by its field's name or by its flag's (the flag's dest).
+_BY_KEY = {k: s for s in SETTINGS for k in (s.field, s.flag and s.flag[2:].replace("-", "_")) if k}
 
 
 def coerce_values(values: dict) -> dict[str, object]:
-    """`values` keyed by RunConfig field, each read by its key's rule; None values are left out."""
-    aliased = ((_ALIASES.get(key, key), value) for key, value in values.items())
-    return {key: _coerce(key, value) for key, value in aliased if value is not None}
+    """`values` keyed by RunConfig field, each read by its setting's kind; None values left out."""
+    coerced = {}
+    for key, value in values.items():
+        if value is None:
+            continue
+        if key not in _BY_KEY:
+            raise ConfigError(f"unknown config key {key!r}")
+        field, _, kind, _ = _BY_KEY[key]
+        rule, expected = _KINDS[kind]
+        try:
+            coerced[field] = rule(value, field)
+        except ValueError:
+            raise ConfigError(f"{field}: expected {expected}, got {value!r}") from None
+    return coerced
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -21,6 +21,14 @@ from swapmeter.router import Snapshot, route_optimal_split, shared_decimals
 _WETH_IN = Direction.WETH_IN
 
 
+class ReservesPastBound(ConfigError):
+    """An offset's pools sum one reserve column to 10^RAW_DIGITS base units or more."""
+
+    def __init__(self, offset: int, column: str):
+        self.column = column
+        super().__init__(f"offset {offset}: the pools' {column}_raw sum to 10^{RAW_DIGITS} or more")
+
+
 class BaselineProvider(abc.ABC):
     """Contract for the baseline function mapping (input, offset) -> (o', g').
 
@@ -89,7 +97,7 @@ class SyntheticRouterProvider(BaselineProvider):
     fixed per-transaction overhead. Every pool, at every offset, must have
     the same token decimals, and so must each quoted trade's token side,
     and an offset's WETH and token reserves must each sum below 10^60:
-    ConfigError otherwise.
+    ConfigError otherwise (ReservesPastBound for the sums).
 
     Snapshots with identical contents are interned at construction as one
     `Snapshot`, which keeps the solver tables of its routes; an offset's
@@ -113,9 +121,7 @@ class SyntheticRouterProvider(BaselineProvider):
         for offset, pools in snapshots.items():
             for column in ("reserve_weth", "reserve_token"):  # a route's output is below the sum
                 if sum(getattr(pool, column).raw for pool in pools) >= 10**RAW_DIGITS:
-                    raise ConfigError(
-                        f"offset {offset}: the pools' {column}_raw sum to 10^{RAW_DIGITS} or more"
-                    )
+                    raise ReservesPastBound(offset, column)
             pools = Snapshot(pools)
             self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
         self._f_prime = Decimal(f_prime_wei)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
-from swapmeter.baseline import SyntheticRouterProvider
+from swapmeter.baseline import ReservesPastBound, SyntheticRouterProvider
 from swapmeter.config import (
     DEFAULT_F_PRIME_WEI,
     DEFAULT_OFFSETS,
@@ -42,7 +42,6 @@ from swapmeter.model import (
 )
 from swapmeter.numeric import finite_number, integer
 from swapmeter.output import write_csv
-from swapmeter.router import shared_decimals
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
@@ -109,6 +108,7 @@ class ScenarioSpec:
     offsets: tuple[int, ...]
     f_prime_wei: Decimal
     overhead_gas: int
+    router: SyntheticRouterProvider  # over `pools` at offset 0, at f_prime_wei and overhead_gas
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,8 +191,6 @@ def load_scenario(value) -> ScenarioSpec:
         offsets = tuple(_field("offsets", x, int) for x in value.get("offsets", DEFAULT_OFFSETS))
         f_prime = _field("f_prime_wei", value.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
         overhead = _field("overhead_gas", value.get("overhead_gas", DEFAULT_OVERHEAD_GAS), int)
-    except InvalidSpec:
-        raise
     except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc
 
@@ -217,8 +215,12 @@ def load_scenario(value) -> ScenarioSpec:
     if not offsets:
         raise InvalidSpec("offsets must be nonempty")
     try:
-        shared_decimals(pools)
+        router = SyntheticRouterProvider({0: pools}, f_prime, overhead_gas=overhead)
         check_run_values(offsets, f_prime, overhead)
+    except ReservesPastBound as exc:
+        raise InvalidSpec(
+            f"bad scenario field: the pools' {exc.column} sum to 10^{RAW_DIGITS} base units or more"
+        ) from exc
     except ConfigError as exc:
         raise InvalidSpec(str(exc)) from exc
     if not 0.0 <= weth_in_fraction <= 1.0:
@@ -240,6 +242,7 @@ def load_scenario(value) -> ScenarioSpec:
         offsets=offsets,
         f_prime_wei=f_prime,
         overhead_gas=overhead,
+        router=router,
     )
 
 
@@ -265,9 +268,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
     eth_usd = _implied_eth_usd(spec.pools)
     token_decimals = spec.pools[0].reserve_token.decimals
     bonus_factor = Decimal(1) + spec.ofa_liquidity_bonus
-    router = SyntheticRouterProvider(
-        {0: spec.pools}, spec.f_prime_wei, overhead_gas=spec.overhead_gas
-    )
+    router = spec.router
     offsets = [str(offset) for offset in spec.offsets]
 
     trade_rows: list[list[str]] = []

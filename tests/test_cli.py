@@ -1,5 +1,6 @@
 """CLI subcommands: flows, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -16,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from swapmeter.baseline import ReplayProvider
-from swapmeter.cli import main
-from swapmeter.config import MAX_OFFSETS, RunConfig, parse_offsets
+from swapmeter.cli import build_parser, main
+from swapmeter.config import MAX_OFFSETS, SETTINGS, RunConfig, coerce_values, parse_offsets
 from swapmeter.errors import ConfigError, SwapmeterError
 from swapmeter.ingest import TRADE_COLUMNS, ingest_pool_snapshots, ingest_quotes, ingest_trades
 
@@ -194,6 +195,32 @@ class TestFlows:
             outputs.append([line for line in text.splitlines() if not line.startswith("#")])
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) == 1 + 60 * 3
+
+
+def _oversized_gas_estimate_files(tmp_path, n_trades=2):
+    """Trades T1, T2, ... and a quote of each at offset 0; T1's gas estimate is past uint128."""
+    ids = [f"T{k}" for k in range(1, n_trades + 1)]
+    trades = tmp_path / "trades.csv"
+    trades.write_text("\n".join([VALID_HEADER, *(ROW.replace("T1,", f"{t},") for t in ids)]) + "\n")
+    quotes = tmp_path / "quotes.csv"
+    rows = [f"{t},0,2995000000,6,{'1e999999' if t == 'T1' else 150000},prov" for t in ids]
+    quotes.write_text("\n".join([QUOTE_HEADER, *rows]) + "\n")
+    return trades, quotes
+
+
+def _gross_output_past_the_raw_bound_files(tmp_path):
+    """Trades T1 to T3, and their quotes; T1, an internalized WETH-out fill, is past 10^60."""
+    fill = ROW.replace("Classic", "Fusion").replace("WETH_IN,false", "WETH_OUT,true")
+    fill = fill.replace("1000000000000000000,18,3000000000,6", f"3000000000,6,{'9' * 60},18")
+    classic = [ROW.replace("T1,", f"T{k},") for k in (2, 3)]
+    trades = tmp_path / "trades.csv"
+    trades.write_text("\n".join([VALID_HEADER, fill, *classic]) + "\n")
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text(
+        f"{QUOTE_HEADER}\nT1,0,1000000000000000000,18,150000,prov\n"
+        "T2,0,2995000000,6,150000,prov\nT3,0,2995000000,6,150000,prov\n"
+    )
+    return trades, quotes
 
 
 class TestExitCodes:
@@ -561,12 +588,7 @@ class TestExitCodes:
 
     def test_gas_estimate_above_uint128_rejected(self, tmp_path, capsys):
         # g' = 1e999999 used to pass ingest and overflow g'(b+f') in pricing
-        trades = tmp_path / "trades.csv"
-        trades.write_text(f"{VALID_HEADER}\n{ROW}\n{ROW.replace('T1,', 'T2,')}\n")
-        quotes = tmp_path / "quotes.csv"
-        quotes.write_text(
-            f"{QUOTE_HEADER}\nT1,0,2995000000,6,1e999999,prov\nT2,0,2995000000,6,150000,prov\n"
-        )
+        trades, quotes = _oversized_gas_estimate_files(tmp_path)
         base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
         assert main(["analyze", *base, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -597,16 +619,7 @@ class TestExitCodes:
     def test_gross_output_past_the_raw_bound_rejected(self, tmp_path, capsys):
         # the pass rebuilt o + g(b+f) of this internalized WETH-out fill past 10^60 and
         # ended in a ValueError traceback (exit 1), in analyze and report alike
-        fill = ROW.replace("Classic", "Fusion").replace("WETH_IN,false", "WETH_OUT,true")
-        fill = fill.replace("1000000000000000000,18,3000000000,6", f"3000000000,6,{'9' * 60},18")
-        classic = [ROW.replace("T1,", f"T{k},") for k in (2, 3)]
-        trades = tmp_path / "trades.csv"
-        trades.write_text("\n".join([VALID_HEADER, fill, *classic]) + "\n")
-        quotes = tmp_path / "quotes.csv"
-        quotes.write_text(
-            f"{QUOTE_HEADER}\nT1,0,1000000000000000000,18,150000,prov\n"
-            "T2,0,2995000000,6,150000,prov\nT3,0,2995000000,6,150000,prov\n"
-        )
+        trades, quotes = _gross_output_past_the_raw_bound_files(tmp_path)
         base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
         reason = "amount_out.raw + gas cost must be below 10^60"
         for command in ("analyze", "report"):
@@ -616,6 +629,28 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert main(["analyze", *base, "--out", str(tmp_path / "s"), "--strict"]) == 2
         assert capsys.readouterr().err == f"error: {trades}: line 1: {reason}\n"
+
+    def test_quote_of_a_rejected_trade_counted_as_such(self, tmp_path, capsys):
+        # T1's row is in the file but rejected; its quote was counted as one that
+        # references an unknown trade
+        trades, quotes = _gross_output_past_the_raw_bound_files(tmp_path)
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        assert main(["analyze", *base, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "reject line 1: amount_out.raw + gas cost must be below 10^60\n"
+            "1 quotes reference no accepted trade\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "aggregate", "report"])
+    def test_every_run_prints_its_exclusions(self, tmp_path, capsys, command):
+        # aggregate and report used to exit 1 on an excluded pair without a word
+        trades, quotes = _oversized_gas_estimate_files(tmp_path, n_trades=3)
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        assert main([command, *base, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "reject quote line 1: gas_estimate exceeds the uint128 bound 2^128 - 1\n"
+            "excluded 1 rows: quote_unavailable\n"
+        )
 
     def test_pool_reserves_summing_past_the_raw_bound_fatal(self, tmp_path, capsys):
         # two legs' outputs summed past 10^60 and the route ended in a ValueError
@@ -1392,3 +1427,36 @@ def _inside(directory):
         yield
     finally:
         os.chdir(before)
+
+
+def _run_parsers():
+    """Each subcommand's parser but synth's, by name."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: parser for name, parser in sub.choices.items() if name != "synth"}
+
+
+class TestSettingsTable:
+    """config.SETTINGS declares each run setting once; the flags and config keys follow it."""
+
+    def test_one_row_per_run_config_field(self):
+        assert sorted(s.field for s in SETTINGS) == sorted(f.name for f in fields(RunConfig))
+
+    def test_run_flags_are_config_and_the_tables(self):
+        flags = ["--config", *(s.flag for s in SETTINGS if s.flag)]
+        parsers = _run_parsers()
+        assert sorted(parsers) == ["aggregate", "analyze", "calibrate", "report"]
+        for parser in parsers.values():
+            options = [o for action in parser._actions for o in action.option_strings]
+            assert options == ["-h", "--help", *flags]
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.field)
+    def test_field_and_flag_names_are_config_keys(self, setting):
+        value = {"text": "x", "offsets": "0,1", "integer": "5", "decimal": "2", "boolean": "yes"}
+        keys = [setting.field]
+        if setting.flag:  # a flag's value reaches coerce_values under the flag's dest
+            actions = _run_parsers()["analyze"]._actions
+            keys += [a.dest for a in actions if setting.flag in a.option_strings]
+        for key in keys:
+            coerced = coerce_values({key: value[setting.kind]})
+            assert list(coerced) == [setting.field]
+            RunConfig(**coerced)

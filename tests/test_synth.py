@@ -185,12 +185,15 @@ class TestPoolUniverse:
         )
 
     def test_reserves_summing_past_the_raw_bound_refused(self, tmp_path, capsys):
-        # each reserve is in range; their sum is not, which the router baseline refuses
-        big = "6" + "0" * 53  # 6 * 10^53 whole tokens, 6 * 10^59 base units
-        spec = {"pools": [_pool(pool_id=k, reserve_token=big) for k in "AB"]}
-        assert _synth_error(tmp_path, capsys, spec) == (
-            "error: SPEC: offset 0: the pools' reserve_token_raw sum to 10^60 or more\n"
-        )
+        # each reserve is in range; their sum is not, which the router baseline refuses;
+        # the refusal used to name offset 0 and the pools file's reserve_token_raw column
+        for column, digits in (("reserve_token", 53), ("reserve_weth", 41)):
+            big = "6" + "0" * digits  # whole tokens: 6 * 10^59 base units
+            spec = {"pools": [_pool(pool_id=k, **{column: big}) for k in "AB"]}
+            assert _synth_error(tmp_path, capsys, spec) == (
+                f"error: SPEC: bad scenario field: the pools' {column} sum to 10^60 base units"
+                " or more\n"
+            )
 
 
 class TestRunValueRules:

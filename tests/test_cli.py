@@ -1455,7 +1455,8 @@ class TestSettingsTable:
         keys = [setting.field]
         if setting.flag:  # a flag's value reaches coerce_values under the flag's dest
             actions = _run_parsers()["analyze"]._actions
-            keys += [a.dest for a in actions if setting.flag in a.option_strings]
+            (dest,) = [a.dest for a in actions if setting.flag in a.option_strings]
+            keys.append(dest)
         for key in keys:
             coerced = coerce_values({key: value[setting.kind]})
             assert list(coerced) == [setting.field]

@@ -100,10 +100,10 @@ class SyntheticRouterProvider(BaselineProvider):
     ConfigError otherwise (ReservesPastBound for the sums).
 
     Snapshots with identical contents are interned at construction as one
-    `Snapshot`, which keeps the solver tables of its routes; an offset's
-    requote scope is its interned snapshot's id, so offsets that share a
-    snapshot are served and priced once per trade. Each call solves its
-    route anew.
+    `Snapshot`, which keeps the solver tables of its routes. An offset's
+    requote scope is that interned snapshot itself (None for an offset
+    without one), so offsets that share a snapshot are served and priced
+    once per trade. Each call solves its route anew.
     """
 
     provider_id = "synthetic-router"
@@ -116,14 +116,14 @@ class SyntheticRouterProvider(BaselineProvider):
         overhead_gas: int = DEFAULT_OVERHEAD_GAS,
     ):
         self._decimals = shared_decimals(pool for pools in snapshots.values() for pool in pools)
-        interned: dict[Snapshot, tuple[Snapshot, int]] = {}
-        self._snapshots: dict[int, tuple[Snapshot, int]] = {}
+        interned: dict[Snapshot, Snapshot] = {}
+        self._snapshots: dict[int, Snapshot] = {}
         for offset, pools in snapshots.items():
             for column in ("reserve_weth", "reserve_token"):  # a route's output is below the sum
                 if sum(getattr(pool, column).raw for pool in pools) >= 10**RAW_DIGITS:
                     raise ReservesPastBound(offset, column)
             pools = Snapshot(pools)
-            self._snapshots[offset] = interned.setdefault(pools, (pools, len(interned)))
+            self._snapshots[offset] = interned.setdefault(pools, pools)
         self._f_prime = Decimal(f_prime_wei)
         self._overhead = overhead_gas
 
@@ -135,7 +135,7 @@ class SyntheticRouterProvider(BaselineProvider):
         if snapshot is None:
             raise SnapshotUnavailable(offset)
         gas_price = Decimal(base_fee) + self._f_prime
-        route = route_optimal_split(snapshot[0], amount, direction, gas_price)
+        route = route_optimal_split(snapshot, amount, direction, gas_price)
         out = route.total_out
         return out.raw, out.decimals, Decimal(route.total_gas + self._overhead)
 
@@ -152,8 +152,8 @@ class SyntheticRouterProvider(BaselineProvider):
         amount = TokenAmount(amount_raw, trade.amount_in.decimals)
         return self.route(trade.direction, trade.gas.base_fee, offset, amount)[0]
 
-    def requote_scope(self, offset: int) -> int | None:
-        return self._snapshots.get(offset, (None, None))[1]  # the interned snapshot's id
+    def requote_scope(self, offset: int) -> Snapshot | None:
+        return self._snapshots.get(offset)
 
 
 class CalibratedProvider(BaselineProvider):

@@ -35,9 +35,8 @@ EXHAUSTIVE_LIMIT = 8
 
 @dataclass(frozen=True, slots=True)
 class RouteResult:
-    """An input split across pools: shares sum to 1, outputs are exact."""
+    """A routed input's exact output, summed over its legs, and the legs' hop gas."""
 
-    splits: tuple[tuple[str, Decimal], ...]
     total_out: TokenAmount
     total_gas: int
 
@@ -183,7 +182,7 @@ def route_optimal_split(
     if not isinstance(pools, Snapshot):
         pools = Snapshot(pools)
     tables = pools.tables(direction)
-    x_total = float(amount_in.normalized)
+    x_total = amount_in.raw / 10**amount_in.decimals  # correctly rounded, as float(normalized)
     gas_unit_value = float(gas_price_wei) * 1e-18  # one gas unit in output-token units
     if tables.anchor_price is not None:
         gas_unit_value = gas_unit_value * tables.anchor_price
@@ -241,7 +240,6 @@ def route_optimal_split(
             raws[j] += 1
 
     total_out_raw = 0
-    splits = []
     total_gas = 0
     for (curve, _), raw in zip(kept, raws):
         if raw == 0:
@@ -249,11 +247,5 @@ def route_optimal_split(
         pool = curve.pool
         leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
         total_out_raw += leg.raw
-        splits.append((pool.pool_id, Decimal(raw) / Decimal(raw_total)))
         total_gas += pool.gas_per_hop
-
-    return RouteResult(
-        splits=tuple(splits),
-        total_out=TokenAmount(total_out_raw, tables.out_decimals),
-        total_gas=total_gas,
-    )
+    return RouteResult(TokenAmount(total_out_raw, tables.out_decimals), total_gas)

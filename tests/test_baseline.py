@@ -106,7 +106,7 @@ class TestSyntheticRouterProvider:
         snapshots.update({2: [make_pool(weth=1001)], 3: [make_pool(weth=1002)]})  # drifted
         provider = SyntheticRouterProvider(snapshots, F_PRIME)
         scopes = [provider.requote_scope(off) for off in snapshots]
-        assert scopes[0] == scopes[1] == scopes[2]
+        assert scopes[0] is scopes[1] is scopes[2]  # one interned snapshot
         assert len(set(scopes)) == 3
         calibrated = CalibratedProvider(provider, GasCalibration(Decimal("0.9"), Decimal(0), 20,
                                                                  Decimal(1), Decimal(0)))

@@ -155,7 +155,6 @@ def reference_route(
 
     total_out_raw = 0
     out_decimals = _ref_oriented(pools[0], direction)[2]
-    splits = []
     total_gas = 0
     for (curve, _), raw in zip(kept, raws):
         if raw == 0:
@@ -163,11 +162,9 @@ def reference_route(
         pool = pools[curve.index]
         leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
         total_out_raw += leg.raw
-        splits.append((pool.pool_id, Decimal(raw) / Decimal(raw_total)))
         total_gas += pool.gas_per_hop
 
     return RouteResult(
-        splits=tuple(splits),
         total_out=TokenAmount(total_out_raw, out_decimals),
         total_gas=total_gas,
     )
@@ -279,7 +276,6 @@ class TestOptimalSplit:
     def test_single_pool_full_share(self):
         pool = make_pool()
         route = route_optimal_split([pool], TokenAmount(WETH, 18), Direction.WETH_IN, Decimal(0))
-        assert route.splits == (("P1", Decimal(1)),)
         assert route.total_out == cpmm_swap_out(pool, TokenAmount(WETH, 18), Direction.WETH_IN)
         assert route.total_gas == pool.gas_per_hop
 
@@ -287,7 +283,8 @@ class TestOptimalSplit:
         pools = [make_pool("A", gas_per_hop=0), make_pool("B", gas_per_hop=0)]
         amount = TokenAmount(10 * WETH, 18)
         route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(0))
-        assert {s for _, s in route.splits} == {Decimal("0.5")}
+        half = cpmm_swap_out(pools[0], TokenAmount(5 * WETH, 18), Direction.WETH_IN)
+        assert route.total_out.raw == 2 * half.raw
         single = cpmm_swap_out(pools[0], amount, Direction.WETH_IN)
         assert route.total_out.raw > single.raw
 
@@ -296,21 +293,10 @@ class TestOptimalSplit:
             make_pool("A", gas_per_hop=10_000_000),
             make_pool("B", gas_per_hop=10_000_000),
         ]
-        route = route_optimal_split(
-            pools, TokenAmount(WETH, 18), Direction.WETH_IN, Decimal(20 * GWEI)
-        )
-        assert len(route.splits) == 1
-        assert route.splits[0][1] == Decimal(1)
-        assert route.total_gas == 10_000_000
-
-    def test_shares_sum_to_one(self):
-        rng = random.Random(3)
-        for trial in range(20):
-            pools = [random_pool(rng, f"P{j}") for j in range(rng.randrange(1, 5))]
-            amount = TokenAmount(rng.randrange(1, 100) * WETH, 18)
-            route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(20 * GWEI))
-            assert abs(sum(s for _, s in route.splits) - 1) <= Decimal("1e-12")
-            assert all(s >= 0 for _, s in route.splits)
+        amount = TokenAmount(WETH, 18)
+        route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(20 * GWEI))
+        assert route.total_gas == 10_000_000  # one hop's gas
+        assert route.total_out == cpmm_swap_out(pools[0], amount, Direction.WETH_IN)
 
     def test_beats_best_single_pool(self):
         rng = random.Random(5)
@@ -357,17 +343,25 @@ class TestOptimalSplit:
         with pytest.raises(NoPools):
             route_optimal_split([], TokenAmount(WETH, 18), Direction.WETH_IN, Decimal(0))
 
-    def test_extreme_input_sizes_keep_share_invariant(self):
-        # cancellation-prone tiny inputs and beyond-float-precision raws
+    def test_extreme_input_sizes_route_the_whole_input(self):
+        # cancellation-prone tiny inputs and beyond-float-precision raws: the legs'
+        # raws sum to the input, whether the route keeps one pool or splits evenly
         pools = [
             make_pool("A", weth=10**9, token=10**15, token_decimals=18, gas_per_hop=0),
             make_pool("B", weth=10**9, token=10**15, token_decimals=18, gas_per_hop=0),
         ]
         for raw in (1, 3, 12_345, 10**29 + 7):
-            route = route_optimal_split(
-                pools, TokenAmount(raw, 18), Direction.WETH_IN, Decimal(0)
+            amount = TokenAmount(raw, 18)
+            route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(0))
+            halves = (raw - raw // 2, raw // 2)
+            even = sum(
+                cpmm_swap_out(pool, TokenAmount(half, 18), Direction.WETH_IN).raw
+                for pool, half in zip(pools, halves)
+                if half
             )
-            assert sum(s for _, s in route.splits) == 1
+            whole = cpmm_swap_out(pools[0], amount, Direction.WETH_IN).raw
+            assert route.total_out.raw in (whole, even)
+            assert route == reference_route(pools, amount, Direction.WETH_IN, Decimal(0))
 
     def test_deterministic(self):
         pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]

@@ -105,11 +105,13 @@ class _Tables(NamedTuple):
 
     The candidate subsets in enumeration order: first the one-pool ones
     (`singles`), then each larger one with the sums its split and score
-    need (`multis`: curves, sum of t, sum of s, max of t, hop gas).
+    need (`multis`: curves, sum of t, sum of s, max of t, hop gas, and the
+    curve of largest t/s, whose leg is the first to turn negative as the
+    input shrinks).
     """
 
     singles: tuple[_PoolCurve, ...]
-    multis: tuple[tuple[tuple[_PoolCurve, ...], float, float, float, int], ...]
+    multis: tuple[tuple[tuple[_PoolCurve, ...], float, float, float, int, _PoolCurve], ...]
     anchor_price: float | None  # the anchor pool's marginal price; None when WETH is out
     out_decimals: int
 
@@ -133,9 +135,9 @@ def _build_tables(pools: tuple[Pool, ...], direction: Direction) -> _Tables:
             singles.append(subset[0])
             continue
         t = [c.t for c in subset]
-        multis.append(
-            (subset, sum(t), sum([c.s for c in subset]), max(t), sum([c.gas for c in subset]))
-        )
+        tightest = max(subset, key=lambda c: c.t / c.s)
+        gas = sum([c.gas for c in subset])
+        multis.append((subset, sum(t), sum([c.s for c in subset]), max(t), gas, tightest))
     # Gas is valued at the zero-size price of the pool with the largest WETH reserve.
     anchor_price = None
     if direction is Direction.WETH_IN:
@@ -198,10 +200,13 @@ def route_optimal_split(
     # form. Cancellation noise (tiny inputs against huge reserves) is clamped
     # to zero: a subset with a zeroed leg still pays that hop's gas in the
     # score, so it is dominated by the smaller subset enumerated separately
-    # and can never win incorrectly. A subset with a negative leg is skipped.
-    for curves, sum_t, sum_s, max_t, gas in tables.multis:
+    # and can never win incorrectly. A subset with a negative leg is skipped,
+    # most often on its tightest leg alone, computed as the full check does.
+    for curves, sum_t, sum_s, max_t, gas, tightest in tables.multis:
         scale = (x_total + sum_t) / sum_s
         noise = 1e-9 * (x_total + max_t)
+        if tightest.s * scale - tightest.t < -noise:
+            continue
         xs = [c.s * scale - c.t for c in curves]
         if min(xs) < -noise:
             continue

@@ -22,7 +22,7 @@ from swapmeter.router import (
     route_optimal_split,
 )
 
-from conftest import GWEI, WETH, make_pool
+from conftest import GWEI, USDC, WETH, make_pool
 
 # ---------------------------------------------------------------------------
 # Reference solver: the router as it was before its per-snapshot tables,
@@ -413,6 +413,38 @@ class TestKernelMatchesReference:
             gas_price = Decimal(rng.randrange(0, 100) * GWEI)
             expected = reference_route(pools, amount, Direction.WETH_IN, gas_price)
             assert route_optimal_split(pools, amount, Direction.WETH_IN, gas_price) == expected
+
+    def test_drifted_six_pool_snapshots_over_a_size_sweep(self):
+        # Six pools whose reserves drift per block offset, routed from 1k to 200k USD
+        # each way: most multi-pool subsets are infeasible, and skipped on one leg.
+        shapes = [  # (pool_id, WETH, token, fee_bps, gas_per_hop)
+            ("CP-30", 20_000, 60_000_000, 30, 120_000),
+            ("CP-05", 8_000, 24_000_000, 5, 120_000),
+            ("CP-100", 600, 1_800_000, 100, 90_000),
+            ("CP-01", 3_000, 9_000_000, 1, 130_000),
+            ("CP-30b", 5_000, 15_100_000, 30, 110_000),
+            ("CP-05b", 1_500, 4_480_000, 5, 125_000),
+        ]
+        gas_price = Decimal(21 * GWEI)
+        for offset in range(-4, 4):
+            pools = [
+                Pool(
+                    pool_id,
+                    TokenAmount(weth * WETH * (10_000 + 7 * offset) // 10_000, 18),
+                    TokenAmount(token * USDC * (10_000 - 5 * offset) // 10_000, 6),
+                    fee_bps,
+                    gas,
+                )
+                for pool_id, weth, token, fee_bps, gas in shapes
+            ]
+            for k in range(25):
+                usd = 1_000 * 200 ** (k / 24)
+                for amount, direction in (
+                    (TokenAmount(round(usd / 3_000 * WETH), 18), Direction.WETH_IN),
+                    (TokenAmount(round(usd * USDC), 6), Direction.WETH_OUT),
+                ):
+                    expected = reference_route(pools, amount, direction, gas_price)
+                    assert route_optimal_split(pools, amount, direction, gas_price) == expected
 
     def test_tables_follow_a_changed_pool_list(self):
         pools = [make_pool("A"), make_pool("B", weth=500, token=1_600_000, fee_bps=5)]

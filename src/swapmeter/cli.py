@@ -196,6 +196,7 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         cfg.stride,
         cfg.sys_multiplier,
     )
+    code = _exit_code(report.exclusions, n_rejects + n_bad)  # before an error they may explain
     if not report.curves:
         raise SwapmeterError("all groups are empty; nothing to aggregate")
     stamp = provenance(config_hash(cfg))
@@ -214,7 +215,7 @@ def cmd_aggregate(args: argparse.Namespace, write_markdown: bool = False) -> int
         write_json(out / "summary.json", summary, comment=stamp)
         if write_markdown:
             write_text(out / "report.md", _render_markdown(report, curve, stamp))
-    return _exit_code(report.exclusions, n_rejects + n_bad)
+    return code
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -600,6 +600,19 @@ class TestExitCodes:
         assert f"error: {quotes}: line 1: gas_estimate exceeds the uint128 bound" in err
         assert "Traceback" not in err
 
+    def test_exclusions_printed_before_all_groups_are_empty(self, tmp_path, capsys):
+        # T1's only quote is rejected, which leaves each group one weighted trade
+        trades, quotes = _oversized_gas_estimate_files(tmp_path)
+        base = ["--trades", str(trades), "--quotes", str(quotes), "--offsets=0", "--no-correction"]
+        with pytest.warns(UserWarning, match="fewer than 2 weighted trades"):
+            assert main(["report", *base, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "reject quote line 1: gas_estimate exceeds the uint128 bound 2^128 - 1\n"
+            "excluded 1 rows: quote_unavailable\n"
+            "error: all groups are empty; nothing to aggregate\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_pool_gas_per_hop_above_uint64_rejected(self, tmp_path, capsys):
         # a route's gas of 2 x 10^40 used to overflow the quote's uint128 gas bound
         trades = tmp_path / "trades.csv"

@@ -17,6 +17,7 @@ from swapmeter.router import (
     EXHAUSTIVE_LIMIT,
     SHARE_FLOOR,
     RouteResult,
+    Snapshot,
     cpmm_swap_out,
     marginal_price,
     route_optimal_split,
@@ -427,7 +428,7 @@ class TestKernelMatchesReference:
         ]
         gas_price = Decimal(21 * GWEI)
         for offset in range(-4, 4):
-            pools = [
+            pools = Snapshot(  # one offset's snapshot, its tables shared by the sweep
                 Pool(
                     pool_id,
                     TokenAmount(weth * WETH * (10_000 + 7 * offset) // 10_000, 18),
@@ -436,7 +437,7 @@ class TestKernelMatchesReference:
                     gas,
                 )
                 for pool_id, weth, token, fee_bps, gas in shapes
-            ]
+            )
             for k in range(25):
                 usd = 1_000 * 200 ** (k / 24)
                 for amount, direction in (

@@ -59,10 +59,6 @@ class ZeroTotalWeight(SwapmeterError):
     """Weighted mean requested with all weights zero."""
 
 
-class WindowTooLarge(SwapmeterError):
-    """Rolling window exceeds the number of available points."""
-
-
 class InvalidSpec(SwapmeterError):
     """Scenario specification failed validation."""
 

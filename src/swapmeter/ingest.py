@@ -14,8 +14,9 @@ import csv
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from swapmeter.errors import DuplicateQuote, EmptyInput, IngestError
 from swapmeter.model import (
@@ -252,14 +253,23 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
             raise EmptyInput("input has no data rows")
 
 
-def _accepted(path, columns, build, strict, rejects: list[MalformedRow]) -> Iterator:
-    """What `build` makes of each row; each rejected row is added to `rejects`."""
+def _accepted(path, columns, build, strict, rejects: list[MalformedRow], key=None) -> Iterator:
+    """What `build` makes of each row; each rejected row is added to `rejects`.
+
+    With `key`, a row whose key (e.g. "trade_id T1") an accepted row has is rejected.
+    """
+    seen: set[str] = set()
     for line_no, row in _rows(path, columns):
         if isinstance(row, str):
             reject = MalformedRow(line_no, row)
         else:
             try:
                 record = build(row)
+                if key is not None:
+                    k = key(record)
+                    if k in seen:
+                        raise ValueError(f"duplicate {k}")
+                    seen.add(k)
             except ValueError as exc:
                 reject = MalformedRow(line_no, str(exc) or repr(exc))
             else:
@@ -268,21 +278,6 @@ def _accepted(path, columns, build, strict, rejects: list[MalformedRow]) -> Iter
         if strict:
             raise IngestError(f"line {reject.line}: {reject.reason}")
         rejects.append(reject)
-
-
-def _unique(build: Callable[[list], Any], key: Callable[[Any], str]) -> Callable[[list], Any]:
-    """`build`, rejecting each row whose key, e.g. "trade_id T1", an accepted row has."""
-    seen: set[str] = set()
-
-    def build_once(row: list):
-        record = build(row)
-        k = key(record)
-        if k in seen:
-            raise ValueError(f"duplicate {k}")
-        seen.add(k)
-        return record
-
-    return build_once
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +291,12 @@ def ingest_trades(
 
     A trade_id is accepted once: each later row with an accepted id is rejected.
     """
-    build = _unique(lambda row: _build_trade(row, require_usd), lambda t: f"trade_id {t.trade_id}")
+    build = partial(_build_trade, require_usd=require_usd)
     rejects: list[MalformedRow] = []
-    return IngestResult(list(_accepted(path, TRADE_COLUMNS, build, strict, rejects)), rejects)
+    trades = _accepted(
+        path, TRADE_COLUMNS, build, strict, rejects, lambda t: f"trade_id {t.trade_id}"
+    )
+    return IngestResult(list(trades), rejects)
 
 
 def ingest_quotes(path: str | Path, *, strict: bool = False) -> IngestResult:
@@ -313,10 +311,13 @@ def ingest_pool_snapshots(path: str | Path, *, strict: bool = False) -> IngestRe
 
     A pool_id is accepted once per offset: each later row with it is rejected.
     """
-    build = _unique(_build_pool, lambda row: f"pool_id {row[1].pool_id} at offset {row[0]}")
     rejects: list[MalformedRow] = []
     snapshots: dict[int, list[Pool]] = {}
-    for offset, pool in _accepted(path, SNAPSHOT_COLUMNS, build, strict, rejects):
+    pools = _accepted(
+        path, SNAPSHOT_COLUMNS, _build_pool, strict, rejects,
+        lambda row: f"pool_id {row[1].pool_id} at offset {row[0]}",
+    )
+    for offset, pool in pools:
         snapshots.setdefault(offset, []).append(pool)
     return IngestResult(snapshots, rejects)
 

@@ -57,24 +57,18 @@ def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]
 
 
 def write_csv(
-    path: str | Path,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[str]],
-    comment: str | None = None,
+    path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]], comment: str
 ) -> None:
     with _replacing(path, newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
 
 
-def write_json(path: str | Path, payload: dict, comment: str | None = None) -> None:
-    if comment:
-        payload = {"meta": comment, **payload}
+def write_json(path: str | Path, payload: dict, comment: str) -> None:
     with _replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"meta": comment, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -306,13 +306,7 @@ def run_aggregate(
 
     # Rolling-by-size series at the anchor offset, all groups pooled. The pass
     # yields trade_id order, so a stable sort by usd orders by (usd, trade_id).
-    if len(points) >= 2:
-        eff_window = min(window, len(points))
-        if eff_window < window:
-            warnings.warn(
-                f"rolling window {window} exceeds {len(points)} trades; using {eff_window}"
-            )
-        report.rolling = rolling_by_size(points, eff_window, stride)
+    report.rolling = rolling_by_size(points, window, stride)
     return report
 
 

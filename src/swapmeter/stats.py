@@ -36,7 +36,7 @@ from operator import add, itemgetter, sub
 from typing import Callable, Hashable, Iterable, Sequence
 
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
-from swapmeter.errors import InsufficientData, WindowTooLarge, ZeroTotalWeight
+from swapmeter.errors import InsufficientData, ZeroTotalWeight
 
 ZERO = Decimal(0)
 
@@ -169,12 +169,16 @@ def rolling_by_size(
     systematic half-width is |shifted mean - mean| over the members
     valued at that slope, and 0 when fewer than two are or their weights
     sum to zero. A window whose weights are all zero is skipped with a
-    warning.
+    warning. A window larger than the points is clamped to their count,
+    with a warning; fewer than two points give no windows.
     """
     if window < 2:
         raise InsufficientData("rolling window must be >= 2")
+    if len(points) < 2:
+        return []
     if window > len(points):
-        raise WindowTooLarge(f"window {window} exceeds {len(points)} points")
+        warnings.warn(f"rolling window {window} exceeds {len(points)} trades; using {len(points)}")
+        window = len(points)
     ordered = sorted(points, key=itemgetter(0))
     ctx = getcontext()
     run = _zeros(3)  # running sums of the values, the upper and the lower values

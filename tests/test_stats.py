@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import CalibratedProvider, ReplayProvider
 from swapmeter.calibration import GasCalibration
-from swapmeter.errors import InsufficientData, WindowTooLarge, ZeroTotalWeight
+from swapmeter.errors import InsufficientData, ZeroTotalWeight
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Quote, TokenAmount
 from swapmeter.pipeline import analyze_trades, run_aggregate
@@ -73,8 +73,17 @@ class TestRolling:
         assert est.n == 4
 
     def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            rolling_by_size([(D(1), D(1)), (D(2), D(2))], window=3)
+        points = [(D(3), D(1)), (D(1), D(4)), (D(2), D(2))]
+        with pytest.warns(UserWarning) as caught:
+            series = rolling_by_size(points, window=5)
+        assert [str(w.message) for w in caught] == ["rolling window 5 exceeds 3 trades; using 3"]
+        assert series == rolling_by_size(points, window=len(points))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_give_no_windows(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rolling_by_size([(D(1), D(1))] * n, window=5) == []
 
     def test_transition_across_size_gate(self):
         # pi = 10 bps iff usd > 25000: the rolling curve crosses from ~0 to ~10

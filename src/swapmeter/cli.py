@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -297,11 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a shown warning reads `warning: <message>`, like the other stderr lines
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except SwapmeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import swapmeter
 from swapmeter.baseline import ReplayProvider
 from swapmeter.cli import build_parser, main
 from swapmeter.config import MAX_OFFSETS, SETTINGS, RunConfig, coerce_values, parse_offsets
@@ -221,6 +224,39 @@ def _gross_output_past_the_raw_bound_files(tmp_path):
         "T2,0,2995000000,6,150000,prov\nT3,0,2995000000,6,150000,prov\n"
     )
     return trades, quotes
+
+
+_RUN = ["--offsets=0", "--no-correction", "--out", "{d}/out"]
+_USD_MISSING = "usd_value missing (required for aggregate runs)"
+# refusals no other test reaches: argv ({d} is the input directory), exit code, stderr
+_REFUSALS = {
+    "no-trade-file": (
+        ["analyze", "--quotes", "{d}/quotes.csv", *_RUN],
+        2, "error: no trade file configured (--trades)\n",
+    ),
+    "offset-range-end-before-start": (
+        ["analyze", "--trades", "{d}/trades.csv", "--quotes", "{d}/quotes.csv", *_RUN,
+         "--offsets=3..1"],
+        2, "error: bad offset range '3..1': end before start\n",
+    ),
+    "jsonl-line-not-an-object": (
+        ["analyze", "--trades", "{d}/array.jsonl", "--quotes", "{d}/quotes.csv", *_RUN],
+        1, "reject line 1: JSONL line must be an object\n3 quotes reference no accepted trade\n",
+    ),
+    "header-field-past-the-csv-limit": (
+        ["analyze", "--trades", "{d}/wide.csv", "--quotes", "{d}/quotes.csv", *_RUN],
+        2, "error: {d}/wide.csv: bad header: field larger than field limit (131072)\n",
+    ),
+    "no-usd-values": (
+        ["report", "--trades", "{d}/unweighted.csv", "--quotes", "{d}/quotes.csv", *_RUN],
+        2, "".join(f"reject line {n}: {_USD_MISSING}\n" for n in (1, 2, 3))
+        + "error: no valid weighted trades to aggregate\n",
+    ),
+    "zero-gas-estimates": (
+        ["calibrate", "--trades", "{d}/trades.csv", "--quotes", "{d}/zero_gas.csv", *_RUN],
+        2, "error: fitted beta1 is non-positive\n",
+    ),
+}
 
 
 class TestExitCodes:
@@ -881,6 +917,41 @@ class TestExitCodes:
         assert "path:X," not in curve
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["summary"]["by_path"]) == {"Classic"}
+
+    def test_notices_print_as_warning_lines_from_a_shell(self, tmp_path):
+        # each skipped group printed as `…/stats.py:250: UserWarning: …` and its source line
+        trades, quotes = _oversized_gas_estimate_files(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(swapmeter.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "swapmeter.cli", "report", "--trades", str(trades),
+             "--quotes", str(quotes), "--offsets=0", "--no-correction", "--out", "o"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "reject quote line 1: gas_estimate exceeds the uint128 bound 2^128 - 1\n"
+            "warning: skipping group ('path', 'Classic', 0): fewer than 2 weighted trades\n"
+            "warning: skipping group ('interface', 'Uniswap', 0): fewer than 2 weighted trades\n"
+            "excluded 1 rows: quote_unavailable\n"
+            "error: all groups are empty; nothing to aggregate\n"
+        )
+
+    @pytest.mark.parametrize("argv, code, err", list(_REFUSALS.values()), ids=list(_REFUSALS))
+    def test_refusal_lines(self, tmp_path, capsys, argv, code, err):
+        d = tmp_path
+        rows = [ROW.replace("T1,", f"T{k},").replace(",150000,", f",{150000 + 1000 * k},")
+                for k in (1, 2, 3)]
+        (d / "trades.csv").write_text("\n".join([VALID_HEADER, *rows]) + "\n")
+        unweighted = [row.replace(",3000,", ",,") for row in rows]
+        (d / "unweighted.csv").write_text("\n".join([VALID_HEADER, *unweighted]) + "\n")
+        (d / "wide.csv").write_text("x" * 131_073 + f"\n{ROW}\n")
+        (d / "array.jsonl").write_text("[1, 2]\n")
+        for name, gas in (("quotes.csv", 150000), ("zero_gas.csv", 0)):
+            quotes = [f"T{k},0,2995000000,6,{gas},prov" for k in (1, 2, 3)]
+            (d / name).write_text("\n".join([QUOTE_HEADER, *quotes]) + "\n")
+        assert main([arg.format(d=d) for arg in argv]) == code
+        assert capsys.readouterr().err == err.format(d=d)
 
 
 class TestStreaming:

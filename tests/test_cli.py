@@ -926,7 +926,7 @@ class TestExitCodes:
         done = subprocess.run(
             [sys.executable, "-m", "swapmeter.cli", "report", "--trades", str(trades),
              "--quotes", str(quotes), "--offsets=0", "--no-correction", "--out", "o"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
         assert done.stderr == (

@@ -9,9 +9,8 @@ systematic uncertainty band downstream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from decimal import Decimal, Overflow
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from swapmeter.errors import ConfigError, DegenerateRegressor, InsufficientData
 from swapmeter.numeric import finite_number, integer
@@ -24,25 +23,24 @@ MIN_SLOPE = Decimal("1e-18")
 MAX_SLOPE = Decimal("1e18")
 
 
-@dataclass(frozen=True, slots=True)
-class GasCalibration:
+class GasCalibration(NamedTuple("GasCalibration", [
+    ("beta1", Decimal), ("beta1_se", Decimal), ("n_points", int),
+    ("residual_mean", Decimal), ("residual_stddev", Decimal),
+])):
     """Fitted bias slope beta1 with its standard error and fit summary."""
 
-    beta1: Decimal
-    beta1_se: Decimal
-    n_points: int
-    residual_mean: Decimal
-    residual_stddev: Decimal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beta1 <= 0:
+    def __new__(cls, beta1, beta1_se, n_points, residual_mean, residual_stddev):
+        if beta1 <= 0:
             raise ValueError("beta1 must be positive")
-        if not MIN_SLOPE <= self.beta1 <= MAX_SLOPE:
-            raise ValueError(f"beta1 {self.beta1} is outside [{MIN_SLOPE}, {MAX_SLOPE}]")
-        if self.beta1_se < 0:
+        if not MIN_SLOPE <= beta1 <= MAX_SLOPE:
+            raise ValueError(f"beta1 {beta1} is outside [{MIN_SLOPE}, {MAX_SLOPE}]")
+        if beta1_se < 0:
             raise ValueError("beta1_se must be nonnegative")
-        if self.beta1_se > MAX_SLOPE:
-            raise ValueError(f"beta1_se {self.beta1_se} exceeds {MAX_SLOPE}")
+        if beta1_se > MAX_SLOPE:
+            raise ValueError(f"beta1_se {beta1_se} exceeds {MAX_SLOPE}")
+        return tuple.__new__(cls, (beta1, beta1_se, n_points, residual_mean, residual_stddev))
 
     def as_dict(self) -> dict:
         return {
@@ -133,6 +131,7 @@ def perturbed_calibrations(
         )
         low = cal.beta1 / 2
     try:
-        return replace(cal, beta1=upper), replace(cal, beta1=low)
+        # built anew, not by `_replace`, so each shifted slope is checked
+        return GasCalibration(upper, *cal[1:]), GasCalibration(low, *cal[1:])
     except ValueError as exc:
         raise ConfigError(f"beta1 +/- {multiplier}*se: {exc}") from None

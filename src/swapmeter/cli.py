@@ -298,11 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a shown warning reads `warning: <message>`, like the other stderr lines
+    # every warning shows, not once per call site, and reads `warning: <message>`
+    # like the other stderr lines; the filters and the formatter are restored after
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            return args.func(args)
     except SwapmeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
@@ -22,8 +21,7 @@ DEFAULT_CALIBRATION_FILTER = "Classic"
 MAX_OFFSETS = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class _RunValues(NamedTuple):
     trades_path: str | None = None
     quotes_path: str | None = None
     pools_path: str | None = None
@@ -39,7 +37,14 @@ class RunConfig:
     calibration_path: str | None = None
     overhead_gas: int = DEFAULT_OVERHEAD_GAS
 
-    def __post_init__(self):
+
+class RunConfig(_RunValues):
+    """A run's settings, checked on construction; `SETTINGS` has one row per field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_run_values(self.offsets, self.f_prime_wei, self.overhead_gas)
         if self.window < 2:
             raise ConfigError("window must be >= 2")
@@ -47,6 +52,7 @@ class RunConfig:
             raise ConfigError("stride must be >= 1")
         if self.sys_multiplier <= 0:
             raise ConfigError("sys_multiplier must be positive")
+        return self
 
     def require_provider(self) -> None:
         have = [p for p in (self.quotes_path, self.pools_path) if p]
@@ -184,10 +190,10 @@ def coerce_values(values: dict) -> dict[str, object]:
 def config_hash(cfg: RunConfig) -> str:
     """Short content hash of the effective configuration."""
     lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
+    for name in sorted(RunConfig._fields):
+        value = getattr(cfg, name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
+        lines.append(f"{name}={value}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:12]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
@@ -72,8 +71,7 @@ POOL_COLUMNS = [
 SNAPSHOT_COLUMNS = ["offset"] + POOL_COLUMNS
 
 
-@dataclass(frozen=True, slots=True)
-class MalformedRow:
+class MalformedRow(NamedTuple):
     """One rejected input row: 1-based data line number plus the reason."""
 
     line: int
@@ -129,7 +127,7 @@ class QuoteSet:
 
 # ---------------------------------------------------------------------------
 # row builders: numeric's value rules check each raw CSV or JSONL value's
-# type and sign, naming the column; the model's __post_init__ checks
+# type and sign, naming the column; the model's constructors check
 # ranges, for direct construction too.
 
 # Ingest takes only true/false as booleans (any case); config also takes 1/yes/0/no.

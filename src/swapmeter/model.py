@@ -7,9 +7,9 @@ arithmetic, and only where a price is actually computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from typing import NamedTuple
 
 MAX_UINT128 = 2**128 - 1
 MAX_UINT64 = 2**64 - 1  # EVM gas amounts are 64-bit
@@ -66,15 +66,17 @@ def check_gas_estimate(gas: Decimal) -> None:
         raise ValueError("gas_estimate exceeds the uint128 bound 2^128 - 1")
 
 
-@dataclass(frozen=True, slots=True)
-class TokenAmount:
+# Records are NamedTuples. A checked record subclasses its fields' NamedTuple
+# and checks in __new__, for positional and keyword calls alike; `_replace`
+# skips __new__, so a changed record that needs its checks is built anew.
+class TokenAmount(NamedTuple("TokenAmount", [("raw", int), ("decimals", int)])):
     """A token quantity: raw base units plus the token's decimals."""
 
-    raw: int
-    decimals: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_amount(self.raw, self.decimals)
+    def __new__(cls, raw: int, decimals: int):
+        check_amount(raw, decimals)
+        return tuple.__new__(cls, (raw, decimals))
 
     @property
     def normalized(self) -> Decimal:
@@ -82,70 +84,72 @@ class TokenAmount:
         return Decimal(self.raw).scaleb(-self.decimals)
 
 
-@dataclass(frozen=True, slots=True)
-class GasTerms:
+class GasTerms(NamedTuple("GasTerms", [
+    ("gas_used", int), ("base_fee", int), ("priority_fee", int),
+])):
     """EIP-1559 gas data of one settlement transaction.
 
     gas_used is in gas units; base_fee and priority_fee are wei per gas.
     """
 
-    gas_used: int
-    base_fee: int
-    priority_fee: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("gas_used", "base_fee", "priority_fee"):
-            v = getattr(self, name)
+    def __new__(cls, gas_used: int, base_fee: int, priority_fee: int):
+        for name, v in zip(cls._fields, (gas_used, base_fee, priority_fee)):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
-        if self.gas_used * (self.base_fee + self.priority_fee) > MAX_UINT128:
+        if gas_used * (base_fee + priority_fee) > MAX_UINT128:
             raise ValueError("gas_used * (base_fee + priority_fee) overflows uint128")
+        return tuple.__new__(cls, (gas_used, base_fee, priority_fee))
 
     @property
     def cost_wei(self) -> int:
         return self.gas_used * (self.base_fee + self.priority_fee)
 
 
-@dataclass(frozen=True, slots=True)
-class TradeRecord:
+class TradeRecord(NamedTuple("TradeRecord", [
+    ("trade_id", str), ("interface", str), ("path", str), ("block_number", int),
+    ("direction", Direction), ("gas_internalized", bool), ("amount_in", TokenAmount),
+    ("amount_out", TokenAmount), ("gas", GasTerms), ("usd_value", Decimal | None),
+    ("timestamp", int),
+])):
     """One settled swap with amounts, gas data, and USD weight.
 
     usd_value may be None for per-trade analysis; aggregate runs reject
     such rows at ingestion.
     """
 
-    trade_id: str
-    interface: str
-    path: str
-    block_number: int
-    direction: Direction
-    gas_internalized: bool
-    amount_in: TokenAmount
-    amount_out: TokenAmount
-    gas: GasTerms
-    usd_value: Decimal | None
-    timestamp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.amount_in.raw <= 0:
+    def __new__(
+        cls, trade_id, interface, path, block_number, direction, gas_internalized,
+        amount_in, amount_out, gas, usd_value, timestamp,
+    ):
+        if amount_in.raw <= 0:
             raise ValueError("amount_in.raw must be > 0")
-        if self.amount_out.raw <= 0:
+        if amount_out.raw <= 0:
             raise ValueError("amount_out.raw must be > 0")
-        if self.direction is Direction.WETH_IN and self.amount_in.decimals != 18:
+        if direction is Direction.WETH_IN and amount_in.decimals != 18:
             raise ValueError("WETH_IN trade requires amount_in decimals = 18")
-        if self.direction is Direction.WETH_OUT and self.amount_out.decimals != 18:
+        if direction is Direction.WETH_OUT and amount_out.decimals != 18:
             raise ValueError("WETH_OUT trade requires amount_out decimals = 18")
-        if self.gas_internalized and self.direction is Direction.WETH_OUT:
-            if self.amount_out.raw + self.gas.cost_wei >= _MAX_RAW:  # the gross output
+        if gas_internalized and direction is Direction.WETH_OUT:
+            if amount_out.raw + gas.cost_wei >= _MAX_RAW:  # the gross output
                 raise ValueError(f"amount_out.raw + gas cost must be below 10^{RAW_DIGITS}")
-        if self.block_number < 0:
+        if block_number < 0:
             raise ValueError("block_number must be nonnegative")
-        if self.usd_value is not None and self.usd_value < 0:
+        if usd_value is not None and usd_value < 0:
             raise ValueError("usd_value must be nonnegative")
+        return tuple.__new__(cls, (
+            trade_id, interface, path, block_number, direction, gas_internalized,
+            amount_in, amount_out, gas, usd_value, timestamp,
+        ))
 
 
-@dataclass(frozen=True, slots=True)
-class Quote:
+class Quote(NamedTuple("Quote", [
+    ("trade_id", str), ("offset", int), ("out_estimate", TokenAmount),
+    ("gas_estimate", Decimal), ("provider_id", str),
+])):
     """Baseline output for one trade at one block offset.
 
     gas_estimate is a decimal in [0, 2^128 - 1]: fractional values appear
@@ -153,38 +157,34 @@ class Quote:
     range, as GasTerms bounds g(b+f).
     """
 
-    trade_id: str
-    offset: int
-    out_estimate: TokenAmount
-    gas_estimate: Decimal
-    provider_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_gas_estimate(self.gas_estimate)
+    def __new__(cls, trade_id, offset, out_estimate, gas_estimate, provider_id):
+        check_gas_estimate(gas_estimate)
+        return tuple.__new__(cls, (trade_id, offset, out_estimate, gas_estimate, provider_id))
 
 
-@dataclass(frozen=True, slots=True)
-class Pool:
+class Pool(NamedTuple("Pool", [
+    ("pool_id", str), ("reserve_weth", TokenAmount), ("reserve_token", TokenAmount),
+    ("fee_bps", int), ("gas_per_hop", int),
+])):
     """A constant-product WETH/token pool snapshot.
 
     gas_per_hop is bounded to 64 bits, as EVM gas is, so a route's hop gas
     plus a 64-bit overhead stays within a quote's uint128 gas bound.
     """
 
-    pool_id: str
-    reserve_weth: TokenAmount
-    reserve_token: TokenAmount
-    fee_bps: int
-    gas_per_hop: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.reserve_weth.raw <= 0 or self.reserve_token.raw <= 0:
+    def __new__(cls, pool_id, reserve_weth, reserve_token, fee_bps, gas_per_hop):
+        if reserve_weth.raw <= 0 or reserve_token.raw <= 0:
             raise ValueError("pool reserves must be strictly positive")
-        if self.reserve_weth.decimals != 18:
+        if reserve_weth.decimals != 18:
             raise ValueError("reserve_weth must have decimals = 18")
-        if not 0 <= self.fee_bps < 10000:
+        if not 0 <= fee_bps < 10000:
             raise ValueError("fee_bps must be in [0, 10000)")
-        if self.gas_per_hop < 0:
+        if gas_per_hop < 0:
             raise ValueError("gas_per_hop must be nonnegative")
-        if self.gas_per_hop > MAX_UINT64:
+        if gas_per_hop > MAX_UINT64:
             raise ValueError("gas_per_hop exceeds the uint64 bound 2^64 - 1")
+        return tuple.__new__(cls, (pool_id, reserve_weth, reserve_token, fee_bps, gas_per_hop))

@@ -14,7 +14,6 @@ priced for pi alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from itertools import groupby
 from operator import attrgetter
@@ -220,22 +219,20 @@ def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
             yield line
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     group: str
     offset: int
     estimate: WeightedEstimate
 
 
-@dataclass(slots=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Curves, rolling series, and per-path attribution summary."""
 
-    curves: list[CurvePoint] = field(default_factory=list)
-    rolling: list[tuple[Decimal, WeightedEstimate]] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    exclusions: dict[str, int] = field(default_factory=dict)
-    anchor_offset: int = 0
+    curves: list[CurvePoint]
+    rolling: list[tuple[Decimal, WeightedEstimate]]
+    summary: dict
+    exclusions: dict[str, int]
+    anchor_offset: int
 
 
 def run_aggregate(
@@ -281,8 +278,8 @@ def run_aggregate(
 
     means = dict(sorted(grouped_means(members()).items()))
 
-    report = AggregateReport(exclusions=dict(sorted(exclusions.items())), anchor_offset=anchor)
-    report.summary = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
+    curves = []
+    summary = {"by_path": {}, "by_interface": {}, "anchor_offset": anchor}
 
     for key, (mean, sigma, n, total_w, up, low, *parts) in means.items():
         level, group, offset = key
@@ -291,7 +288,7 @@ def run_aggregate(
         estimate = WeightedEstimate(
             mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
         )
-        report.curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
+        curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
         if offset != anchor:
             continue
         pi, pi_sigma, sys_upper, sys_lower = _bps_cells(estimate)
@@ -302,12 +299,12 @@ def run_aggregate(
         }
         if up is not None and low is not None:
             entry.update(pi_sys_upper_bps=sys_upper, pi_sys_lower_bps=sys_lower)
-        report.summary[f"by_{level}"][group] = entry
+        summary[f"by_{level}"][group] = entry
 
     # Rolling-by-size series at the anchor offset, all groups pooled. The pass
     # yields trade_id order, so a stable sort by usd orders by (usd, trade_id).
-    report.rolling = rolling_by_size(points, window, stride)
-    return report
+    rolling = rolling_by_size(points, window, stride)
+    return AggregateReport(curves, rolling, summary, dict(sorted(exclusions.items())), anchor)
 
 
 def _bps_cells(e: WeightedEstimate) -> list[str]:

@@ -14,9 +14,8 @@ the one pricing kernel, which prices a provider's served values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from swapmeter.errors import NonPositiveAdjustedInput
 from swapmeter.model import Direction, TokenAmount, TradeRecord
@@ -27,8 +26,7 @@ if TYPE_CHECKING:
     from swapmeter.baseline import BaselineProvider
 
 
-@dataclass(frozen=True, slots=True)
-class Price:
+class Price(NamedTuple):
     """A signed price.
 
     Negative values are valid only for WETH-out trades whose gas cost
@@ -38,17 +36,17 @@ class Price:
     value: Decimal
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionVector:
+class DecisionVector(NamedTuple("DecisionVector", [
+    ("o", TokenAmount), ("g", Decimal), ("f", Decimal),
+])):
     """The controllable triple (o, g, f): output amount, gas units, priority fee."""
 
-    o: TokenAmount
-    g: Decimal
-    f: Decimal
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 0 or self.f < 0:
+    def __new__(cls, o: TokenAmount, g: Decimal, f: Decimal):
+        if g < 0 or f < 0:
             raise ValueError("g and f must be nonnegative")
+        return tuple.__new__(cls, (o, g, f))
 
 
 def realized_price(trade: TradeRecord) -> Price:
@@ -85,8 +83,7 @@ def _gross_output(trade: TradeRecord) -> TokenAmount:
     return o
 
 
-@dataclass(frozen=True, slots=True)
-class TradeTerms:
+class TradeTerms(NamedTuple):
     """What every price of one trade at baseline priority fee f' shares, as values.
 
     i is the normalized input, per_gas_eth is b + f' in ETH per gas, p is

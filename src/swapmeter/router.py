@@ -18,7 +18,6 @@ conversion is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -33,8 +32,7 @@ SHARE_FLOOR = 1e-6
 EXHAUSTIVE_LIMIT = 8
 
 
-@dataclass(frozen=True, slots=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """A routed input's exact output, summed over its legs, and the legs' hop gas."""
 
     total_out: TokenAmount
@@ -56,15 +54,14 @@ def shared_decimals(pools: Iterable[Pool]) -> int | None:
     return decimals[0] if decimals else None
 
 
-def cpmm_swap_out(pool: Pool, amount_in: TokenAmount, direction: Direction) -> TokenAmount:
-    """Exact integer constant-product output, fee taken on the input."""
-    if amount_in.raw <= 0:
+def cpmm_swap_out(pool: Pool, raw_in: int, direction: Direction) -> int:
+    """Exact integer constant-product raw output of raw input raw_in, fee taken on the input."""
+    if raw_in <= 0:
         raise ValueError("amount_in must be positive")
-    r_in, r_out, out_decimals = _oriented(pool, direction)
-    a_fee = amount_in.raw * (10000 - pool.fee_bps)
+    r_in, r_out, _ = _oriented(pool, direction)
+    a_fee = raw_in * (10000 - pool.fee_bps)
     # floor(R_out * a*(1-phi) / (R_in + a*(1-phi))) as a single rational
-    out_raw = (r_out * a_fee) // (r_in * 10000 + a_fee)
-    return TokenAmount(out_raw, out_decimals)
+    return (r_out * a_fee) // (r_in * 10000 + a_fee)
 
 
 def marginal_price(pool: Pool, direction: Direction) -> Decimal:
@@ -249,8 +246,6 @@ def route_optimal_split(
     for (curve, _), raw in zip(kept, raws):
         if raw == 0:
             continue
-        pool = curve.pool
-        leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
-        total_out_raw += leg.raw
-        total_gas += pool.gas_per_hop
+        total_out_raw += cpmm_swap_out(curve.pool, raw, direction)
+        total_gas += curve.gas
     return RouteResult(TokenAmount(total_out_raw, tables.out_decimals), total_gas)

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
 from decimal import Overflow, getcontext, localcontext
 from operator import add, itemgetter, sub
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.errors import InsufficientData, ZeroTotalWeight
@@ -52,8 +51,7 @@ _EXACT = Context(
     traps=[Inexact, InvalidOperation, Overflow],
 )
 
-@dataclass(frozen=True, slots=True)
-class WeightedEstimate:
+class WeightedEstimate(NamedTuple):
     """A weighted mean with statistical and asymmetric systematic errors."""
 
     mean: Decimal

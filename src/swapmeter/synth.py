@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from swapmeter.baseline import ReservesPastBound, SyntheticRouterProvider
 from swapmeter.config import (
@@ -85,14 +85,12 @@ class PortableRng:
         return items[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class GasProfile:
+class GasProfile(NamedTuple):
     gas_noise_rel: float
     priority_fee_gwei: tuple[float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     seed: int
     n_trades: int
     size_min_usd: float
@@ -111,8 +109,7 @@ class ScenarioSpec:
     router: SyntheticRouterProvider  # over `pools` at offset 0, at f_prime_wei and overhead_gas
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratedScenario:
+class GeneratedScenario(NamedTuple):
     trades_path: Path
     pools_path: Path
     quotes_path: Path

@@ -1,7 +1,6 @@
 """Baseline provider contract: replay lookup and synthetic routing."""
 
 import ast
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -170,7 +169,7 @@ class TestSyntheticRouterProvider:
         decimals = 18 if column == "reserve_weth" else 6
 
         def pools(top):
-            second = replace(make_pool("P2"), **{column: TokenAmount(top, decimals)})
+            second = make_pool("P2")._replace(**{column: TokenAmount(top, decimals)})
             return [make_pool("P1"), second]
 
         held = getattr(make_pool("P1"), column).raw

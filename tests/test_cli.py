@@ -10,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -918,16 +917,21 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["summary"]["by_path"]) == {"Classic"}
 
+    @staticmethod
+    def _report_from_a_shell(tmp_path, trades, quotes, *argv):
+        """`swapmeter report` on the files in a child process, as from a shell."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(swapmeter.__file__).parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "swapmeter.cli", "report", "--trades", str(trades),
+             "--quotes", str(quotes), "--offsets=0", "--no-correction", "--out", "o", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
     def test_notices_print_as_warning_lines_from_a_shell(self, tmp_path):
         # each skipped group printed as `…/stats.py:250: UserWarning: …` and its source line
         trades, quotes = _oversized_gas_estimate_files(tmp_path)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = str(Path(swapmeter.__file__).parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-m", "swapmeter.cli", "report", "--trades", str(trades),
-             "--quotes", str(quotes), "--offsets=0", "--no-correction", "--out", "o"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = self._report_from_a_shell(tmp_path, trades, quotes)
         assert done.returncode == 2
         assert done.stderr == (
             "reject quote line 1: gas_estimate exceeds the uint128 bound 2^128 - 1\n"
@@ -935,6 +939,20 @@ class TestExitCodes:
             "warning: skipping group ('interface', 'Uniswap', 0): fewer than 2 weighted trades\n"
             "excluded 1 rows: quote_unavailable\n"
             "error: all groups are empty; nothing to aggregate\n"
+        )
+
+    def test_every_repeated_notice_prints_from_a_shell(self, tmp_path):
+        # two zero-weight windows of one median printed one line: once per call site
+        trades, quotes = tmp_path / "trades.csv", tmp_path / "quotes.csv"
+        rows = [ROW.replace("T1,", f"T{k},").replace(",3000,", ",0," if k <= 3 else ",3000,")
+                for k in range(1, 7)]  # three trades of usd_value 0
+        trades.write_text("\n".join([VALID_HEADER, *rows]) + "\n")
+        rows = [f"T{k},0,2995000000,6,150000,prov" for k in range(1, 7)]
+        quotes.write_text("\n".join([QUOTE_HEADER, *rows]) + "\n")
+        done = self._report_from_a_shell(tmp_path, trades, quotes, "--window", "2")
+        assert done.returncode == 0
+        assert done.stderr == (
+            "warning: skipping rolling window at median 0: all weights are zero\n" * 2
         )
 
     @pytest.mark.parametrize("argv, code, err", list(_REFUSALS.values()), ids=list(_REFUSALS))
@@ -1287,7 +1305,7 @@ FUZZ_MAX_RUN_OFFSETS = 9
 # A flag, or a config-file key (every field of RunConfig), and a value for it.
 FUZZ_SETTINGS = [
     "--window", "--sys-multiplier", "--f-prime-wei", "--calibration-filter", "--calibration",
-    "--out", *(f.name for f in fields(RunConfig)),
+    "--out", *RunConfig._fields,
 ]
 FUZZ_SETTING_VALUES = st.one_of(
     st.sampled_from(FUZZ_TEXT), st.sampled_from(["n" * 300, "d/" + "n" * 300])
@@ -1523,7 +1541,7 @@ class TestSettingsTable:
     """config.SETTINGS declares each run setting once; the flags and config keys follow it."""
 
     def test_one_row_per_run_config_field(self):
-        assert sorted(s.field for s in SETTINGS) == sorted(f.name for f in fields(RunConfig))
+        assert sorted(s.field for s in SETTINGS) == sorted(RunConfig._fields)
 
     def test_run_flags_are_config_and_the_tables(self):
         flags = ["--config", *(s.flag for s in SETTINGS if s.flag)]

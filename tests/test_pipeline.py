@@ -24,7 +24,6 @@ served and priced.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import tempfile
@@ -143,8 +142,7 @@ def _drifted(snapshots):
 
     return {
         offset: [
-            dataclasses.replace(
-                pool,
+            pool._replace(
                 reserve_weth=moved(pool.reserve_weth, 7, offset),
                 reserve_token=moved(pool.reserve_token, -5, offset),
             )
@@ -904,8 +902,8 @@ def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):
 
         monkeypatch.setattr(cls, method, counted)
 
-    counting(Quote, "__init__")
-    counting(DecisionVector, "__init__")
+    counting(Quote, "__new__")
+    counting(DecisionVector, "__new__")
     counting(AttributionResult, "__new__")
     provider = _provider(root, "quotes")
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
@@ -1045,7 +1043,7 @@ def test_summary_parts_equal_fresh_means_over_each_groups_anchor_rows(scenario, 
     root, trades = scenario
     trades = list(trades)
     excluded, unweighted = trades[0].trade_id, trades[1].trade_id
-    trades[1] = dataclasses.replace(trades[1], usd_value=None)
+    trades[1] = trades[1]._replace(usd_value=None)
     provider = WithholdingProvider(_provider(root, baseline), excluded, 0)
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     report = run_aggregate(

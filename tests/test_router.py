@@ -161,8 +161,7 @@ def reference_route(
         if raw == 0:
             continue
         pool = pools[curve.index]
-        leg = cpmm_swap_out(pool, TokenAmount(raw, amount_in.decimals), direction)
-        total_out_raw += leg.raw
+        total_out_raw += cpmm_swap_out(pool, raw, direction)
         total_gas += pool.gas_per_hop
 
     return RouteResult(
@@ -247,20 +246,19 @@ def random_pool(rng, pool_id):
 class TestCpmmSwap:
     def test_input_equal_to_reserve_halves_it(self):
         pool = Pool("P", TokenAmount(10**6, 18), TokenAmount(10**6, 6), 0, 0)
-        out = cpmm_swap_out(pool, TokenAmount(10**6, 18), Direction.WETH_IN)
-        assert out.raw == 5 * 10**5
+        assert cpmm_swap_out(pool, 10**6, Direction.WETH_IN) == 5 * 10**5
 
     def test_worked_example_30bps(self):
         # 3,000,000*0.997/(1000+0.997) -> 2988.020943 after integer floor
         pool = make_pool(weth=1000, token=3_000_000, fee_bps=30)
-        out = cpmm_swap_out(pool, TokenAmount(WETH, 18), Direction.WETH_IN)
+        out = TokenAmount(cpmm_swap_out(pool, WETH, Direction.WETH_IN), 6)
         assert out.raw == 2_988_020_943
         assert out.normalized.quantize(Decimal("0.01")) == Decimal("2988.02")
 
     def test_marginal_price_limit(self):
         # 18-decimal token so integer flooring is negligible at tiny size
         pool = make_pool(weth=1000, token=3_000_000, token_decimals=18, fee_bps=30)
-        small = cpmm_swap_out(pool, TokenAmount(10**12, 18), Direction.WETH_IN)
+        small = TokenAmount(cpmm_swap_out(pool, 10**12, Direction.WETH_IN), 18)
         ratio = small.normalized / Decimal("1e-6")
         limit = marginal_price(pool, Direction.WETH_IN)
         assert abs(ratio - limit) / limit < Decimal("1e-6")
@@ -268,26 +266,26 @@ class TestCpmmSwap:
 
     def test_token_to_weth_direction(self):
         pool = make_pool(weth=1000, token=3_000_000, fee_bps=0)
-        out = cpmm_swap_out(pool, TokenAmount(3000 * 10**6, 6), Direction.WETH_OUT)
+        out = cpmm_swap_out(pool, 3000 * 10**6, Direction.WETH_OUT)
         # 1000 * 3000/(3000000+3000) ETH
-        assert out.raw == 1000 * WETH * 3000 // 3_003_000
+        assert out == 1000 * WETH * 3000 // 3_003_000
 
 
 class TestOptimalSplit:
     def test_single_pool_full_share(self):
         pool = make_pool()
         route = route_optimal_split([pool], TokenAmount(WETH, 18), Direction.WETH_IN, Decimal(0))
-        assert route.total_out == cpmm_swap_out(pool, TokenAmount(WETH, 18), Direction.WETH_IN)
+        assert route.total_out == TokenAmount(cpmm_swap_out(pool, WETH, Direction.WETH_IN), 6)
         assert route.total_gas == pool.gas_per_hop
 
     def test_identical_pools_split_evenly_and_beat_single(self):
         pools = [make_pool("A", gas_per_hop=0), make_pool("B", gas_per_hop=0)]
         amount = TokenAmount(10 * WETH, 18)
         route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(0))
-        half = cpmm_swap_out(pools[0], TokenAmount(5 * WETH, 18), Direction.WETH_IN)
-        assert route.total_out.raw == 2 * half.raw
-        single = cpmm_swap_out(pools[0], amount, Direction.WETH_IN)
-        assert route.total_out.raw > single.raw
+        half = cpmm_swap_out(pools[0], 5 * WETH, Direction.WETH_IN)
+        assert route.total_out.raw == 2 * half
+        single = cpmm_swap_out(pools[0], amount.raw, Direction.WETH_IN)
+        assert route.total_out.raw > single
 
     def test_gas_threshold_collapses_to_single_pool(self):
         pools = [
@@ -297,7 +295,7 @@ class TestOptimalSplit:
         amount = TokenAmount(WETH, 18)
         route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(20 * GWEI))
         assert route.total_gas == 10_000_000  # one hop's gas
-        assert route.total_out == cpmm_swap_out(pools[0], amount, Direction.WETH_IN)
+        assert route.total_out.raw == cpmm_swap_out(pools[0], amount.raw, Direction.WETH_IN)
 
     def test_beats_best_single_pool(self):
         rng = random.Random(5)
@@ -356,11 +354,11 @@ class TestOptimalSplit:
             route = route_optimal_split(pools, amount, Direction.WETH_IN, Decimal(0))
             halves = (raw - raw // 2, raw // 2)
             even = sum(
-                cpmm_swap_out(pool, TokenAmount(half, 18), Direction.WETH_IN).raw
+                cpmm_swap_out(pool, half, Direction.WETH_IN)
                 for pool, half in zip(pools, halves)
                 if half
             )
-            whole = cpmm_swap_out(pools[0], amount, Direction.WETH_IN).raw
+            whole = cpmm_swap_out(pools[0], raw, Direction.WETH_IN)
             assert route.total_out.raw in (whole, even)
             assert route == reference_route(pools, amount, Direction.WETH_IN, Decimal(0))
 

@@ -167,16 +167,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trades, n_rejects = _load_trades(cfg, require_usd=False)
     provider, n_bad = _build_provider(cfg, trades)
     calibration = _load_calibration(cfg)
-    rows = pipeline.analysis_pass(trades, provider, cfg.offsets, cfg.f_prime_wei, calibration)
     exclusions: dict[str, int] = {}
+    rows = pipeline.attribution_csv_rows(
+        trades, provider, cfg.offsets, cfg.f_prime_wei, calibration, exclusions
+    )
     path = Path(cfg.out_dir) / "attribution.csv"
     with _writing(path):
-        write_csv(
-            path,
-            pipeline.ATTRIBUTION_COLUMNS,
-            pipeline.attribution_csv_rows(pipeline.counting_exclusions(rows, exclusions)),
-            comment=provenance(config_hash(cfg)),
-        )
+        write_csv(path, pipeline.ATTRIBUTION_COLUMNS, rows, comment=provenance(config_hash(cfg)))
     return _exit_code(exclusions, n_rejects + n_bad)
 
 

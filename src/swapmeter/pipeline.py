@@ -1,14 +1,16 @@
 """End-to-end analysis passes: per-trade attribution and aggregation.
 
-A pass walks every (trade, offset) pair, one trade at a time, prices
-its improvement and records exclusions instead of failing. The offsets of
+A pass walks every trade, one at a time, prices its improvement at
+each offset and records exclusions instead of failing. The offsets of
 one requote scope serve and re-quote alike, so they are one
-counterfactual: a trade is quoted once per scope. The gas-calibration
-slope only rescales the quoted gas, so aggregation prices the same quote
-at the nominal slope and, for systematic bands, at the slope shifted up
-and down. Aggregation splits pi into its parts only at the anchor
-offset, the one its summary reports; every other (offset, slope) is
-priced for pi alone.
+counterfactual: a trade is quoted and priced once per scope, and one
+record per trade and run of adjacent offsets in one scope carries that
+outcome to the rows, the CSV lines and the group sums alike. The
+gas-calibration slope only rescales the quoted gas, so aggregation
+prices the same quote at the nominal slope and, for systematic bands, at
+the slope shifted up and down. Aggregation splits pi into its parts only
+at the anchor offset, the one its summary reports; every other (offset,
+slope) is priced for pi alone.
 """
 
 from __future__ import annotations
@@ -93,6 +95,102 @@ class AnalysisRow(NamedTuple):
         return self.exclusion_reason is not None
 
 
+class _Record(NamedTuple):
+    """A trade's outcome at a run of adjacent offsets that share a requote scope.
+
+    pis is pi at the nominal, the upper and the lower slope (None where
+    that slope excludes the trade or was not asked for); result is the
+    split at the nominal slope, None where the trade is excluded or the
+    scope is not decomposed.
+    """
+
+    trade: TradeRecord
+    offsets: tuple[int, ...]
+    pis: tuple[Decimal | None, Decimal | None, Decimal | None]
+    result: PiSplit | None
+    reason: str | None
+
+    @property
+    def excluded(self) -> bool:
+        return self.reason is not None
+
+
+def _records(
+    trades: Iterable[TradeRecord],
+    provider: BaselineProvider,
+    offsets: Sequence[int],
+    f_prime: Decimal,
+    calibration: GasCalibration | None = None,
+    shifted: tuple[GasCalibration, GasCalibration] | None = None,
+    decompose: Sequence[int] | None = None,
+) -> Iterator[_Record]:
+    """Each trade's records, in stable trade_id order: the pass behind every output.
+
+    A trade is served once per requote scope, at the scope's first offset,
+    and priced at each slope: g'/beta1 of `calibration` (g' as served when
+    None), then of each `shifted` (upper, lower) calibration. A scope is
+    split at the first slope where any of its offsets is in `decompose`
+    (every offset when None). One trade_id at a time is priced, in the
+    60-digit policy context. A trade's records run through its offsets in
+    ascending order; trades that share an id get one record per offset,
+    in stable offset order.
+    """
+    betas = [None if calibration is None else calibration.beta1]
+    if shifted is not None:
+        betas += [cal.beta1 for cal in shifted]
+    absent = (None,) * (3 - len(betas))
+
+    # Scopes are asked once per run. A group is the run's offsets of one
+    # scope, in first-seen order; it is split where any of them is decomposed.
+    by_scope: dict = {}
+    for offset in offsets:
+        by_scope.setdefault(provider.requote_scope(offset), []).append(offset)
+    groups = [
+        (group[0], decompose is None or any(o in decompose for o in group))
+        for group in by_scope.values()
+    ]
+    index = {o: i for i, group in enumerate(by_scope.values()) for o in group}
+    runs = [(i, tuple(run)) for i, run in groupby(sorted(offsets), key=index.__getitem__)]
+
+    def priced(trade, terms, offset, split):
+        """(pis, result, reason) of the trade served at `offset`, priced at each slope."""
+        try:
+            served = provider.serve(trade, offset)
+        except EXCLUDED as exc:
+            return (None,) * 3, None, EXCLUSION_REASONS[type(exc)]
+        o_prime = Decimal(served[0]).scaleb(-served[1])
+        result = reason = None
+        pis = []
+        for beta1 in betas:
+            pi = None
+            g = served[2] if beta1 is None else served[2] / beta1
+            try:
+                value, _, out = counterfactual_value(provider, terms, offset, served, o_prime, g)
+                if split and not pis:
+                    result = split_improvement(terms, value, out, g)
+                    pi = result.pi
+                else:
+                    pi = improvement(terms.p, value)
+            except EXCLUDED as exc:
+                if not pis:
+                    reason = EXCLUSION_REASONS[type(exc)]
+            pis.append(pi)
+        return (*pis, *absent), result, reason
+
+    by_id = attrgetter("trade_id")
+    for _, same_id in groupby(sorted(trades, key=by_id), key=by_id):
+        records = []
+        with localcontext(POLICY):
+            for trade in same_id:
+                terms = trade_terms(trade, f_prime)
+                values = [priced(trade, terms, offset, split) for offset, split in groups]
+                records += [_Record(trade, run, *values[i]) for i, run in runs]
+        if len(records) > len(runs):  # trades that share an id interleave by offset
+            records = [r._replace(offsets=(o,)) for r in records for o in r.offsets]
+            records.sort(key=attrgetter("offsets"))
+        yield from records
+
+
 def analysis_pass(
     trades: Iterable[TradeRecord],
     provider: BaselineProvider,
@@ -102,77 +200,18 @@ def analysis_pass(
     shifted: tuple[GasCalibration, GasCalibration] | None = None,
     decompose: Sequence[int] | None = None,
 ) -> Iterator[AnalysisRow]:
-    """Price every trade at every offset, yielding rows by (trade_id, offset).
+    """Every (trade, offset) row of `_records`, in a stable sort by (trade_id, offset).
 
-    The offsets are grouped once per run by `provider.requote_scope`, in
-    first-seen order. Each trade's realized terms are taken once, and each
-    (trade, group) is served once, at the group's first offset. The one
-    kernel, `counterfactual_value`, prices the served values at each slope
-    in turn: g'/beta1 of `calibration` (g' as served when None), then of
-    each `shifted` (upper, lower) calibration. Where any offset of the
-    group is in `decompose` (every offset when None) the first slope's pi
-    is split into its parts; only the rows of offsets in `decompose` carry
-    that split. An exclusion at the first slope is the row's reason; one
-    at a later slope leaves that slope's pi None. Every row of a group
-    shares its values and exclusion.
-
-    Trades are walked in stable trade_id order and only one trade_id's
-    rows are held at a time: they are priced in the 60-digit policy
-    context, whatever context the consumer iterates in, then sorted by
-    offset and yielded. The order is that of a stable sort of all rows
-    by (trade_id, offset).
+    Only the rows of offsets in `decompose` (every offset when None) carry
+    the split. An exclusion at the nominal slope is the row's reason; one
+    at a shifted slope leaves that slope's pi None.
     """
-    betas = [None if calibration is None else calibration.beta1]
-    if shifted is not None:
-        betas += [cal.beta1 for cal in shifted]
-
-    # Scopes are asked once per run. A group is the run's offsets of one
-    # scope, in first-seen order, each with whether its row keeps the split,
-    # and whether the group is split at all.
-    by_scope: dict = {}
-    for offset in offsets:
-        keep = decompose is None or offset in decompose
-        by_scope.setdefault(provider.requote_scope(offset), []).append((offset, keep))
-    groups = [(group, any(keep for _, keep in group)) for group in by_scope.values()]
-
-    def priced(trade: TradeRecord) -> Iterator[AnalysisRow]:
-        terms = trade_terms(trade, f_prime)
-        for group, split in groups:
-            offset = group[0][0]
-            try:
-                served = provider.serve(trade, offset)
-            except EXCLUDED as exc:
-                reason = EXCLUSION_REASONS[type(exc)]
-                yield from (AnalysisRow(trade, o, None, None, reason) for o, _ in group)
-                continue
-            o_prime = Decimal(served[0]).scaleb(-served[1])
-            result = reason = None
-            pis = []
-            for beta1 in betas:
-                pi = None
-                g = served[2] if beta1 is None else served[2] / beta1
-                try:
-                    value, _, out = counterfactual_value(
-                        provider, terms, offset, served, o_prime, g
-                    )
-                    if split and not pis:
-                        result = split_improvement(terms, value, out, g)
-                        pi = result.pi
-                    else:
-                        pi = improvement(terms.p, value)
-                except EXCLUDED as exc:
-                    if not pis:
-                        reason = EXCLUSION_REASONS[type(exc)]
-                pis.append(pi)
-            for o, keep in group:
-                yield AnalysisRow(trade, o, pis[0], result if keep else None, reason, *pis[1:])
-
-    by_id = attrgetter("trade_id")
-    for _, group in groupby(sorted(trades, key=by_id), key=by_id):
-        with localcontext(POLICY):
-            rows = [row for trade in group for row in priced(trade)]
-        rows.sort(key=attrgetter("offset"))
-        yield from rows
+    for trade, run, pis, result, reason in _records(
+        trades, provider, offsets, f_prime, calibration, shifted, decompose
+    ):
+        for offset in run:
+            keep = decompose is None or offset in decompose
+            yield AnalysisRow(trade, offset, pis[0], result if keep else None, reason, *pis[1:])
 
 
 def analyze_trades(
@@ -190,39 +229,35 @@ def analyze_trades(
     )
 
 
-def counting_exclusions(
-    rows: Iterable[AnalysisRow], counts: dict[str, int]
-) -> Iterator[AnalysisRow]:
-    """Yield `rows` unchanged, counting each excluded one in counts[reason]."""
-    for row in rows:
-        reason = row.exclusion_reason
-        if reason is not None:
-            counts[reason] = counts.get(reason, 0) + 1
-        yield row
+def attribution_csv_rows(
+    trades: Iterable[TradeRecord],
+    provider: BaselineProvider,
+    offsets: Sequence[int],
+    f_prime: Decimal,
+    calibration: GasCalibration | None,
+    exclusions: dict[str, int],
+) -> Iterator[list[str]]:
+    """CSV rows of every pair, split at every offset; each excluded one counts in exclusions.
 
-
-def attribution_csv_rows(rows: Iterable[AnalysisRow]) -> Iterator[list[str]]:
-    """CSV rows of a pass that decomposed every offset (`decompose=None`).
-
-    A split's cells are formatted once while consecutive rows share it.
+    A record's five bps cells are formatted once, for all of its offsets.
     """
-    last = line = None
-    for row in rows:
-        r = row.result
-        if r is None:
-            yield [row.trade.trade_id, str(row.offset), *[""] * 5, "true", row.exclusion_reason]
-        elif r is last:
-            yield [row.trade.trade_id, str(row.offset), *line[2:]]
+    for r in _records(trades, provider, offsets, f_prime, calibration):
+        if r.excluded:
+            exclusions[r.reason] = exclusions.get(r.reason, 0) + len(r.offsets)
+            cells = [""] * 5 + ["true", r.reason]
         else:
-            last = r
-            line = [row.trade.trade_id, str(row.offset), *map(format_bps, r), "false", ""]
-            yield line
+            cells = [*map(format_bps, r.result), "false", ""]
+        for offset in r.offsets:
+            yield [r.trade.trade_id, str(offset), *cells]
 
 
 class CurvePoint(NamedTuple):
+    """A group's estimate at one offset; cells are its mean, sigma and band sides in bps."""
+
     group: str
     offset: int
     estimate: WeightedEstimate
+    cells: list[str]
 
 
 class AggregateReport(NamedTuple):
@@ -250,7 +285,9 @@ def run_aggregate(
     Only the anchor offset's pairs are split into parts, for the summary;
     the curves and the rolling series need pi alone. The parts are four more
     series of the group sums, so each of the summary's means comes from the
-    same one record per group as the curve point.
+    same sums as the curve point. A record is one member of the sums of
+    every group of its run's offsets: the sums are exact, so this adds the
+    same values as one member per offset.
     """
     anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
     shifted = None
@@ -258,21 +295,30 @@ def run_aggregate(
         shifted = perturbed_calibrations(calibration, sys_multiplier)
     exclusions: dict[str, int] = {}
     points: list[tuple] = []  # of each valued anchor pair, its rolling point
+    keys: dict[tuple, tuple] = {}  # (path, interface, offsets) -> a member's groups
 
     def members():
-        rows = analysis_pass(
+        records = _records(
             trades, raw_provider, offsets, f_prime, calibration, shifted, decompose=(anchor,)
         )
-        for r in counting_exclusions(rows, exclusions):
-            trade = r.trade
+        for r in records:
+            if r.excluded:
+                exclusions[r.reason] = exclusions.get(r.reason, 0) + len(r.offsets)
+            trade, run, values = r.trade, r.offsets, r.pis
             usd = trade.usd_value
             if usd is None:
                 continue
-            groups = (("path", trade.path, r.offset), ("interface", trade.interface, r.offset))
-            values = (r.pi, r.pi_upper, r.pi_lower)
-            if r.offset == anchor:  # its four parts are four more series of the group sums
+            key = (trade.path, trade.interface, run)
+            groups = keys.get(key)
+            if groups is None:
+                path, interface = key[:2]
+                groups = keys[key] = tuple(
+                    g for o in run for g in (("path", path, o), ("interface", interface, o))
+                )
+            at_anchor = run.count(anchor)
+            if at_anchor:  # the four parts are four more series of the group sums
                 if not r.excluded:
-                    points.append((usd, *values))
+                    points.extend([(usd, *values)] * at_anchor)
                 values += (None,) * 4 if r.excluded else r.result[1:]
             yield groups, usd, values
 
@@ -288,10 +334,11 @@ def run_aggregate(
         estimate = WeightedEstimate(
             mean, sigma, half_width(up, mean), half_width(low, mean), n, total_w
         )
-        curves.append(CurvePoint(f"{level}:{group}", offset, estimate))
+        cells = _bps_cells(estimate)
+        curves.append(CurvePoint(f"{level}:{group}", offset, estimate, cells))
         if offset != anchor:
             continue
-        pi, pi_sigma, sys_upper, sys_lower = _bps_cells(estimate)
+        pi, pi_sigma, sys_upper, sys_lower = cells
         routing, gas, fee, remainder = map(format_bps, parts)
         entry = {
             "pi_bps": pi, "pi_stat_sigma_bps": pi_sigma, "routing_bps": routing, "gas_bps": gas,
@@ -314,8 +361,7 @@ def _bps_cells(e: WeightedEstimate) -> list[str]:
 
 def curve_csv_rows(report: AggregateReport) -> list[list[str]]:
     return [
-        [p.group, str(p.offset), *_bps_cells(p.estimate), str(p.estimate.n),
-         str(p.estimate.total_weight)]
+        [p.group, str(p.offset), *p.cells, str(p.estimate.n), str(p.estimate.total_weight)]
         for p in report.curves
     ]
 

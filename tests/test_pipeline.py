@@ -15,12 +15,14 @@ A second test checks each analyze_trades row against attribute_trade and
 counterfactual_price called for that pair alone, and two more check that
 decomposing only the anchor offset changes nothing but which rows carry
 an attribution; another checks that a replay pass builds no per-pair
-record. Two more check the streamed pass: its order equals
-a stable sort of rows priced one pair at a time, and its values do not
-depend on the decimal context its consumer drains it in. Serving and
+record, and another that aggregating over one snapshot adds one member
+per trade to the group sums. Two more check the streamed pass: its order
+equals a stable sort of rows priced one pair at a time, and its values do
+not depend on the decimal context its consumer drains it in. Serving and
 pricing once per requote scope is checked against a provider whose
-offsets share no requote scope, and by counting how often a trade is
-served and priced.
+offsets share no requote scope, on rows, CSV lines, reports and warnings
+over six scope layouts, and by counting how often a trade is served and
+priced.
 """
 
 import csv
@@ -39,6 +41,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from swapmeter import stats
 from swapmeter.attribution import (
     AttributionResult,
     attribute_trade,
@@ -76,8 +79,10 @@ from swapmeter.pipeline import (
     ATTRIBUTION_COLUMNS,
     CURVE_COLUMNS,
     ROLLING_COLUMNS,
+    AnalysisRow,
     analysis_pass,
     analyze_trades,
+    attribution_csv_rows,
     run_aggregate,
 )
 from swapmeter.prices import (
@@ -791,52 +796,95 @@ class SharedScope(UnsharedScopes):
         return None
 
 
-@pytest.mark.parametrize("baseline", ["quotes", "pools", "drifted-pools"])
-def test_memo_equals_pricing_every_offset(scenario, baseline):
-    """Rows and reports equal those of a provider whose offsets share no requote scope.
+def _layout(root, layout):
+    """A provider of one requote-scope layout over OFFSETS, and the extra quotes it replays.
 
-    Synth writes one quote for every offset of a trade and one pool snapshot,
-    so where the quotes are given one scope, or the pools are served, a
-    trade's rows share their split; drifted pools share none.
+    quotes: one scope (synth's quotes, equal at every offset, shared);
+    quotes-per-offset: replay's own layout, a scope per offset; pools: one
+    snapshot at every offset; drifted-pools: a snapshot per offset;
+    interleaved-pools: -1 and 1 share a snapshot, 0 has its own;
+    pools-missing-offset: offset 1 has no snapshot.
+    """
+    if layout.startswith("quotes"):
+        return None
+    snapshots = ingest_pool_snapshots(root / "pools.csv")[0]
+    if layout == "drifted-pools":
+        snapshots = _drifted(snapshots)
+    elif layout == "interleaved-pools":
+        snapshots = {**_drifted(snapshots), 1: _drifted(snapshots)[-1]}
+    elif layout == "pools-missing-offset":
+        del snapshots[1]
+    return SyntheticRouterProvider(snapshots, F_PRIME)
+
+
+@pytest.mark.parametrize(
+    "baseline",
+    ["quotes", "quotes-per-offset", "pools", "drifted-pools", "interleaved-pools",
+     "pools-missing-offset"],
+)
+def test_memo_equals_pricing_every_offset(scenario, baseline):
+    """Outputs equal those of a provider whose offsets share no requote scope.
+
+    Rows, analyze's CSV lines and exclusion counts, reports, and each
+    run's warnings in order, over every scope layout of `_layout`. Where
+    offsets share a scope, a trade's rows there share their split.
     TINY, an internalized WETH-in trade whose gas exceeds its input at every
     slope, is excluded at every offset, each row with the same reason.
+    THIN is alone on its path, so that path's groups are skipped.
     """
     root, trades = scenario
     tiny = make_trade("TINY", direction=Direction.WETH_IN, gas_internalized=True,
                       amount_in=TokenAmount(10**15, 18), amount_out=TokenAmount(3 * USDC, 6))
-    trades = [*trades, tiny]
+    twin = next(t for t in trades if not t.gas_internalized)
+    thin = twin._replace(trade_id="THIN", path="Thin")
+    trades = [*trades, tiny, thin]
 
     def provider():
-        if baseline != "quotes":
-            return _provider(root, baseline)
+        router = _layout(root, baseline)
+        if router is not None:
+            return router
         quotes = ingest_quotes(root / "quotes.csv")[0]
         (pid,) = quotes.providers()
+        table = quotes.table(pid)
         held = [Quote(t, o, TokenAmount(raw, dec), gas, pid)
-                for (t, o), (raw, dec, gas) in quotes.table(pid).items()]
+                for (t, o), (raw, dec, gas) in table.items()]
         held += [Quote("TINY", o, TokenAmount(3 * USDC, 6), D(150_000), pid) for o in OFFSETS]
-        return SharedScope(ReplayProvider(QuoteSet(held)))
+        held += [Quote("THIN", o, TokenAmount(raw, dec), gas, pid)
+                 for (t, o), (raw, dec, gas) in table.items() if t == twin.trade_id]
+        replay = ReplayProvider(QuoteSet(held))
+        return SharedScope(replay) if baseline == "quotes" else replay
 
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     shifted = perturbed_calibrations(cal, MULTIPLIER)
-    rows = analyze_trades(trades, provider(), OFFSETS, F_PRIME, cal, shifted)
-    assert rows == analyze_trades(trades, UnsharedScopes(provider()), OFFSETS, F_PRIME, cal,
-                                  shifted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reports = [
-            run_aggregate(trades, p, cal, OFFSETS, F_PRIME, WINDOW, sys_multiplier=MULTIPLIER)
-            for p in (provider(), UnsharedScopes(provider()))
-        ]
-    assert reports[0] == reports[1]
 
+    def outputs(p):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = analyze_trades(trades, p, OFFSETS, F_PRIME, cal, shifted)
+            exclusions = {}
+            lines = list(attribution_csv_rows(trades, p, OFFSETS, F_PRIME, cal, exclusions))
+            report = run_aggregate(trades, p, cal, OFFSETS, F_PRIME, WINDOW,
+                                   sys_multiplier=MULTIPLIER)
+        return rows, lines, exclusions, report, [str(w.message) for w in caught]
+
+    shared = provider()
+    rows, lines, exclusions, report, said = outputs(shared)
+    assert (rows, lines, exclusions, report, said) == outputs(UnsharedScopes(provider()))
+    assert len(lines) == len(rows) == len(trades) * len(OFFSETS)
+    assert "skipping group ('path', 'Thin', 0): fewer than 2 weighted trades" in said
+
+    missing = {1} if baseline == "pools-missing-offset" else set()
     assert [r.exclusion_reason for r in rows if r.trade is tiny] == [
-        "non_positive_adjusted_input"
-    ] * len(OFFSETS)
+        "snapshot_unavailable" if o in missing else "non_positive_adjusted_input"
+        for o in OFFSETS
+    ]
     assert any(r.trade.gas_internalized and r.trade.direction is Direction.WETH_IN
                and r.result is not None for r in rows)  # valued at a re-quoted output
-    splits = [r.result for r in rows if r.result is not None]
-    distinct = len({id(split) for split in splits})
-    assert distinct == (len(splits) if baseline == "drifted-pools" else len(trades) - 1)
+    scope = {o: shared.requote_scope(o) for o in OFFSETS}
+    split = [(r.trade.trade_id, scope[r.offset], id(r.result)) for r in rows if r.result]
+    assert len({s[2] for s in split}) == len({s[:2] for s in split})  # one split per scope
+    if missing:
+        assert exclusions == {"non_positive_adjusted_input": 2, "snapshot_unavailable": len(trades)}
 
 
 class OffsetRequotes(BaselineProvider):
@@ -914,6 +962,32 @@ def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):
     attribute_trade(trades[0], provider, 0, F_PRIME)
     provider.quote(trades[0], 0)
     assert built == {"Quote": 1, "DecisionVector": 2, "AttributionResult": 1}
+
+
+def test_one_snapshot_aggregate_adds_one_member_per_trade(scenario, monkeypatch):
+    """Over one snapshot at 8 offsets, a trade is one member of the group sums.
+
+    No AnalysisRow is built, and the exact sums take N members plus one
+    rolling point per valued anchor pair (8N plus the points, one member
+    per pair).
+    """
+    root, trades = scenario
+    (pools,) = {tuple(p) for p in ingest_pool_snapshots(root / "pools.csv")[0].values()}
+    offsets = range(-4, 4)
+    provider = SyntheticRouterProvider({o: pools for o in offsets}, F_PRIME)
+    adds, built = [], []
+    add, new = stats._add, AnalysisRow.__new__
+    monkeypatch.setattr(stats, "_add", lambda *args: adds.append(1) or add(*args))
+    monkeypatch.setattr(AnalysisRow, "__new__", lambda *args: built.append(1) or new(*args))
+    cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_aggregate(trades, provider, cal, offsets, F_PRIME, WINDOW)
+    assert built == []
+    assert {p.offset for p in report.curves} == set(offsets)
+    points = sum(r.pi is not None for r in analyze_trades(trades, provider, [0], F_PRIME, cal))
+    assert len(adds) == len(trades) + points
+    assert points > len(trades) / 2
 
 
 def _streamed_trade(trade_id, internalized, scale):

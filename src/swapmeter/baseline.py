@@ -54,7 +54,7 @@ class BaselineProvider(abc.ABC):
 
         Offsets of one scope serve equal values, or raise the same
         exclusion, and re-quote alike. By default each offset is its own
-        scope. `analysis_pass` serves and prices each trade once per scope.
+        scope. The analysis pass serves and prices each trade once per scope.
         """
         return offset
 

@@ -67,7 +67,8 @@ class RunConfig(_RunValues):
         return Path(self.out_dir) / "calibration.json"
 
 
-def _check_offsets(offsets: Sequence[int]) -> None:
+def check_offsets(offsets: Sequence[int]) -> None:
+    """Raise ConfigError on more than MAX_OFFSETS offsets or a repeated one."""
     if len(offsets) > MAX_OFFSETS:
         raise ConfigError(f"bad offset list: over {MAX_OFFSETS} offsets")
     seen: set[int] = set()
@@ -83,7 +84,7 @@ def check_run_values(offsets: Sequence[int], f_prime_wei: Decimal, overhead_gas:
     At most MAX_OFFSETS distinct offsets (quote files key on trade and
     offset), 0 <= f' <= 2^128 - 1 wei/gas and overhead gas in [0, 2^64 - 1].
     """
-    _check_offsets(offsets)
+    check_offsets(offsets)
     if f_prime_wei < 0:
         raise ConfigError("f_prime_wei must be nonnegative")
     if f_prime_wei > MAX_UINT128:
@@ -109,7 +110,7 @@ def parse_offsets(text: str) -> tuple[int, ...]:
         offsets = tuple(integer(part, "offsets") for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse offsets {text!r}") from None
-    _check_offsets(offsets)
+    check_offsets(offsets)
     return offsets
 
 

@@ -26,6 +26,7 @@ from swapmeter.attribution import PiSplit, improvement, split_improvement
 from swapmeter.attribution import attribute_trade  # noqa: F401
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
+from swapmeter.config import check_offsets
 from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
 from swapmeter.model import TradeRecord
 from swapmeter.numeric import POLICY, format_bps
@@ -124,17 +125,23 @@ def _records(
     shifted: tuple[GasCalibration, GasCalibration] | None = None,
     decompose: Sequence[int] | None = None,
 ) -> Iterator[_Record]:
-    """Each trade's records, in stable trade_id order: the pass behind every output.
+    """Each trade's records, in trade_id order: the pass behind every output.
 
     A trade is served once per requote scope, at the scope's first offset,
     and priced at each slope: g'/beta1 of `calibration` (g' as served when
     None), then of each `shifted` (upper, lower) calibration. A scope is
     split at the first slope where any of its offsets is in `decompose`
-    (every offset when None). One trade_id at a time is priced, in the
+    (every offset when None). One trade at a time is priced, in the
     60-digit policy context. A trade's records run through its offsets in
-    ascending order; trades that share an id get one record per offset,
-    in stable offset order.
+    ascending order. Before the first record, a repeated offset raises
+    ConfigError and a repeated trade_id ValueError, as the CLI refuses them.
     """
+    check_offsets(offsets)
+    by_id = attrgetter("trade_id")
+    ordered = sorted(trades, key=by_id)
+    for previous, trade in zip(ordered, ordered[1:]):
+        if previous.trade_id == trade.trade_id:
+            raise ValueError(f"duplicate trade_id {trade.trade_id}")
     betas = [None if calibration is None else calibration.beta1]
     if shifted is not None:
         betas += [cal.beta1 for cal in shifted]
@@ -177,41 +184,12 @@ def _records(
             pis.append(pi)
         return (*pis, *absent), result, reason
 
-    by_id = attrgetter("trade_id")
-    for _, same_id in groupby(sorted(trades, key=by_id), key=by_id):
-        records = []
+    for trade in ordered:
         with localcontext(POLICY):
-            for trade in same_id:
-                terms = trade_terms(trade, f_prime)
-                values = [priced(trade, terms, offset, split) for offset, split in groups]
-                records += [_Record(trade, run, *values[i]) for i, run in runs]
-        if len(records) > len(runs):  # trades that share an id interleave by offset
-            records = [r._replace(offsets=(o,)) for r in records for o in r.offsets]
-            records.sort(key=attrgetter("offsets"))
-        yield from records
-
-
-def analysis_pass(
-    trades: Iterable[TradeRecord],
-    provider: BaselineProvider,
-    offsets: Sequence[int],
-    f_prime: Decimal,
-    calibration: GasCalibration | None = None,
-    shifted: tuple[GasCalibration, GasCalibration] | None = None,
-    decompose: Sequence[int] | None = None,
-) -> Iterator[AnalysisRow]:
-    """Every (trade, offset) row of `_records`, in a stable sort by (trade_id, offset).
-
-    Only the rows of offsets in `decompose` (every offset when None) carry
-    the split. An exclusion at the nominal slope is the row's reason; one
-    at a shifted slope leaves that slope's pi None.
-    """
-    for trade, run, pis, result, reason in _records(
-        trades, provider, offsets, f_prime, calibration, shifted, decompose
-    ):
-        for offset in run:
-            keep = decompose is None or offset in decompose
-            yield AnalysisRow(trade, offset, pis[0], result if keep else None, reason, *pis[1:])
+            terms = trade_terms(trade, f_prime)
+            values = [priced(trade, terms, offset, split) for offset, split in groups]
+        for i, run in runs:
+            yield _Record(trade, run, *values[i])
 
 
 def analyze_trades(
@@ -223,10 +201,19 @@ def analyze_trades(
     shifted: tuple[GasCalibration, GasCalibration] | None = None,
     decompose: Sequence[int] | None = None,
 ) -> list[AnalysisRow]:
-    """Every row of `analysis_pass`, as a list."""
-    return list(
-        analysis_pass(trades, provider, offsets, f_prime, calibration, shifted, decompose)
-    )
+    """Every (trade, offset) row of the pass, in (trade_id, offset) order.
+
+    Only the rows of offsets in `decompose` (every offset when None) carry
+    the split. An exclusion at the nominal slope is the row's reason; one
+    at a shifted slope leaves that slope's pi None.
+    """
+    records = _records(trades, provider, offsets, f_prime, calibration, shifted, decompose)
+    every = decompose is None
+    return [
+        AnalysisRow(trade, o, pis[0], result if every or o in decompose else None, reason, *pis[1:])
+        for trade, run, pis, result, reason in records
+        for o in run
+    ]
 
 
 def attribution_csv_rows(
@@ -315,10 +302,9 @@ def run_aggregate(
                 groups = keys[key] = tuple(
                     g for o in run for g in (("path", path, o), ("interface", interface, o))
                 )
-            at_anchor = run.count(anchor)
-            if at_anchor:  # the four parts are four more series of the group sums
+            if anchor in run:  # the four parts are four more series of the group sums
                 if not r.excluded:
-                    points.extend([(usd, *values)] * at_anchor)
+                    points.append((usd, *values))
                 values += (None,) * 4 if r.excluded else r.result[1:]
             yield groups, usd, values
 

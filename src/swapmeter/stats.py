@@ -172,6 +172,8 @@ def rolling_by_size(
     """
     if window < 2:
         raise InsufficientData("rolling window must be >= 2")
+    if stride < 1:
+        raise InsufficientData("rolling stride must be >= 1")
     if len(points) < 2:
         return []
     if window > len(points):
@@ -223,7 +225,7 @@ def grouped_means(
     that rule is left out, with a warning if any of its members is valued
     there. `members` is drained inside the exact context, so a lazy source
     must do its own arithmetic in a context it enters itself (as
-    `pipeline.analysis_pass` does).
+    `pipeline._records` does).
     """
     ctx = getcontext()
     cells: dict[tuple[Hashable, ...], list] = {}  # groups -> sums of the cell

@@ -18,7 +18,9 @@ an attribution; another checks that a replay pass builds no per-pair
 record, and another that aggregating over one snapshot adds one member
 per trade to the group sums. Two more check the streamed pass: its order
 equals a stable sort of rows priced one pair at a time, and its values do
-not depend on the decimal context its consumer drains it in. Serving and
+not depend on the decimal context its consumer drains it in. A table test
+checks that each face of the pass refuses a repeated trade_id or offset,
+in the CLI's words, before it serves a pair. Serving and
 pricing once per requote scope is checked against a provider whose
 offsets share no requote scope, on rows, CSV lines, reports and warnings
 over six scope layouts, and by counting how often a trade is served and
@@ -59,6 +61,7 @@ from swapmeter.cli import main
 from swapmeter.errors import (
     EXCLUDED,
     EXCLUSION_REASONS,
+    ConfigError,
     NonPositiveAdjustedInput,
     NonPositiveBaseline,
     QuoteUnavailable,
@@ -80,7 +83,6 @@ from swapmeter.pipeline import (
     CURVE_COLUMNS,
     ROLLING_COLUMNS,
     AnalysisRow,
-    analysis_pass,
     analyze_trades,
     attribution_csv_rows,
     run_aggregate,
@@ -991,8 +993,7 @@ def test_one_snapshot_aggregate_adds_one_member_per_trade(scenario, monkeypatch)
 
 
 def _streamed_trade(trade_id, internalized, scale):
-    # One direction per trade_id, so that every trade with that id can
-    # share its quotes.
+    # One direction per trade_id, the one its quotes are made for.
     weth, usdc = TokenAmount(scale * 10**15, 18), TokenAmount(scale * 3 * USDC, 6)
     if trade_id in "AC":
         return make_trade(
@@ -1015,16 +1016,17 @@ def _streamed_trade(trade_id, internalized, scale):
             st.one_of(st.integers(1, 5), st.integers(1, 2000)),
         ),
         min_size=1,
-        max_size=8,
+        max_size=4,
+        unique_by=lambda t: t.trade_id,
     ),
-    st.lists(st.integers(-2, 2), min_size=1, max_size=5),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True),
     st.sets(st.integers(-2, 2), min_size=3),
     st.sampled_from([None, (0,)]),
 )
 def test_streamed_pass_equals_a_stable_sort_of_pairs_priced_alone(
     trades, offsets, quoted, decompose
 ):
-    """Trades in any order with repeated trade_ids, offsets out of order or repeated.
+    """Distinct trades in any order, distinct offsets out of order.
 
     Small trades are excluded at some slopes, unquoted offsets are missing.
     """
@@ -1058,8 +1060,58 @@ def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context)
     provider = _provider(root, "quotes")
     expected = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, shifted)
     with localcontext(context):
-        rows = list(analysis_pass(trades, provider, OFFSETS, F_PRIME, cal, shifted))
+        rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, shifted)
     assert rows == expected
+
+
+@pytest.mark.parametrize("face", ["analyze_trades", "attribution_csv_rows", "run_aggregate"])
+@pytest.mark.parametrize(
+    "repeat, error, message",
+    [
+        ("trade_id", ValueError, "duplicate trade_id {}"),
+        ("offset", ConfigError, "duplicate offset 0"),
+    ],
+    ids=["trade_id", "offset"],
+)
+def test_repeated_trade_ids_and_offsets_are_refused_before_any_row(
+    scenario, monkeypatch, face, repeat, error, message
+):
+    """Each face of the pass refuses what the CLI refuses, in its words, before serving a pair.
+
+    A trade passed twice would count twice; offsets [0, 0] would double
+    every group's n at offset 0 and the rolling points.
+    """
+    root, trades = scenario
+    twice = trades[len(trades) // 2]
+    offsets = OFFSETS
+    if repeat == "trade_id":
+        trades = [*trades, twice]
+    else:
+        offsets = [0, 0]
+    provider = _provider(root, "quotes")
+    served = []
+    serve = ReplayProvider.serve
+
+    def counting(self, trade, offset):
+        served.append(offset)
+        return serve(self, trade, offset)
+
+    monkeypatch.setattr(ReplayProvider, "serve", counting)
+    exclusions = {}
+    faces = {
+        "analyze_trades": lambda: analyze_trades(trades, provider, offsets, F_PRIME),
+        "attribution_csv_rows": lambda: attribution_csv_rows(
+            trades, provider, offsets, F_PRIME, None, exclusions
+        ),
+        "run_aggregate": lambda: [run_aggregate(trades, provider, None, offsets, F_PRIME, WINDOW)],
+    }
+    rows = []
+    with pytest.raises(Exception) as refused:
+        for row in faces[face]():
+            rows.append(row)
+    assert type(refused.value) is error
+    assert str(refused.value) == message.format(twice.trade_id)
+    assert rows == [] and exclusions == {} and served == []
 
 
 def test_a_group_without_a_shifted_mean_keeps_a_zero_band_side():

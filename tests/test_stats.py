@@ -79,6 +79,12 @@ class TestRolling:
         assert [str(w.message) for w in caught] == ["rolling window 5 exceeds 3 trades; using 3"]
         assert series == rolling_by_size(points, window=len(points))
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_refused(self, stride):
+        points = [(D(w), D(1)) for w in range(1, 6)]
+        with pytest.raises(InsufficientData, match="^rolling stride must be >= 1$"):
+            rolling_by_size(points, window=2, stride=stride)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_give_no_windows(self, n):
         with warnings.catch_warnings():

@@ -112,9 +112,12 @@ def perturbed_calibrations(
     """Calibrations at beta1 +/- multiplier*beta1_se for systematic bands.
 
     A non-positive lower slope cannot divide gas estimates; it is clamped
-    to beta1/2 with a warning. ConfigError if the shift overflows or takes
-    a slope outside [MIN_SLOPE, MAX_SLOPE].
+    to beta1/2 with a warning. ConfigError if the multiplier is not
+    positive, or the shift overflows or takes a slope outside
+    [MIN_SLOPE, MAX_SLOPE].
     """
+    if multiplier <= 0:
+        raise ConfigError("sys_multiplier must be positive")
     try:
         delta = Decimal(multiplier) * cal.beta1_se
         upper = cal.beta1 + delta

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
@@ -15,31 +16,47 @@ from swapmeter.numeric import finite_number, integer, spelled
 DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
 DEFAULT_OFFSETS = tuple(range(-4, 4))
 DEFAULT_OVERHEAD_GAS = 80_000  # gas a routed swap spends beyond its hops
-DEFAULT_WINDOW = 200
-DEFAULT_CALIBRATION_FILTER = "Classic"
 # Most offsets one run may ask for; an offset range is checked before it is built.
 MAX_OFFSETS = 10_000
 
 
-class _RunValues(NamedTuple):
-    trades_path: str | None = None
-    quotes_path: str | None = None
-    pools_path: str | None = None
-    out_dir: str = "out"
-    offsets: tuple[int, ...] = DEFAULT_OFFSETS
-    f_prime_wei: Decimal = DEFAULT_F_PRIME_WEI
-    window: int = DEFAULT_WINDOW
-    stride: int = 1
-    strict: bool = False
-    no_correction: bool = False
-    sys_multiplier: Decimal = Decimal(1)
-    calibration_filter: str = DEFAULT_CALIBRATION_FILTER
-    calibration_path: str | None = None
-    overhead_gas: int = DEFAULT_OVERHEAD_GAS
+class Setting(NamedTuple):
+    """A RunConfig field, its flag (None: config files only), kind, default and the flag's help."""
+
+    field: str
+    flag: str | None
+    kind: str  # a key of _KINDS
+    default: object
+    help: str = ""
 
 
-class RunConfig(_RunValues):
-    """A run's settings, checked on construction; `SETTINGS` has one row per field."""
+# Every run setting, one row per RunConfig field, in the order the CLI lists the flags.
+SETTINGS = (
+    Setting("trades_path", "--trades", "text", None, "trade CSV/JSONL path"),
+    Setting("quotes_path", "--quotes", "text", None, "recorded quote file (replay baseline)"),
+    Setting("pools_path", "--pools", "text", None,
+            "pool snapshot file (synthetic router baseline)"),
+    Setting("out_dir", "--out", "text", "out", "output directory"),
+    Setting("offsets", "--offsets", "offsets", DEFAULT_OFFSETS,
+            "block offsets, e.g. -4..3 or 0,1"),
+    Setting("f_prime_wei", "--f-prime-wei", "decimal", DEFAULT_F_PRIME_WEI,
+            "baseline priority fee (wei/gas)"),
+    Setting("window", "--window", "integer", 200, "rolling window size"),
+    Setting("stride", None, "integer", 1),
+    Setting("strict", "--strict", "boolean", False, "fail on first bad row"),
+    Setting("no_correction", "--no-correction", "boolean", False, "skip gas-bias correction"),
+    Setting("sys_multiplier", "--sys-multiplier", "decimal", Decimal(1), "multiple of beta1 SE"),
+    Setting("calibration_path", "--calibration", "text", None, "calibration report to apply"),
+    Setting("calibration_filter", "--calibration-filter", "text", "Classic",
+            "settlement path used as the calibration sample"),
+    Setting("overhead_gas", None, "integer", DEFAULT_OVERHEAD_GAS),
+)
+
+
+class RunConfig(
+    namedtuple("_RunValues", [s.field for s in SETTINGS], defaults=[s.default for s in SETTINGS])
+):
+    """A run's settings, checked on construction; `SETTINGS` declares each field."""
 
     __slots__ = ()
 
@@ -68,7 +85,9 @@ class RunConfig(_RunValues):
 
 
 def check_offsets(offsets: Sequence[int]) -> None:
-    """Raise ConfigError on more than MAX_OFFSETS offsets or a repeated one."""
+    """Raise ConfigError on no offsets, more than MAX_OFFSETS or a repeated one."""
+    if not offsets:
+        raise ConfigError("offsets must be nonempty")
     if len(offsets) > MAX_OFFSETS:
         raise ConfigError(f"bad offset list: over {MAX_OFFSETS} offsets")
     seen: set[int] = set()
@@ -81,7 +100,7 @@ def check_offsets(offsets: Sequence[int]) -> None:
 def check_run_values(offsets: Sequence[int], f_prime_wei: Decimal, overhead_gas: int) -> None:
     """Raise ConfigError unless a run, or a synth scenario, may use these values.
 
-    At most MAX_OFFSETS distinct offsets (quote files key on trade and
+    One to MAX_OFFSETS distinct offsets (quote files key on trade and
     offset), 0 <= f' <= 2^128 - 1 wei/gas and overhead gas in [0, 2^64 - 1].
     """
     check_offsets(offsets)
@@ -140,33 +159,6 @@ _KINDS = {
 }
 
 
-class Setting(NamedTuple):
-    """A RunConfig field, its flag (None: config files only), value kind and the flag's help."""
-
-    field: str
-    flag: str | None
-    kind: str  # a key of _KINDS
-    help: str = ""
-
-
-# Every run setting, one row per RunConfig field, in the order the CLI lists the flags.
-SETTINGS = (
-    Setting("trades_path", "--trades", "text", "trade CSV/JSONL path"),
-    Setting("quotes_path", "--quotes", "text", "recorded quote file (replay baseline)"),
-    Setting("pools_path", "--pools", "text", "pool snapshot file (synthetic router baseline)"),
-    Setting("out_dir", "--out", "text", "output directory"),
-    Setting("offsets", "--offsets", "offsets", "block offsets, e.g. -4..3 or 0,1"),
-    Setting("f_prime_wei", "--f-prime-wei", "decimal", "baseline priority fee (wei/gas)"),
-    Setting("window", "--window", "integer", "rolling window size"),
-    Setting("stride", None, "integer"),
-    Setting("strict", "--strict", "boolean", "fail on first bad row"),
-    Setting("no_correction", "--no-correction", "boolean", "skip gas-bias correction"),
-    Setting("sys_multiplier", "--sys-multiplier", "decimal", "multiple of beta1 SE"),
-    Setting("calibration_path", "--calibration", "text", "calibration report to apply"),
-    Setting("calibration_filter", "--calibration-filter", "text",
-            "settlement path used as the calibration sample"),
-    Setting("overhead_gas", None, "integer"),
-)
 # A config file spells a setting by its field's name or by its flag's (the flag's dest).
 _BY_KEY = {k: s for s in SETTINGS for k in (s.field, s.flag and s.flag[2:].replace("-", "_")) if k}
 
@@ -179,7 +171,7 @@ def coerce_values(values: dict) -> dict[str, object]:
             continue
         if key not in _BY_KEY:
             raise ConfigError(f"unknown config key {key!r}")
-        field, _, kind, _ = _BY_KEY[key]
+        field, _, kind, *_ = _BY_KEY[key]
         rule, expected = _KINDS[kind]
         try:
             coerced[field] = rule(value, field)

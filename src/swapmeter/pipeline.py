@@ -133,8 +133,9 @@ def _records(
     split at the first slope where any of its offsets is in `decompose`
     (every offset when None). One trade at a time is priced, in the
     60-digit policy context. A trade's records run through its offsets in
-    ascending order. Before the first record, a repeated offset raises
-    ConfigError and a repeated trade_id ValueError, as the CLI refuses them.
+    ascending order. Before the first record, no offset or a repeated one
+    raises ConfigError and a repeated trade_id ValueError, as the CLI
+    refuses them.
     """
     check_offsets(offsets)
     by_id = attrgetter("trade_id")
@@ -276,6 +277,7 @@ def run_aggregate(
     every group of its run's offsets: the sums are exact, so this adds the
     same values as one member per offset.
     """
+    check_offsets(offsets)
     anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
     shifted = None
     if calibration is not None and calibration.beta1_se > 0:

@@ -146,8 +146,8 @@ def systematic_band(
     calibration. Differences are folded to nonnegative half-widths with
     sides preserved.
     """
-    base = reevaluate(cal)
     upper_cal, lower_cal = perturbed_calibrations(cal, multiplier)
+    base = reevaluate(cal)
     return half_width(reevaluate(upper_cal), base), half_width(reevaluate(lower_cal), base)
 
 

@@ -209,8 +209,6 @@ def load_scenario(value) -> ScenarioSpec:
     for k, pool in enumerate(pools):
         if any(p.pool_id == pool.pool_id for p in pools[:k]):
             raise InvalidSpec(f"duplicate pool_id {pool.pool_id}")
-    if not offsets:
-        raise InvalidSpec("offsets must be nonempty")
     try:
         router = SyntheticRouterProvider({0: pools}, f_prime, overhead_gas=overhead)
         check_run_values(offsets, f_prime, overhead)

@@ -125,6 +125,14 @@ class TestPerturbed:
         assert upper.beta1 == Decimal("0.3")
         assert lower.beta1 == Decimal("0.05")
 
+    @pytest.mark.parametrize("multiplier", [0, -1])
+    def test_non_positive_multiplier_is_a_config_error(self, multiplier):
+        # -1 would swap the band's sides and 0 would give a 0/0 band
+        cal = GasCalibration(Decimal("0.9"), Decimal("0.05"), 5, Decimal(1), Decimal(0))
+        with pytest.raises(ConfigError) as caught:
+            perturbed_calibrations(cal, multiplier)
+        assert str(caught.value) == "sys_multiplier must be positive"
+
     def test_multiplier_scales_shift(self):
         cal = GasCalibration(Decimal("0.9"), Decimal("0.02"), 5, Decimal(1), Decimal(0))
         upper, _ = perturbed_calibrations(cal, 2)

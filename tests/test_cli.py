@@ -1541,7 +1541,8 @@ class TestSettingsTable:
     """config.SETTINGS declares each run setting once; the flags and config keys follow it."""
 
     def test_one_row_per_run_config_field(self):
-        assert sorted(s.field for s in SETTINGS) == sorted(RunConfig._fields)
+        assert RunConfig._fields == tuple(s.field for s in SETTINGS)
+        assert RunConfig() == tuple(s.default for s in SETTINGS)
 
     def test_run_flags_are_config_and_the_tables(self):
         flags = ["--config", *(s.flag for s in SETTINGS if s.flag)]

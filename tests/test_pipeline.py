@@ -1070,8 +1070,9 @@ def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context)
     [
         ("trade_id", ValueError, "duplicate trade_id {}"),
         ("offset", ConfigError, "duplicate offset 0"),
+        ("no-offset", ConfigError, "offsets must be nonempty"),
     ],
-    ids=["trade_id", "offset"],
+    ids=["trade_id", "offset", "no-offset"],
 )
 def test_repeated_trade_ids_and_offsets_are_refused_before_any_row(
     scenario, monkeypatch, face, repeat, error, message
@@ -1079,7 +1080,8 @@ def test_repeated_trade_ids_and_offsets_are_refused_before_any_row(
     """Each face of the pass refuses what the CLI refuses, in its words, before serving a pair.
 
     A trade passed twice would count twice; offsets [0, 0] would double
-    every group's n at offset 0 and the rolling points.
+    every group's n at offset 0 and the rolling points; offsets [] would
+    leave run_aggregate no anchor and the other faces no row and no error.
     """
     root, trades = scenario
     twice = trades[len(trades) // 2]
@@ -1087,7 +1089,7 @@ def test_repeated_trade_ids_and_offsets_are_refused_before_any_row(
     if repeat == "trade_id":
         trades = [*trades, twice]
     else:
-        offsets = [0, 0]
+        offsets = {"offset": [0, 0], "no-offset": []}[repeat]
     provider = _provider(root, "quotes")
     served = []
     serve = ReplayProvider.serve

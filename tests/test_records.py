@@ -96,6 +96,8 @@ REFUSALS = {
                                 "beta1_se must be nonnegative"),
     "calibration-se-above": ("GasCalibration", {"beta1_se": D("1e19")}, ValueError,
                              "beta1_se 1E+19 exceeds 1E+18"),
+    "config-no-offsets": ("RunConfig", {"offsets": ()}, ConfigError,
+                          "offsets must be nonempty"),
     "config-duplicate-offset": ("RunConfig", {"offsets": (0, 0)}, ConfigError,
                                 "duplicate offset 0"),
     "config-too-many-offsets": ("RunConfig", {"offsets": tuple(range(10_001))}, ConfigError,

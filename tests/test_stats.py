@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from swapmeter.baseline import CalibratedProvider, ReplayProvider
 from swapmeter.calibration import GasCalibration
-from swapmeter.errors import InsufficientData, ZeroTotalWeight
+from swapmeter.errors import ConfigError, InsufficientData, ZeroTotalWeight
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import Quote, TokenAmount
 from swapmeter.pipeline import analyze_trades, run_aggregate
@@ -387,6 +387,19 @@ class TestSystematicBand:
         up1, low1 = systematic_band(handle, cal, 1)
         up2, low2 = systematic_band(handle, cal, 2)
         assert up2 > up1 and low2 > low1
+
+    @pytest.mark.parametrize("multiplier", [0, -1])
+    def test_non_positive_multiplier_is_refused_before_any_pass(self, multiplier):
+        # -1 would swap the band's sides and 0 would give a 0/0 band
+        trades, quote_set = _fixture_trades_and_quotes()
+        cal = GasCalibration(D("0.95"), D("0.02"), 10, D(1), D(0))
+        passes = []
+        with pytest.raises(ConfigError, match="^sys_multiplier must be positive$"):
+            systematic_band(passes.append, cal, multiplier)
+        assert passes == []
+        with pytest.raises(ConfigError, match="^sys_multiplier must be positive$"):
+            run_aggregate(trades, ReplayProvider(quote_set), cal, [0], D(100_000_000), 5,
+                          sys_multiplier=multiplier)
 
 
 class TestRunAggregate:

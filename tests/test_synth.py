@@ -202,6 +202,7 @@ class TestRunValueRules:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("offsets", [], "offsets must be nonempty"),
             ("offsets", [0, 0], "duplicate offset 0"),
             ("offsets", list(range(MAX_OFFSETS + 1)), "bad offset list: over 10000 offsets"),
             ("f_prime_wei", "-1", "f_prime_wei must be nonnegative"),
@@ -213,7 +214,7 @@ class TestRunValueRules:
             ("overhead_gas", -1, "overhead_gas: -1 is outside [0, 2^64 - 1]"),
             ("overhead_gas", 2**64, f"overhead_gas: {2**64} is outside [0, 2^64 - 1]"),
         ],
-        ids=["duplicate", "too-many", "negative-f", "huge-f", "negative-gas", "gas-2^64"],
+        ids=["empty", "duplicate", "too-many", "negative-f", "huge-f", "negative-gas", "gas-2^64"],
     )
     def test_synth_and_run_config_reject_alike(self, tmp_path, capsys, field, value, message):
         # "1e400" used to end in "no feasible split found", 10,001 offsets were accepted

@@ -12,7 +12,7 @@ from decimal import Decimal
 from typing import Hashable, Mapping, Sequence
 
 from swapmeter.calibration import GasCalibration
-from swapmeter.config import DEFAULT_OVERHEAD_GAS
+from swapmeter.config import RunConfig
 from swapmeter.errors import ConfigError, QuoteUnavailable, SnapshotUnavailable, SwapmeterError
 from swapmeter.ingest import QuoteSet
 from swapmeter.model import RAW_DIGITS, Direction, Pool, Quote, TokenAmount, TradeRecord
@@ -113,7 +113,7 @@ class SyntheticRouterProvider(BaselineProvider):
         snapshots: Mapping[int, Sequence[Pool]],
         f_prime_wei: Decimal,
         *,
-        overhead_gas: int = DEFAULT_OVERHEAD_GAS,
+        overhead_gas: int = RunConfig._field_defaults["overhead_gas"],
     ):
         self._decimals = shared_decimals(pool for pools in snapshots.values() for pool in pools)
         interned: dict[Snapshot, Snapshot] = {}

@@ -13,9 +13,6 @@ from swapmeter.errors import ConfigError
 from swapmeter.model import MAX_UINT64, MAX_UINT128
 from swapmeter.numeric import finite_number, integer, spelled
 
-DEFAULT_F_PRIME_WEI = Decimal(100_000_000)  # 0.1 Gwei baseline priority fee
-DEFAULT_OFFSETS = tuple(range(-4, 4))
-DEFAULT_OVERHEAD_GAS = 80_000  # gas a routed swap spends beyond its hops
 # Most offsets one run may ask for; an offset range is checked before it is built.
 MAX_OFFSETS = 10_000
 
@@ -37,9 +34,9 @@ SETTINGS = (
     Setting("pools_path", "--pools", "text", None,
             "pool snapshot file (synthetic router baseline)"),
     Setting("out_dir", "--out", "text", "out", "output directory"),
-    Setting("offsets", "--offsets", "offsets", DEFAULT_OFFSETS,
+    Setting("offsets", "--offsets", "offsets", tuple(range(-4, 4)),
             "block offsets, e.g. -4..3 or 0,1"),
-    Setting("f_prime_wei", "--f-prime-wei", "decimal", DEFAULT_F_PRIME_WEI,
+    Setting("f_prime_wei", "--f-prime-wei", "decimal", Decimal(100_000_000),  # 0.1 Gwei
             "baseline priority fee (wei/gas)"),
     Setting("window", "--window", "integer", 200, "rolling window size"),
     Setting("stride", None, "integer", 1),
@@ -49,20 +46,31 @@ SETTINGS = (
     Setting("calibration_path", "--calibration", "text", None, "calibration report to apply"),
     Setting("calibration_filter", "--calibration-filter", "text", "Classic",
             "settlement path used as the calibration sample"),
-    Setting("overhead_gas", None, "integer", DEFAULT_OVERHEAD_GAS),
+    Setting("overhead_gas", None, "integer", 80_000),  # gas a route spends beyond its hops
 )
 
 
 class RunConfig(
     namedtuple("_RunValues", [s.field for s in SETTINGS], defaults=[s.default for s in SETTINGS])
 ):
-    """A run's settings, checked on construction; `SETTINGS` declares each field."""
+    """A run's settings, checked on construction; `SETTINGS` declares each field.
+
+    Synth checks a spec's offsets, f' and overhead gas by building one.
+    """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        check_run_values(self.offsets, self.f_prime_wei, self.overhead_gas)
+        check_offsets(self.offsets)
+        if self.f_prime_wei < 0:
+            raise ConfigError("f_prime_wei must be nonnegative")
+        if self.f_prime_wei > MAX_UINT128:
+            raise ConfigError(
+                f"f_prime_wei: {self.f_prime_wei} wei/gas exceeds the uint128 bound {MAX_UINT128}"
+            )
+        if not 0 <= self.overhead_gas <= MAX_UINT64:
+            raise ConfigError(f"overhead_gas: {self.overhead_gas} is outside [0, 2^64 - 1]")
         if self.window < 2:
             raise ConfigError("window must be >= 2")
         if self.stride < 1:
@@ -97,23 +105,6 @@ def check_offsets(offsets: Sequence[int]) -> None:
         seen.add(offset)
 
 
-def check_run_values(offsets: Sequence[int], f_prime_wei: Decimal, overhead_gas: int) -> None:
-    """Raise ConfigError unless a run, or a synth scenario, may use these values.
-
-    One to MAX_OFFSETS distinct offsets (quote files key on trade and
-    offset), 0 <= f' <= 2^128 - 1 wei/gas and overhead gas in [0, 2^64 - 1].
-    """
-    check_offsets(offsets)
-    if f_prime_wei < 0:
-        raise ConfigError("f_prime_wei must be nonnegative")
-    if f_prime_wei > MAX_UINT128:
-        raise ConfigError(
-            f"f_prime_wei: {f_prime_wei} wei/gas exceeds the uint128 bound {MAX_UINT128}"
-        )
-    if not 0 <= overhead_gas <= MAX_UINT64:
-        raise ConfigError(f"overhead_gas: {overhead_gas} is outside [0, 2^64 - 1]")
-
-
 def parse_offsets(text: str) -> tuple[int, ...]:
     """Parse 'a..b' (inclusive) or a comma list: at most MAX_OFFSETS distinct offsets."""
     text = text.strip()
@@ -134,8 +125,13 @@ def parse_offsets(text: str) -> tuple[int, ...]:
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """A config file's flat `key = value` lines; '#' starts a comment."""
+    """A config file's flat `key = value` lines by field (an unknown key as written).
+
+    '#' starts a comment. A key whose field an earlier line set, in either
+    spelling, is refused.
+    """
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}  # field: the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -143,7 +139,13 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        values[key] = value
+        field = _BY_KEY[key].field if key in _BY_KEY else key
+        if field in seen:
+            raise ConfigError(
+                f"config line {lineno}: repeated key {key!r} (line {seen[field]} sets {field})"
+            )
+        seen[field] = lineno
+        values[field] = value
     return values
 
 

@@ -46,12 +46,27 @@ def format_bps(x: Decimal) -> str:
         return str(bps.quantize(_BPS_QUANTUM, context=context))
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names a key twice; not a ValueError, which json.loads raises for itself."""
+
+
+def _object(pairs: list) -> dict:
+    """A decoded JSON object's dict; _RepeatedKey names its first repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise _RepeatedKey(next(key for k, key in enumerate(keys) if key in keys[:k]))
+    return obj
+
+
 def json_value(text: str):
     """The value of JSON `text`; a ValueError words its fault the same for every file."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except _RepeatedKey as exc:
+        raise ValueError(f"invalid JSON: repeated key {exc.args[0]!r}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
     except ValueError:  # an integer literal past int()'s digit limit

@@ -39,11 +39,16 @@ class RouteResult(NamedTuple):
     total_gas: int
 
 
-def _oriented(pool: Pool, direction: Direction) -> tuple[int, int, int]:
-    """(reserve_in_raw, reserve_out_raw, out_decimals) for the swap direction."""
+def _oriented(pool: Pool, direction: Direction) -> tuple[int, int, int, int]:
+    """(reserve_in_raw, reserve_out_raw, in_decimals, out_decimals) for the swap direction."""
     if direction is Direction.WETH_IN:
-        return pool.reserve_weth.raw, pool.reserve_token.raw, pool.reserve_token.decimals
-    return pool.reserve_token.raw, pool.reserve_weth.raw, 18
+        return pool.reserve_weth.raw, pool.reserve_token.raw, 18, pool.reserve_token.decimals
+    return pool.reserve_token.raw, pool.reserve_weth.raw, pool.reserve_token.decimals, 18
+
+
+def anchor_pool(pools: Iterable[Pool]) -> Pool:
+    """The pool with the largest WETH reserve, ties to the larger pool_id; gas is priced at it."""
+    return max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
 
 
 def shared_decimals(pools: Iterable[Pool]) -> int | None:
@@ -58,7 +63,7 @@ def cpmm_swap_out(pool: Pool, raw_in: int, direction: Direction) -> int:
     """Exact integer constant-product raw output of raw input raw_in, fee taken on the input."""
     if raw_in <= 0:
         raise ValueError("amount_in must be positive")
-    r_in, r_out, _ = _oriented(pool, direction)
+    r_in, r_out, _, _ = _oriented(pool, direction)
     a_fee = raw_in * (10000 - pool.fee_bps)
     # floor(R_out * a*(1-phi) / (R_in + a*(1-phi))) as a single rational
     return (r_out * a_fee) // (r_in * 10000 + a_fee)
@@ -66,8 +71,7 @@ def cpmm_swap_out(pool: Pool, raw_in: int, direction: Direction) -> int:
 
 def marginal_price(pool: Pool, direction: Direction) -> Decimal:
     """Zero-size after-fee marginal price (R_out/R_in)*(1 - phi), normalized units."""
-    r_in, r_out, out_decimals = _oriented(pool, direction)
-    in_decimals = 18 if direction is Direction.WETH_IN else pool.reserve_token.decimals
+    r_in, r_out, in_decimals, out_decimals = _oriented(pool, direction)
     ratio = Decimal(r_out).scaleb(-out_decimals) / Decimal(r_in).scaleb(-in_decimals)
     return ratio * (Decimal(10000 - pool.fee_bps) / Decimal(10000))
 
@@ -82,8 +86,7 @@ class _PoolCurve:
     __slots__ = ("index", "pool", "r_in", "c", "rc", "s", "t", "gas")
 
     def __init__(self, index: int, pool: Pool, direction: Direction):
-        r_in_raw, r_out_raw, out_decimals = _oriented(pool, direction)
-        in_decimals = 18 if direction is Direction.WETH_IN else pool.reserve_token.decimals
+        r_in_raw, r_out_raw, in_decimals, out_decimals = _oriented(pool, direction)
         r_in = r_in_raw / 10.0**in_decimals
         r_out = r_out_raw / 10.0**out_decimals
         c = 1.0 - pool.fee_bps / 10000.0
@@ -135,12 +138,11 @@ def _build_tables(pools: tuple[Pool, ...], direction: Direction) -> _Tables:
         tightest = max(subset, key=lambda c: c.t / c.s)
         gas = sum([c.gas for c in subset])
         multis.append((subset, sum(t), sum([c.s for c in subset]), max(t), gas, tightest))
-    # Gas is valued at the zero-size price of the pool with the largest WETH reserve.
+    # Gas is valued at the anchor pool's zero-size price.
     anchor_price = None
     if direction is Direction.WETH_IN:
-        anchor = max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
-        anchor_price = float(marginal_price(anchor, direction))
-    return _Tables(tuple(singles), tuple(multis), anchor_price, _oriented(pools[0], direction)[2])
+        anchor_price = float(marginal_price(anchor_pool(pools), direction))
+    return _Tables(tuple(singles), tuple(multis), anchor_price, _oriented(pools[0], direction)[3])
 
 
 class Snapshot(tuple):

@@ -23,12 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from swapmeter.baseline import ReservesPastBound, SyntheticRouterProvider
-from swapmeter.config import (
-    DEFAULT_F_PRIME_WEI,
-    DEFAULT_OFFSETS,
-    DEFAULT_OVERHEAD_GAS,
-    check_run_values,
-)
+from swapmeter.config import RunConfig
 from swapmeter.errors import ConfigError, InvalidSpec
 from swapmeter.ingest import QUOTE_COLUMNS, SNAPSHOT_COLUMNS, TRADE_COLUMNS, trade_to_row
 from swapmeter.model import (
@@ -42,6 +37,7 @@ from swapmeter.model import (
 )
 from swapmeter.numeric import finite_number, integer
 from swapmeter.output import write_csv
+from swapmeter.router import anchor_pool
 
 OFA_PATHS = frozenset({"X", "Fusion"})
 _PATH_INTERFACE = {"Classic": "Uniswap", "X": "Uniswap", "Aggregator": "1inch", "Fusion": "1inch"}
@@ -56,6 +52,14 @@ _DEFAULT_POOLS = (
 )
 
 _DEFAULT_PROFILE = {"gas_noise_rel": "0.03", "priority_fee_gwei": ["0.05", "0.15"]}
+
+# The keys a spec object may hold; a pool's and a gas profile's are those of their defaults.
+_SPEC_KEYS = frozenset({
+    "seed", "n_trades", "size_distribution", "path_mix", "ofa_liquidity_bonus_bps",
+    "bonus_min_usd", "weth_in_fraction", "execution_noise_bps", "base_fee_gwei", "gas_profiles",
+    "pools", "offsets", "f_prime_wei", "overhead_gas",
+})
+_SIZE_KEYS = frozenset({"type", "min_usd", "max_usd"})
 
 
 class PortableRng:
@@ -123,6 +127,14 @@ def _field(name: str, value, kind: type = float):
         raise InvalidSpec(f"bad scenario field: {exc}, got {json.dumps(value)}") from None
 
 
+def _known(value, keys, where: str) -> None:
+    """Refuse a key of spec object `value` not in `keys`, naming its path; a non-object passes."""
+    if isinstance(value, dict):
+        for key in value:
+            if key not in keys:
+                raise InvalidSpec(f"bad scenario field: unknown key {f'{where}{key}'!r}")
+
+
 def _reserve(name: str, value, decimals: int) -> Decimal:
     """A positive reserve in whole tokens, scaled to base units below 10^RAW_DIGITS."""
     amount = _field(name, value, Decimal)
@@ -134,7 +146,8 @@ def _reserve(name: str, value, decimals: int) -> Decimal:
     return amount.scaleb(decimals)
 
 
-def _pool_from_dict(d: dict) -> Pool:
+def _pool_from_dict(d: dict, where: str) -> Pool:
+    _known(d, _DEFAULT_POOLS[0], where)
     weth = _reserve("reserve_weth", d["reserve_weth"], 18)
     token_decimals = _field("token_decimals", d["token_decimals"], int)
     if not 0 <= token_decimals <= MAX_DECIMALS:
@@ -158,11 +171,13 @@ def load_scenario(value) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a spec's JSON value."""
     if not isinstance(value, dict):
         raise InvalidSpec("scenario spec must be a JSON object")
+    _known(value, _SPEC_KEYS, "")
 
     try:
         seed = _field("seed", value.get("seed", 0), int)
         n_trades = _field("n_trades", value.get("n_trades", 100), int)
         dist = value.get("size_distribution", {})
+        _known(dist, _SIZE_KEYS, "size_distribution.")
         if dist.get("type", "log_uniform") != "log_uniform":
             raise InvalidSpec(f"unsupported size distribution {dist.get('type')!r}")
         size_min = _field("min_usd", dist.get("min_usd", 500))
@@ -180,14 +195,19 @@ def load_scenario(value) -> ScenarioSpec:
         bf_lo, bf_hi = (_field("base_fee_gwei", x) for x in base_fee)
         profiles = {}
         prof_raw = value.get("gas_profiles", {})
+        _known(prof_raw, dict(path_mix), "gas_profiles.")
         for path, _ in path_mix:
-            p = {**_DEFAULT_PROFILE, **prof_raw.get(path, {})}
+            entry = prof_raw.get(path, {})
+            _known(entry, _DEFAULT_PROFILE, f"gas_profiles.{path}.")
+            p = {**_DEFAULT_PROFILE, **entry}
             lo, hi = (_field("priority_fee_gwei", x) for x in p["priority_fee_gwei"])
             profiles[path] = GasProfile(_field("gas_noise_rel", p["gas_noise_rel"]), (lo, hi))
-        pools = tuple(_pool_from_dict(d) for d in value.get("pools", _DEFAULT_POOLS))
-        offsets = tuple(_field("offsets", x, int) for x in value.get("offsets", DEFAULT_OFFSETS))
-        f_prime = _field("f_prime_wei", value.get("f_prime_wei", DEFAULT_F_PRIME_WEI), Decimal)
-        overhead = _field("overhead_gas", value.get("overhead_gas", DEFAULT_OVERHEAD_GAS), int)
+        pool_values = enumerate(value.get("pools", _DEFAULT_POOLS))
+        pools = tuple(_pool_from_dict(d, f"pools[{k}].") for k, d in pool_values)
+        default = RunConfig._field_defaults  # a run value's one default is in SETTINGS
+        offsets = tuple(_field("offsets", x, int) for x in value.get("offsets", default["offsets"]))
+        f_prime = _field("f_prime_wei", value.get("f_prime_wei", default["f_prime_wei"]), Decimal)
+        overhead = _field("overhead_gas", value.get("overhead_gas", default["overhead_gas"]), int)
     except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc
 
@@ -211,7 +231,7 @@ def load_scenario(value) -> ScenarioSpec:
             raise InvalidSpec(f"duplicate pool_id {pool.pool_id}")
     try:
         router = SyntheticRouterProvider({0: pools}, f_prime, overhead_gas=overhead)
-        check_run_values(offsets, f_prime, overhead)
+        RunConfig(offsets=offsets, f_prime_wei=f_prime, overhead_gas=overhead)
     except ReservesPastBound as exc:
         raise InvalidSpec(
             f"bad scenario field: the pools' {exc.column} sum to 10^{RAW_DIGITS} base units or more"
@@ -251,16 +271,12 @@ def _amount(trade_id: str, side: str, raw: int, decimals: int) -> TokenAmount:
     return TokenAmount(raw, decimals)
 
 
-def _implied_eth_usd(pools: tuple[Pool, ...]) -> Decimal:
-    anchor = max(pools, key=lambda p: (p.reserve_weth.raw, p.pool_id))
-    return anchor.reserve_token.normalized / anchor.reserve_weth.normalized
-
-
 def generate(spec: ScenarioSpec, out_dir: str | Path) -> GeneratedScenario:
     """Write trades.csv, pools.csv, and quotes.csv for the scenario."""
     out = Path(out_dir)
     rng = PortableRng(spec.seed)
-    eth_usd = _implied_eth_usd(spec.pools)
+    anchor = anchor_pool(spec.pools)
+    eth_usd = anchor.reserve_token.normalized / anchor.reserve_weth.normalized
     token_decimals = spec.pools[0].reserve_token.decimals
     bonus_factor = Decimal(1) + spec.ofa_liquidity_bonus
     router = spec.router

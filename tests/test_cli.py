@@ -556,6 +556,28 @@ class TestExitCodes:
             assert main(argv) == 2
         assert capsys.readouterr().err == "error: run.cfg: unknown config key 'windows'\n"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "window = 10\nstride = 2\nwindow = 30\n",
+                "config line 3: repeated key 'window' (line 1 sets window)",
+            ),
+            (
+                "calibration_path = a.json\ncalibration = b.json\n",
+                "config line 2: repeated key 'calibration' (line 1 sets calibration_path)",
+            ),
+        ],
+        ids=["same-key", "field-and-flag-name"],
+    )
+    def test_repeated_config_key_names_the_file(self, tmp_path, capsys, text, error):
+        # the later line used to win without a word
+        with _inside(tmp_path):
+            Path("run.cfg").write_text(text)
+            argv = ["analyze", "--config", "run.cfg", "--trades", "t.csv", "--quotes", "q.csv"]
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: run.cfg: {error}\n"
+
     def test_f_prime_above_uint128_fatal(self, scenario_files, tmp_path, capsys):
         base = [
             "--trades", str(scenario_files / "trades.csv"),

@@ -3,8 +3,8 @@
 The surfaces are trades as CSV and as JSONL, quotes, pools, the config
 file, the calibration report and the synth spec. The faults are a
 missing file, text that is not UTF-8 and, where the file is JSON,
-invalid JSON, nesting past the recursion limit and an integer literal
-past int()'s digit limit. A fault in a JSONL line rejects that row, and
+invalid JSON, nesting past the recursion limit, an integer literal
+past int()'s digit limit and an object that repeats a key. A fault in a JSONL line rejects that row, and
 the run exits 1; any other fault ends the run with exit 2 and one
 `error:` line that names the file. The reason after the surface's own
 prefix is the same on every surface.
@@ -41,6 +41,8 @@ FAULTS = {
         b'{"n": ' + b"9" * 5000 + b"}\n",
         "invalid JSON: an integer has too many digits",
     ),
+    # the later value used to win without a word
+    "repeated-key": (b'{"n": 1, "n": 2}\n', "invalid JSON: repeated key 'n'"),
 }
 CASES = [
     (surface, fault)

@@ -34,6 +34,12 @@ class TestLoadScenario:
         assert spec.f_prime_wei == Decimal(100_000_000)
         assert len(spec.pools) == 3
 
+    def test_run_values_default_to_run_configs(self):
+        spec, run = load_scenario({}), RunConfig()
+        assert (spec.offsets, spec.f_prime_wei, spec.overhead_gas) == (
+            run.offsets, run.f_prime_wei, run.overhead_gas
+        )
+
     def test_bad_mix_rejected(self):
         with pytest.raises(InvalidSpec, match="sum to 1"):
             load_scenario({"path_mix": {"Classic": 0.5, "X": 0.2}})
@@ -231,6 +237,51 @@ class TestRunValueRules:
         )
         assert len(spec.offsets) == MAX_OFFSETS
         assert (spec.f_prime_wei, spec.overhead_gas) == (2**128 - 1, 2**64 - 1)
+
+
+class TestSpecKeys:
+    """A key the spec does not read is refused, named by its path; it used to be ignored."""
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            # wrote 100 trades at offsets -4..3 and exited 0
+            ({"n_trade": 7, "offset": [0]}, "n_trade"),
+            ({"size_distribution": {"min_usd": "800", "max": "900"}}, "size_distribution.max"),
+            ({"pools": [_pool(), _pool(pool_id="Q", fee=5)]}, "pools[1].fee"),
+            ({"gas_profiles": {"Classic": {"gas_noise": "0.1"}}}, "gas_profiles.Classic.gas_noise"),
+            (
+                {"path_mix": {"Classic": 1.0}, "gas_profiles": {"Fusion": {"gas_noise_rel": "0"}}},
+                "gas_profiles.Fusion",
+            ),
+        ],
+        ids=["top-level", "size-distribution", "pool", "gas-profile", "profile-path-not-in-mix"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, spec, key):
+        assert _synth_error(tmp_path, capsys, spec) == (
+            f"error: SPEC: bad scenario field: unknown key '{key}'\n"
+        )
+
+    def test_every_spec_key_is_accepted(self):
+        spec = load_scenario({
+            "seed": 1, "n_trades": 3,
+            "size_distribution": {"type": "log_uniform", "min_usd": 800, "max_usd": 900},
+            "path_mix": {"Classic": 0.5, "X": 0.5}, "ofa_liquidity_bonus_bps": "5",
+            "bonus_min_usd": "850", "weth_in_fraction": 0.5, "execution_noise_bps": 0.5,
+            "base_fee_gwei": ["15", "25"],
+            "gas_profiles": {"X": {"gas_noise_rel": "0", "priority_fee_gwei": ["0", "0"]}},
+            "pools": [_pool()], "offsets": [0], "f_prime_wei": "0", "overhead_gas": 0,
+        })
+        assert spec.gas_profiles["X"] == (0.0, (0.0, 0.0))
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"seed": 1, "n_trades": 5, "n_trades": 500}')
+        assert main(["synth", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read scenario file {path}: invalid JSON: repeated key 'n_trades'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestNumberFields:

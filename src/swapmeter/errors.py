@@ -21,8 +21,6 @@ class QuoteUnavailable(SwapmeterError):
     """The baseline provider has no quote for (trade_id, offset)."""
 
     def __init__(self, trade_id: str, offset: int, detail: str = ""):
-        self.trade_id = trade_id
-        self.offset = offset
         msg = f"no quote for trade {trade_id!r} at offset {offset}"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
@@ -31,7 +29,6 @@ class SnapshotUnavailable(SwapmeterError):
     """No pool snapshot exists for the requested block offset."""
 
     def __init__(self, offset: int):
-        self.offset = offset
         super().__init__(f"no pool snapshot for offset {offset}")
 
 

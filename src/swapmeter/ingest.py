@@ -2,10 +2,10 @@
 
 Trade, quote, and pool-snapshot files are JSONL (one object per line)
 when their name ends in `.jsonl`, and CSV otherwise (exact column order,
-header required; JSONL uses the same field names). Malformed rows are
-collected, not fatal, unless strict mode is on. Lines starting with '#'
-before the first row are provenance comments and are skipped, as are
-blank lines.
+header required; JSONL uses the same field names and no other).
+Malformed rows are collected, not fatal, unless strict mode is on. Lines
+starting with '#' before the first row are provenance comments and are
+skipped, as are blank lines.
 """
 
 from __future__ import annotations
@@ -217,6 +217,10 @@ def _rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, list | st
                 missing = [c for c in columns if c not in obj and c != "usd_value"]
                 if missing:
                     yield n, f"missing fields: {', '.join(missing)}"
+                    continue
+                unknown = [key for key in obj if key not in columns]
+                if unknown:
+                    yield n, f"unknown fields: {', '.join(unknown)}"
                     continue
                 yield n, [obj.get(c) for c in columns]
         else:

@@ -74,22 +74,12 @@ ROLLING_COLUMNS = [
 
 
 class AnalysisRow(NamedTuple):
-    """One (trade, offset) outcome: pi at the nominal slope or an exclusion reason.
-
-    result is the split of pi into its parts at the nominal calibration
-    slope, None where the pair is excluded or its offset is not decomposed;
-    rows of one trade and requote scope share one `PiSplit`.
-    pi_upper and pi_lower are pi with the slope shifted up and down; each
-    is None where that slope excludes the pair or no shift was asked for.
-    """
+    """One (trade, offset) outcome: the split of pi, or None and the pair's exclusion reason."""
 
     trade: TradeRecord
     offset: int
-    pi: Decimal | None
     result: PiSplit | None
     exclusion_reason: str | None
-    pi_upper: Decimal | None = None
-    pi_lower: Decimal | None = None
 
     @property
     def excluded(self) -> bool:
@@ -198,23 +188,10 @@ def analyze_trades(
     provider: BaselineProvider,
     offsets: Sequence[int],
     f_prime: Decimal,
-    calibration: GasCalibration | None = None,
-    shifted: tuple[GasCalibration, GasCalibration] | None = None,
-    decompose: Sequence[int] | None = None,
 ) -> list[AnalysisRow]:
-    """Every (trade, offset) row of the pass, in (trade_id, offset) order.
-
-    Only the rows of offsets in `decompose` (every offset when None) carry
-    the split. An exclusion at the nominal slope is the row's reason; one
-    at a shifted slope leaves that slope's pi None.
-    """
-    records = _records(trades, provider, offsets, f_prime, calibration, shifted, decompose)
-    every = decompose is None
-    return [
-        AnalysisRow(trade, o, pis[0], result if every or o in decompose else None, reason, *pis[1:])
-        for trade, run, pis, result, reason in records
-        for o in run
-    ]
+    """Every (trade, offset) row, split at the gas as served, in (trade_id, offset) order."""
+    records = _records(trades, provider, offsets, f_prime)
+    return [AnalysisRow(r.trade, o, r.result, r.reason) for r in records for o in r.offsets]
 
 
 def attribution_csv_rows(

@@ -242,6 +242,10 @@ _REFUSALS = {
         ["analyze", "--trades", "{d}/array.jsonl", "--quotes", "{d}/quotes.csv", *_RUN],
         1, "reject line 1: JSONL line must be an object\n3 quotes reference no accepted trade\n",
     ),
+    "jsonl-key-outside-the-columns": (
+        ["analyze", "--trades", "{d}/typo.jsonl", "--quotes", "{d}/quotes.csv", *_RUN],
+        1, "reject line 2: unknown fields: usd_vaule\n1 quotes reference no accepted trade\n",
+    ),
     "header-field-past-the-csv-limit": (
         ["analyze", "--trades", "{d}/wide.csv", "--quotes", "{d}/quotes.csv", *_RUN],
         2, "error: {d}/wide.csv: bad header: field larger than field limit (131072)\n",
@@ -987,6 +991,9 @@ class TestExitCodes:
         (d / "unweighted.csv").write_text("\n".join([VALID_HEADER, *unweighted]) + "\n")
         (d / "wide.csv").write_text("x" * 131_073 + f"\n{ROW}\n")
         (d / "array.jsonl").write_text("[1, 2]\n")
+        objects = [dict(zip(VALID_HEADER.split(","), row.split(","))) for row in rows]
+        objects[1]["usd_vaule"] = objects[1].pop("usd_value")
+        (d / "typo.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in objects))
         for name, gas in (("quotes.csv", 150000), ("zero_gas.csv", 0)):
             quotes = [f"T{k},0,2995000000,6,{gas},prov" for k in (1, 2, 3)]
             (d / name).write_text("\n".join([QUOTE_HEADER, *quotes]) + "\n")

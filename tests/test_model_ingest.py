@@ -413,6 +413,25 @@ class TestRejectReasons:
 
 
     @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
+    def test_a_jsonl_key_outside_the_columns_is_a_reject(self, schema, tmp_path):
+        # as a CSV header would be: a misspelled usd_value key used to read as a missing
+        # usd_value, and any other extra key was dropped without a word
+        columns = SCHEMA_COLUMNS[schema]
+        objects = [dict(zip(columns, _valid_row(schema, k))) for k in (1, 2, 3, 4)]
+        objects[0].pop("usd_value", None)
+        objects[0]["usd_vaule"] = "3000"
+        objects[1].update(note="", Note=1)
+        objects[2][columns[0].upper()] = objects[2].pop(columns[0])  # missing is said first
+        path = write_input(tmp_path, _jsonl_text(objects), ".jsonl")
+        assert _ingest_rejects(schema, path) == [
+            (1, "unknown fields: usd_vaule"),
+            (2, "unknown fields: note, Note"),
+            (3, f"missing fields: {columns[0]}"),
+        ]
+        if schema == "trades":  # also where usd_value is optional
+            assert [t.trade_id for t in ingest_trades(path).records] == ["T4"]
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
     def test_a_field_past_the_csv_limit_is_a_reject(self, schema, tmp_path):
         # csv.Error used to end the run in a traceback (exit 1)
         columns = SCHEMA_COLUMNS[schema]

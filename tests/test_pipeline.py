@@ -11,18 +11,20 @@ must equal the pipeline's exactly. It runs on one synth scenario in
 process, and on Hypothesis-generated scenarios against the bytes that
 `swapmeter report` writes; there `swapmeter analyze`'s attribution.csv
 must also equal every pair priced on its own through attribute_trade.
-A second test checks each analyze_trades row against attribute_trade and
-counterfactual_price called for that pair alone, and two more check that
-decomposing only the anchor offset changes nothing but which rows carry
-an attribution; another checks that a replay pass builds no per-pair
-record, and another that aggregating over one snapshot adds one member
-per trade to the group sums. Two more check the streamed pass: its order
-equals a stable sort of rows priced one pair at a time, and its values do
-not depend on the decimal context its consumer drains it in. A table test
+A second test checks each pair's record of the pass (`pipeline._records`,
+priced at the nominal and both shifted slopes) against attribute_trade
+and counterfactual_price called for that pair alone, and two more check
+that decomposing only the anchor offset changes nothing but which
+records carry an attribution; another checks that a replay pass builds
+no per-pair record, and another that aggregating over one snapshot adds
+one member per trade to the group sums. Two more check the streamed
+pass: its order equals a stable sort of records priced one pair at a
+time, and its values do not depend on the decimal context its consumer
+drains it in. A table test
 checks that each face of the pass refuses a repeated trade_id or offset,
 in the CLI's words, before it serves a pair. Serving and
 pricing once per requote scope is checked against a provider whose
-offsets share no requote scope, on rows, CSV lines, reports and warnings
+offsets share no requote scope, on records, CSV lines, reports and warnings
 over six scope layouts, and by counting how often a trade is served and
 priced.
 """
@@ -83,6 +85,7 @@ from swapmeter.pipeline import (
     CURVE_COLUMNS,
     ROLLING_COLUMNS,
     AnalysisRow,
+    _records,
     analyze_trades,
     attribution_csv_rows,
     run_aggregate,
@@ -542,7 +545,7 @@ def _replay(quotes):
 
 
 def test_rows_equal_pricing_each_pair_on_its_own():
-    """Each row's five values equal attribute_trade's and counterfactual_price's on their own.
+    """Each pair's record values equal attribute_trade's and counterfactual_price's on their own.
 
     One trade per direction x gas-internalization case, plus an internalized
     WETH-in trade whose gas-adjusted input is positive except at the lower
@@ -587,12 +590,13 @@ def test_rows_equal_pricing_each_pair_on_its_own():
             ("OUT-SMALL", 1, 4 * 10**15, 18, 190_000),
         ]
     )
-    rows = analyze_trades(trades, provider, [0, 1], F_PRIME, cal, shifted)
-    assert [(r.trade.trade_id, r.offset) for r in rows] == sorted(
+    records = list(_records(trades, provider, [0, 1], F_PRIME, cal, shifted))
+    assert [(r.trade.trade_id, o) for r in records for o in r.offsets] == sorted(
         (t.trade_id, o) for t in trades for o in (0, 1)
     )
-    for row in rows:
-        trade, offset = row.trade, row.offset
+    by_pair = {(r.trade.trade_id, o): r for r in records for o in r.offsets}
+    for (_, offset), record in by_pair.items():
+        trade = record.trade
         try:
             res = attribute_trade(trade, CalibratedProvider(provider, cal), offset, F_PRIME)
         except EXCLUDED as exc:
@@ -600,8 +604,8 @@ def test_rows_equal_pricing_each_pair_on_its_own():
         else:
             expected = (res.pi, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
             reason = None
-        assert (row.result, row.exclusion_reason) == (expected, reason)
-        for got, slope in zip((row.pi_upper, row.pi_lower), shifted):
+        assert (record.result, record.reason) == (expected, reason)
+        for got, slope in zip(record.pis[1:], shifted):
             try:
                 p_prime, _ = counterfactual_price(
                     trade, CalibratedProvider(provider, slope), offset, F_PRIME
@@ -611,13 +615,12 @@ def test_rows_equal_pricing_each_pair_on_its_own():
                 want = None
             assert got == want
 
-    by_pair = {(r.trade.trade_id, r.offset): r for r in rows}
     for trade_id in ("IN", "OUT", "IN-X", "OUT-X"):
-        row = by_pair[(trade_id, 0)]
-        assert None not in (row.result, row.pi_upper, row.pi_lower)
+        record = by_pair[(trade_id, 0)]
+        assert None not in (record.result, *record.pis[1:])
     for trade_id in ("IN-X-SMALL", "OUT-SMALL"):
-        row = by_pair[(trade_id, 0)]
-        assert row.result is not None and row.pi_upper is not None and row.pi_lower is None
+        _, upper, lower = by_pair[(trade_id, 0)].pis
+        assert by_pair[(trade_id, 0)].result is not None and upper is not None and lower is None
     with pytest.raises(NonPositiveAdjustedInput):
         counterfactual_price(trades[4], CalibratedProvider(provider, shifted[1]), 0, F_PRIME)
     with pytest.raises(NonPositiveBaseline):
@@ -628,13 +631,13 @@ def test_rows_equal_pricing_each_pair_on_its_own():
             )[0].value,
         )
     missing = by_pair[("OUT-X", 1)]
-    assert (missing.result, missing.exclusion_reason) == (None, "quote_unavailable")
-    assert (missing.pi_upper, missing.pi_lower) == (None, None)
+    assert (missing.result, missing.reason) == (None, "quote_unavailable")
+    assert missing.pis[1:] == (None, None)
 
 
 @pytest.mark.parametrize("calibrated", [True, False])
 def test_anchor_only_decomposition_equals_the_full_pass(calibrated):
-    """decompose=(0,) changes only which rows carry an attribution.
+    """decompose=(0,) changes only which records carry an attribution.
 
     One trade per direction x gas-internalization case, plus a small
     internalized WETH-in and a small WETH-out trade that only beta1 - SE
@@ -687,33 +690,31 @@ def test_anchor_only_decomposition_equals_the_full_pass(calibrated):
             ("OUT-SMALL", 1, 4 * 10**15, 18, 185_000),
         ]
     )
-    full = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted)
-    anchored = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted, decompose=(0,))
-    assert [(r.trade.trade_id, r.offset) for r in anchored] == [
-        (r.trade.trade_id, r.offset) for r in full
+    full = list(_records(trades, provider, offsets, F_PRIME, cal, shifted))
+    anchored = list(_records(trades, provider, offsets, F_PRIME, cal, shifted, decompose=(0,)))
+    assert [(r.trade.trade_id, r.offsets) for r in anchored] == [
+        (r.trade.trade_id, r.offsets) for r in full
     ]
     for got, want in zip(anchored, full):
-        assert want.pi == (None if want.result is None else want.result.pi)
-        assert (got.pi, got.pi_upper, got.pi_lower, got.exclusion_reason) == (
-            want.pi, want.pi_upper, want.pi_lower, want.exclusion_reason
-        )
-        assert got.excluded == want.excluded == (got.pi is None)
-        if got.offset == 0:
+        assert want.pis[0] == (None if want.result is None else want.result.pi)
+        assert (got.pis, got.reason) == (want.pis, want.reason)
+        assert got.excluded == want.excluded == (got.pis[0] is None)
+        if 0 in got.offsets:
             assert got.result == want.result
         else:
             assert got.result is None
 
-    by_pair = {(r.trade.trade_id, r.offset): r for r in anchored}
-    assert by_pair[("OUT-X", 1)].exclusion_reason == "quote_unavailable"
-    assert sum(r.excluded for r in anchored) == (3 if calibrated else 1)
+    by_pair = {(r.trade.trade_id, o): r for r in anchored for o in r.offsets}
+    assert by_pair[("OUT-X", 1)].reason == "quote_unavailable"
+    assert sum(r.excluded for r in by_pair.values()) == (3 if calibrated else 1)
     if calibrated:
-        assert by_pair[("IN-X-SMALL", -1)].exclusion_reason == "non_positive_adjusted_input"
-        assert by_pair[("OUT-SMALL", -1)].exclusion_reason == "non_positive_baseline"
+        assert by_pair[("IN-X-SMALL", -1)].reason == "non_positive_adjusted_input"
+        assert by_pair[("OUT-SMALL", -1)].reason == "non_positive_baseline"
         for trade_id in ("IN-X-SMALL", "OUT-SMALL"):
-            assert by_pair[(trade_id, -1)].pi_upper is not None
+            assert by_pair[(trade_id, -1)].pis[1] is not None
             for offset in (0, 1):
-                row = by_pair[(trade_id, offset)]
-                assert None not in (row.pi, row.pi_upper) and row.pi_lower is None
+                pi, upper, lower = by_pair[(trade_id, offset)].pis
+                assert None not in (pi, upper) and lower is None
 
 
 def _counted_aggregate(monkeypatch, trades, provider, offsets):
@@ -827,9 +828,9 @@ def _layout(root, layout):
 def test_memo_equals_pricing_every_offset(scenario, baseline):
     """Outputs equal those of a provider whose offsets share no requote scope.
 
-    Rows, analyze's CSV lines and exclusion counts, reports, and each
-    run's warnings in order, over every scope layout of `_layout`. Where
-    offsets share a scope, a trade's rows there share their split.
+    Each pair's record values, analyze's CSV lines and exclusion counts,
+    reports, and each run's warnings in order, over every scope layout of
+    `_layout`. Where offsets share a scope, a trade's pairs there share their split.
     TINY, an internalized WETH-in trade whose gas exceeds its input at every
     slope, is excluded at every offset, each row with the same reason.
     THIN is alone on its path, so that path's groups are skipped.
@@ -862,7 +863,8 @@ def test_memo_equals_pricing_every_offset(scenario, baseline):
     def outputs(p):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = analyze_trades(trades, p, OFFSETS, F_PRIME, cal, shifted)
+            records = _records(trades, p, OFFSETS, F_PRIME, cal, shifted)
+            rows = [(r.trade, o, r.pis, r.result, r.reason) for r in records for o in r.offsets]
             exclusions = {}
             lines = list(attribution_csv_rows(trades, p, OFFSETS, F_PRIME, cal, exclusions))
             report = run_aggregate(trades, p, cal, OFFSETS, F_PRIME, WINDOW,
@@ -876,14 +878,14 @@ def test_memo_equals_pricing_every_offset(scenario, baseline):
     assert "skipping group ('path', 'Thin', 0): fewer than 2 weighted trades" in said
 
     missing = {1} if baseline == "pools-missing-offset" else set()
-    assert [r.exclusion_reason for r in rows if r.trade is tiny] == [
+    assert [reason for trade, *_, reason in rows if trade is tiny] == [
         "snapshot_unavailable" if o in missing else "non_positive_adjusted_input"
         for o in OFFSETS
     ]
-    assert any(r.trade.gas_internalized and r.trade.direction is Direction.WETH_IN
-               and r.result is not None for r in rows)  # valued at a re-quoted output
+    assert any(trade.gas_internalized and trade.direction is Direction.WETH_IN
+               and result is not None for trade, *_, result, _ in rows)  # valued at a re-quote
     scope = {o: shared.requote_scope(o) for o in OFFSETS}
-    split = [(r.trade.trade_id, scope[r.offset], id(r.result)) for r in rows if r.result]
+    split = [(trade.trade_id, scope[o], id(res)) for trade, o, _, res, _ in rows if res]
     assert len({s[2] for s in split}) == len({s[:2] for s in split})  # one split per scope
     if missing:
         assert exclusions == {"non_positive_adjusted_input": 2, "snapshot_unavailable": len(trades)}
@@ -913,15 +915,16 @@ def test_scopes_are_asked_once_per_offset_not_per_pair(scenario):
 def test_a_quote_served_at_offsets_of_distinct_scopes_is_priced_at_each():
     """The default scope is the offset: an equal served quote does not share its pricing."""
     trade = make_trade("IN-X", direction=Direction.WETH_IN, gas_internalized=True)
-    rows = analyze_trades([trade], OffsetRequotes(), [0, 1, 2], F_PRIME)
-    assert rows[0].pi < rows[1].pi < rows[2].pi  # a lower baseline, a larger improvement
+    pis = [r.result.pi for r in analyze_trades([trade], OffsetRequotes(), [0, 1, 2], F_PRIME)]
+    assert pis[0] < pis[1] < pis[2]  # a lower baseline, a larger improvement
 
 
 @pytest.mark.parametrize("baseline, serves", [("pools", 1), ("drifted-pools", len(OFFSETS))])
 def test_pass_serves_each_trade_once_per_snapshot(scenario, monkeypatch, baseline, serves):
     """Synth's pools, one snapshot at every offset, serve a trade once; drifted pools, per pair.
 
-    Only the decomposed offset's rows carry a split, also where it is priced with the others.
+    Only the record that holds the decomposed offset carries a split, also where
+    that offset is priced with the others.
     """
     root, trades = scenario
     served = []
@@ -932,10 +935,10 @@ def test_pass_serves_each_trade_once_per_snapshot(scenario, monkeypatch, baselin
         return serve(self, trade, offset)
 
     monkeypatch.setattr(SyntheticRouterProvider, "serve", counting)
-    rows = analyze_trades(trades, _provider(root, baseline), OFFSETS, F_PRIME, decompose=(0,))
-    assert len(rows) == len(trades) * len(OFFSETS)
+    records = list(_records(trades, _provider(root, baseline), OFFSETS, F_PRIME, decompose=(0,)))
+    assert sum(len(r.offsets) for r in records) == len(trades) * len(OFFSETS)
     assert len(served) == len(trades) * serves
-    assert {r.offset for r in rows if r.result is not None} == {0}
+    assert all((r.result is not None) == (0 in r.offsets) for r in records)
 
 
 def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):
@@ -957,8 +960,9 @@ def test_replay_pass_builds_no_per_pair_records(scenario, monkeypatch):
     counting(AttributionResult, "__new__")
     provider = _provider(root, "quotes")
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
-    rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, perturbed_calibrations(cal))
-    assert sum(r.result is not None for r in rows) == len(trades) * len(OFFSETS)
+    records = _records(trades, provider, OFFSETS, F_PRIME, cal, perturbed_calibrations(cal))
+    valued = sum(len(r.offsets) for r in records if r.result is not None)
+    assert valued == len(trades) * len(OFFSETS)
     assert built == {}
     # the counters see the records the wrappers build
     attribute_trade(trades[0], provider, 0, F_PRIME)
@@ -987,7 +991,8 @@ def test_one_snapshot_aggregate_adds_one_member_per_trade(scenario, monkeypatch)
         report = run_aggregate(trades, provider, cal, offsets, F_PRIME, WINDOW)
     assert built == []
     assert {p.offset for p in report.curves} == set(offsets)
-    points = sum(r.pi is not None for r in analyze_trades(trades, provider, [0], F_PRIME, cal))
+    rows = analyze_trades(trades, CalibratedProvider(provider, cal), [0], F_PRIME)
+    points = sum(r.result is not None for r in rows)
     assert len(adds) == len(trades) + points
     assert points > len(trades) / 2
 
@@ -1040,13 +1045,13 @@ def test_streamed_pass_equals_a_stable_sort_of_pairs_priced_alone(
         "D": lambda o: (4 * 10**15, 18, 185_000 + 5000 * o),
     }
     provider = _replay([(t, o, *quote(o)) for t, quote in quotes.items() for o in quoted])
-    rows = analyze_trades(trades, provider, offsets, F_PRIME, cal, shifted, decompose)
+    records = list(_records(trades, provider, offsets, F_PRIME, cal, shifted, decompose))
     alone = [
-        analyze_trades([t], provider, [o], F_PRIME, cal, shifted, decompose)[0]
+        next(_records([t], provider, [o], F_PRIME, cal, shifted, decompose))
         for t in trades
         for o in offsets
     ]
-    assert rows == sorted(alone, key=lambda r: (r.trade.trade_id, r.offset))
+    assert records == sorted(alone, key=lambda r: (r.trade.trade_id, r.offsets))
 
 
 @pytest.mark.parametrize(
@@ -1058,10 +1063,10 @@ def test_pass_prices_at_the_policy_whatever_context_drains_it(scenario, context)
     cal = GasCalibration(D("0.97"), D("0.03"), 20, D(1), D(0))
     shifted = perturbed_calibrations(cal, MULTIPLIER)
     provider = _provider(root, "quotes")
-    expected = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, shifted)
+    expected = list(_records(trades, provider, OFFSETS, F_PRIME, cal, shifted))
     with localcontext(context):
-        rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal, shifted)
-    assert rows == expected
+        records = list(_records(trades, provider, OFFSETS, F_PRIME, cal, shifted))
+    assert records == expected
 
 
 @pytest.mark.parametrize("face", ["analyze_trades", "attribution_csv_rows", "run_aggregate"])
@@ -1179,7 +1184,7 @@ def test_summary_parts_equal_fresh_means_over_each_groups_anchor_rows(scenario, 
     )
     assert report.exclusions == {"quote_unavailable": 1}
 
-    rows = analyze_trades(trades, provider, OFFSETS, F_PRIME, cal)
+    rows = analyze_trades(trades, CalibratedProvider(provider, cal), OFFSETS, F_PRIME)
     anchor = [r for r in rows if r.offset == 0 and not r.excluded and r.trade.usd_value is not None]
     assert excluded not in {r.trade.trade_id for r in anchor}
     assert unweighted not in {r.trade.trade_id for r in anchor}

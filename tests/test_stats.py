@@ -55,6 +55,8 @@ class TestWeightedMean:
             weighted_mean_with_stat([(D(1), D(1))])
         with pytest.raises(ZeroTotalWeight):
             weighted_mean_with_stat([(D(1), D(0)), (D(2), D(0))])
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            weighted_mean_with_stat([(D(1), D(-1)), (D(2), D(3))])
 
 
 class TestRolling:
@@ -79,11 +81,21 @@ class TestRolling:
         assert [str(w.message) for w in caught] == ["rolling window 5 exceeds 3 trades; using 3"]
         assert series == rolling_by_size(points, window=len(points))
 
-    @pytest.mark.parametrize("stride", [0, -2])
-    def test_stride_below_one_refused(self, stride):
+    @pytest.mark.parametrize(
+        "window, stride, message",
+        [
+            (2, 0, "rolling stride must be >= 1"),
+            (2, -2, "rolling stride must be >= 1"),
+            (1, 1, "rolling window must be >= 2"),
+        ],
+        ids=["0", "-2", "window-1"],
+    )
+    def test_stride_below_one_refused(self, window, stride, message):
+        # and a window below two, which has no spread
         points = [(D(w), D(1)) for w in range(1, 6)]
-        with pytest.raises(InsufficientData, match="^rolling stride must be >= 1$"):
-            rolling_by_size(points, window=2, stride=stride)
+        with pytest.raises(InsufficientData) as refused:
+            rolling_by_size(points, window=window, stride=stride)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_give_no_windows(self, n):

@@ -343,11 +343,49 @@ class TestGenerateErrors:
                 {"gas_profiles": {"Classic": {"gas_noise_rel": "1e30"}}},
                 "trade T000002: gas_used * (base_fee + priority_fee) overflows uint128",
             ),
+            (
+                {"path_mix": {"X": 1.0}, "weth_in_fraction": 1,
+                 "size_distribution": {"min_usd": 1, "max_usd": 1}},
+                "trade T000000: gas cost exceeds input; raise size_min_usd",
+            ),
+            (
+                {"weth_in_fraction": 1, "size_distribution": {"min_usd": "0.5", "max_usd": "0.5"},
+                 "pools": [_pool(token_decimals=0)]},
+                "trade T000000: generated output is non-positive",
+            ),
         ],
-        ids=["huge-size", "size-1e300", "bonus-1e63", "huge-base-fee", "huge-gas-noise"],
+        ids=["huge-size", "size-1e300", "bonus-1e63", "huge-base-fee", "huge-gas-noise",
+             "gas-exceeds-input", "zero-output"],
     )
     def test_model_error_names_the_trade(self, tmp_path, capsys, spec, message):
-        # these ended in ValueError tracebacks, exit 1
+        # the first five ended in ValueError tracebacks, exit 1
+        assert _synth_error(tmp_path, capsys, spec) == f"error: SPEC: {message}\n"
+
+
+class TestSpecRefusals:
+    """A spec that is not an object, or that leaves nothing to generate."""
+
+    def test_a_spec_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("[1]")
+        assert main(["synth", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"error: {path}: scenario spec must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n_trades": 0}, "n_trades must be positive"),
+            ({"path_mix": {}}, "path_mix weights must be nonnegative and nonempty"),
+            (
+                {"path_mix": {"Classic": 1.5, "X": -0.5}},
+                "path_mix weights must be nonnegative and nonempty",
+            ),
+            ({"pools": []}, "pool universe must be nonempty"),
+        ],
+        ids=["no-trades", "empty-mix", "negative-weight", "no-pools"],
+    )
+    def test_refusal_names_the_spec(self, tmp_path, capsys, spec, message):
         assert _synth_error(tmp_path, capsys, spec) == f"error: SPEC: {message}\n"
 
 

@@ -18,8 +18,8 @@ from swapmeter.baseline import BaselineProvider, ReplayProvider, SyntheticRouter
 from swapmeter.calibration import GasCalibration, fit_gas_bias
 from swapmeter.config import SETTINGS, RunConfig, coerce_values, config_hash, parse_config
 from swapmeter.errors import (
-    EXCLUDED,
     ConfigError,
+    Excluded,
     IngestError,
     InsufficientData,
     InvalidSpec,
@@ -138,14 +138,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     provider, n_bad = _build_provider(cfg, trades)
     sample = [t for t in trades if t.path == cfg.calibration_filter]
     pairs = []
-    skipped = 0
+    exclusions: dict[str, int] = {}
     for trade in sample:
         try:
             quote = provider.quote(trade, 0)
-        except EXCLUDED:
-            skipped += 1
+        except Excluded as exc:
+            exclusions[exc.reason] = exclusions.get(exc.reason, 0) + 1
             continue
         pairs.append((trade.gas.gas_used, quote.gas_estimate))
+    code = _exit_code(exclusions, n_rejects + n_bad)  # before an error they may explain
     if len(pairs) < 2:
         raise InsufficientData(
             f"calibration needs >= 2 {cfg.calibration_filter!r} trades with offset-0 "
@@ -154,12 +155,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cal = fit_gas_bias(pairs)
     payload = dict(cal.as_dict())
     payload["calibration_filter"] = cfg.calibration_filter
-    payload["skipped_unquoted"] = skipped
+    payload["skipped_unquoted"] = sum(exclusions.values())
     path = cfg.effective_calibration_path()
     with _writing(path):
         write_json(path, payload, comment=provenance(config_hash(cfg)))
     print(f"beta1={cal.beta1} beta1_se={cal.beta1_se} n={cal.n_points}")
-    return EXIT_PARTIAL if n_rejects or n_bad else EXIT_OK
+    return code
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -17,16 +17,26 @@ class DuplicateQuote(IngestError):
     """Two quotes share the same (trade_id, offset, provider_id) key."""
 
 
-class QuoteUnavailable(SwapmeterError):
+class Excluded(SwapmeterError):
+    """Excludes one (trade, offset) pair from analysis as `reason` instead of failing the run."""
+
+    reason: str
+
+
+class QuoteUnavailable(Excluded):
     """The baseline provider has no quote for (trade_id, offset)."""
+
+    reason = "quote_unavailable"
 
     def __init__(self, trade_id: str, offset: int, detail: str = ""):
         msg = f"no quote for trade {trade_id!r} at offset {offset}"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-class SnapshotUnavailable(SwapmeterError):
+class SnapshotUnavailable(Excluded):
     """No pool snapshot exists for the requested block offset."""
+
+    reason = "snapshot_unavailable"
 
     def __init__(self, offset: int):
         super().__init__(f"no pool snapshot for offset {offset}")
@@ -36,12 +46,16 @@ class NoPools(SwapmeterError):
     """Routing was requested against an empty pool set."""
 
 
-class NonPositiveAdjustedInput(SwapmeterError):
+class NonPositiveAdjustedInput(Excluded):
     """Gas-adjusted input i - g'(b+f') is not positive."""
 
+    reason = "non_positive_adjusted_input"
 
-class NonPositiveBaseline(SwapmeterError):
+
+class NonPositiveBaseline(Excluded):
     """Counterfactual price p' <= 0; price improvement is undefined."""
+
+    reason = "non_positive_baseline"
 
 
 class InsufficientData(SwapmeterError):
@@ -63,13 +77,3 @@ class InvalidSpec(SwapmeterError):
 class ConfigError(SwapmeterError):
     """Run configuration is missing or inconsistent."""
 
-
-# Errors that exclude one (trade, offset) pair from analysis instead of
-# failing the run, each with the reason recorded for it.
-EXCLUSION_REASONS: dict[type[SwapmeterError], str] = {
-    NonPositiveBaseline: "non_positive_baseline",
-    QuoteUnavailable: "quote_unavailable",
-    SnapshotUnavailable: "snapshot_unavailable",
-    NonPositiveAdjustedInput: "non_positive_adjusted_input",
-}
-EXCLUDED = tuple(EXCLUSION_REASONS)

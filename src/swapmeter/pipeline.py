@@ -27,7 +27,7 @@ from swapmeter.attribution import attribute_trade  # noqa: F401
 from swapmeter.baseline import BaselineProvider
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.config import check_offsets
-from swapmeter.errors import EXCLUDED, EXCLUSION_REASONS
+from swapmeter.errors import Excluded
 from swapmeter.model import TradeRecord
 from swapmeter.numeric import POLICY, format_bps
 from swapmeter.prices import counterfactual_value, trade_terms
@@ -154,8 +154,8 @@ def _records(
         """(pis, result, reason) of the trade served at `offset`, priced at each slope."""
         try:
             served = provider.serve(trade, offset)
-        except EXCLUDED as exc:
-            return (None,) * 3, None, EXCLUSION_REASONS[type(exc)]
+        except Excluded as exc:
+            return (None,) * 3, None, exc.reason
         o_prime = Decimal(served[0]).scaleb(-served[1])
         result = reason = None
         pis = []
@@ -169,9 +169,9 @@ def _records(
                     pi = result.pi
                 else:
                     pi = improvement(terms.p, value)
-            except EXCLUDED as exc:
+            except Excluded as exc:
                 if not pis:
-                    reason = EXCLUSION_REASONS[type(exc)]
+                    reason = exc.reason
             pis.append(pi)
         return (*pis, *absent), result, reason
 
@@ -255,6 +255,7 @@ def run_aggregate(
     same values as one member per offset.
     """
     check_offsets(offsets)
+    rolling_by_size((), window, stride)  # refuses a bad window or stride before the pass
     anchor = 0 if 0 in offsets else min(offsets, key=lambda t: (abs(t), t))
     shifted = None
     if calibration is not None and calibration.beta1_se > 0:

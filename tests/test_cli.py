@@ -46,6 +46,23 @@ def scenario_files(tmp_path):
     return data
 
 
+@pytest.fixture(scope="module")
+def ci_files(tmp_path_factory):
+    """CI's synth data (seed 3, 40 trades, offsets 0 and 1), with copies that drop offset 0.
+
+    quotes-dropped.csv lacks T000000's offset-0 quote; pools-dropped.csv every offset-0 pool.
+    """
+    data = tmp_path_factory.mktemp("ci")
+    (data / "spec.json").write_text(json.dumps({"seed": 3, "n_trades": 40, "offsets": [0, 1]}))
+    assert main(["synth", str(data / "spec.json"), "--out", str(data)]) == 0
+    for name, dropped in (("quotes", "T000000,0,"), ("pools", "0,")):
+        lines = (data / f"{name}.csv").read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(dropped)]
+        assert len(kept) < len(lines)
+        (data / f"{name}-dropped.csv").write_text("".join(kept))
+    return data
+
+
 def run_all(data: Path, out: Path, extra=()):
     base = [
         "--trades", str(data / "trades.csv"),
@@ -827,6 +844,32 @@ class TestExitCodes:
         assert rc == 1
         assert "reject " in capsys.readouterr().err
         assert (out / "calibration.json").exists()
+
+    @pytest.mark.parametrize(
+        "baseline, code, err",
+        [
+            ("quotes", 1, "excluded 1 rows: quote_unavailable\n"),
+            (
+                "pools", 2,
+                "excluded 40 rows: snapshot_unavailable\n"
+                "error: calibration needs >= 2 'Classic' trades with offset-0 quotes, found 0\n",
+            ),
+        ],
+        ids=["quotes", "pools"],
+    )
+    def test_calibrate_counts_and_exits_on_exclusions_like_analyze(
+        self, ci_files, tmp_path, capsys, baseline, code, err
+    ):
+        # calibrate fit on the quoted trades, printed no exclusion line and exited 0
+        out = tmp_path / "out"
+        rc = main(["calibrate", "--trades", str(ci_files / "trades.csv"),
+                   f"--{baseline}", str(ci_files / f"{baseline}-dropped.csv"), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (code, err)
+        if code == 1:
+            report = json.loads((out / "calibration.json").read_text())
+            assert (report["skipped_unquoted"], report["n_points"]) == (1, 39)
+        else:
+            assert not (out / "calibration.json").exists()
 
     @pytest.mark.parametrize("value", ["-1000000", str(2**128), str(2**64)])
     def test_overhead_gas_out_of_range_fatal(self, scenario_files, tmp_path, capsys, value):

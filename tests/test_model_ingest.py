@@ -432,6 +432,23 @@ class TestRejectReasons:
             assert [t.trade_id for t in ingest_trades(path).records] == ["T4"]
 
     @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
+    def test_a_blank_jsonl_line_between_rows_is_no_row(self, schema, tmp_path):
+        # the rows around it are read, and the next row is still line 2
+        columns = SCHEMA_COLUMNS[schema]
+        objects = [dict(zip(columns, _valid_row(schema, k))) for k in (1, 2, 3)]
+        objects[1]["note"] = ""
+        first, *rest = _jsonl_text(objects).splitlines(keepends=True)
+        path = write_input(tmp_path, "".join([first, "\n", *rest]), ".jsonl")
+        assert _ingest_rejects(schema, path) == [(2, "unknown fields: note")]
+        if schema == "trades":
+            accepted = len(ingest_trades(path).records)
+        elif schema == "quotes":
+            accepted = len(ingest_quotes(path)[0])
+        else:
+            accepted = sum(map(len, ingest_pool_snapshots(path)[0].values()))
+        assert accepted == 2  # the rows on either side of the blank line
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_COLUMNS))
     def test_a_field_past_the_csv_limit_is_a_reject(self, schema, tmp_path):
         # csv.Error used to end the run in a traceback (exit 1)
         columns = SCHEMA_COLUMNS[schema]

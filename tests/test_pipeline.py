@@ -22,7 +22,10 @@ pass: its order equals a stable sort of records priced one pair at a
 time, and its values do not depend on the decimal context its consumer
 drains it in. A table test
 checks that each face of the pass refuses a repeated trade_id or offset,
-in the CLI's words, before it serves a pair. Serving and
+in the CLI's words, before it serves a pair, and another that
+run_aggregate refuses a bad rolling window or stride before it serves.
+A provider's own subclass of an exclusion error excludes its pair under
+the parent's reason. Serving and
 pricing once per requote scope is checked against a provider whose
 offsets share no requote scope, on records, CSV lines, reports and warnings
 over six scope layouts, and by counting how often a trade is served and
@@ -61,9 +64,9 @@ from swapmeter.baseline import (
 from swapmeter.calibration import GasCalibration, perturbed_calibrations
 from swapmeter.cli import main
 from swapmeter.errors import (
-    EXCLUDED,
-    EXCLUSION_REASONS,
     ConfigError,
+    Excluded,
+    InsufficientData,
     NonPositiveAdjustedInput,
     NonPositiveBaseline,
     QuoteUnavailable,
@@ -466,8 +469,8 @@ def _analyze_reference(sc: Scenario, provider) -> list[list[str]]:
         for offset in sorted(sc.offsets):
             try:
                 res = attribute_trade(trade, provider, offset, F_PRIME)
-            except EXCLUDED as exc:
-                cells = ["", "", "", "", "", "true", EXCLUSION_REASONS[type(exc)]]
+            except Excluded as exc:
+                cells = ["", "", "", "", "", "true", exc.reason]
             else:
                 parts = (res.pi, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
                 cells = [*map(format_bps, parts), "false", ""]
@@ -599,8 +602,8 @@ def test_rows_equal_pricing_each_pair_on_its_own():
         trade = record.trade
         try:
             res = attribute_trade(trade, CalibratedProvider(provider, cal), offset, F_PRIME)
-        except EXCLUDED as exc:
-            expected, reason = None, EXCLUSION_REASONS[type(exc)]
+        except Excluded as exc:
+            expected, reason = None, exc.reason
         else:
             expected = (res.pi, res.pi_routing, res.pi_gas, res.pi_fee, res.pi_remainder)
             reason = None
@@ -611,7 +614,7 @@ def test_rows_equal_pricing_each_pair_on_its_own():
                     trade, CalibratedProvider(provider, slope), offset, F_PRIME
                 )
                 want = improvement(realized_price(trade).value, p_prime.value)
-            except EXCLUDED:
+            except Excluded:
                 want = None
             assert got == want
 
@@ -1121,6 +1124,34 @@ def test_repeated_trade_ids_and_offsets_are_refused_before_any_row(
     assert rows == [] and exclusions == {} and served == []
 
 
+@pytest.mark.parametrize(
+    "window, stride, message",
+    [(1, 1, "rolling window must be >= 2"), (10, 0, "rolling stride must be >= 1")],
+    ids=["window", "stride"],
+)
+def test_a_bad_window_or_stride_is_refused_before_any_serve(
+    scenario, monkeypatch, window, stride, message
+):
+    """run_aggregate refuses a rolling window or stride as rolling_by_size does, before serving.
+
+    The refusal used to come after the pass had served every pair.
+    """
+    root, trades = scenario
+    provider = _provider(root, "quotes")
+    served = []
+    serve = ReplayProvider.serve
+
+    def counting(self, trade, offset):
+        served.append(offset)
+        return serve(self, trade, offset)
+
+    monkeypatch.setattr(ReplayProvider, "serve", counting)
+    with pytest.raises(InsufficientData) as refused:
+        run_aggregate(trades, provider, None, OFFSETS, F_PRIME, window, stride)
+    assert type(refused.value) is InsufficientData and str(refused.value) == message
+    assert served == []
+
+
 def test_a_group_without_a_shifted_mean_keeps_a_zero_band_side():
     """A group valued twice at the nominal slope but once at the lower one stays in the curve."""
     cal = GasCalibration(D(1), D("0.05"), 20, D(1), D(0))
@@ -1150,16 +1181,16 @@ def test_a_group_without_a_shifted_mean_keeps_a_zero_band_side():
 
 
 class WithholdingProvider(BaselineProvider):
-    """A provider that has no quote for one trade at one offset."""
+    """A provider that has no quote for one trade at one offset, and raises `error` for it."""
 
     provider_id = "withholding"
 
-    def __init__(self, inner, trade_id, offset):
-        self._inner, self._missing = inner, (trade_id, offset)
+    def __init__(self, inner, trade_id, offset, error=QuoteUnavailable):
+        self._inner, self._missing, self._error = inner, (trade_id, offset), error
 
     def serve(self, trade, offset):
         if (trade.trade_id, offset) == self._missing:
-            raise QuoteUnavailable(trade.trade_id, offset)
+            raise self._error(trade.trade_id, offset)
         return self._inner.serve(trade, offset)
 
     def output_at(self, trade, offset, out_raw, amount_raw):
@@ -1201,3 +1232,26 @@ def test_summary_parts_equal_fresh_means_over_each_groups_anchor_rows(scenario, 
                     [(getattr(r.result, f"pi_{part}"), r.trade.usd_value) for r in groups[group]]
                 )
                 assert entry[f"{part}_bps"] == format_bps(mean)
+
+
+class StaleQuote(QuoteUnavailable):
+    """A provider's own kind of missing quote."""
+
+
+def test_a_subclass_of_an_exclusion_is_excluded_under_its_reason(scenario):
+    """A provider's subclass of QuoteUnavailable excludes its pair as quote_unavailable.
+
+    The pass looked the reason up by the error's exact type and raised KeyError.
+    """
+    root, trades = scenario
+    missing = trades[0].trade_id
+    provider = WithholdingProvider(_provider(root, "quotes"), missing, 0, StaleQuote)
+    rows = analyze_trades(trades, provider, [0, 1], F_PRIME)
+    excluded = [(r.trade.trade_id, r.offset, r.exclusion_reason) for r in rows if r.excluded]
+    assert excluded == [(missing, 0, "quote_unavailable")]
+    exclusions = {}
+    lines = list(attribution_csv_rows(trades, provider, [0, 1], F_PRIME, None, exclusions))
+    assert exclusions == {"quote_unavailable": 1}
+    assert [line for line in lines if line[-2] == "true"] == [
+        [missing, "0", "", "", "", "", "", "true", "quote_unavailable"]
+    ]

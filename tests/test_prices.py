@@ -9,8 +9,10 @@ from swapmeter.errors import NonPositiveAdjustedInput, QuoteUnavailable
 from swapmeter.model import Direction, TokenAmount
 from swapmeter.prices import (
     counterfactual_price,
+    counterfactual_value,
     realized_decision_vector,
     realized_price,
+    trade_terms,
 )
 
 from conftest import GWEI, USDC, WETH, make_trade, replay_for
@@ -130,6 +132,20 @@ class TestCounterfactualPrice:
         provider = replay_for("T1", 0, 3000 * USDC, 6, 50_000_000)
         with pytest.raises(NonPositiveAdjustedInput):
             counterfactual_price(trade, provider, 0, F_PRIME)
+
+    def test_negative_fee_or_gas_is_refused(self):
+        trade = make_trade()
+        served = (2995 * USDC, 6, Decimal(140_000))
+        provider = replay_for("T1", 0, *served)
+        terms = trade_terms(trade, F_PRIME)
+        for refused in (
+            lambda: trade_terms(trade, Decimal(-1)),  # f' < 0
+            lambda: counterfactual_value(provider, terms, 0, served, Decimal(2995), Decimal(-1)),
+        ):
+            with pytest.raises(ValueError) as caught:
+                refused()
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == "g and f must be nonnegative"
 
 
 class TestSelfBaselineFixedPoint:

@@ -270,8 +270,21 @@ class TestCpmmSwap:
         # 1000 * 3000/(3000000+3000) ETH
         assert out == 1000 * WETH * 3000 // 3_003_000
 
+    def test_zero_input_is_refused(self):
+        with pytest.raises(ValueError) as caught:
+            cpmm_swap_out(make_pool(), 0, Direction.WETH_IN)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "amount_in must be positive"
+
 
 class TestOptimalSplit:
+    def test_zero_input_is_refused(self):
+        zero = TokenAmount(0, 18)
+        with pytest.raises(ValueError) as caught:
+            route_optimal_split([make_pool()], zero, Direction.WETH_IN, Decimal(0))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "amount_in must be positive"
+
     def test_single_pool_full_share(self):
         pool = make_pool()
         route = route_optimal_split([pool], TokenAmount(WETH, 18), Direction.WETH_IN, Decimal(0))

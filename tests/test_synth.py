@@ -382,8 +382,16 @@ class TestSpecRefusals:
                 "path_mix weights must be nonnegative and nonempty",
             ),
             ({"pools": []}, "pool universe must be nonempty"),
+            (
+                {"pools": [_pool(reserve_token="300000.0000001")]},
+                "pool P: reserves must be integral in base units",
+            ),
+            ({"weth_in_fraction": 1.5}, "weth_in_fraction must be in [0, 1]"),
         ],
-        ids=["no-trades", "empty-mix", "negative-weight", "no-pools"],
+        ids=[
+            "no-trades", "empty-mix", "negative-weight", "no-pools", "fractional-reserve",
+            "weth-in-fraction-above-1",
+        ],
     )
     def test_refusal_names_the_spec(self, tmp_path, capsys, spec, message):
         assert _synth_error(tmp_path, capsys, spec) == f"error: SPEC: {message}\n"
